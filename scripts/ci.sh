@@ -4,25 +4,29 @@
 #   1. tier-1      — plain build, full test suite (the gate every PR must
 #                    hold). The `chaos` label is split out into stage 6 so
 #                    its wall-clock cost is attributed to the chaos stage.
-#   2. asan        — GLY_SANITIZE=address build running the `robustness` and
-#                    `conformance` CTest labels: fault-injection,
-#                    checkpoint/recovery, WAL/resume, cancellation, and the
-#                    cross-engine kernel-conformance suites — the paths most
-#                    valuable to run under a sanitizer.
+#   2. asan        — GLY_SANITIZE=address build running the `robustness`,
+#                    `conformance`, and `hotpath` CTest labels:
+#                    fault-injection, checkpoint/recovery, WAL/resume,
+#                    cancellation, the cross-engine kernel-conformance
+#                    suites, and the golden hot-path pins (recycled arenas,
+#                    pooled partitions, striped page cache) — the paths
+#                    most valuable to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
-#                    `observability`, `robustness`, and `scheduler` CTest
-#                    labels: the parallel ETL pipeline (chunked parsing,
-#                    parallel CSR build, reordering), the tracer/metrics-
-#                    registry concurrency stress tests, the SIGPROF
-#                    sampling-profiler stress (signal handler vs ring
-#                    drain vs worker threads, via profiler_test's
+#                    `observability`, `robustness`, `scheduler`, and
+#                    `hotpath` CTest labels: the parallel ETL pipeline
+#                    (chunked parsing, parallel CSR build, reordering), the
+#                    tracer/metrics-registry concurrency stress tests, the
+#                    SIGPROF sampling-profiler stress (signal handler vs
+#                    ring drain vs worker threads, via profiler_test's
 #                    observability label), the cancellation/
 #                    watchdog/grace-join paths (harness watchdog vs attempt
-#                    thread, token polls from every engine), and the
+#                    thread, token polls from every engine), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
-#                    writer) under the race detector, where their bugs
-#                    would actually show.
+#                    writer), and the golden hot-path pins (work-stealing
+#                    compute chunks, the 8-thread page-cache hammer) under
+#                    the race detector, where their bugs would actually
+#                    show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the
 #                    golden-trace, metrics round-trip, monitor, profiler,
 #                    and 4-engine trace-artifact suites), then cross-checks
@@ -88,7 +92,7 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLY_SANITIZE=address
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
 
-echo "==> [2/6] asan: robustness + conformance + hotpath suites"
+echo "==> [2/6] asan: robustness + conformance + golden hot-path pins"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
       -L 'robustness|conformance|hotpath'
 
@@ -97,7 +101,7 @@ cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLY_SANITIZE=thread
 cmake --build "${TSAN_DIR}" -j "${JOBS}"
 
-echo "==> [3/6] tsan: ingest + observability + robustness + scheduler + hotpath (race detector)"
+echo "==> [3/6] tsan: ingest + observability + robustness + scheduler + golden hot-path pins (race detector)"
 ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" \
       -L 'ingest|observability|robustness|scheduler|hotpath'
 

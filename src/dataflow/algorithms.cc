@@ -20,7 +20,8 @@ struct BfsValue {
 
 // Naive path: the GraphX Pregel operator — every level joins the full
 // vertex dataset (the platform's cost signature). Selected by
-// BfsStrategy::kTopDown; the frontier kernel below is the default.
+// `bfs.strategy = top_down`, which fig4's `bfs_dataflow_joins` record
+// needs; the frontier kernel below is the default.
 Result<AlgorithmOutput> RunBfsPregelJoins(Context* ctx, const Graph& graph,
                                           const BfsParams& params) {
   GLY_ASSIGN_OR_RETURN(

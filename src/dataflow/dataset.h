@@ -78,14 +78,6 @@ struct ContextConfig {
   /// polls per source partition. Materialization bumps the token's
   /// progress heartbeat.
   CancelToken* cancel = nullptr;
-
-  /// Hot-path memory model (DESIGN.md §13): recycle partition storage
-  /// through per-type vector pools when datasets drop, shuffle through a
-  /// stable two-pass radix partition step, and build join/reduce tables in
-  /// epoch-tagged flat arrays instead of per-operator hash maps. Results
-  /// are identical either way; `false` restores the legacy per-record
-  /// heap path (kept for the `hotpath` parity suite).
-  bool pooled_buffers = true;
 };
 
 /// Accumulated execution statistics.
@@ -98,8 +90,7 @@ struct ContextStats {
   double shuffle_seconds = 0.0;
   double materialize_seconds = 0.0;
   uint64_t peak_memory_bytes = 0;
-  /// Shuffle output bytes that landed in recycled pooled buffers (pooled
-  /// mode only; 0 on the legacy path).
+  /// Shuffle output bytes that landed in recycled pooled buffers.
   uint64_t shuffle_bytes_pooled = 0;
   /// Peak bytes parked in the context's recycled-buffer pools.
   uint64_t pooled_bytes_peak = 0;
@@ -169,14 +160,12 @@ class Dataset {
   struct Payload {
     std::vector<std::vector<T>> partitions;
     ScopedCharge charge;  // released when the last reference drops
-    /// Origin pool (null on the legacy path): partition storage is
-    /// recycled here when the last reference drops, so the next operator
-    /// materializes into warm buffers instead of the allocator.
+    /// Origin pool: partition storage is recycled here when the last
+    /// reference drops, so the next operator materializes into warm
+    /// buffers instead of the allocator.
     std::shared_ptr<detail::TypedPool<T>> pool;
     ~Payload() {
-      if (pool != nullptr) {
-        for (auto& p : partitions) pool->Release(std::move(p));
-      }
+      for (auto& p : partitions) pool->Release(std::move(p));
     }
   };
 
@@ -208,21 +197,15 @@ class Context {
   Result<Dataset<T>> Parallelize(const std::vector<T>& elements) {
     const uint32_t parts = config_.num_partitions;
     auto partitions = AcquirePartitions<T>(parts);
-    if (config_.pooled_buffers) {
-      // Exact-size scatter: element i lands at partitions[i % parts] slot
-      // i / parts — identical content and order to the append loop, with
-      // one resize per partition instead of per-element growth.
-      for (uint32_t p = 0; p < parts; ++p) {
-        partitions[p].resize(elements.size() / parts +
-                             (p < elements.size() % parts ? 1 : 0));
-      }
-      for (size_t i = 0; i < elements.size(); ++i) {
-        partitions[i % parts][i / parts] = elements[i];
-      }
-    } else {
-      for (size_t i = 0; i < elements.size(); ++i) {
-        partitions[i % parts].push_back(elements[i]);
-      }
+    // Exact-size scatter: element i lands at partitions[i % parts] slot
+    // i / parts, with one resize per partition instead of per-element
+    // growth.
+    for (uint32_t p = 0; p < parts; ++p) {
+      partitions[p].resize(elements.size() / parts +
+                           (p < elements.size() % parts ? 1 : 0));
+    }
+    for (size_t i = 0; i < elements.size(); ++i) {
+      partitions[i % parts][i / parts] = elements[i];
     }
     return Materialize(std::move(partitions));
   }
@@ -235,29 +218,22 @@ class Context {
     using KV = std::pair<uint64_t, V>;
     const uint32_t parts = config_.num_partitions;
     auto partitions = AcquirePartitions<KV>(parts);
-    if (config_.pooled_buffers) {
-      // Radix scatter (count, resize exact, place): stable within each
-      // partition, so the result matches the per-record append loop
-      // bit-for-bit without its reallocation churn.
-      auto& targets = target_scratch_;
-      targets.clear();
-      targets.reserve(elements.size());
-      std::vector<size_t> counts(parts, 0);
-      for (const KV& kv : elements) {
-        uint32_t t = PartitionOf(kv.first);
-        targets.push_back(t);
-        ++counts[t];
-      }
-      std::vector<size_t> cursor(parts, 0);
-      for (uint32_t p = 0; p < parts; ++p) partitions[p].resize(counts[p]);
-      for (size_t i = 0; i < elements.size(); ++i) {
-        uint32_t t = targets[i];
-        partitions[t][cursor[t]++] = std::move(elements[i]);
-      }
-    } else {
-      for (auto& kv : elements) {
-        partitions[PartitionOf(kv.first)].push_back(std::move(kv));
-      }
+    // Radix scatter (count, resize exact, place): stable within each
+    // partition, without per-record reallocation churn.
+    auto& targets = target_scratch_;
+    targets.clear();
+    targets.reserve(elements.size());
+    std::vector<size_t> counts(parts, 0);
+    for (const KV& kv : elements) {
+      uint32_t t = PartitionOf(kv.first);
+      targets.push_back(t);
+      ++counts[t];
+    }
+    std::vector<size_t> cursor(parts, 0);
+    for (uint32_t p = 0; p < parts; ++p) partitions[p].resize(counts[p]);
+    for (size_t i = 0; i < elements.size(); ++i) {
+      uint32_t t = targets[i];
+      partitions[t][cursor[t]++] = std::move(elements[i]);
     }
     return Materialize(std::move(partitions));
   }
@@ -309,55 +285,43 @@ class Context {
     using KV = std::pair<uint64_t, V>;
     GLY_ASSIGN_OR_RETURN(Dataset<KV> shuffled, Shuffle(in));
     auto partitions = AcquirePartitions<KV>(shuffled.num_partitions());
-    if (config_.pooled_buffers) {
-      // Flat fold: per-key accumulation through a recycled epoch-tagged
-      // dense array when the key domain is small enough (FlatDomainOk),
-      // falling back to the hash map otherwise. Per-key values fold in
-      // the same encounter order as the map path, so they are
-      // bit-identical; only the emission order of distinct keys within a
-      // partition differs (first-encounter vs hash-iteration), which no
-      // consumer observes — results are keyed, never order-addressed.
-      auto accs = AccumulatorsFor<V>(shuffled.num_partitions());
-      pool_.ParallelFor(shuffled.num_partitions(), [&](size_t p) {
-        const auto& src = shuffled.partition(p);
-        uint64_t max_key = 0;
-        for (const KV& kv : src) max_key = std::max(max_key, kv.first);
-        auto& dst = partitions[p];
-        if (!src.empty() && FlatDomainOk(max_key, src.size())) {
-          auto& acc = (*accs)[p];
-          acc.EnsureDomain(max_key + 1);
-          acc.NewEpoch();
-          for (const KV& kv : src) {
-            if (acc.touched(kv.first)) {
-              V& a = acc.slot(kv.first);
-              a = fn(a, kv.second);
-            } else {
-              acc.mark(kv.first) = kv.second;
-            }
+    // Flat fold: per-key accumulation through a recycled epoch-tagged
+    // dense array when the key domain is small enough (FlatDomainOk),
+    // falling back to a hash map otherwise. Per-key values fold in
+    // encounter order either way; distinct keys within a partition are
+    // emitted in first-encounter or hash-iteration order, which no
+    // consumer observes — results are keyed, never order-addressed.
+    auto accs = AccumulatorsFor<V>(shuffled.num_partitions());
+    pool_.ParallelFor(shuffled.num_partitions(), [&](size_t p) {
+      const auto& src = shuffled.partition(p);
+      uint64_t max_key = 0;
+      for (const KV& kv : src) max_key = std::max(max_key, kv.first);
+      auto& dst = partitions[p];
+      if (!src.empty() && FlatDomainOk(max_key, src.size())) {
+        auto& acc = (*accs)[p];
+        acc.EnsureDomain(max_key + 1);
+        acc.NewEpoch();
+        for (const KV& kv : src) {
+          if (acc.touched(kv.first)) {
+            V& a = acc.slot(kv.first);
+            a = fn(a, kv.second);
+          } else {
+            acc.mark(kv.first) = kv.second;
           }
-          dst.reserve(acc.touched_keys().size());
-          for (size_t k : acc.touched_keys()) {
-            dst.emplace_back(k, std::move(acc.slot(k)));
-          }
-        } else {
-          std::unordered_map<uint64_t, V> acc;
-          for (const KV& kv : src) {
-            auto [it, inserted] = acc.try_emplace(kv.first, kv.second);
-            if (!inserted) it->second = fn(it->second, kv.second);
-          }
-          dst.assign(acc.begin(), acc.end());
         }
-      });
-    } else {
-      pool_.ParallelFor(shuffled.num_partitions(), [&](size_t p) {
+        dst.reserve(acc.touched_keys().size());
+        for (size_t k : acc.touched_keys()) {
+          dst.emplace_back(k, std::move(acc.slot(k)));
+        }
+      } else {
         std::unordered_map<uint64_t, V> acc;
-        for (const KV& kv : shuffled.partition(p)) {
+        for (const KV& kv : src) {
           auto [it, inserted] = acc.try_emplace(kv.first, kv.second);
           if (!inserted) it->second = fn(it->second, kv.second);
         }
-        partitions[p].assign(acc.begin(), acc.end());
-      });
-    }
+        dst.assign(acc.begin(), acc.end());
+      }
+    });
     return Materialize(std::move(partitions));
   }
 
@@ -375,12 +339,10 @@ class Context {
     perf::SpanCounters join_counters(&join_span);
     auto partitions = AcquirePartitions<U>(left.num_partitions());
     std::atomic<uint64_t> probes{0};
-    // Pooled build tables: one recycled epoch-tagged [key -> value*]
-    // array per partition replaces the per-call hash map when the build
-    // side's key domain is small enough; first match wins either way.
-    auto accs = config_.pooled_buffers
-                    ? AccumulatorsFor<const void*>(left.num_partitions())
-                    : nullptr;
+    // Build tables: one recycled epoch-tagged [key -> value*] array per
+    // partition replaces the per-call hash map when the build side's key
+    // domain is small enough; first match wins either way.
+    auto accs = AccumulatorsFor<const void*>(left.num_partitions());
     pool_.ParallelFor(left.num_partitions(), [&](size_t p) {
       const auto& build_src = right.partition(p);
       uint64_t max_key = 0;
@@ -388,7 +350,7 @@ class Context {
       uint64_t local_probes = 0;
       auto& dst = partitions[p];
       dst.reserve(left.partition(p).size());
-      if (accs != nullptr && FlatDomainOk(max_key, build_src.size())) {
+      if (FlatDomainOk(max_key, build_src.size())) {
         auto& build = (*accs)[p];
         build.EnsureDomain(max_key + 1);
         build.NewEpoch();
@@ -437,49 +399,38 @@ class Context {
     const uint32_t parts = config_.num_partitions;
     auto partitions = AcquirePartitions<KV>(parts);
     uint64_t moved_bytes = 0;
-    if (config_.pooled_buffers) {
-      // Radix partition step, pass 1: compute each record's target (cached
-      // in a recycled scratch array) and per-target occupancy, plus the
-      // cross-partition bytes the simulated network must move.
-      auto& targets = target_scratch_;
-      targets.clear();
-      std::vector<size_t> counts(parts, 0);
-      for (size_t p = 0; p < in.num_partitions(); ++p) {
-        GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-        for (const KV& kv : in.partition(p)) {
-          uint32_t target = PartitionOf(kv.first);
-          if (target != p) moved_bytes += sizeof(KV);
-          targets.push_back(target);
-          ++counts[target];
-        }
-      }
-      // Pass 2: resize each output partition exactly once and scatter in
-      // source order — stable within each target partition, so join and
-      // fold order downstream are unchanged from the append path.
-      for (uint32_t t = 0; t < parts; ++t) partitions[t].resize(counts[t]);
-      std::vector<size_t> cursor(parts, 0);
-      size_t i = 0;
-      uint64_t pooled_bytes = 0;
-      for (size_t p = 0; p < in.num_partitions(); ++p) {
-        for (const KV& kv : in.partition(p)) {
-          uint32_t target = targets[i++];
-          partitions[target][cursor[target]++] = kv;
-        }
-      }
-      pooled_bytes = static_cast<uint64_t>(targets.size()) * sizeof(KV);
-      stats_.shuffle_bytes_pooled += pooled_bytes;
-      shuffle_span.SetAttribute("pooled_bytes", pooled_bytes);
-      metrics::AddCounter("dataflow.shuffle_bytes_pooled", pooled_bytes);
-    } else {
-      for (size_t p = 0; p < in.num_partitions(); ++p) {
-        GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-        for (const KV& kv : in.partition(p)) {
-          uint32_t target = PartitionOf(kv.first);
-          if (target != p) moved_bytes += sizeof(KV);
-          partitions[target].push_back(kv);
-        }
+    // Radix partition step, pass 1: compute each record's target (cached
+    // in a recycled scratch array) and per-target occupancy, plus the
+    // cross-partition bytes the simulated network must move.
+    auto& targets = target_scratch_;
+    targets.clear();
+    std::vector<size_t> counts(parts, 0);
+    for (size_t p = 0; p < in.num_partitions(); ++p) {
+      GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+      for (const KV& kv : in.partition(p)) {
+        uint32_t target = PartitionOf(kv.first);
+        if (target != p) moved_bytes += sizeof(KV);
+        targets.push_back(target);
+        ++counts[target];
       }
     }
+    // Pass 2: resize each output partition exactly once and scatter in
+    // source order — stable within each target partition, so join and
+    // fold order downstream follow source order.
+    for (uint32_t t = 0; t < parts; ++t) partitions[t].resize(counts[t]);
+    std::vector<size_t> cursor(parts, 0);
+    size_t i = 0;
+    for (size_t p = 0; p < in.num_partitions(); ++p) {
+      for (const KV& kv : in.partition(p)) {
+        uint32_t target = targets[i++];
+        partitions[target][cursor[target]++] = kv;
+      }
+    }
+    const uint64_t pooled_bytes =
+        static_cast<uint64_t>(targets.size()) * sizeof(KV);
+    stats_.shuffle_bytes_pooled += pooled_bytes;
+    shuffle_span.SetAttribute("pooled_bytes", pooled_bytes);
+    metrics::AddCounter("dataflow.shuffle_bytes_pooled", pooled_bytes);
     stats_.shuffle_bytes += moved_bytes;
     shuffle_span.SetAttribute("moved_bytes", moved_bytes);
     metrics::AddCounter("dataflow.shuffle_bytes", moved_bytes);
@@ -498,7 +449,7 @@ class Context {
   }
 
  private:
-  /// Flat-table admission check (pooled join/reduce): a dense
+  /// Flat-table admission check (join/reduce): a dense
   /// [0, max_key] array is used only when the key domain is within a
   /// small multiple of the partition's population (hash partitioning
   /// spreads a dense id space across partitions, hence the 16x slack)
@@ -522,14 +473,12 @@ class Context {
     return std::static_pointer_cast<detail::TypedPool<T>>(it->second);
   }
 
-  /// `n` partition buffers, recycled from the pool in pooled mode.
+  /// `n` partition buffers, recycled from the pool.
   template <typename T>
   std::vector<std::vector<T>> AcquirePartitions(size_t n) {
     std::vector<std::vector<T>> partitions(n);
-    if (config_.pooled_buffers) {
-      auto pool = PoolFor<T>();
-      for (auto& p : partitions) p = pool->Acquire();
-    }
+    auto pool = PoolFor<T>();
+    for (auto& p : partitions) p = pool->Acquire();
     return partitions;
   }
 
@@ -584,7 +533,7 @@ class Context {
     auto payload = std::make_shared<typename Dataset<T>::Payload>();
     payload->partitions = std::move(partitions);
     payload->charge = ScopedCharge(&budget_, bytes);
-    if (config_.pooled_buffers) payload->pool = PoolFor<T>();
+    payload->pool = PoolFor<T>();
     if (config_.cancel != nullptr) config_.cancel->Heartbeat();
     return Dataset<T>(std::move(payload));
   }

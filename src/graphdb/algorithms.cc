@@ -302,7 +302,6 @@ Result<AlgorithmOutput> RunAlgorithm(const DbPlatformConfig& config,
   StoreConfig store_config;
   store_config.directory = config.store_dir;
   store_config.page_cache_bytes = config.page_cache_bytes;
-  store_config.page_cache_shards = config.page_cache_shards;
   GLY_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
                        GraphStore::Open(store_config));
   GLY_RETURN_NOT_OK(store->BulkImport(graph.ToEdgeList(), params.cancel));

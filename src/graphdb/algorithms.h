@@ -22,7 +22,6 @@ namespace gly::graphdb {
 struct DbPlatformConfig {
   std::string store_dir;                     ///< store location (required)
   uint64_t page_cache_bytes = 256ULL << 20;  ///< cache sizing
-  uint32_t page_cache_shards = 0;            ///< lock stripes; 0 = auto
   uint64_t memory_budget_bytes = 0;          ///< 0 = unlimited
 };
 

@@ -60,8 +60,7 @@ Result<std::unique_ptr<GraphStore>> GraphStore::Open(
     return Status::IOError("cannot create store dir: " + config.directory);
   }
   auto store = std::unique_ptr<GraphStore>(new GraphStore());
-  store->cache_ = std::make_unique<PageCache>(config.page_cache_bytes,
-                                              config.page_cache_shards);
+  store->cache_ = std::make_unique<PageCache>(config.page_cache_bytes);
   GLY_ASSIGN_OR_RETURN(store->nodes_file_,
                        store->cache_->OpenFile(config.directory + "/nodes.db"));
   GLY_ASSIGN_OR_RETURN(store->rels_file_,

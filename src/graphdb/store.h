@@ -46,10 +46,9 @@ struct RelView {
 /// Store configuration.
 struct StoreConfig {
   std::string directory;            ///< store files live here (required)
+  /// Page cache size; the cache splits it into min(8, capacity pages)
+  /// lock-striped shards.
   uint64_t page_cache_bytes = 64ULL << 20;
-  /// Lock-striped page cache segments; 0 = auto (min(8, capacity pages)).
-  /// The README's `graphdb.pagecache_shards` knob.
-  uint32_t page_cache_shards = 0;
 };
 
 /// The embedded graph database.

@@ -56,14 +56,12 @@ class GiraphLikePlatform final : public Platform {
     engine.checkpoint.max_recoveries = static_cast<uint32_t>(
         config.GetUintOr("checkpoint_max_recoveries", 3));
     // Traversal-kernel knobs: 0 disables the dense-frontier fast path /
-    // work-stealing chunks respectively (the pre-optimization engine).
+    // makes each worker one compute chunk (the pre-optimization engine
+    // that fig4's bfs_pregel_classic record measures).
     engine.dense_frontier_threshold = config.GetDoubleOr(
         "dense_frontier_threshold", engine.dense_frontier_threshold);
     engine.steal_chunk_vertices = static_cast<uint32_t>(config.GetUintOr(
         "steal_chunk_vertices", engine.steal_chunk_vertices));
-    // Hot-path memory knob (DESIGN.md §13): false reverts to the legacy
-    // per-superstep allocation path.
-    engine.outbox_pool = config.GetBoolOr("outbox_pool", engine.outbox_pool);
     engine_ = std::make_unique<pregel::Engine>(engine);
   }
 
@@ -90,9 +88,7 @@ class GiraphLikePlatform final : public Platform {
     if (stats.dense_supersteps > 0) {
       metrics_["dense_supersteps"] = std::to_string(stats.dense_supersteps);
     }
-    if (engine_->config().outbox_pool) {
-      metrics_["outbox_bytes_peak"] = std::to_string(stats.outbox_bytes_peak);
-    }
+    metrics_["outbox_bytes_peak"] = std::to_string(stats.outbox_bytes_peak);
     if (engine_->config().checkpoint.interval > 0) {
       metrics_["checkpoints"] = std::to_string(stats.checkpoints_written);
       metrics_["recoveries"] = std::to_string(stats.recoveries);
@@ -128,10 +124,6 @@ class GraphXLikePlatform final : public Platform {
     context_.shuffle_mib_per_s = config.GetDoubleOr("shuffle_mib_per_s", 0.0);
     context_.materialize_mib_per_s =
         config.GetDoubleOr("materialize_mib_per_s", 0.0);
-    // Hot-path memory knob (DESIGN.md §13): false reverts shuffles and
-    // operator outputs to per-call allocation.
-    context_.pooled_buffers =
-        config.GetBoolOr("pooled_buffers", context_.pooled_buffers);
   }
 
   std::string name() const override { return "graphx"; }
@@ -154,11 +146,9 @@ class GraphXLikePlatform final : public Platform {
     metrics_["materialize_s"] = StringPrintf("%.3f", stats.materialize_seconds);
     metrics_["shuffle_bytes"] = std::to_string(stats.shuffle_bytes);
     metrics_["peak_memory"] = FormatBytes(stats.peak_memory_bytes);
-    if (context_.pooled_buffers) {
-      metrics_["shuffle_bytes_pooled"] =
-          std::to_string(stats.shuffle_bytes_pooled);
-      metrics_["pooled_bytes_peak"] = std::to_string(stats.pooled_bytes_peak);
-    }
+    metrics_["shuffle_bytes_pooled"] =
+        std::to_string(stats.shuffle_bytes_pooled);
+    metrics_["pooled_bytes_peak"] = std::to_string(stats.pooled_bytes_peak);
     return out;
   }
 
@@ -257,10 +247,6 @@ class Neo4jLikePlatform final : public Platform {
         "page_cache_mb",
         opts.memory_budget_bytes != 0 ? (opts.memory_budget_bytes >> 20) : 256)
         << 20;
-    // Hot-path memory knob (DESIGN.md §13): lock-striped page cache
-    // segment count; 0 lets the cache pick min(8, capacity pages).
-    page_cache_shards_ =
-        static_cast<uint32_t>(config.GetUintOr("pagecache_shards", 0));
   }
 
   std::string name() const override { return "neo4j"; }
@@ -270,7 +256,6 @@ class Neo4jLikePlatform final : public Platform {
     store_config.directory = scratch_.path() + "/store-" + graph_name + "-" +
                              std::to_string(load_counter_++);
     store_config.page_cache_bytes = page_cache_bytes_;
-    store_config.page_cache_shards = page_cache_shards_;
     GLY_ASSIGN_OR_RETURN(store_, graphdb::GraphStore::Open(store_config));
     GLY_RETURN_NOT_OK(store_->BulkImport(graph.ToEdgeList(), load_cancel_));
     undirected_ = graph.undirected();
@@ -309,7 +294,6 @@ class Neo4jLikePlatform final : public Platform {
   TempDir scratch_;
   uint64_t memory_budget_bytes_;
   uint64_t page_cache_bytes_;
-  uint32_t page_cache_shards_ = 0;
   std::unique_ptr<graphdb::GraphStore> store_;
   const CancelToken* load_cancel_ = nullptr;
   bool undirected_ = true;

@@ -46,8 +46,8 @@ Result<AlgorithmOutput> RunPr(const Engine& engine, const Graph& graph,
                               const PrParams& params,
                               RunStats* stats_out = nullptr);
 
-/// BFS without the min combiner — the ablation_network experiment
-/// (quantifies the "excessive network utilization" choke point).
+/// BFS without the min combiner. The `ablation_network` bench needs it to
+/// quantify the "excessive network utilization" choke point.
 Result<AlgorithmOutput> RunBfsNoCombiner(const Engine& engine,
                                          const Graph& graph,
                                          const BfsParams& params,

@@ -254,24 +254,18 @@ struct EngineConfig {
   /// messages are combined into one dense slot per destination vertex at
   /// delivery time instead of materializing per-vertex message vectors —
   /// the §2.1 access-locality optimization for near-full frontiers.
-  /// 0 disables the fast path.
+  /// 0 disables the fast path; `fig4_runtimes --kernels-only` sets 0 for
+  /// its `bfs_pregel_classic` record (the pre-optimization engine).
   double dense_frontier_threshold = 0.05;
 
   /// Compute-phase scheduling: vertex ranges of this many vertices are
   /// pulled from a shared queue by the pool threads (work stealing), so a
   /// hub-heavy partition no longer serializes the superstep (the §2.1
-  /// skew choke point). 0 restores one fixed task per logical worker.
-  /// Message order, and therefore results, are identical either way.
+  /// skew choke point). 0 makes each worker's whole vertex list one
+  /// range (the fixed-partition schedule), which `fig4_runtimes
+  /// --kernels-only` needs for its `bfs_pregel_classic` record. Message
+  /// order, and therefore results, are identical either way.
   uint32_t steal_chunk_vertices = 4096;
-
-  /// Hot-path memory model (DESIGN.md §13): recycle outbox and inbox
-  /// storage across supersteps — flat arena outboxes, sender-side combining
-  /// through an epoch-tagged dense accumulator, and count-then-scatter
-  /// delivery into a flat CSR inbox — instead of allocating per-superstep
-  /// heap containers and sorting. Results are bit-identical either way;
-  /// `false` restores the legacy heap path (kept for the `hotpath` parity
-  /// suite and as a memory/speed trade-off knob).
-  bool outbox_pool = true;
 
   /// Superstep checkpoint/rollback policy (disabled by default).
   CheckpointPolicy checkpoint;
@@ -317,8 +311,7 @@ struct RunStats {
   double checkpoint_seconds = 0.0;
   /// Supersteps whose messages took the dense-frontier fast path.
   uint32_t dense_supersteps = 0;
-  /// Peak bytes held by the recycled outbox/inbox arenas (pooled mode
-  /// only; the legacy heap path reports 0).
+  /// Peak bytes held by the recycled outbox/inbox arenas (DESIGN.md §13).
   uint64_t outbox_bytes_peak = 0;
   std::vector<SuperstepStats> per_superstep;
 };
@@ -396,9 +389,9 @@ class VertexProgram {
   virtual V Init(const Graph& graph, VertexId v) = 0;
 
   /// One superstep of computation for an active vertex. The message span
-  /// views engine-owned inbox storage (per-vertex vectors, one dense slot,
-  /// or a flat CSR segment depending on the delivery path) and is valid
-  /// only for the duration of the call.
+  /// views engine-owned inbox storage (one dense slot or a flat CSR segment
+  /// depending on the delivery path) and is valid only for the duration of
+  /// the call.
   virtual void Compute(Context& ctx, std::span<const M> messages) = 0;
 
   /// Optional associative+commutative message combiner. Returning a
@@ -473,52 +466,44 @@ class Engine {
     Aggregators aggregators;
     program->RegisterAggregators(&aggregators);
 
-    // Inboxes, double-buffered, in one of three representations per
-    // superstep: sparse (per-vertex message vectors — the legacy general
-    // case), flat (a recycled CSR of offsets + contiguous messages — the
-    // pooled general case), or dense (one combined slot + presence flag
-    // per vertex — the fast path for near-full frontiers of combinable
-    // programs, which skips materializing per-vertex storage entirely).
-    const bool pooled = config_.outbox_pool;
-    std::vector<std::vector<M>> inbox(pooled ? 0 : n);
-    std::vector<std::vector<M>> next_inbox(pooled ? 0 : n);
+    // Inboxes, double-buffered, in one of two representations per
+    // superstep: flat (a recycled CSR of offsets + contiguous messages —
+    // the general case) or dense (one combined slot + presence flag per
+    // vertex — the fast path for near-full frontiers of combinable
+    // programs, which skips per-message storage entirely).
     bool inbox_dense = false;
     bool next_dense = false;
     std::vector<M> inbox_slots;
     std::vector<M> next_slots;
     std::vector<uint8_t> inbox_has;
     std::vector<uint8_t> next_has;
-    // Pooled flat inbox (CSR): messages for vertex v live in
+    // Flat inbox (CSR): messages for vertex v live in
     // inbox_data[inbox_offsets[v] .. inbox_offsets[v+1]). All buffers are
     // recycled across supersteps; they are owned by this activation frame,
     // so cancellation (which returns through cancelled_status) releases
     // them wholesale.
-    std::vector<size_t> inbox_offsets(pooled ? n + 1 : 0, 0);
+    std::vector<size_t> inbox_offsets(n + 1, 0);
     std::vector<size_t> next_offsets;
     std::vector<M> inbox_data;
     std::vector<M> next_data;
-    // Delivery staging for the pooled path: kept (post-fault) messages in
-    // delivery order plus per-vertex counts for the count-then-scatter
-    // pass, and the sender-side combining accumulator.
+    // Delivery staging: kept (post-fault) messages in delivery order plus
+    // per-vertex counts for the count-then-scatter pass, and the
+    // sender-side combining accumulator.
     std::vector<std::pair<VertexId, M>> kept;
-    std::vector<uint32_t> counts(pooled ? n : 0, 0);
+    std::vector<uint32_t> counts(n, 0);
     std::vector<size_t> scatter_cursor;
     arena::FlatAccumulator<M> combine_acc;
-    if (pooled && combiner.has_value()) combine_acc.EnsureDomain(n);
+    if (combiner.has_value()) combine_acc.EnsureDomain(n);
     // The delivered inbox in canonical sparse form (checkpointing).
     auto inbox_as_sparse = [&]() -> std::vector<std::vector<M>> {
       std::vector<std::vector<M>> sparse(n);
-      if (inbox_dense) {
-        for (VertexId v = 0; v < n; ++v) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (inbox_dense) {
           if (inbox_has[v]) sparse[v].push_back(inbox_slots[v]);
-        }
-      } else if (pooled) {
-        for (VertexId v = 0; v < n; ++v) {
+        } else {
           sparse[v].assign(inbox_data.begin() + inbox_offsets[v],
                            inbox_data.begin() + inbox_offsets[v + 1]);
         }
-      } else {
-        return inbox;
       }
       return sparse;
     };
@@ -530,23 +515,23 @@ class Engine {
     }
 
     // Work-stealing schedule: each worker's vertex list split into ranges
-    // small enough for idle threads to steal. Ranges are merged back in
-    // list order after compute, so message order — and every result bit —
-    // matches the fixed-partition path.
+    // small enough for idle threads to steal (steal_chunk_vertices = 0:
+    // one range per worker, the fixed-partition schedule). Ranges are
+    // merged back in list order after compute, so message order — and
+    // every result bit — is the same for every chunk size.
     struct ChunkRange {
       uint32_t worker;
       uint32_t begin;
       uint32_t end;
     };
     std::vector<ChunkRange> chunk_ranges;
-    if (config_.steal_chunk_vertices > 0) {
-      const uint32_t chunk = config_.steal_chunk_vertices;
-      for (uint32_t w = 0; w < workers; ++w) {
-        const uint32_t count =
-            static_cast<uint32_t>(worker_vertices[w].size());
-        for (uint32_t b = 0; b < count; b += chunk) {
-          chunk_ranges.push_back({w, b, std::min(b + chunk, count)});
-        }
+    for (uint32_t w = 0; w < workers; ++w) {
+      const uint32_t count = static_cast<uint32_t>(worker_vertices[w].size());
+      const uint32_t chunk = config_.steal_chunk_vertices > 0
+                                 ? config_.steal_chunk_vertices
+                                 : count;
+      for (uint32_t b = 0; b < count; b += chunk) {
+        chunk_ranges.push_back({w, b, std::min(b + chunk, count)});
       }
     }
 
@@ -661,7 +646,8 @@ class Engine {
         GLY_ASSIGN_OR_RETURN(std::string_view msgs_raw,
                              reader.Section("inbox"));
         CheckpointDecoder msgs(msgs_raw);
-        if (!detail::CkptGetValue(msgs, &inbox) || inbox.size() != n) {
+        std::vector<std::vector<M>> restored;
+        if (!detail::CkptGetValue(msgs, &restored) || restored.size() != n) {
           return Status::Internal("pregel checkpoint inbox corrupt");
         }
         GLY_ASSIGN_OR_RETURN(std::string_view agg_raw,
@@ -681,24 +667,20 @@ class Engine {
           agg_values[name] = value;
         }
         aggregators.RestoreCurrentValues(agg_values);
-        for (auto& v : next_inbox) v.clear();
-        if (pooled) {
-          // Re-flatten the canonical sparse snapshot into the recycled CSR
-          // buffers (per-vertex order is preserved verbatim).
-          inbox_offsets.resize(n + 1);
-          inbox_offsets[0] = 0;
-          for (VertexId v = 0; v < n; ++v) {
-            inbox_offsets[v + 1] = inbox_offsets[v] + inbox[v].size();
-          }
-          inbox_data.resize(inbox_offsets[n]);
-          for (VertexId v = 0; v < n; ++v) {
-            std::move(inbox[v].begin(), inbox[v].end(),
-                      inbox_data.begin() + inbox_offsets[v]);
-          }
-          inbox.clear();
-          kept.clear();
-          std::fill(counts.begin(), counts.end(), 0u);
+        // Flatten the canonical sparse snapshot into the recycled CSR
+        // buffers (per-vertex order is preserved verbatim).
+        inbox_offsets.resize(n + 1);
+        inbox_offsets[0] = 0;
+        for (VertexId v = 0; v < n; ++v) {
+          inbox_offsets[v + 1] = inbox_offsets[v] + restored[v].size();
         }
+        inbox_data.resize(inbox_offsets[n]);
+        for (VertexId v = 0; v < n; ++v) {
+          std::move(restored[v].begin(), restored[v].end(),
+                    inbox_data.begin() + inbox_offsets[v]);
+        }
+        kept.clear();
+        std::fill(counts.begin(), counts.end(), 0u);
         // Snapshots always hold the canonical sparse form.
         inbox_dense = false;
         next_dense = false;
@@ -733,26 +715,22 @@ class Engine {
     };
 
     // Computes one ascending slice of a worker's vertex list into the given
-    // outbox/partials. Shared by the fixed-partition and work-stealing
-    // dispatchers so both produce bit-identical per-vertex effects; reads
-    // whichever inbox representation the previous barrier delivered.
+    // outbox/partials, reading whichever inbox representation the previous
+    // barrier delivered.
     auto run_range = [&](uint32_t w, uint32_t begin, uint32_t end,
                          std::vector<std::pair<VertexId, M>>* outbox,
                          std::map<std::string, double>* partials) -> uint64_t {
       uint64_t local_active = 0;
       for (uint32_t i = begin; i < end; ++i) {
         const VertexId v = worker_vertices[w][i];
-        // The message span views the delivered inbox in place, whatever
-        // representation the previous barrier produced: the dense slot,
-        // the flat CSR segment, or the per-vertex vector.
+        // The message span views the delivered inbox in place: the dense
+        // slot or the flat CSR segment.
         std::span<const M> messages;
         if (inbox_dense) {
           if (inbox_has[v]) messages = {&inbox_slots[v], 1};
-        } else if (pooled) {
+        } else {
           messages = {inbox_data.data() + inbox_offsets[v],
                       inbox_offsets[v + 1] - inbox_offsets[v]};
-        } else {
-          messages = inbox[v];
         }
         if (halted[v] && messages.empty() && step > 0) continue;
         halted[v] = 0;
@@ -767,20 +745,21 @@ class Engine {
       return local_active;
     };
 
-    // Pooled outbox arenas: hoisted out of the superstep loop so clear()
-    // recycles their capacity instead of re-allocating every superstep.
-    // Ownership across steal chunks: a chunk writes only its own
-    // chunk-outbox; the merge into the owning worker's outbox happens on
-    // the barrier thread, after every chunk future has completed.
-    std::vector<std::vector<std::pair<VertexId, M>>> pooled_outboxes;
-    std::vector<std::vector<std::pair<VertexId, M>>> pooled_chunk_outboxes;
+    // Outbox arenas: hoisted out of the superstep loop so clear() recycles
+    // their capacity instead of re-allocating every superstep. Ownership
+    // across steal chunks: a chunk writes only its own chunk-outbox; the
+    // merge into the owning worker's outbox happens on the barrier thread,
+    // after every chunk future has completed.
+    std::vector<std::vector<std::pair<VertexId, M>>> outboxes(workers);
+    std::vector<std::vector<std::pair<VertexId, M>>> chunk_outboxes(
+        chunk_ranges.size());
     uint64_t outbox_bytes_peak = 0;
 
     // A cancelled superstep: fold the partial stats out and return the
     // token's status — the harness records a timed-out/stalled cell whose
     // attempt thread it can join, instead of abandoning a runaway one.
-    // The pooled arenas are locals of this activation frame, so returning
-    // here releases them outright (recycle-within-run, release-on-cancel).
+    // The arenas are locals of this activation frame, so returning here
+    // releases them outright (recycle-within-run, release-on-cancel).
     auto cancelled_status = [&]() -> Status {
       sync_ckpt_stats();
       out.stats.total_seconds = total_watch.ElapsedSeconds();
@@ -805,110 +784,73 @@ class Engine {
 
       // Compute phase: each worker processes its active vertices and fills
       // per-worker outboxes (keyed by destination worker for traffic
-      // accounting). Pooled mode reuses the hoisted arenas; the legacy
-      // path allocates fresh containers every superstep.
-      std::vector<std::vector<std::pair<VertexId, M>>> local_outboxes(
-          pooled ? 0 : workers);
-      auto& outboxes = pooled ? pooled_outboxes : local_outboxes;
-      if (pooled) {
-        outboxes.resize(workers);
-        for (auto& ob : outboxes) ob.clear();
-      }
+      // accounting), reusing the hoisted arenas.
+      for (auto& ob : outboxes) ob.clear();
+      for (auto& ob : chunk_outboxes) ob.clear();
       std::vector<std::map<std::string, double>> aggregator_partials(workers);
       std::vector<double> worker_busy(workers, 0.0);
+      // Injected worker crashes keep their once-per-worker-per-superstep
+      // cadence: statuses are drawn up front in worker order and a crashed
+      // worker's chunks are skipped, leaving the superstep half-computed;
+      // the engine surfaces the failure after the barrier.
       std::vector<Status> worker_status(workers);
+      for (uint32_t w = 0; w < workers; ++w) {
+        worker_status[w] = fault::CheckPoint("pregel.worker.compute");
+      }
+      // Work-stealing dispatch: any pool thread grabs the next undone
+      // chunk, so a hub-heavy partition spreads across threads instead of
+      // serializing the superstep.
+      const size_t num_chunks = chunk_ranges.size();
+      std::vector<std::map<std::string, double>> chunk_partials(num_chunks);
+      std::vector<double> chunk_busy(num_chunks, 0.0);
       std::atomic<uint64_t> active_count{0};
-      if (!chunk_ranges.empty()) {
-        // Work-stealing dispatch: any pool thread grabs the next undone
-        // chunk, so a hub-heavy partition spreads across threads instead of
-        // serializing the superstep. Injected worker crashes keep their
-        // once-per-worker-per-superstep cadence: statuses are drawn up
-        // front and a crashed worker's chunks are skipped, leaving the
-        // superstep half-computed exactly like the fixed path.
-        for (uint32_t w = 0; w < workers; ++w) {
-          worker_status[w] = fault::CheckPoint("pregel.worker.compute");
-        }
-        const size_t num_chunks = chunk_ranges.size();
-        std::vector<std::vector<std::pair<VertexId, M>>> local_chunk_outboxes(
-            pooled ? 0 : num_chunks);
-        auto& chunk_outboxes =
-            pooled ? pooled_chunk_outboxes : local_chunk_outboxes;
-        if (pooled) {
-          chunk_outboxes.resize(num_chunks);
-          for (auto& ob : chunk_outboxes) ob.clear();
-        }
-        std::vector<std::map<std::string, double>> chunk_partials(num_chunks);
-        std::vector<double> chunk_busy(num_chunks, 0.0);
-        std::atomic<size_t> cursor{0};
-        auto steal_loop = [&] {
-          for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-               i < num_chunks;
-               i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-            // Per-chunk cancellation poll: a cancelled superstep stops
-            // dispatching within one chunk's worth of compute.
-            if (Cancelled(config_.cancel)) return;
-            const ChunkRange& c = chunk_ranges[i];
-            if (!worker_status[c.worker].ok()) continue;
-            Stopwatch busy;
-            const uint64_t active =
-                run_range(c.worker, c.begin, c.end, &chunk_outboxes[i],
-                          &chunk_partials[i]);
-            chunk_busy[i] = busy.ElapsedSeconds();
-            active_count.fetch_add(active, std::memory_order_relaxed);
-          }
-        };
-        if (pool.num_threads() == 1) {
-          // A one-thread pool would run the stealing loops back-to-back
-          // anyway; calling them inline skips the queue/future handoff.
-          for (uint32_t t = 0; t < workers; ++t) steal_loop();
-        } else {
-          std::vector<std::future<void>> futures;
-          futures.reserve(workers);
-          for (uint32_t t = 0; t < workers; ++t) {
-            futures.push_back(pool.Submit(steal_loop));
-          }
-          for (auto& f : futures) f.get();
-        }
-        // Merge in chunk-index order: a worker's chunks are consecutive and
-        // ascend over its vertex list, so concatenation reproduces the
-        // fixed-partition outbox — and thus message order — exactly.
-        for (size_t i = 0; i < num_chunks; ++i) {
+      std::atomic<size_t> cursor{0};
+      auto steal_loop = [&] {
+        for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+             i < num_chunks;
+             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          // Per-chunk cancellation poll: a cancelled superstep stops
+          // dispatching within one chunk's worth of compute.
+          if (Cancelled(config_.cancel)) return;
           const ChunkRange& c = chunk_ranges[i];
-          auto& dst = outboxes[c.worker];
+          if (!worker_status[c.worker].ok()) continue;
+          Stopwatch busy;
+          const uint64_t active = run_range(c.worker, c.begin, c.end,
+                                            &chunk_outboxes[i],
+                                            &chunk_partials[i]);
+          chunk_busy[i] = busy.ElapsedSeconds();
+          active_count.fetch_add(active, std::memory_order_relaxed);
+        }
+      };
+      if (pool.num_threads() == 1) {
+        // A one-thread pool would run the stealing loops back-to-back
+        // anyway; calling them inline skips the queue/future handoff.
+        for (uint32_t t = 0; t < workers; ++t) steal_loop();
+      } else {
+        std::vector<std::future<void>> futures;
+        futures.reserve(workers);
+        for (uint32_t t = 0; t < workers; ++t) {
+          futures.push_back(pool.Submit(steal_loop));
+        }
+        for (auto& f : futures) f.get();
+      }
+      // Merge in chunk-index order: a worker's chunks are consecutive and
+      // ascend over its vertex list, so concatenation reproduces the
+      // one-chunk-per-worker outbox — and thus message order — exactly.
+      for (size_t i = 0; i < num_chunks; ++i) {
+        const ChunkRange& c = chunk_ranges[i];
+        auto& dst = outboxes[c.worker];
+        if (dst.empty()) {
+          dst.swap(chunk_outboxes[i]);  // first chunk: no copy
+        } else {
           dst.insert(dst.end(),
                      std::make_move_iterator(chunk_outboxes[i].begin()),
                      std::make_move_iterator(chunk_outboxes[i].end()));
-          for (const auto& [name, value] : chunk_partials[i]) {
-            aggregators.Combine(&aggregator_partials[c.worker], name, value);
-          }
-          worker_busy[c.worker] += chunk_busy[i];
         }
-      } else {
-        auto worker_task = [&](uint32_t w) {
-          Stopwatch busy;
-          // Injected worker crash: the worker dies before computing its
-          // partition; the engine surfaces the failure after the barrier.
-          worker_status[w] = fault::CheckPoint("pregel.worker.compute");
-          if (!worker_status[w].ok()) return;
-          if (Cancelled(config_.cancel)) return;
-          const uint64_t active = run_range(
-              w, 0, static_cast<uint32_t>(worker_vertices[w].size()),
-              &outboxes[w], &aggregator_partials[w]);
-          active_count.fetch_add(active, std::memory_order_relaxed);
-          worker_busy[w] = busy.ElapsedSeconds();
-        };
-        if (pool.num_threads() == 1) {
-          // Same FIFO order a one-thread pool would impose, minus the
-          // queue/future round trip per worker.
-          for (uint32_t w = 0; w < workers; ++w) worker_task(w);
-        } else {
-          std::vector<std::future<void>> futures;
-          futures.reserve(workers);
-          for (uint32_t w = 0; w < workers; ++w) {
-            futures.push_back(pool.Submit([&, w] { worker_task(w); }));
-          }
-          for (auto& f : futures) f.get();
+        for (const auto& [name, value] : chunk_partials[i]) {
+          aggregators.Combine(&aggregator_partials[c.worker], name, value);
         }
+        worker_busy[c.worker] += chunk_busy[i];
       }
       if (Cancelled(config_.cancel)) return cancelled_status();
       Status step_failure;
@@ -944,14 +886,13 @@ class Engine {
       // available (per destination vertex), then deliver.
       budget.Release(live_message_bytes);
       live_message_bytes = 0;
-      for (auto& v : next_inbox) v.clear();
 
       // Dense-frontier fast path: once the active set passes the threshold
       // (and the program is combinable), deliver into one combined slot +
-      // presence flag per vertex instead of materializing per-vertex
-      // message vectors. Messages are folded left-to-right in the same
-      // worker order the sparse inbox would present them, so results —
-      // including floating-point ones — are bit-identical.
+      // presence flag per vertex instead of staging every message in the
+      // flat inbox. Messages are folded left-to-right in the same worker
+      // order the flat inbox would present them, so results — including
+      // floating-point ones — are bit-identical.
       const bool deliver_dense =
           combiner.has_value() && config_.dense_frontier_threshold > 0.0 &&
           n > 0 &&
@@ -970,66 +911,40 @@ class Engine {
       uint64_t emitted = 0;  ///< outbox entries before sender-side combine
       for (const auto& ob : outboxes) emitted += ob.size();
       // Deliver sequentially per source worker; per-destination-vertex
-      // combining keeps inbox sizes O(1) for combinable programs. Both
-      // combine implementations fold a target's messages left-to-right in
-      // emission order and emit combined entries in ascending target
-      // order, so their outputs — including floating-point folds — are
-      // bit-identical.
+      // combining keeps inbox sizes O(1) for combinable programs.
       for (uint32_t w = 0; w < workers; ++w) {
         auto& outbox = outboxes[w];
         if (combiner.has_value()) {
-          if (pooled) {
-            // Sender-side combine, arena path: fold through the
-            // epoch-tagged dense accumulator (no sort of the message
-            // stream; only the touched-target list is sorted).
-            combine_acc.NewEpoch();
-            for (auto& [target, msg] : outbox) {
-              if (combine_acc.touched(target)) {
-                M& acc = combine_acc.slot(target);
-                acc = (*combiner)(acc, msg);
-              } else {
-                combine_acc.mark(target) = std::move(msg);
-              }
-            }
-            auto& targets = combine_acc.touched_keys();
-            outbox.clear();
-            if (targets.size() * 16 >= n) {
-              // Dense round: a sequential sweep of the key domain emits
-              // the same ascending target order as sorting the touched
-              // list, without the O(k log k) sort.
-              for (size_t target = 0; target < n; ++target) {
-                if (!combine_acc.touched(target)) continue;
-                outbox.emplace_back(static_cast<VertexId>(target),
-                                    std::move(combine_acc.slot(target)));
-              }
+          // Sender-side combine: fold each target's messages left-to-right
+          // in emission order through the epoch-tagged dense accumulator
+          // (no sort of the message stream), then emit one entry per
+          // target in ascending target order.
+          combine_acc.NewEpoch();
+          for (auto& [target, msg] : outbox) {
+            if (combine_acc.touched(target)) {
+              M& acc = combine_acc.slot(target);
+              acc = (*combiner)(acc, msg);
             } else {
-              std::sort(targets.begin(), targets.end());
-              for (size_t target : targets) {
-                outbox.emplace_back(static_cast<VertexId>(target),
-                                    std::move(combine_acc.slot(target)));
-              }
+              combine_acc.mark(target) = std::move(msg);
+            }
+          }
+          auto& targets = combine_acc.touched_keys();
+          outbox.clear();
+          if (targets.size() * 16 >= n) {
+            // Dense round: a sequential sweep of the key domain emits the
+            // same ascending target order as sorting the touched list,
+            // without the O(k log k) sort.
+            for (size_t target = 0; target < n; ++target) {
+              if (!combine_acc.touched(target)) continue;
+              outbox.emplace_back(static_cast<VertexId>(target),
+                                  std::move(combine_acc.slot(target)));
             }
           } else {
-            // Sender-side combine, legacy path: stable-sort by target,
-            // fold runs (stability keeps the per-target fold in emission
-            // order, matching the arena path bit-for-bit).
-            std::stable_sort(outbox.begin(), outbox.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first < b.first;
-                             });
-            size_t write = 0;
-            for (size_t i = 0; i < outbox.size();) {
-              VertexId target = outbox[i].first;
-              M acc = outbox[i].second;
-              size_t j = i + 1;
-              while (j < outbox.size() && outbox[j].first == target) {
-                acc = (*combiner)(acc, outbox[j].second);
-                ++j;
-              }
-              outbox[write++] = {target, acc};
-              i = j;
+            std::sort(targets.begin(), targets.end());
+            for (size_t target : targets) {
+              outbox.emplace_back(static_cast<VertexId>(target),
+                                  std::move(combine_acc.slot(target)));
             }
-            outbox.resize(write);
           }
         }
         for (auto& [target, msg] : outbox) {
@@ -1051,22 +966,19 @@ class Engine {
               next_slots[target] = std::move(msg);
               next_has[target] = 1;
             }
-          } else if (pooled) {
+          } else {
             // Count-then-scatter: stage the kept message in delivery
-            // order; the scatter below places it into the flat CSR at the
-            // same per-vertex position the legacy push_back would.
+            // order; the scatter below places it into the flat CSR.
             ++counts[target];
             kept.emplace_back(target, std::move(msg));
-          } else {
-            next_inbox[target].push_back(std::move(msg));
           }
         }
       }
-      if (pooled && !deliver_dense) {
+      if (!deliver_dense) {
         // Scatter pass: prefix-sum the per-vertex counts into CSR offsets,
         // then place kept messages — already in (source worker, combined
         // target order / emission order) delivery order — so each vertex's
-        // segment reproduces the legacy per-vertex vector verbatim.
+        // segment holds its messages in delivery order.
         next_offsets.resize(n + 1);
         next_offsets[0] = 0;
         for (VertexId v = 0; v < n; ++v) {
@@ -1082,29 +994,26 @@ class Engine {
       }
       if (deliver_dense) {
         // Live bytes are the combined slots actually occupied — the memory
-        // the fast path holds instead of the per-message vectors.
+        // the fast path holds instead of the per-message flat inbox.
         for (VertexId v = 0; v < n; ++v) {
           if (next_has[v]) inbox_bytes += MessageWireBytes(next_slots[v]);
         }
       }
-      if (pooled) {
-        // Arena telemetry: bytes parked in the recycled buffers right now
-        // (capacity, not occupancy — this is what the pool holds between
-        // supersteps). Surfaced as `pregel.outbox_bytes_peak`.
-        uint64_t pool_bytes = 0;
-        for (const auto& ob : outboxes) {
+      // Arena telemetry: bytes parked in the recycled buffers right now
+      // (capacity, not occupancy — this is what the pool holds between
+      // supersteps). Surfaced as `pregel.outbox_bytes_peak`.
+      uint64_t pool_bytes = 0;
+      for (const auto* arenas : {&outboxes, &chunk_outboxes}) {
+        for (const auto& ob : *arenas) {
           pool_bytes += ob.capacity() * sizeof(std::pair<VertexId, M>);
         }
-        for (const auto& ob : pooled_chunk_outboxes) {
-          pool_bytes += ob.capacity() * sizeof(std::pair<VertexId, M>);
-        }
-        pool_bytes += (inbox_data.capacity() + next_data.capacity() +
-                       inbox_slots.capacity() + next_slots.capacity()) *
-                      sizeof(M);
-        pool_bytes += kept.capacity() * sizeof(std::pair<VertexId, M>);
-        pool_bytes += combine_acc.held_bytes();
-        outbox_bytes_peak = std::max(outbox_bytes_peak, pool_bytes);
       }
+      pool_bytes += (inbox_data.capacity() + next_data.capacity() +
+                     inbox_slots.capacity() + next_slots.capacity()) *
+                    sizeof(M);
+      pool_bytes += kept.capacity() * sizeof(std::pair<VertexId, M>);
+      pool_bytes += combine_acc.held_bytes();
+      outbox_bytes_peak = std::max(outbox_bytes_peak, pool_bytes);
       next_dense = deliver_dense;
       ss.dense_delivery = deliver_dense;
       if (deliver_dense) ++out.stats.dense_supersteps;
@@ -1147,7 +1056,6 @@ class Engine {
       // here — surface the cancellation before committing the superstep.
       if (Cancelled(config_.cancel)) return cancelled_status();
 
-      inbox.swap(next_inbox);
       inbox_offsets.swap(next_offsets);
       inbox_data.swap(next_data);
       inbox_slots.swap(next_slots);
@@ -1200,10 +1108,8 @@ class Engine {
     out.stats.total_seconds = total_watch.ElapsedSeconds();
     out.stats.peak_memory_bytes = budget.peak();
     out.stats.outbox_bytes_peak = outbox_bytes_peak;
-    if (pooled) {
-      metrics::SetGauge("pregel.outbox_bytes_peak",
-                        static_cast<double>(outbox_bytes_peak));
-    }
+    metrics::SetGauge("pregel.outbox_bytes_peak",
+                      static_cast<double>(outbox_bytes_peak));
     out.aggregators = aggregators;
     return out;
   }

@@ -74,7 +74,9 @@ struct PrParams {
 /// direction-optimizing kernel (Beamer et al., SC'12). The reference
 /// validator always uses the naive queue BFS; platforms honour this knob.
 enum class BfsStrategy {
-  kTopDown,               ///< classic frontier-expansion only
+  kTopDown,               ///< classic frontier-expansion only (dataflow:
+                          ///< the joins plan fig4's `bfs_dataflow_joins`
+                          ///< record needs)
   kBottomUp,              ///< parent-search from unvisited vertices only
   kDirectionOptimizing,   ///< alpha/beta-switched hybrid (the default)
 };

@@ -137,12 +137,21 @@ int main(int argc, char** argv) {
   fs::path root = argc > 1 ? fs::path(argv[1]) : fs::current_path();
   std::map<std::string, FileStats> modules;
   size_t files = 0;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+  for (auto it = fs::recursive_directory_iterator(root);
+       it != fs::recursive_directory_iterator(); ++it) {
+    const fs::directory_entry& entry = *it;
+    if (entry.is_directory()) {
+      // Build trees (any directory CMake configured, whatever its name)
+      // and hidden directories hold generated or tool files, not source.
+      if (entry.path().filename().string().starts_with(".") ||
+          fs::exists(entry.path() / "CMakeCache.txt")) {
+        it.disable_recursion_pending();
+      }
+      continue;
+    }
     if (!entry.is_regular_file()) continue;
     std::string ext = entry.path().extension().string();
     if (ext != ".cc" && ext != ".h" && ext != ".cpp") continue;
-    std::string p = entry.path().string();
-    if (p.find("/build/") != std::string::npos) continue;
     FileStats fstats = AnalyzeFile(entry.path());
     FileStats& m = modules[ModuleOf(entry.path(), root)];
     m.code_lines += fstats.code_lines;
