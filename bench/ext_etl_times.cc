@@ -9,12 +9,13 @@
 // graph database, pointer adoption for the in-memory engines.
 //
 // It also measures the harness's own ETL pipeline (DESIGN.md §8, "ETL
-// performance"): text-edge-file parsing and CSR construction, serial
-// reference path vs the chunked parallel path, on an R-MAT graph at
-// --kernel-scale. The parallel path is bit-identical to the serial one
-// (asserted here on every run), so the duel is a pure performance
-// comparison; the four records (etl_parse|etl_build × serial|parallel) are
-// what scripts/bench_compare.py gates via BENCH_etl.json.
+// performance"): text-edge-file parsing and CSR construction on one thread
+// without a pool (the inline path `etl.threads = 1` takes) vs on an
+// N-thread pool, on an R-MAT graph at --kernel-scale. Both runs must
+// produce the same edge list and CSR (asserted here on every run), so the
+// duel is a pure performance comparison; the four records
+// (etl_parse|etl_build × serial|parallel, where "serial" is the inline
+// path) are what scripts/bench_compare.py gates via BENCH_etl.json.
 
 #include <cstdio>
 #include <filesystem>
@@ -29,9 +30,9 @@
 namespace {
 
 // Cheap bit-identity spot check: counts must match exactly and every
-// sampled adjacency row must be byte-equal. (The exhaustive check lives in
-// tests/etl_parity_test.cc; this guards the bench itself from measuring a
-// divergent pipeline.)
+// sampled adjacency row must be byte-equal. (tests/etl_parity_test.cc pins
+// both paths against frozen rows; this guards the bench itself from
+// measuring a divergent pipeline.)
 bool SameGraph(const gly::Graph& a, const gly::Graph& b) {
   if (a.num_vertices() != b.num_vertices() ||
       a.num_edges() != b.num_edges() ||
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   const uint32_t scale = opts.kernel_scale;
   const std::string graph_name = "rmat" + std::to_string(scale);
 
-  // ------------------------------------------------ parse + build duel
+  // ------------------------------------- inline vs pooled parse + build
   // Dataset: an R-MAT edge file on disk, like a Graphalytics ".e" dump.
   // Generation and the file write are setup, not ETL (build_seconds).
   Stopwatch setup_watch;
@@ -91,57 +92,54 @@ int main(int argc, char** argv) {
               FormatBytes(fs::file_size(edge_path)).c_str(), threads);
 
   const EdgeListParseOptions parse_opts;
-  EtlOptions par_etl;
-  par_etl.pool = &pool;
 
-  EdgeList serial_edges, parallel_edges;
-  bench::KernelRecord parse_serial = bench::MeasureKernel(
+  EdgeList inline_edges, pooled_edges;
+  bench::KernelRecord parse_inline = bench::MeasureKernel(
       "etl_parse/serial", graph_name, scale, opts.repeats, setup_seconds,
       [&] {
         auto r = ReadEdgeListText(edge_path.string(), parse_opts);
         r.status().Check();
-        serial_edges = std::move(r).ValueOrDie();
-        return serial_edges.num_edges();
+        inline_edges = std::move(r).ValueOrDie();
+        return inline_edges.num_edges();
       });
-  parse_serial.threads = 1;
-  bench::KernelRecord parse_parallel = bench::MeasureKernel(
+  parse_inline.threads = 1;
+  bench::KernelRecord parse_pooled = bench::MeasureKernel(
       "etl_parse/parallel", graph_name, scale, opts.repeats, setup_seconds,
       [&] {
-        auto r = ReadEdgeListText(edge_path.string(), parse_opts, par_etl);
+        auto r = ReadEdgeListText(edge_path.string(), parse_opts,
+                                  {.pool = &pool});
         r.status().Check();
-        parallel_edges = std::move(r).ValueOrDie();
-        return parallel_edges.num_edges();
+        pooled_edges = std::move(r).ValueOrDie();
+        return pooled_edges.num_edges();
       });
-  parse_parallel.threads = threads;
-  if (serial_edges.edges() != parallel_edges.edges() ||
-      serial_edges.num_vertices() != parallel_edges.num_vertices()) {
-    std::fprintf(stderr, "FATAL: parallel parse diverged from serial\n");
+  parse_pooled.threads = threads;
+  if (inline_edges.edges() != pooled_edges.edges() ||
+      inline_edges.num_vertices() != pooled_edges.num_vertices()) {
+    std::fprintf(stderr, "FATAL: pooled parse diverged from inline\n");
     return 1;
   }
 
-  CsrBuildOptions par_build;
-  par_build.pool = &pool;
-  Graph serial_graph, parallel_graph;
-  bench::KernelRecord build_serial = bench::MeasureKernel(
+  Graph inline_graph, pooled_graph;
+  bench::KernelRecord build_inline = bench::MeasureKernel(
       "etl_build/serial", graph_name, scale, opts.repeats, setup_seconds,
       [&] {
-        auto g = GraphBuilder::Undirected(serial_edges);
+        auto g = GraphBuilder::Undirected(inline_edges);
         g.status().Check();
-        serial_graph = std::move(g).ValueOrDie();
-        return serial_graph.num_adjacency_entries();
+        inline_graph = std::move(g).ValueOrDie();
+        return inline_graph.num_adjacency_entries();
       });
-  build_serial.threads = 1;
-  bench::KernelRecord build_parallel = bench::MeasureKernel(
+  build_inline.threads = 1;
+  bench::KernelRecord build_pooled = bench::MeasureKernel(
       "etl_build/parallel", graph_name, scale, opts.repeats, setup_seconds,
       [&] {
-        auto g = GraphBuilder::Undirected(serial_edges, par_build);
+        auto g = GraphBuilder::Undirected(inline_edges, {.pool = &pool});
         g.status().Check();
-        parallel_graph = std::move(g).ValueOrDie();
-        return parallel_graph.num_adjacency_entries();
+        pooled_graph = std::move(g).ValueOrDie();
+        return pooled_graph.num_adjacency_entries();
       });
-  build_parallel.threads = threads;
-  if (!SameGraph(serial_graph, parallel_graph)) {
-    std::fprintf(stderr, "FATAL: parallel CSR build diverged from serial\n");
+  build_pooled.threads = threads;
+  if (!SameGraph(inline_graph, pooled_graph)) {
+    std::fprintf(stderr, "FATAL: pooled CSR build diverged from inline\n");
     return 1;
   }
 
@@ -151,22 +149,22 @@ int main(int argc, char** argv) {
   auto ratio = [](const bench::KernelRecord& s, const bench::KernelRecord& p) {
     return p.median_seconds > 0.0 ? s.median_seconds / p.median_seconds : 0.0;
   };
-  std::printf("%-20s %12s %12s %9s\n", "phase", "serial", "parallel",
-              "speedup");
+  std::printf("%-20s %12s %12s %9s\n", "phase", "1t no pool",
+              (std::to_string(threads) + "t pool").c_str(), "speedup");
   std::printf("%s\n", std::string(56, '-').c_str());
   std::printf("%-20s %12s %12s %8.2fx\n", "etl_parse",
-              FormatSeconds(parse_serial.median_seconds).c_str(),
-              FormatSeconds(parse_parallel.median_seconds).c_str(),
-              ratio(parse_serial, parse_parallel));
+              FormatSeconds(parse_inline.median_seconds).c_str(),
+              FormatSeconds(parse_pooled.median_seconds).c_str(),
+              ratio(parse_inline, parse_pooled));
   std::printf("%-20s %12s %12s %8.2fx\n", "etl_build",
-              FormatSeconds(build_serial.median_seconds).c_str(),
-              FormatSeconds(build_parallel.median_seconds).c_str(),
-              ratio(build_serial, build_parallel));
-  std::printf("parity: parallel parse and build bit-identical to serial\n\n");
-  emitter.Add(parse_serial);
-  emitter.Add(parse_parallel);
-  emitter.Add(build_serial);
-  emitter.Add(build_parallel);
+              FormatSeconds(build_inline.median_seconds).c_str(),
+              FormatSeconds(build_pooled.median_seconds).c_str(),
+              ratio(build_inline, build_pooled));
+  std::printf("parity: pooled parse and build bit-identical to inline\n\n");
+  emitter.Add(parse_inline);
+  emitter.Add(parse_pooled);
+  emitter.Add(build_inline);
+  emitter.Add(build_pooled);
 
   // ------------------------------------------ platform LoadGraph matrix
   if (!opts.kernels_only) {

@@ -4,17 +4,19 @@
 #   1. tier-1      — plain build, full test suite (the gate every PR must
 #                    hold). The `chaos` label is split out into stage 6 so
 #                    its wall-clock cost is attributed to the chaos stage.
-#   2. asan        — GLY_SANITIZE=address build running the `robustness`,
-#                    `conformance`, and `hotpath` CTest labels:
-#                    fault-injection, checkpoint/recovery, WAL/resume,
+#   2. asan        — GLY_SANITIZE=address build running the `ingest`,
+#                    `robustness`, `conformance`, and `hotpath` CTest
+#                    labels: the one text parser that reads every
+#                    untrusted edge file, fault-injection,
+#                    checkpoint/recovery, WAL/resume,
 #                    cancellation, the cross-engine kernel-conformance
 #                    suites, and the golden hot-path pins (recycled arenas,
 #                    pooled partitions, striped page cache) — the paths
 #                    most valuable to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
 #                    `observability`, `robustness`, `scheduler`, and
-#                    `hotpath` CTest labels: the parallel ETL pipeline
-#                    (chunked parsing, parallel CSR build, reordering), the
+#                    `hotpath` CTest labels: the ETL pipeline (chunked
+#                    parsing, pooled CSR build, reordering), the
 #                    tracer/metrics-registry concurrency stress tests, the
 #                    SIGPROF sampling-profiler stress (signal handler vs
 #                    ring drain vs worker threads, via profiler_test's
@@ -92,9 +94,9 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLY_SANITIZE=address
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
 
-echo "==> [2/6] asan: robustness + conformance + golden hot-path pins"
+echo "==> [2/6] asan: ingest + robustness + conformance + golden hot-path pins"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
-      -L 'robustness|conformance|hotpath'
+      -L 'ingest|robustness|conformance|hotpath'
 
 echo "==> [3/6] tsan: configure + build (${TSAN_DIR}, GLY_SANITIZE=thread)"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <numeric>
 
@@ -19,54 +20,42 @@ namespace {
 constexpr size_t kEdgeGrain = 4096;
 constexpr size_t kRowGrain = 1024;
 
-// Builds (offsets, targets) CSR arrays from `edges` keyed on `key`,
-// storing `value` per edge. Targets within a row come out sorted because we
-// sort the edge array first.
-void BuildCsr(std::vector<Edge>& edges, VertexId num_vertices, bool by_src,
-              std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets) {
-  std::sort(edges.begin(), edges.end(), [by_src](const Edge& a, const Edge& b) {
-    VertexId ka = by_src ? a.src : a.dst;
-    VertexId kb = by_src ? b.src : b.dst;
-    VertexId va = by_src ? a.dst : a.src;
-    VertexId vb = by_src ? b.dst : b.src;
-    return ka != kb ? ka < kb : va < vb;
-  });
-  offsets->assign(static_cast<size_t>(num_vertices) + 1, 0);
-  for (const Edge& e : edges) {
-    VertexId k = by_src ? e.src : e.dst;
-    ++(*offsets)[k + 1];
-  }
-  for (size_t i = 1; i < offsets->size(); ++i) (*offsets)[i] += (*offsets)[i - 1];
-  targets->resize(edges.size());
-  // Edges are sorted by key, so a single pass fills targets in order.
-  for (size_t i = 0; i < edges.size(); ++i) {
-    (*targets)[i] = by_src ? edges[i].dst : edges[i].src;
+// ------------------------------------------------------------ CSR build
+//
+// Counting + scatter + a per-row sort (the GAP builder design): count each
+// row's degree, prefix-sum the counts into offsets, scatter every edge into
+// its row, then sort each row. The scatter places a row's multiset of
+// targets in arbitrary order and the per-row sort restores ascending order,
+// so the offsets and target arrays are the same at any thread count and
+// without a pool.
+
+// Runs `fn(begin, end)` over [0, n): in `grain` chunks across `pool`, or as
+// one range on the calling thread when there is none. A cancelled token
+// skips the work; callers poll it afterwards.
+void ForRange(ThreadPool* pool, size_t n, size_t grain,
+              const std::function<void(size_t, size_t)>& fn,
+              const CancelToken* cancel = nullptr) {
+  if (pool != nullptr) {
+    pool->ParallelForChunked(0, n, grain, fn, cancel);
+  } else if (n > 0 && !Cancelled(cancel)) {
+    fn(0, n);
   }
 }
 
-// ------------------------------------------------------- parallel build
-//
-// The parallel path replaces the serial global sort with counting +
-// scatter + a per-vertex sort. Determinism argument: the serial build
-// sorts edges by (key, value), so row `v` of the serial CSR is exactly
-// the multiset of values keyed by `v` in ascending order. The parallel
-// scatter places the same multiset into row `v` in arbitrary order, and
-// the per-row sort restores ascending order — hence bit-identical
-// offsets and target arrays at any thread count.
-
 // In-place inclusive prefix sum over `offsets`: on entry offsets[0] == 0
 // and offsets[v + 1] holds row v's count; on exit offsets[v + 1] is the
-// running total through row v. Chunked two-pass scan on `pool`.
-void ParallelPrefixSum(std::vector<EdgeIndex>* offsets, ThreadPool& pool) {
+// running total through row v. Chunked two-pass scan on `pool`; a plain
+// scan on the caller for small inputs or without a pool.
+void ParallelPrefixSum(std::vector<EdgeIndex>* offsets, ThreadPool* pool) {
   const size_t n = offsets->size() - 1;
-  if (n < 4096 || pool.num_threads() <= 1) {
+  if (n < 4096 || pool == nullptr || pool->num_threads() <= 1) {
     for (size_t i = 1; i <= n; ++i) (*offsets)[i] += (*offsets)[i - 1];
     return;
   }
-  const size_t chunks = std::min(n, pool.num_threads() * 4);
+  const size_t chunks = std::min(n, pool->num_threads() * 4);
   const size_t chunk_size = (n + chunks - 1) / chunks;
   std::vector<EdgeIndex> bases(chunks + 1, 0);
-  pool.ParallelFor(0, chunks, 1, [&](size_t c) {
+  pool->ParallelFor(0, chunks, 1, [&](size_t c) {
     const size_t lo = 1 + c * chunk_size;
     const size_t hi = std::min(n + 1, lo + chunk_size);
     EdgeIndex sum = 0;
@@ -74,7 +63,7 @@ void ParallelPrefixSum(std::vector<EdgeIndex>* offsets, ThreadPool& pool) {
     bases[c + 1] = sum;
   });
   for (size_t c = 1; c <= chunks; ++c) bases[c] += bases[c - 1];
-  pool.ParallelFor(0, chunks, 1, [&](size_t c) {
+  pool->ParallelFor(0, chunks, 1, [&](size_t c) {
     const size_t lo = 1 + c * chunk_size;
     const size_t hi = std::min(n + 1, lo + chunk_size);
     EdgeIndex running = bases[c];
@@ -85,20 +74,18 @@ void ParallelPrefixSum(std::vector<EdgeIndex>* offsets, ThreadPool& pool) {
   });
 }
 
-// Builds one CSR side from `edges` with atomic degree counting, parallel
-// prefix sum, parallel scatter, and a deterministic per-row sort. With
-// `mirror`, every edge also contributes its reverse (the undirected
-// build); `drop_self_loops` skips src == dst edges entirely.
-void ParallelBuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
-                       bool by_src, bool mirror, bool drop_self_loops,
-                       ThreadPool& pool, const CancelToken* cancel,
-                       std::vector<EdgeIndex>* offsets,
-                       std::vector<VertexId>* targets) {
+// Builds one CSR side from `edges` with atomic degree counting, prefix
+// sum, scatter, and a deterministic per-row sort. With `mirror`, every edge
+// also contributes its reverse (the undirected build); `drop_self_loops`
+// skips src == dst edges entirely.
+void BuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
+               bool by_src, bool mirror, bool drop_self_loops, ThreadPool* pool,
+               const CancelToken* cancel, std::vector<EdgeIndex>* offsets,
+               std::vector<VertexId>* targets) {
   const size_t n = num_vertices;
   std::unique_ptr<std::atomic<EdgeIndex>[]> cursor(
       new std::atomic<EdgeIndex>[n]());
-  pool.ParallelForChunked(0, edges.size(), kEdgeGrain,
-                          [&](size_t begin, size_t end) {
+  ForRange(pool, edges.size(), kEdgeGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const Edge& e = edges[i];
       if (drop_self_loops && e.src == e.dst) continue;
@@ -110,15 +97,14 @@ void ParallelBuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
     }
   }, cancel);
   offsets->assign(n + 1, 0);
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       (*offsets)[v + 1] = cursor[v].exchange(0, std::memory_order_relaxed);
     }
   });
   ParallelPrefixSum(offsets, pool);
   targets->resize(offsets->back());
-  pool.ParallelForChunked(0, edges.size(), kEdgeGrain,
-                          [&](size_t begin, size_t end) {
+  ForRange(pool, edges.size(), kEdgeGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const Edge& e = edges[i];
       if (drop_self_loops && e.src == e.dst) continue;
@@ -132,7 +118,7 @@ void ParallelBuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
       }
     }
   }, cancel);
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       std::sort(targets->begin() + static_cast<ptrdiff_t>((*offsets)[v]),
                 targets->begin() + static_cast<ptrdiff_t>((*offsets)[v + 1]));
@@ -140,14 +126,13 @@ void ParallelBuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
   }, cancel);
 }
 
-// Per-row duplicate removal + compaction (rows must be sorted). Matches
-// the serial global sort + std::unique exactly, because duplicates of a
-// (key, value) pair are always adjacent within their sorted row.
+// Per-row duplicate removal + compaction (rows must be sorted): duplicates
+// of a (key, value) pair are adjacent within their sorted row.
 void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
-               ThreadPool& pool, const CancelToken* cancel) {
+               ThreadPool* pool, const CancelToken* cancel) {
   const size_t n = offsets->size() - 1;
   std::vector<EdgeIndex> unique_offsets(n + 1, 0);
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       EdgeIndex write = (*offsets)[v];
       for (EdgeIndex r = (*offsets)[v]; r < (*offsets)[v + 1]; ++r) {
@@ -160,7 +145,7 @@ void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
   }, cancel);
   ParallelPrefixSum(&unique_offsets, pool);
   std::vector<VertexId> compacted(unique_offsets.back());
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       std::copy_n(targets->begin() + static_cast<ptrdiff_t>((*offsets)[v]),
                   unique_offsets[v + 1] - unique_offsets[v],
@@ -176,13 +161,13 @@ void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
 // build, whose surviving edge set exists only in CSR form).
 void BuildInFromOut(const std::vector<EdgeIndex>& out_offsets,
                     const std::vector<VertexId>& out_targets,
-                    ThreadPool& pool, const CancelToken* cancel,
+                    ThreadPool* pool, const CancelToken* cancel,
                     std::vector<EdgeIndex>* in_offsets,
                     std::vector<VertexId>* in_targets) {
   const size_t n = out_offsets.size() - 1;
   std::unique_ptr<std::atomic<EdgeIndex>[]> cursor(
       new std::atomic<EdgeIndex>[n]());
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       for (EdgeIndex r = out_offsets[v]; r < out_offsets[v + 1]; ++r) {
         cursor[out_targets[r]].fetch_add(1, std::memory_order_relaxed);
@@ -190,14 +175,14 @@ void BuildInFromOut(const std::vector<EdgeIndex>& out_offsets,
     }
   }, cancel);
   in_offsets->assign(n + 1, 0);
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       (*in_offsets)[v + 1] = cursor[v].exchange(0, std::memory_order_relaxed);
     }
   });
   ParallelPrefixSum(in_offsets, pool);
   in_targets->resize(in_offsets->back());
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       for (EdgeIndex r = out_offsets[v]; r < out_offsets[v + 1]; ++r) {
         VertexId w = out_targets[r];
@@ -207,7 +192,7 @@ void BuildInFromOut(const std::vector<EdgeIndex>& out_offsets,
       }
     }
   });
-  pool.ParallelForChunked(0, n, kRowGrain, [&](size_t begin, size_t end) {
+  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       std::sort(
           in_targets->begin() + static_cast<ptrdiff_t>((*in_offsets)[v]),
@@ -218,23 +203,24 @@ void BuildInFromOut(const std::vector<EdgeIndex>& out_offsets,
 
 }  // namespace
 
-Result<Graph> GraphBuilder::ParallelDirected(const EdgeList& edges, bool dedup,
-                                             ThreadPool& pool,
-                                             const CancelToken* cancel) {
+Result<Graph> GraphBuilder::Directed(const EdgeList& edges,
+                                     const CsrBuildOptions& options) {
   trace::TraceSpan csr_span("etl.csr_build", "etl");
   perf::SpanCounters csr_counters(&csr_span);
   csr_span.SetAttribute("edges", uint64_t{edges.num_edges()});
+  ThreadPool* pool = options.pool;
+  const CancelToken* cancel = options.cancel;
   Graph g;
   g.undirected_ = false;
-  // Cancellation note: a cancelled parallel pass may have skipped chunks,
-  // leaving a partially built (inconsistent) CSR side; every phase boundary
-  // therefore polls the token and discards the build before the partial
-  // data is ever read.
-  ParallelBuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/true,
-                    /*mirror=*/false, /*drop_self_loops=*/dedup, pool, cancel,
-                    &g.out_offsets_, &g.out_targets_);
+  // Cancellation note: a cancelled pass may have skipped chunks, leaving a
+  // partially built (inconsistent) CSR side; every phase boundary therefore
+  // polls the token and discards the build before the partial data is
+  // ever read.
+  BuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/true,
+            /*mirror=*/false, /*drop_self_loops=*/options.dedup, pool, cancel,
+            &g.out_offsets_, &g.out_targets_);
   GLY_RETURN_NOT_OK(CheckCancel(cancel));
-  if (dedup) {
+  if (options.dedup) {
     DedupRows(&g.out_offsets_, &g.out_targets_, pool, cancel);
     GLY_RETURN_NOT_OK(CheckCancel(cancel));
     g.num_edges_ = g.out_targets_.size();
@@ -242,31 +228,29 @@ Result<Graph> GraphBuilder::ParallelDirected(const EdgeList& edges, bool dedup,
                    &g.in_offsets_, &g.in_targets_);
   } else {
     g.num_edges_ = g.out_targets_.size();
-    ParallelBuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/false,
-                      /*mirror=*/false, /*drop_self_loops=*/false, pool,
-                      cancel, &g.in_offsets_, &g.in_targets_);
+    BuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/false,
+              /*mirror=*/false, /*drop_self_loops=*/false, pool, cancel,
+              &g.in_offsets_, &g.in_targets_);
   }
   GLY_RETURN_NOT_OK(CheckCancel(cancel));
   return g;
 }
 
-Result<Graph> GraphBuilder::ParallelUndirected(const EdgeList& edges,
-                                               ThreadPool& pool,
-                                               const CancelToken* cancel) {
+Result<Graph> GraphBuilder::Undirected(const EdgeList& edges,
+                                       const CsrBuildOptions& options) {
   trace::TraceSpan csr_span("etl.csr_build", "etl");
   perf::SpanCounters csr_counters(&csr_span);
   csr_span.SetAttribute("edges", uint64_t{edges.num_edges()});
   Graph g;
   g.undirected_ = true;
-  ParallelBuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/true,
-                    /*mirror=*/true, /*drop_self_loops=*/true, pool, cancel,
-                    &g.out_offsets_, &g.out_targets_);
-  GLY_RETURN_NOT_OK(CheckCancel(cancel));
-  DedupRows(&g.out_offsets_, &g.out_targets_, pool, cancel);
-  GLY_RETURN_NOT_OK(CheckCancel(cancel));
+  BuildSide(edges.edges(), edges.num_vertices(), /*by_src=*/true,
+            /*mirror=*/true, /*drop_self_loops=*/true, options.pool,
+            options.cancel, &g.out_offsets_, &g.out_targets_);
+  GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
+  DedupRows(&g.out_offsets_, &g.out_targets_, options.pool, options.cancel);
+  GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
   g.num_edges_ = g.out_targets_.size() / 2;
-  // The deduped mirrored adjacency is symmetric, so the in-CSR the serial
-  // path builds independently is identical to the out-CSR — copy it.
+  // The deduped mirrored adjacency is symmetric: the in-CSR is the out-CSR.
   g.in_offsets_ = g.out_offsets_;
   g.in_targets_ = g.out_targets_;
   return g;
@@ -385,11 +369,7 @@ ReorderedGraph Graph::ReorderByDegree(ThreadPool* pool) const {
                   targets->begin() + static_cast<ptrdiff_t>((*offsets)[i + 1]));
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelForChunked(0, n, kRowGrain, fill_rows);
-    } else {
-      fill_rows(0, n);
-    }
+    ForRange(pool, n, kRowGrain, fill_rows);
   };
   relabel_side(out_offsets_, out_targets_, &g.out_offsets_, &g.out_targets_);
   if (undirected_) {
@@ -399,79 +379,6 @@ ReorderedGraph Graph::ReorderByDegree(ThreadPool* pool) const {
     relabel_side(in_offsets_, in_targets_, &g.in_offsets_, &g.in_targets_);
   }
   return out;
-}
-
-Result<Graph> GraphBuilder::Directed(const EdgeList& edges, bool dedup) {
-  trace::TraceSpan csr_span("etl.csr_build", "etl");
-  perf::SpanCounters csr_counters(&csr_span);
-  csr_span.SetAttribute("edges", uint64_t{edges.num_edges()});
-  Graph g;
-  g.undirected_ = false;
-  std::vector<Edge> work = edges.edges();
-  if (dedup) {
-    work.erase(std::remove_if(work.begin(), work.end(),
-                              [](const Edge& e) { return e.src == e.dst; }),
-               work.end());
-    std::sort(work.begin(), work.end());
-    work.erase(std::unique(work.begin(), work.end()), work.end());
-  }
-  g.num_edges_ = work.size();
-  BuildCsr(work, edges.num_vertices(), /*by_src=*/true, &g.out_offsets_,
-           &g.out_targets_);
-  BuildCsr(work, edges.num_vertices(), /*by_src=*/false, &g.in_offsets_,
-           &g.in_targets_);
-  return g;
-}
-
-Result<Graph> GraphBuilder::Directed(const EdgeList& edges,
-                                     const CsrBuildOptions& options) {
-  if (options.pool != nullptr) {
-    return ParallelDirected(edges, options.dedup, *options.pool,
-                            options.cancel);
-  }
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    return ParallelDirected(edges, options.dedup, pool, options.cancel);
-  }
-  GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
-  return Directed(edges, options.dedup);
-}
-
-Result<Graph> GraphBuilder::Undirected(const EdgeList& edges) {
-  trace::TraceSpan csr_span("etl.csr_build", "etl");
-  perf::SpanCounters csr_counters(&csr_span);
-  csr_span.SetAttribute("edges", uint64_t{edges.num_edges()});
-  Graph g;
-  g.undirected_ = true;
-  std::vector<Edge> work;
-  work.reserve(edges.num_edges() * 2);
-  for (const Edge& e : edges.edges()) {
-    if (e.src == e.dst) continue;
-    // Canonical orientation first, then mirror; dedup below removes repeats.
-    work.push_back(Edge{e.src, e.dst});
-    work.push_back(Edge{e.dst, e.src});
-  }
-  std::sort(work.begin(), work.end());
-  work.erase(std::unique(work.begin(), work.end()), work.end());
-  g.num_edges_ = work.size() / 2;
-  BuildCsr(work, edges.num_vertices(), /*by_src=*/true, &g.out_offsets_,
-           &g.out_targets_);
-  BuildCsr(work, edges.num_vertices(), /*by_src=*/false, &g.in_offsets_,
-           &g.in_targets_);
-  return g;
-}
-
-Result<Graph> GraphBuilder::Undirected(const EdgeList& edges,
-                                       const CsrBuildOptions& options) {
-  if (options.pool != nullptr) {
-    return ParallelUndirected(edges, *options.pool, options.cancel);
-  }
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    return ParallelUndirected(edges, pool, options.cancel);
-  }
-  GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
-  return Undirected(edges);
 }
 
 }  // namespace gly

@@ -115,18 +115,17 @@ struct ReorderedGraph {
 /// edge-balanced partitioner.
 std::vector<VertexId> DegreeDescendingOrder(const Graph& graph);
 
-/// CSR construction policy. `threads > 1` (or an external `pool`) selects
-/// the parallel two-pass build: atomic degree counting, parallel prefix
-/// sum, parallel scatter, then a deterministic per-vertex neighbor sort.
-/// The parallel build is bit-identical to the serial one — same offsets,
-/// same target arrays — at any thread count (the etl parity suite proves
-/// it), so callers can pick threads purely on performance grounds.
+/// CSR construction policy. The build counts row degrees, prefix-sums them
+/// into offsets, scatters every edge into its row and sorts each row; with
+/// a `pool` those passes run chunked across it, without one they run on the
+/// calling thread. The offsets and target arrays are the same either way
+/// and at any thread count (the etl parity suite pins them against frozen
+/// rows), so the pool is purely a performance choice.
 struct CsrBuildOptions {
   bool dedup = true;           ///< Directed only: drop self-loops + dups
-  size_t threads = 1;          ///< >1 = parallel build on a private pool
-  ThreadPool* pool = nullptr;  ///< shared pool (overrides `threads`)
-  /// Cooperative cancellation (null = unsupervised): the parallel build
-  /// loops skip unstarted chunks and the build returns the token's Status.
+  ThreadPool* pool = nullptr;  ///< null = build inline on the caller
+  /// Cooperative cancellation (null = unsupervised): the build skips the
+  /// remaining chunks and returns the token's Status.
   const CancelToken* cancel = nullptr;
 };
 
@@ -134,25 +133,15 @@ struct CsrBuildOptions {
 class GraphBuilder {
  public:
   /// Builds a directed graph. Duplicate edges and self-loops are kept unless
-  /// `dedup` is true.
-  static Result<Graph> Directed(const EdgeList& edges, bool dedup = true);
+  /// `options.dedup` is true.
   static Result<Graph> Directed(const EdgeList& edges,
-                                const CsrBuildOptions& options);
+                                const CsrBuildOptions& options = {});
 
   /// Builds an undirected graph: each input edge (u,v) appears in both
   /// adjacency lists. Self-loops are dropped; duplicates (in either
   /// orientation) are merged.
-  static Result<Graph> Undirected(const EdgeList& edges);
   static Result<Graph> Undirected(const EdgeList& edges,
-                                  const CsrBuildOptions& options);
-
- private:
-  static Result<Graph> ParallelDirected(const EdgeList& edges, bool dedup,
-                                        ThreadPool& pool,
-                                        const CancelToken* cancel);
-  static Result<Graph> ParallelUndirected(const EdgeList& edges,
-                                          ThreadPool& pool,
-                                          const CancelToken* cancel);
+                                  const CsrBuildOptions& options = {});
 };
 
 }  // namespace gly

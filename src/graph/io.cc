@@ -5,7 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
+#include <functional>
 #include <string_view>
 
 #include "common/macros.h"
@@ -19,16 +19,15 @@ namespace gly {
 namespace {
 constexpr char kMagic[8] = {'G', 'L', 'Y', 'E', 'D', 'G', 'E', '1'};
 
-/// Clamped id bound shared by the serial and parallel text parsers.
+/// Clamped vertex-id bound of the text parser.
 uint64_t IdLimit(const EdgeListParseOptions& options) {
   return std::min<uint64_t>(options.max_vertex_id, kInvalidVertex - 1);
 }
 
 /// Parses one text edge line (getline semantics: no trailing newline).
 /// On success sets `*keep` (false for comments, blanks, and dropped
-/// self-loops) and `*edge` when kept. Every error carries the exact
-/// `path:line:` prefix the serial loader has always produced — the one
-/// parser both the serial and the chunked parallel paths call.
+/// self-loops) and `*edge` when kept. Every error carries a `path:line:`
+/// prefix naming the offending line.
 Status ParseEdgeLine(std::string_view raw, const std::string& path,
                      size_t line_no, const EdgeListParseOptions& options,
                      uint64_t id_limit, bool* keep, Edge* edge) {
@@ -62,8 +61,19 @@ Status ParseEdgeLine(std::string_view raw, const std::string& path,
   return Status::OK();
 }
 
-}  // namespace
+// Runs `fn(c)` for every chunk c in [0, n): across `pool`, or in order on
+// the calling thread when there is none.
+void ForEachChunk(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn,
+                  const CancelToken* cancel = nullptr) {
+  if (pool != nullptr) {
+    pool->ParallelFor(0, n, 1, fn, cancel);
+    return;
+  }
+  for (size_t c = 0; c < n; ++c) fn(c);
+}
 
+}  // namespace
 
 Status WriteEdgeListText(const EdgeList& edges, const std::string& path) {
   std::ofstream out(path);
@@ -78,62 +88,16 @@ Status WriteEdgeListText(const EdgeList& edges, const std::string& path) {
   return Status::OK();
 }
 
-Result<EdgeList> ReadEdgeListText(const std::string& path) {
-  return ReadEdgeListText(path, EdgeListParseOptions{});
-}
-
-namespace {
-
-Result<EdgeList> ReadEdgeListTextSerial(const std::string& path,
-                                        const EdgeListParseOptions& options,
-                                        const CancelToken* cancel) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  const uint64_t id_limit = IdLimit(options);
-  EdgeList edges;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no % 4096 == 0) GLY_RETURN_NOT_OK(CheckCancel(cancel));
-    bool keep = false;
-    Edge edge{0, 0};
-    GLY_RETURN_NOT_OK(
-        ParseEdgeLine(line, path, line_no, options, id_limit, &keep, &edge));
-    if (keep) edges.Add(edge.src, edge.dst);
-  }
-  // A stream that goes bad() mid-file (I/O error, not EOF) must surface,
-  // never silently truncate the graph.
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  if (options.drop_duplicates) edges.Deduplicate();
-  return edges;
-}
-
-}  // namespace
-
-Result<EdgeList> ReadEdgeListText(const std::string& path,
-                                  const EdgeListParseOptions& options) {
-  return ReadEdgeListTextSerial(path, options, /*cancel=*/nullptr);
-}
-
 Result<EdgeList> ReadEdgeListText(const std::string& path,
                                   const EdgeListParseOptions& options,
                                   const EtlOptions& etl) {
-  if (etl.pool == nullptr && etl.threads <= 1) {
-    return ReadEdgeListTextSerial(path, options, etl.cancel);
-  }
   trace::TraceSpan parse_span("etl.parse", "etl");
   perf::SpanCounters parse_counters(&parse_span);
-  std::optional<ThreadPool> own_pool;
   ThreadPool* pool = etl.pool;
-  if (pool == nullptr) {
-    own_pool.emplace(etl.threads);
-    pool = &*own_pool;
-  }
 
-  // Whole-file slurp: the parallel parser needs random access to place
-  // chunk boundaries on newlines. A short read (disk error mid-file) is an
-  // IOError exactly like the serial loader's bad() check.
+  // Whole-file slurp: chunk boundaries need random access to land on
+  // newlines. A short read (disk error mid-file) is an IOError, never a
+  // silently truncated graph.
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
   in.seekg(0, std::ios::end);
@@ -149,11 +113,12 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   in.close();
   const std::string_view text(buffer);
 
-  // Chunk boundaries: aim for several chunks per pool thread, each starting
-  // right after a newline so no line is ever split across chunks.
+  // Chunk boundaries: several chunks per pool thread (one without a pool),
+  // each starting right after a newline so no line is split across chunks.
   std::vector<size_t> bounds;
   bounds.push_back(0);
-  const size_t want_chunks = std::max<size_t>(1, pool->num_threads() * 4);
+  const size_t want_chunks =
+      pool != nullptr ? std::max<size_t>(1, pool->num_threads() * 4) : 1;
   const size_t approx = std::max<size_t>(1, text.size() / want_chunks);
   for (size_t c = 1; c < want_chunks; ++c) {
     size_t pos = std::min(text.size(), c * approx);
@@ -166,10 +131,10 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   bounds.push_back(text.size());
   const size_t num_chunks = bounds.size() - 1;
 
-  // Phase 1: per-chunk newline counts, so every chunk knows the 1-based
-  // line number it starts at — error messages must match the serial path.
-  std::vector<size_t> start_line(num_chunks + 1, 0);
-  pool->ParallelFor(0, num_chunks, 1, [&](size_t c) {
+  // Phase 1: newline counts of every chunk but the last, so each chunk
+  // knows the 1-based line number it starts at for its error messages.
+  std::vector<size_t> start_line(num_chunks, 0);
+  ForEachChunk(pool, num_chunks - 1, [&](size_t c) {
     size_t newlines = 0;
     for (size_t pos = bounds[c]; pos < bounds[c + 1];) {
       size_t nl = text.find('\n', pos);
@@ -180,10 +145,10 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
     start_line[c + 1] = newlines;
   });
   start_line[0] = 1;
-  for (size_t c = 1; c <= num_chunks; ++c) start_line[c] += start_line[c - 1];
+  for (size_t c = 1; c < num_chunks; ++c) start_line[c] += start_line[c - 1];
 
-  // Phase 2: parse chunks concurrently. Each failure remembers its line so
-  // the earliest one — what the serial loop would have hit first — wins.
+  // Phase 2: parse the chunks. Each failure remembers its line so the
+  // earliest one in the file wins.
   struct ChunkResult {
     EdgeList edges;
     Status status = Status::OK();
@@ -191,11 +156,11 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   };
   const uint64_t id_limit = IdLimit(options);
   std::vector<ChunkResult> chunks(num_chunks);
-  pool->ParallelFor(
-      0, num_chunks, 1,
+  ForEachChunk(
+      pool, num_chunks,
       [&](size_t c) {
     ChunkResult& out = chunks[c];
-    // Cross-thread spans: one per chunk, on whichever pool thread runs it.
+    // Cross-thread spans: one per chunk, on whichever thread runs it.
     trace::TraceSpan chunk_span("etl.parse.chunk", "etl");
     chunk_span.SetAttribute("chunk", uint64_t{c});
     size_t line_no = start_line[c] - 1;
@@ -235,11 +200,13 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   }
   if (first_error != nullptr) return first_error->status;
 
+  // The first chunk's list is the result (a single chunk is never copied);
+  // the others append to it in file order.
   size_t total = 0;
   for (const ChunkResult& chunk : chunks) total += chunk.edges.num_edges();
-  EdgeList edges;
+  EdgeList edges = std::move(chunks[0].edges);
   edges.Reserve(total);
-  for (ChunkResult& chunk : chunks) edges.Append(chunk.edges);
+  for (size_t c = 1; c < num_chunks; ++c) edges.Append(chunks[c].edges);
   if (options.drop_duplicates) edges.Deduplicate();
   parse_span.SetAttribute("edges", uint64_t{edges.num_edges()});
   parse_span.SetAttribute("chunks", uint64_t{num_chunks});
@@ -329,19 +296,10 @@ Status ApplyVertexFile(const std::string& path, EdgeList* edges) {
     }
     edges->EnsureVertices(static_cast<VertexId>(v) + 1);
   }
-  // Same mid-file-error discipline as the edge loader: EOF and a failed
-  // read are different things.
+  // EOF and a failed read are different things: a mid-file error must
+  // surface, never silently drop the rest of the ids.
   if (in.bad()) return Status::IOError("read failed: " + path);
   return Status::OK();
-}
-
-Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix) {
-  return ReadGraphalyticsDataset(prefix, EdgeListParseOptions{});
-}
-
-Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix,
-                                         const EdgeListParseOptions& options) {
-  return ReadGraphalyticsDataset(prefix, options, EtlOptions{});
 }
 
 Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix,

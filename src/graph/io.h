@@ -36,29 +36,24 @@ struct EdgeListParseOptions {
 /// Writes `edges` as a text edge file (one `src dst` line per edge).
 Status WriteEdgeListText(const EdgeList& edges, const std::string& path);
 
-/// Parallelism policy for text ETL. With `threads <= 1` and no pool the
-/// loaders take the serial reference path; otherwise the file is split at
-/// newline boundaries and the chunks parse concurrently on the pool. The
-/// parallel path produces the exact edge order, vertex bound, and — for
-/// malformed input — the exact `file:line:`-prefixed error message of the
-/// serial path (the earliest offending line wins), so callers choose purely
-/// on performance grounds.
+/// Parallelism policy for text ETL. The file is slurped and split at
+/// newline boundaries; with a pool the chunks parse concurrently, without
+/// one the whole file parses as a single chunk on the calling thread. Edge
+/// order, vertex bound and — for malformed input — the `file:line:`
+/// error of the earliest offending line are the same either way, so the
+/// pool is purely a performance choice.
 struct EtlOptions {
-  size_t threads = 1;          ///< >1 = parse on a private pool
-  ThreadPool* pool = nullptr;  ///< shared pool (overrides `threads`)
-  /// Cooperative cancellation (null = unsupervised): polled per parse
-  /// chunk (parallel path) / every few thousand lines (serial path); a
-  /// cancelled parse returns the token's Status.
+  ThreadPool* pool = nullptr;  ///< null = parse inline on the caller
+  /// Cooperative cancellation (null = unsupervised): polled every few
+  /// thousand lines of each chunk; a cancelled parse returns the token's
+  /// Status.
   const CancelToken* cancel = nullptr;
 };
 
 /// Reads a text edge file.
-Result<EdgeList> ReadEdgeListText(const std::string& path);
 Result<EdgeList> ReadEdgeListText(const std::string& path,
-                                  const EdgeListParseOptions& options);
-Result<EdgeList> ReadEdgeListText(const std::string& path,
-                                  const EdgeListParseOptions& options,
-                                  const EtlOptions& etl);
+                                  const EdgeListParseOptions& options = {},
+                                  const EtlOptions& etl = {});
 
 /// Writes the compact binary format (magic, counts, raw edge array).
 Status WriteEdgeListBinary(const EdgeList& edges, const std::string& path);
@@ -78,12 +73,9 @@ Status ApplyVertexFile(const std::string& path, EdgeList* edges);
 
 /// Loads a Graphalytics dataset: `<prefix>.e` (required) plus
 /// `<prefix>.v` (optional). The edge file honours `etl` (the vertex file
-/// is a tiny id list and always reads serially).
-Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix);
-Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix,
-                                         const EdgeListParseOptions& options);
-Result<EdgeList> ReadGraphalyticsDataset(const std::string& prefix,
-                                         const EdgeListParseOptions& options,
-                                         const EtlOptions& etl);
+/// is a tiny id list and always reads on the caller).
+Result<EdgeList> ReadGraphalyticsDataset(
+    const std::string& prefix, const EdgeListParseOptions& options = {},
+    const EtlOptions& etl = {});
 
 }  // namespace gly

@@ -35,14 +35,14 @@ bool IsRetryable(const Status& status) {
          status.IsResourceExhausted();
 }
 
-/// State shared with the runner thread of one supervised attempt. The
-/// attempt's cancellation token lives here: the supervision loop arms it
-/// (deadline / stall / harness stop) and the engines poll it through
-/// AlgorithmParams::cancel. The thread holds its own shared_ptr, so in the
-/// fallback case — an attempt that ignores the token past the grace window
-/// and is abandoned — it can finish in the background, touching only this
-/// state and the platform it owns, long after the harness has rebuilt the
-/// platform and moved on.
+/// State shared with the runner thread of one attempt (every attempt is
+/// supervised). Its cancellation token lives here: the supervision loop
+/// arms it (deadline / stall / harness stop) and the engines poll it
+/// through AlgorithmParams::cancel. The thread holds its own shared_ptr,
+/// so in the fallback case — an attempt that ignores the token past the
+/// grace window and is abandoned — it can finish in the background,
+/// touching only this state and the platform it owns, long after the
+/// harness has rebuilt the platform and moved on.
 struct AttemptState {
   std::shared_ptr<Platform> platform;
   AlgorithmKind algorithm = AlgorithmKind::kStats;
@@ -345,10 +345,9 @@ Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
 
   // Build the matrix in registration order — the scheduler claims items in
   // this order, so jobs = 1 is exactly the old serial execution. A group is
-  // one shared (platform, dataset) graph load; with the graph cache off,
-  // every cell gets a private group and re-runs ETL. Cells resumed from
-  // the journal are emitted up front and never scheduled; a dataset whose
-  // cells all resumed is never loaded at all.
+  // one shared (platform, dataset) graph load. Cells resumed from the
+  // journal are emitted up front and never scheduled; a dataset whose cells
+  // all resumed is never loaded at all.
   CellScheduler::Options sched_options;
   sched_options.jobs = jobs;
   sched_options.memory_budget_bytes = spec.sched_memory_budget_mb << 20;
@@ -404,7 +403,7 @@ Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
           }
           continue;
         }
-        if (!spec.graph_cache || group_id == static_cast<size_t>(-1)) {
+        if (group_id == static_cast<size_t>(-1)) {
           group_id = make_group();
         }
         CellRef cell;
@@ -562,130 +561,122 @@ Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
         trace::TraceSpan run_span("harness.run", "harness");
         perf::SpanCounters run_counters(&run_span);
         run_span.SetAttribute("attempt", uint64_t{attempt});
-        const bool supervised = spec.cell_timeout_s > 0.0 ||
-                                spec.stall_timeout_s > 0.0 ||
-                                spec.stop != nullptr;
-        if (supervised) {
-          auto state = std::make_shared<AttemptState>();
-          state->platform = g.platform;
-          state->algorithm = algorithm;
-          state->params = g.run_params;
-          state->params.cancel = &state->cancel;
-          state->cell_tracer = cell_tracer;
-          std::future<void> done = state->done.get_future();
-          std::thread runner([state] {
-            // The runner is a fresh thread: re-install the cell's tracer
-            // override so the attempt (and pools it submits to) records
-            // into the cell's window.
-            trace::ScopedThreadTracer tracer_scope(state->cell_tracer.get());
-            state->run = state->platform->Run(state->algorithm,
-                                              state->params);
-            state->done.set_value();
-          });
+        auto state = std::make_shared<AttemptState>();
+        state->platform = g.platform;
+        state->algorithm = algorithm;
+        state->params = g.run_params;
+        state->params.cancel = &state->cancel;
+        state->cell_tracer = cell_tracer;
+        std::future<void> done = state->done.get_future();
+        std::thread runner([state] {
+          // The runner is a fresh thread: re-install the cell's tracer
+          // override so the attempt (and pools it submits to) records
+          // into the cell's window.
+          trace::ScopedThreadTracer tracer_scope(state->cell_tracer.get());
+          state->run = state->platform->Run(state->algorithm, state->params);
+          state->done.set_value();
+        });
 
-          // Watchdog loop: slice-wait on the attempt, arming its token
-          // on the first condition that fires — harness stop, the
-          // wall-clock deadline, or a stalled progress heartbeat.
-          const Deadline cell_deadline =
-              spec.cell_timeout_s > 0.0 ? Deadline::After(spec.cell_timeout_s)
-                                        : Deadline::Never();
-          uint64_t last_beats = state->cancel.heartbeats();
-          Stopwatch stall_watch;
-          CancelReason why = CancelReason::kNone;
-          for (;;) {
-            if (done.wait_for(kSuperviseSlice) ==
-                std::future_status::ready) {
-              break;
-            }
-            if (Cancelled(spec.stop)) {
-              why = CancelReason::kHarnessStop;
-              state->cancel.Cancel(why, "harness stop requested");
-              break;
-            }
-            if (cell_deadline.expired()) {
-              why = CancelReason::kDeadline;
+        // Watchdog loop: slice-wait on the attempt, arming its token
+        // on the first condition that fires — harness stop, the
+        // wall-clock deadline, or a stalled progress heartbeat.
+        const Deadline cell_deadline =
+            spec.cell_timeout_s > 0.0 ? Deadline::After(spec.cell_timeout_s)
+                                      : Deadline::Never();
+        uint64_t last_beats = state->cancel.heartbeats();
+        Stopwatch stall_watch;
+        CancelReason why = CancelReason::kNone;
+        for (;;) {
+          if (done.wait_for(kSuperviseSlice) ==
+              std::future_status::ready) {
+            break;
+          }
+          if (Cancelled(spec.stop)) {
+            why = CancelReason::kHarnessStop;
+            state->cancel.Cancel(why, "harness stop requested");
+            break;
+          }
+          if (cell_deadline.expired()) {
+            why = CancelReason::kDeadline;
+            state->cancel.Cancel(
+                why, StringPrintf("cell exceeded %.3fs wall-clock budget",
+                                  spec.cell_timeout_s));
+            break;
+          }
+          if (spec.stall_timeout_s > 0.0) {
+            const uint64_t beats = state->cancel.heartbeats();
+            if (beats != last_beats) {
+              last_beats = beats;
+              stall_watch = Stopwatch();
+            } else if (stall_watch.ElapsedSeconds() >=
+                       spec.stall_timeout_s) {
+              why = CancelReason::kStall;
               state->cancel.Cancel(
-                  why, StringPrintf("cell exceeded %.3fs wall-clock budget",
-                                    spec.cell_timeout_s));
+                  why, StringPrintf(
+                           "no progress heartbeat for %.3fs (stall "
+                           "watchdog)",
+                           spec.stall_timeout_s));
               break;
             }
-            if (spec.stall_timeout_s > 0.0) {
-              const uint64_t beats = state->cancel.heartbeats();
-              if (beats != last_beats) {
-                last_beats = beats;
-                stall_watch = Stopwatch();
-              } else if (stall_watch.ElapsedSeconds() >=
-                         spec.stall_timeout_s) {
-                why = CancelReason::kStall;
-                state->cancel.Cancel(
-                    why, StringPrintf(
-                             "no progress heartbeat for %.3fs (stall "
-                             "watchdog)",
-                             spec.stall_timeout_s));
-                break;
-              }
-            }
           }
+        }
 
-          if (why == CancelReason::kNone) {
-            runner.join();
-            run = std::move(state->run);
-          } else {
-            // Grace join: the engines poll the token at bounded-work
-            // intervals, so a cooperative attempt unwinds (releasing
-            // budget charges, closing spans) and joins well within the
-            // grace window — no thread outlives the cell.
-            result.cancelled = true;
-            result.cancel_reason = CancelReasonName(why);
-            result.timed_out = why == CancelReason::kDeadline;
-            result.stalled = why == CancelReason::kStall;
-            metrics::AddCounter("harness.cancels");
-            if (why == CancelReason::kDeadline) {
-              metrics::AddCounter("harness.timeouts");
-            }
-            trace::Instant(
-                "harness.cancel", "harness",
-                {{"reason", CancelReasonName(why)},
-                 {"platform", g.platform_name},
-                 {"graph", dataset.name},
-                 {"algorithm", AlgorithmKindName(algorithm)}});
-            Stopwatch join_watch;
-            const bool joined =
-                done.wait_for(std::chrono::duration<double>(std::max(
-                    0.0, spec.cancel_grace_s))) ==
-                std::future_status::ready;
-            result.cancel_join_seconds = join_watch.ElapsedSeconds();
-            run_span.SetAttribute("cancelled", CancelReasonName(why));
-            if (result.timed_out) {
-              run_span.SetAttribute("timed_out", "true");
-            }
-            if (joined) {
-              runner.join();
-              // The cancelled verdict stands even if the attempt raced
-              // to completion during the grace window: the cell blew
-              // its budget (or the harness is stopping) either way.
-              run = state->cancel.ToStatus();
-              metrics::AddCounter("harness.cancel_joins");
-              // The platform unwound cooperatively: keep it (and its
-              // loaded graph) for the retry instead of rebuilding.
-            } else {
-              // Wedged past the grace window (e.g. stuck in a blocking
-              // syscall the token cannot interrupt): fall back to the
-              // abandon path so the matrix never hangs.
-              runner.detach();
-              run = state->cancel.ToStatus().WithPrefix(
-                  StringPrintf("attempt ignored cancellation for %.3fs",
-                               spec.cancel_grace_s));
-              metrics::AddCounter("harness.cancel_join_failures");
-              {
-                std::lock_guard<std::mutex> lock(abandoned_mu);
-                abandoned.push_back(std::move(done));
-              }
-              g.platform.reset();
-            }
-          }
+        if (why == CancelReason::kNone) {
+          runner.join();
+          run = std::move(state->run);
         } else {
-          run = g.platform->Run(algorithm, g.run_params);
+          // Grace join: the engines poll the token at bounded-work
+          // intervals, so a cooperative attempt unwinds (releasing
+          // budget charges, closing spans) and joins well within the
+          // grace window — no thread outlives the cell.
+          result.cancelled = true;
+          result.cancel_reason = CancelReasonName(why);
+          result.timed_out = why == CancelReason::kDeadline;
+          result.stalled = why == CancelReason::kStall;
+          metrics::AddCounter("harness.cancels");
+          if (why == CancelReason::kDeadline) {
+            metrics::AddCounter("harness.timeouts");
+          }
+          trace::Instant(
+              "harness.cancel", "harness",
+              {{"reason", CancelReasonName(why)},
+               {"platform", g.platform_name},
+               {"graph", dataset.name},
+               {"algorithm", AlgorithmKindName(algorithm)}});
+          Stopwatch join_watch;
+          const bool joined =
+              done.wait_for(std::chrono::duration<double>(std::max(
+                  0.0, spec.cancel_grace_s))) ==
+              std::future_status::ready;
+          result.cancel_join_seconds = join_watch.ElapsedSeconds();
+          run_span.SetAttribute("cancelled", CancelReasonName(why));
+          if (result.timed_out) {
+            run_span.SetAttribute("timed_out", "true");
+          }
+          if (joined) {
+            runner.join();
+            // The cancelled verdict stands even if the attempt raced
+            // to completion during the grace window: the cell blew
+            // its budget (or the harness is stopping) either way.
+            run = state->cancel.ToStatus();
+            metrics::AddCounter("harness.cancel_joins");
+            // The platform unwound cooperatively: keep it (and its
+            // loaded graph) for the retry instead of rebuilding.
+          } else {
+            // Wedged past the grace window (e.g. stuck in a blocking
+            // syscall the token cannot interrupt): fall back to the
+            // abandon path so the matrix never hangs.
+            runner.detach();
+            run = state->cancel.ToStatus().WithPrefix(
+                StringPrintf("attempt ignored cancellation for %.3fs",
+                             spec.cancel_grace_s));
+            metrics::AddCounter("harness.cancel_join_failures");
+            {
+              std::lock_guard<std::mutex> lock(abandoned_mu);
+              abandoned.push_back(std::move(done));
+            }
+            g.platform.reset();
+          }
         }
         run_span.SetAttribute("ok", run.ok() ? "true" : "false");
       }
@@ -815,7 +806,7 @@ Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
   // never hangs on the drain.
   if (!abandoned.empty()) {
     const Deadline drain_deadline =
-        Deadline::After(std::max(0.0, spec.abandon_grace_s));
+        Deadline::After(std::max(0.0, spec.cancel_grace_s));
     for (std::future<void>& done : abandoned) {
       for (;;) {
         if (done.wait_for(kSuperviseSlice) == std::future_status::ready) break;

@@ -105,7 +105,9 @@ struct RunSpec {
   double stall_timeout_s = 0.0;
 
   /// How long a cancelled attempt gets to observe the token, unwind, and
-  /// be joined before the harness falls back to abandoning it.
+  /// be joined before the harness falls back to abandoning it; also how
+  /// long RunBenchmark waits, after the matrix completes, for abandoned
+  /// attempts to finish in the background.
   double cancel_grace_s = 5.0;
 
   /// Optional harness-level stop token (e.g. armed by a SIGINT handler —
@@ -123,11 +125,6 @@ struct RunSpec {
   /// Base delay before the first retry; doubles each further retry
   /// (exponential backoff). 0 = retry immediately.
   double retry_backoff_s = 0.0;
-
-  /// How long RunBenchmark waits, after the matrix completes, for attempts
-  /// that were abandoned on timeout to finish in the background (bounds
-  /// the "never hangs" guarantee).
-  double abandon_grace_s = 5.0;
 
   /// Optional deterministic fault plan, installed (scoped) for the whole
   /// run. Faults triggered during a cell are counted in its result.
@@ -161,7 +158,7 @@ struct RunSpec {
   ///
   /// Caveat (same as caller-owned graphs): a caller-supplied tracer or
   /// registry must outlive attempts abandoned on timeout, i.e. live past
-  /// the `abandon_grace_s` drain. Events an abandoned attempt records
+  /// the `cancel_grace_s` drain. Events an abandoned attempt records
   /// after its cell was summarized stay in the (kept-alive) child tracer
   /// and are dropped, never a use-after-free.
   std::string trace_dir;
@@ -187,10 +184,8 @@ struct RunSpec {
   /// validation, per-cell trace files, retry/backoff, stall detection,
   /// stop, resume) is equivalent to the serial run: per-cell
   /// `injected_faults` attribution is approximate (the plan's trigger
-  /// counter is process-global); per-cell folded stacks from the sampling
-  /// profiler are reported run-wide only; and an explicit
-  /// `<platform>.scratch_dir` is shared by concurrent instances of that
-  /// platform (the default per-instance temp dir is safe).
+  /// counter is process-global), and per-cell folded stacks from the
+  /// sampling profiler are reported run-wide only.
   uint32_t jobs = 1;
 
   /// Admission budget for concurrently loaded graphs, in MiB (0 = no
@@ -200,11 +195,6 @@ struct RunSpec {
   /// alone once everything else drained — admission delays cells, it never
   /// fails them.
   uint64_t sched_memory_budget_mb = 0;
-
-  /// Share one graph load across all cells of a (platform, dataset) pair
-  /// (on: the serial loop's behaviour). Off: every cell re-runs ETL in its
-  /// own group — isolation for debugging at the cost of repeated loads.
-  bool graph_cache = true;
 
   /// When non-null, receives the scheduler's aggregate stats (admissions,
   /// cache hits, queueing, peak concurrency, wall clock) for the run.

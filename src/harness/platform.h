@@ -62,7 +62,6 @@ std::vector<std::string> RegisteredPlatforms();
 ///   memory_budget_mb  — per-platform memory budget (0 = unlimited)
 ///   workers           — logical workers / partitions
 ///   threads           — executor threads
-///   scratch_dir       — spill/store directory (defaults to a temp dir)
 /// Platform-specific keys are documented in platforms.cc.
 Result<std::unique_ptr<Platform>> MakePlatform(const std::string& name,
                                                const Config& config);

@@ -23,7 +23,6 @@ struct CommonOptions {
   uint64_t memory_budget_bytes = 0;
   uint32_t workers = 8;
   uint32_t threads = 0;
-  std::string scratch_dir;
 };
 
 Result<CommonOptions> ReadCommon(const Config& config) {
@@ -31,7 +30,6 @@ Result<CommonOptions> ReadCommon(const Config& config) {
   opts.memory_budget_bytes = config.GetUintOr("memory_budget_mb", 0) << 20;
   opts.workers = static_cast<uint32_t>(config.GetUintOr("workers", 8));
   opts.threads = static_cast<uint32_t>(config.GetUintOr("threads", 0));
-  opts.scratch_dir = config.GetStringOr("scratch_dir", "");
   return opts;
 }
 

@@ -21,9 +21,8 @@ namespace fs = std::filesystem;
 namespace {
 
 // Builds one dataset from its `graph.<name>.*` scope. `etl_pool` (nullable)
-// parallelizes text parsing and CSR construction — both paths are
-// bit-identical to their serial counterparts, so the knob is purely a
-// performance choice.
+// parallelizes text parsing and CSR construction; the graph is the same
+// with or without it, so the knob is purely a performance choice.
 Result<Graph> BuildGraph(const std::string& name, const Config& scope,
                          ThreadPool* etl_pool) {
   CsrBuildOptions build;
@@ -131,9 +130,9 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
   base_params.bfs.alpha = config.GetDoubleOr("bfs.alpha", base_params.bfs.alpha);
   base_params.bfs.beta = config.GetDoubleOr("bfs.beta", base_params.bfs.beta);
 
-  // ETL parallelism: etl.threads = 1 keeps the serial reference loaders;
-  // N > 1 parses and builds on an N-thread pool; 0 = hardware threads.
-  // Either way the graphs are bit-identical (see DESIGN.md §8).
+  // ETL parallelism: etl.threads = 1 parses and builds on the calling
+  // thread with no pool; N > 1 uses an N-thread pool; 0 = hardware
+  // threads. Either way the graphs are bit-identical (see DESIGN.md §8).
   size_t etl_threads = config.GetUintOr("etl.threads", 1);
   if (etl_threads == 0) etl_threads = HardwareThreads();
   std::optional<ThreadPool> etl_pool;
@@ -274,7 +273,6 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
   spec.jobs = static_cast<uint32_t>(config.GetUintOr("harness.jobs", 1));
   spec.sched_memory_budget_mb =
       config.GetUintOr("harness.memory_budget_mb", 0);
-  spec.graph_cache = config.GetBoolOr("harness.graph_cache", true);
 
   // Resumable matrices: journal per-cell completion under the report dir
   // (or an explicit `journal` path); `resume = true` reuses finished cells.

@@ -32,7 +32,7 @@
 //
 //   # ETL (see DESIGN.md §8, "ETL performance")
 //   etl.threads = 8                   # parallel parse + CSR build (0 = all
-//                                     # hardware threads, 1 = serial)
+//                                     # hardware threads, 1 = no pool)
 //   graph.reorder = degree            # degree | none: relabel hubs-first;
 //   graph.snb.reorder = none          # per-graph override. Outputs and
 //                                     # validation stay in original ids;
@@ -58,7 +58,6 @@
 //   harness.jobs = 4                  # max cells in flight (1 = serial)
 //   harness.memory_budget_mb = 2048   # admission budget for concurrent
 //                                     # graph loads (0 = no limit)
-//   harness.graph_cache = true        # share one load per (platform, graph)
 
 #pragma once
 

@@ -395,7 +395,7 @@ TEST(RmatTest, SkewedDegreeDistribution) {
   config.permute_vertices = false;
   auto edges = RmatGenerator(config).Generate(nullptr);
   ASSERT_TRUE(edges.ok());
-  Graph g = GraphBuilder::Directed(*edges, /*dedup=*/false).ValueOrDie();
+  Graph g = GraphBuilder::Directed(*edges, {.dedup = false}).ValueOrDie();
   // R-MAT with a=0.57 concentrates edges: the top-degree vertex should far
   // exceed the mean degree.
   uint64_t max_deg = 0;

@@ -1,19 +1,28 @@
-// Parallel-ETL parity: the chunked parallel edge-list parser and the
-// parallel two-pass CSR builder must be *byte-identical* to their serial
-// reference paths — same edges in the same order, same vertex bound, same
-// CSR arrays, and (for malformed input) the same `file:line:`-prefixed
-// error message — at any thread count. This suite sweeps R-MAT graphs at
-// scales 8/12/14, a social-datagen graph, and every parse policy, each at
-// 1, 2, and 8 threads. Labeled `ingest`: ci.sh also runs it under TSan.
+// ETL golden pins: the chunked text parser and the counting CSR builder
+// must reproduce, byte for byte, what the serial parser and the
+// sort-based builder produced before they were deleted — same edges in the
+// same order, same vertex bound, same CSR arrays, and (for malformed input)
+// the same `file:line:`-prefixed error message — with no pool (the inline
+// path) and on 1-, 2- and 8-thread pools. This suite sweeps R-MAT graphs at
+// scales 8/12/14, a social-datagen graph, and every parse policy. Labeled
+// `ingest`: ci.sh also runs it under ASan and TSan.
+//
+// The golden rows were produced by the serial paths (ReadEdgeListText with
+// no pool, GraphBuilder's sort-based build) on exactly these inputs. A
+// mismatch prints the actual row in table syntax; regenerate a row only for
+// a deliberate change of results.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/cancellation.h"
+#include "common/crc32.h"
 #include "common/temp_dir.h"
 #include "common/threadpool.h"
 #include "datagen/rmat.h"
@@ -103,27 +112,194 @@ EdgeListParseOptions MakePolicy(ParsePolicy policy) {
   return options;
 }
 
-void ExpectSameEdgeList(const EdgeList& a, const EdgeList& b) {
-  EXPECT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  EXPECT_TRUE(a.edges() == b.edges()) << "edge sequences differ";
+// A pool of `threads` workers, or none for 0 (the inline path).
+class MaybePool {
+ public:
+  explicit MaybePool(size_t threads) {
+    if (threads > 0) pool_.emplace(threads);
+  }
+  ThreadPool* get() { return pool_ ? &*pool_ : nullptr; }
+
+ private:
+  std::optional<ThreadPool> pool_;
+};
+
+std::string PoolName(size_t threads) {
+  return threads == 0 ? "nopool" : "t" + std::to_string(threads);
 }
 
-void ExpectSameGraph(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  EXPECT_EQ(a.num_edges(), b.num_edges());
-  ASSERT_EQ(a.num_adjacency_entries(), b.num_adjacency_entries());
-  EXPECT_EQ(a.undirected(), b.undirected());
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    auto oa = a.OutNeighbors(v), ob = b.OutNeighbors(v);
-    ASSERT_EQ(oa.size(), ob.size()) << "out row " << v;
-    ASSERT_TRUE(std::equal(oa.begin(), oa.end(), ob.begin()))
-        << "out row " << v;
-    auto ia = a.InNeighbors(v), ib = b.InNeighbors(v);
-    ASSERT_EQ(ia.size(), ib.size()) << "in row " << v;
-    ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin()))
-        << "in row " << v;
+// ------------------------------------------------------------- golden rows
+
+// One frozen parse: the vertex bound, the edge count and the CRC32C of the
+// edge array as the serial parser returned it.
+struct ParseRow {
+  ParityGraph graph;
+  ParsePolicy policy;
+  VertexId num_vertices;
+  uint64_t num_edges;
+  uint32_t edges_crc;
+  bool operator==(const ParseRow&) const = default;
+};
+
+constexpr ParseRow kParseGolden[] = {
+    {ParityGraph::kRmat8, ParsePolicy::kDefault, 255, 1536u, 0x9079f3e3u},
+    {ParityGraph::kRmat8, ParsePolicy::kDropLoops, 255, 1499u, 0xb34eacc1u},
+    {ParityGraph::kRmat8, ParsePolicy::kDropDuplicates, 255, 1173u,
+     0xdcb5871du},
+    {ParityGraph::kRmat8, ParsePolicy::kDropBoth, 255, 1160u, 0x6009d031u},
+    {ParityGraph::kRmat12, ParsePolicy::kDefault, 4096, 32768u, 0x473a5fcau},
+    {ParityGraph::kRmat12, ParsePolicy::kDropLoops, 4096, 32660u, 0x6596ad67u},
+    {ParityGraph::kRmat12, ParsePolicy::kDropDuplicates, 4096, 28525u,
+     0x91283be7u},
+    {ParityGraph::kRmat12, ParsePolicy::kDropBoth, 4096, 28482u, 0x77e62559u},
+    {ParityGraph::kRmat14, ParsePolicy::kDefault, 16383, 131072u, 0x79fca0e2u},
+    {ParityGraph::kRmat14, ParsePolicy::kDropLoops, 16383, 130911u,
+     0x7627e6a2u},
+    {ParityGraph::kRmat14, ParsePolicy::kDropDuplicates, 16383, 119950u,
+     0x3848d9f3u},
+    {ParityGraph::kRmat14, ParsePolicy::kDropBoth, 16383, 119893u, 0xb308a5c0u},
+    {ParityGraph::kSocial, ParsePolicy::kDefault, 1999, 3867u, 0x3206520eu},
+    {ParityGraph::kSocial, ParsePolicy::kDropLoops, 1999, 3867u, 0x3206520eu},
+    {ParityGraph::kSocial, ParsePolicy::kDropDuplicates, 1999, 3867u,
+     0x3206520eu},
+    {ParityGraph::kSocial, ParsePolicy::kDropBoth, 1999, 3867u, 0x3206520eu},
+};
+
+enum class BuildKind { kUndirected, kDirectedDedup, kDirectedRaw };
+
+// One frozen CSR build: the vertex count, the adjacency-entry count and the
+// CRC32C of the out-rows and in-rows (RowsCrc) the sort-based build made.
+struct BuildRow {
+  ParityGraph graph;
+  BuildKind kind;
+  VertexId num_vertices;
+  uint64_t num_adjacency_entries;
+  uint32_t out_crc;
+  uint32_t in_crc;
+  bool operator==(const BuildRow&) const = default;
+};
+
+constexpr BuildRow kBuildGolden[] = {
+    {ParityGraph::kRmat8, BuildKind::kUndirected, 256, 2052u,
+     0x5c290c22u, 0x5c290c22u},
+    {ParityGraph::kRmat8, BuildKind::kDirectedDedup, 256, 1160u,
+     0x7c141cf5u, 0x008b921cu},
+    {ParityGraph::kRmat8, BuildKind::kDirectedRaw, 256, 1536u,
+     0x6788c6deu, 0xe54be30fu},
+    {ParityGraph::kRmat12, BuildKind::kUndirected, 4096, 52996u,
+     0x6f303d9fu, 0x6f303d9fu},
+    {ParityGraph::kRmat12, BuildKind::kDirectedDedup, 4096, 28482u,
+     0x28c1d683u, 0x308f2cdau},
+    {ParityGraph::kRmat12, BuildKind::kDirectedRaw, 4096, 32768u,
+     0xca549396u, 0x4c4620e6u},
+    {ParityGraph::kRmat14, BuildKind::kUndirected, 16384, 227936u,
+     0xee22d41au, 0xee22d41au},
+    {ParityGraph::kRmat14, BuildKind::kDirectedDedup, 16384, 119893u,
+     0xf8902b9eu, 0xda61cd27u},
+    {ParityGraph::kRmat14, BuildKind::kDirectedRaw, 16384, 131072u,
+     0x90bbbc01u, 0x7e72eea4u},
+    {ParityGraph::kSocial, BuildKind::kUndirected, 2000, 7734u,
+     0x266de552u, 0x266de552u},
+    {ParityGraph::kSocial, BuildKind::kDirectedDedup, 2000, 3867u,
+     0xdff2fd62u, 0xb783649fu},
+    {ParityGraph::kSocial, BuildKind::kDirectedRaw, 2000, 3867u,
+     0xdff2fd62u, 0xb783649fu},
+};
+
+const char* GraphEnum(ParityGraph which) {
+  switch (which) {
+    case ParityGraph::kRmat8: return "ParityGraph::kRmat8";
+    case ParityGraph::kRmat12: return "ParityGraph::kRmat12";
+    case ParityGraph::kRmat14: return "ParityGraph::kRmat14";
+    case ParityGraph::kSocial: return "ParityGraph::kSocial";
   }
+  return "?";
+}
+
+const char* PolicyEnum(ParsePolicy policy) {
+  switch (policy) {
+    case ParsePolicy::kDefault: return "ParsePolicy::kDefault";
+    case ParsePolicy::kDropLoops: return "ParsePolicy::kDropLoops";
+    case ParsePolicy::kDropDuplicates: return "ParsePolicy::kDropDuplicates";
+    case ParsePolicy::kDropBoth: return "ParsePolicy::kDropBoth";
+  }
+  return "?";
+}
+
+const char* KindEnum(BuildKind kind) {
+  switch (kind) {
+    case BuildKind::kUndirected: return "BuildKind::kUndirected";
+    case BuildKind::kDirectedDedup: return "BuildKind::kDirectedDedup";
+    case BuildKind::kDirectedRaw: return "BuildKind::kDirectedRaw";
+  }
+  return "?";
+}
+
+std::string ToString(const ParseRow& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "{%s, %s, %u, %lluu, 0x%08xu}",
+                GraphEnum(r.graph), PolicyEnum(r.policy), r.num_vertices,
+                static_cast<unsigned long long>(r.num_edges), r.edges_crc);
+  return buf;
+}
+
+std::string ToString(const BuildRow& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "{%s, %s, %u, %lluu, 0x%08xu, 0x%08xu}",
+                GraphEnum(r.graph), KindEnum(r.kind), r.num_vertices,
+                static_cast<unsigned long long>(r.num_adjacency_entries),
+                r.out_crc, r.in_crc);
+  return buf;
+}
+
+ParseRow ParseGolden(ParityGraph graph, ParsePolicy policy) {
+  for (const ParseRow& row : kParseGolden) {
+    if (row.graph == graph && row.policy == policy) return row;
+  }
+  ADD_FAILURE() << "no golden parse row";
+  return {};
+}
+
+BuildRow BuildGolden(ParityGraph graph, BuildKind kind) {
+  for (const BuildRow& row : kBuildGolden) {
+    if (row.graph == graph && row.kind == kind) return row;
+  }
+  ADD_FAILURE() << "no golden build row";
+  return {};
+}
+
+ParseRow ActualParseRow(ParityGraph graph, ParsePolicy policy,
+                        const EdgeList& edges) {
+  return {graph, policy, edges.num_vertices(), edges.num_edges(),
+          Crc32c(edges.edges().data(), edges.num_edges() * sizeof(Edge))};
+}
+
+// CRC32C over every row in vertex order, each folded as its uint64 length
+// followed by its targets: pins the offsets and the target array together.
+uint32_t RowsCrc(const Graph& g, bool out) {
+  uint32_t state = kCrc32cInit;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    auto row = out ? g.OutNeighbors(v) : g.InNeighbors(v);
+    const uint64_t degree = row.size();
+    state = Crc32cUpdate(state, &degree, sizeof(degree));
+    state = Crc32cUpdate(state, row.data(), row.size() * sizeof(VertexId));
+  }
+  return Crc32cFinalize(state);
+}
+
+BuildRow ActualBuildRow(ParityGraph graph, BuildKind kind, const Graph& g) {
+  return {graph,         kind, g.num_vertices(), g.num_adjacency_entries(),
+          RowsCrc(g, true), RowsCrc(g, false)};
+}
+
+Result<Graph> Build(const EdgeList& edges, BuildKind kind, ThreadPool* pool) {
+  CsrBuildOptions options;
+  options.pool = pool;
+  if (kind == BuildKind::kUndirected) {
+    return GraphBuilder::Undirected(edges, options);
+  }
+  options.dedup = kind == BuildKind::kDirectedDedup;
+  return GraphBuilder::Directed(edges, options);
 }
 
 // ------------------------------------------------------------ parse parity
@@ -139,23 +315,13 @@ TEST_P(ParseParityTest, ParallelParseIsByteIdenticalToSerial) {
   std::string path = dir->File(ParityGraphName(which) + ".e");
   ASSERT_TRUE(WriteEdgeListText(ParityEdges(which), path).ok());
 
-  EdgeListParseOptions options = MakePolicy(policy);
-  auto serial = ReadEdgeListText(path, options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  EtlOptions etl;
-  etl.threads = threads;
-  auto parallel = ReadEdgeListText(path, options, etl);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectSameEdgeList(*serial, *parallel);
-
-  // A shared pool must behave exactly like a private one.
-  ThreadPool pool(threads);
-  EtlOptions pooled;
-  pooled.pool = &pool;
-  auto shared = ReadEdgeListText(path, options, pooled);
-  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-  ExpectSameEdgeList(*serial, *shared);
+  MaybePool pool(threads);
+  auto parsed =
+      ReadEdgeListText(path, MakePolicy(policy), {.pool = pool.get()});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ParseRow actual = ActualParseRow(which, policy, *parsed);
+  EXPECT_EQ(actual, ParseGolden(which, policy))
+      << "actual row: " << ToString(actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,11 +332,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ParsePolicy::kDefault, ParsePolicy::kDropLoops,
                           ParsePolicy::kDropDuplicates,
                           ParsePolicy::kDropBoth),
-        ::testing::Values(size_t{1}, size_t{2}, size_t{8})),
+        ::testing::Values(size_t{0}, size_t{1}, size_t{2}, size_t{8})),
     [](const ::testing::TestParamInfo<ParseParityParam>& info) {
       return ParityGraphName(std::get<0>(info.param)) + "_" +
-             PolicyName(std::get<1>(info.param)) + "_t" +
-             std::to_string(std::get<2>(info.param));
+             PolicyName(std::get<1>(info.param)) + "_" +
+             PoolName(std::get<2>(info.param));
     });
 
 TEST(ParseParityTest, VertexFileParityAndIsolatedVertices) {
@@ -185,54 +351,57 @@ TEST(ParseParityTest, VertexFileParityAndIsolatedVertices) {
       v << id << "\n";
     }
   }
-  auto serial = ReadGraphalyticsDataset(prefix);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial->num_vertices(), edges.num_vertices() + 5);
-  EtlOptions etl;
-  etl.threads = 8;
-  auto parallel = ReadGraphalyticsDataset(prefix, EdgeListParseOptions{}, etl);
-  ASSERT_TRUE(parallel.ok());
-  ExpectSameEdgeList(*serial, *parallel);
+  const ParseRow golden =
+      ParseGolden(ParityGraph::kRmat8, ParsePolicy::kDefault);
+  for (size_t threads : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE(PoolName(threads));
+    MaybePool pool(threads);
+    auto read = ReadGraphalyticsDataset(prefix, {}, {.pool = pool.get()});
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->num_vertices(), edges.num_vertices() + 5);
+    EXPECT_EQ(read->num_edges(), golden.num_edges);
+    EXPECT_EQ(Crc32c(read->edges().data(), read->num_edges() * sizeof(Edge)),
+              golden.edges_crc);
+  }
 }
 
 // ----------------------------------------------------- error-message parity
 
-// Writes `lines` joined by '\n' and returns the parse status at the given
-// thread count (0 = serial two-arg overload).
+// Writes `lines` joined by '\n' and returns the parse status on `pool`.
 Status ParseStatus(const TempDir& dir, const std::string& name,
                    const std::vector<std::string>& lines,
-                   const EdgeListParseOptions& options, size_t threads) {
+                   const EdgeListParseOptions& options, ThreadPool* pool) {
   std::string path = dir.File(name);
   std::ofstream out(path);
   for (const std::string& line : lines) out << line << "\n";
   out.close();
-  if (threads == 0) return ReadEdgeListText(path, options).status();
-  EtlOptions etl;
-  etl.threads = threads;
-  return ReadEdgeListText(path, options, etl).status();
+  return ReadEdgeListText(path, options, {.pool = pool}).status();
 }
 
+// The serial parser's messages, as `<path>` + suffix.
 TEST(ParseErrorParityTest, MalformedLineMessagesMatchSerial) {
   auto dir = TempDir::Create("etl_parity");
   ASSERT_TRUE(dir.ok());
-  const std::vector<std::vector<std::string>> cases = {
-      {"0 1", "1 2", "2 x"},             // non-numeric token
-      {"0 1", "5", "1 2"},               // truncated line
-      {"0 1", "", "1 2", "3"},           // blank line then truncated
-      {"junk"},                          // first line bad
-      {"0 1", "1 2x"},                   // trailing garbage inside a token
+  struct Case {
+    std::vector<std::string> lines;
+    std::string message_suffix;
+  };
+  const std::vector<Case> cases = {
+      {{"0 1", "1 2", "2 x"}, ":3: cannot parse uint64: 'x'"},
+      {{"0 1", "5", "1 2"}, ":2: expected 'src dst'"},
+      {{"0 1", "", "1 2", "3"}, ":4: expected 'src dst'"},
+      {{"junk"}, ":1: expected 'src dst'"},
+      {{"0 1", "1 2x"}, ":2: cannot parse uint64: '2x'"},
   };
   for (size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE("case " + std::to_string(i));
-    Status serial = ParseStatus(*dir, "err" + std::to_string(i) + ".e",
-                                cases[i], EdgeListParseOptions{}, 0);
-    ASSERT_FALSE(serial.ok());
-    for (size_t threads : {size_t{2}, size_t{8}}) {
-      Status parallel = ParseStatus(*dir, "err" + std::to_string(i) + ".e",
-                                    cases[i], EdgeListParseOptions{}, threads);
-      EXPECT_EQ(serial.code(), parallel.code());
-      EXPECT_EQ(serial.message(), parallel.message())
-          << "threads=" << threads;
+    const std::string name = "err" + std::to_string(i) + ".e";
+    for (size_t threads : {size_t{0}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE("case " + std::to_string(i) + " " + PoolName(threads));
+      MaybePool pool(threads);
+      Status s = ParseStatus(*dir, name, cases[i].lines,
+                             EdgeListParseOptions{}, pool.get());
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_EQ(s.message(), dir->File(name) + cases[i].message_suffix);
     }
   }
 }
@@ -243,19 +412,19 @@ TEST(ParseErrorParityTest, VertexIdLimitMessagesMatchSerial) {
   EdgeListParseOptions options;
   options.max_vertex_id = 10;
   std::vector<std::string> lines = {"0 1", "3 9", "2 11", "0 2"};
-  Status serial = ParseStatus(*dir, "limit.e", lines, options, 0);
-  ASSERT_FALSE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    Status parallel = ParseStatus(*dir, "limit.e", lines, options, threads);
-    EXPECT_EQ(serial.code(), parallel.code());
-    EXPECT_EQ(serial.message(), parallel.message());
+  for (size_t threads : {size_t{0}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(PoolName(threads));
+    MaybePool pool(threads);
+    Status s = ParseStatus(*dir, "limit.e", lines, options, pool.get());
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(s.message(),
+              dir->File("limit.e") + ":3: vertex id 11 exceeds limit 10");
   }
 }
 
 TEST(ParseErrorParityTest, EarliestErrorLineWinsAcrossChunks) {
   // A file long enough that 8 threads split it into many chunks, with two
-  // errors in different chunks: the parallel path must report the earlier
-  // one, exactly as the serial first-error scan does.
+  // errors in different chunks: every path must report the earlier one.
   auto dir = TempDir::Create("etl_parity");
   ASSERT_TRUE(dir.ok());
   std::vector<std::string> lines;
@@ -265,16 +434,14 @@ TEST(ParseErrorParityTest, EarliestErrorLineWinsAcrossChunks) {
   }
   lines[15000] = "late bad line";
   lines[4321] = "early bad line";
-  Status serial =
-      ParseStatus(*dir, "multi.e", lines, EdgeListParseOptions{}, 0);
-  ASSERT_FALSE(serial.ok());
-  EXPECT_NE(serial.message().find(":4322:"), std::string::npos)
-      << serial.message();
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    Status parallel =
-        ParseStatus(*dir, "multi.e", lines, EdgeListParseOptions{}, threads);
-    EXPECT_EQ(serial.code(), parallel.code());
-    EXPECT_EQ(serial.message(), parallel.message()) << "threads=" << threads;
+  for (size_t threads : {size_t{0}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(PoolName(threads));
+    MaybePool pool(threads);
+    Status s = ParseStatus(*dir, "multi.e", lines, EdgeListParseOptions{},
+                           pool.get());
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(s.message(),
+              dir->File("multi.e") + ":4322: cannot parse uint64: 'early'");
   }
 }
 
@@ -286,51 +453,17 @@ class BuildParityTest : public ::testing::TestWithParam<BuildParityParam> {};
 
 TEST_P(BuildParityTest, ParallelCsrBuildIsByteIdenticalToSerial) {
   const auto& [which, threads] = GetParam();
-  const EdgeList& edges = ParityEdges(which);
-
-  CsrBuildOptions par;
-  par.threads = threads;
-
-  {
-    SCOPED_TRACE("undirected");
-    auto serial = GraphBuilder::Undirected(edges);
-    ASSERT_TRUE(serial.ok());
-    auto parallel = GraphBuilder::Undirected(edges, par);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_TRUE(parallel->Validate().ok());
-    ExpectSameGraph(*serial, *parallel);
+  MaybePool pool(threads);
+  for (BuildKind kind : {BuildKind::kUndirected, BuildKind::kDirectedDedup,
+                         BuildKind::kDirectedRaw}) {
+    SCOPED_TRACE(KindEnum(kind));
+    auto built = Build(ParityEdges(which), kind, pool.get());
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_TRUE(built->Validate().ok());
+    const BuildRow actual = ActualBuildRow(which, kind, *built);
+    EXPECT_EQ(actual, BuildGolden(which, kind))
+        << "actual row: " << ToString(actual);
   }
-  {
-    SCOPED_TRACE("directed dedup");
-    auto serial = GraphBuilder::Directed(edges, /*dedup=*/true);
-    ASSERT_TRUE(serial.ok());
-    CsrBuildOptions opts = par;
-    opts.dedup = true;
-    auto parallel = GraphBuilder::Directed(edges, opts);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_TRUE(parallel->Validate().ok());
-    ExpectSameGraph(*serial, *parallel);
-  }
-  {
-    SCOPED_TRACE("directed raw");
-    auto serial = GraphBuilder::Directed(edges, /*dedup=*/false);
-    ASSERT_TRUE(serial.ok());
-    CsrBuildOptions opts = par;
-    opts.dedup = false;
-    auto parallel = GraphBuilder::Directed(edges, opts);
-    ASSERT_TRUE(parallel.ok());
-    ExpectSameGraph(*serial, *parallel);
-  }
-
-  // Shared pool variant must match the private-pool build.
-  ThreadPool pool(threads);
-  CsrBuildOptions pooled;
-  pooled.pool = &pool;
-  auto serial = GraphBuilder::Undirected(edges);
-  ASSERT_TRUE(serial.ok());
-  auto shared = GraphBuilder::Undirected(edges, pooled);
-  ASSERT_TRUE(shared.ok());
-  ExpectSameGraph(*serial, *shared);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -338,10 +471,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(ParityGraph::kRmat8, ParityGraph::kRmat12,
                           ParityGraph::kRmat14, ParityGraph::kSocial),
-        ::testing::Values(size_t{1}, size_t{2}, size_t{8})),
+        ::testing::Values(size_t{0}, size_t{1}, size_t{2}, size_t{8})),
     [](const ::testing::TestParamInfo<BuildParityParam>& info) {
-      return ParityGraphName(std::get<0>(info.param)) + "_t" +
-             std::to_string(std::get<1>(info.param));
+      return ParityGraphName(std::get<0>(info.param)) + "_" +
+             PoolName(std::get<1>(info.param));
     });
 
 // --------------------------------------------- end-to-end pipeline parity
@@ -353,23 +486,106 @@ TEST(EtlPipelineParityTest, FileToGraphMatchesSerialAtEveryStage) {
   std::string path = dir->File("pipeline.e");
   ASSERT_TRUE(WriteEdgeListText(edges, path).ok());
 
-  auto serial_edges = ReadEdgeListText(path);
-  ASSERT_TRUE(serial_edges.ok());
-  auto serial_graph = GraphBuilder::Undirected(*serial_edges);
-  ASSERT_TRUE(serial_graph.ok());
+  // The parsed list has the generator's edges and vertex bound, so the
+  // graph built from it must match the generator list's build row.
+  for (size_t threads : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE(PoolName(threads));
+    MaybePool pool(threads);
+    auto parsed = ReadEdgeListText(path, {}, {.pool = pool.get()});
+    ASSERT_TRUE(parsed.ok());
+    const ParseRow parse_row = ActualParseRow(
+        ParityGraph::kRmat12, ParsePolicy::kDefault, *parsed);
+    EXPECT_EQ(parse_row,
+              ParseGolden(ParityGraph::kRmat12, ParsePolicy::kDefault))
+        << "actual row: " << ToString(parse_row);
+    auto built = Build(*parsed, BuildKind::kUndirected, pool.get());
+    ASSERT_TRUE(built.ok());
+    const BuildRow build_row =
+        ActualBuildRow(ParityGraph::kRmat12, BuildKind::kUndirected, *built);
+    EXPECT_EQ(build_row,
+              BuildGolden(ParityGraph::kRmat12, BuildKind::kUndirected))
+        << "actual row: " << ToString(build_row);
+  }
+}
 
-  ThreadPool pool(8);
-  EtlOptions etl;
-  etl.pool = &pool;
-  auto parallel_edges = ReadEdgeListText(path, EdgeListParseOptions{}, etl);
-  ASSERT_TRUE(parallel_edges.ok());
-  CsrBuildOptions build;
-  build.pool = &pool;
-  auto parallel_graph = GraphBuilder::Undirected(*parallel_edges, build);
-  ASSERT_TRUE(parallel_graph.ok());
+// ------------------------------------------------- inline-path edge cases
 
-  ExpectSameEdgeList(*serial_edges, *parallel_edges);
-  ExpectSameGraph(*serial_graph, *parallel_graph);
+TEST(EtlInlineTest, NullPoolEdgeCases) {
+  auto dir = TempDir::Create("etl_parity");
+  ASSERT_TRUE(dir.ok());
+  auto write = [&](const std::string& name, const std::string& text) {
+    std::ofstream out(dir->File(name));
+    out << text;
+    return dir->File(name);
+  };
+
+  {
+    SCOPED_TRACE("empty edge list");
+    auto parsed = ReadEdgeListText(write("empty.e", ""));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->num_vertices(), 0u);
+    EXPECT_EQ(parsed->num_edges(), 0u);
+    for (BuildKind kind : {BuildKind::kUndirected, BuildKind::kDirectedDedup,
+                           BuildKind::kDirectedRaw}) {
+      auto built = Build(*parsed, kind, nullptr);
+      ASSERT_TRUE(built.ok());
+      EXPECT_EQ(built->num_vertices(), 0u);
+      EXPECT_EQ(built->num_adjacency_entries(), 0u);
+      EXPECT_TRUE(built->Validate().ok());
+    }
+  }
+  {
+    SCOPED_TRACE("only self-loops");
+    auto parsed = ReadEdgeListText(write("loops.e", "3 3\n5 5\n3 3\n"));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->num_vertices(), 6u);
+    EXPECT_EQ(parsed->num_edges(), 3u);
+    for (BuildKind kind : {BuildKind::kUndirected, BuildKind::kDirectedDedup}) {
+      auto built = Build(*parsed, kind, nullptr);
+      ASSERT_TRUE(built.ok());
+      EXPECT_EQ(built->num_vertices(), 6u);
+      EXPECT_EQ(built->num_adjacency_entries(), 0u);
+      EXPECT_TRUE(built->Validate().ok());
+    }
+    auto raw = Build(*parsed, BuildKind::kDirectedRaw, nullptr);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ(raw->num_adjacency_entries(), 3u);
+    EXPECT_EQ(std::vector<VertexId>(raw->OutNeighbors(3).begin(),
+                                    raw->OutNeighbors(3).end()),
+              (std::vector<VertexId>{3, 3}));
+    EXPECT_TRUE(raw->Validate().ok());
+  }
+  {
+    SCOPED_TRACE(".v-only isolated high-id vertex");
+    write("iso.e", "0 1\n");
+    write("iso.v", "0\n1\n1000\n");
+    auto parsed = ReadGraphalyticsDataset(dir->File("iso"));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->num_vertices(), 1001u);
+    auto built = Build(*parsed, BuildKind::kUndirected, nullptr);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(built->num_vertices(), 1001u);
+    EXPECT_EQ(built->num_edges(), 1u);
+    EXPECT_EQ(built->Degree(1000), 0u);
+    EXPECT_TRUE(built->Validate().ok());
+  }
+  {
+    SCOPED_TRACE("pre-cancelled token");
+    CancelToken token;
+    token.Cancel(CancelReason::kDeadline, "budget spent");
+    const Status expected = token.ToStatus();
+    const std::string path = write("cancel.e", "0 1\n1 2\n");
+    Status parsed = ReadEdgeListText(path, {}, {.cancel = &token}).status();
+    EXPECT_EQ(parsed.code(), expected.code());
+    EXPECT_EQ(parsed.message(), expected.message());
+    const EdgeList& edges = ParityEdges(ParityGraph::kRmat8);
+    for (Result<Graph> built :
+         {GraphBuilder::Undirected(edges, {.cancel = &token}),
+          GraphBuilder::Directed(edges, {.cancel = &token})}) {
+      EXPECT_EQ(built.status().code(), expected.code());
+      EXPECT_EQ(built.status().message(), expected.message());
+    }
+  }
 }
 
 // ------------------------------------------------------- reorder + map-back

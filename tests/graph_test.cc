@@ -98,7 +98,7 @@ TEST(GraphBuilderTest, DirectedKeepsDuplicatesWhenAsked) {
   EdgeList edges;
   edges.Add(0, 1);
   edges.Add(0, 1);
-  auto g = GraphBuilder::Directed(edges, /*dedup=*/false);
+  auto g = GraphBuilder::Directed(edges, {.dedup = false});
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 2u);
 }

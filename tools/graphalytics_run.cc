@@ -84,7 +84,7 @@ monitor = true
 # optional degree-descending relabeling for traversal locality. Outputs and
 # validation always speak original vertex ids; CD/EVO cells are refused on
 # reordered graphs (recorded failures) because their dynamics are id-seeded.
-etl.threads = 1            # 0 = all hardware threads
+etl.threads = 1            # 1 = no pool, 0 = all hardware threads
 graph.reorder = none       # degree | none (per-graph: graph.<name>.reorder)
 
 # Robustness: per-cell wall-clock timeout (0 = none), bounded retry with
@@ -116,7 +116,6 @@ retry_backoff_s = 0.5
 # equivalent to a serial run's.
 harness.jobs = 1
 harness.memory_budget_mb = 0
-harness.graph_cache = true
 )";
 
 void PrintUsage(const char* argv0) {
