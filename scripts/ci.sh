@@ -7,7 +7,12 @@
 #   2. asan        — GLY_SANITIZE=address build running the `ingest`,
 #                    `robustness`, `conformance`, and `hotpath` CTest
 #                    labels: the one text parser that reads every
-#                    untrusted edge file, fault-injection,
+#                    untrusted edge file, the one JSON reader
+#                    (common/json) that reads every journal, metrics,
+#                    trace and profile artifact (json_test's RFC 8259
+#                    cases, and robustness_test's seeded byte mutations of
+#                    the committed samples and 10^6-deep documents through
+#                    all four decoders), fault-injection,
 #                    checkpoint/recovery, WAL/resume,
 #                    cancellation, the cross-engine kernel-conformance
 #                    suites, and the golden hot-path pins (recycled arenas,
@@ -23,6 +28,8 @@
 #                    observability label), the cancellation/
 #                    watchdog/grace-join paths (harness watchdog vs attempt
 #                    thread, token polls from every engine), the
+#                    artifact readers (json_test and the byte-mutation
+#                    sweep ride the robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
 #                    writer), and the golden hot-path pins (work-stealing
@@ -44,7 +51,8 @@
 #                    graph across all four engines whose trace.json,
 #                    per-cell profile-*.json, profile.folded, and
 #                    trace_analyze / results_query outputs must all
-#                    validate.
+#                    validate, and whose results.jsonl results_query
+#                    must read back with --summary and --failures.
 #   5. bench-smoke — fig4_runtimes kernel duel, the ext_etl_times
 #                    parse/build duel, and the engines_hotpath engine-level
 #                    bench (pooled hot paths, scale ${ENGINE_BENCH_SCALE}),
@@ -150,6 +158,10 @@ python3 scripts/validate_trace.py "${PROFILE_DIR}/profile-offline.json"
     "${PROFILE_DIR}/report/trace/profile.json" --top 5
 "${TIER1_DIR}/tools/results_query" --critical-path \
     "${PROFILE_DIR}/report/trace/profile.json"
+"${TIER1_DIR}/tools/results_query" "${PROFILE_DIR}/report/results.jsonl" \
+    --summary
+"${TIER1_DIR}/tools/results_query" "${PROFILE_DIR}/report/results.jsonl" \
+    --failures
 
 echo "==> [5/6] bench-smoke: kernel duel at scale ${BENCH_SCALE} vs baseline"
 "${TIER1_DIR}/bench/fig4_runtimes" --kernels-only \

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -119,56 +120,41 @@ std::string Registry::ToJsonl() const {
 
 namespace {
 
-// Extracts the value of `"key":` from a flat JSON line; empty if absent.
-// Values here are numbers, bare strings, or the items array — none of the
-// repo's metric names contain the delimiters this scans for.
-std::string_view RawField(std::string_view line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  size_t start = pos + needle.size();
-  size_t end = start;
-  if (end < line.size() && line[end] == '[') {
-    int depth = 0;
-    while (end < line.size()) {
-      if (line[end] == '[') ++depth;
-      if (line[end] == ']' && --depth == 0) {
-        ++end;
-        break;
+// One metric line of metrics.jsonl, added to *out. Histograms are rebuilt
+// from their exact `items` pairs; the summary fields are derived.
+Status DecodeMetricLine(const json::Value& line, uint64_t schema_version,
+                        std::map<std::string, MetricValue>* out) {
+  GLY_ASSIGN_OR_RETURN(std::string name, line.Get<std::string>("name"));
+  GLY_ASSIGN_OR_RETURN(std::string type, line.Get<std::string>("type"));
+  MetricValue v;
+  if (type == "counter") {
+    v.type = MetricValue::Type::kCounter;
+    GLY_ASSIGN_OR_RETURN(v.counter, line.Get<uint64_t>("value"));
+  } else if (type == "gauge") {
+    v.type = MetricValue::Type::kGauge;
+    GLY_ASSIGN_OR_RETURN(v.gauge, line.Get<double>("value"));
+  } else if (type == "histogram") {
+    v.type = MetricValue::Type::kHistogram;
+    GLY_ASSIGN_OR_RETURN(const json::Value::Array* items,
+                         line.GetArray("items"));
+    for (const json::Value& item : *items) {
+      const json::Value::Array* pair = item.array();
+      if (pair == nullptr || pair->size() != 2) {
+        return Status::InvalidArgument("malformed histogram pair: " + name);
       }
-      ++end;
+      GLY_ASSIGN_OR_RETURN(uint64_t value, (*pair)[0].As<uint64_t>());
+      GLY_ASSIGN_OR_RETURN(uint64_t count, (*pair)[1].As<uint64_t>());
+      v.histogram.Add(value, count);
     }
-  } else if (end < line.size() && line[end] == '"') {
-    ++end;
-    while (end < line.size() && line[end] != '"') {
-      if (line[end] == '\\') ++end;
-      ++end;
-    }
-    if (end < line.size()) ++end;
+  } else if (schema_version <= 1) {
+    // Version 1 has a closed type set, so an unknown type there is
+    // corruption; newer versions may add types this reader skips.
+    return Status::InvalidArgument("unknown metric type \"" + type + "\"");
   } else {
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+    return Status::OK();
   }
-  return line.substr(start, end - start);
-}
-
-Result<std::string> StringField(std::string_view line, std::string_view key) {
-  std::string_view raw = RawField(line, key);
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
-    return Status::InvalidArgument("metrics jsonl: missing string field \"" +
-                                   std::string(key) + "\"");
-  }
-  // Metric names never need unescaping in practice, but honor the format.
-  std::string_view body = raw.substr(1, raw.size() - 2);
-  std::string out;
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (body[i] == '\\' && i + 1 < body.size()) ++i;
-    out += body[i];
-  }
-  return out;
+  (*out)[name] = std::move(v);
+  return Status::OK();
 }
 
 }  // namespace
@@ -176,80 +162,32 @@ Result<std::string> StringField(std::string_view line, std::string_view key) {
 Result<std::map<std::string, MetricValue>> Registry::FromJsonl(
     std::string_view text) {
   std::map<std::string, MetricValue> out;
-  bool saw_header = false;
-  uint64_t schema_version = 0;
+  uint64_t schema_version = 0;  // 0 until the header line is read
   for (const std::string& raw_line : Split(text, '\n')) {
     std::string_view line = Trim(raw_line);
     if (line.empty()) continue;
-    if (!saw_header) {
+    auto doc = json::Parse(line);
+    if (!doc.ok()) return doc.status().WithPrefix("metrics jsonl");
+    if (schema_version == 0) {
       // Forward-compat: accept any schema_version >= 1 so readers built
       // against v1 can still load files from newer writers; unknown keys
-      // anywhere are ignored by the field scanner, and under a newer
-      // version unknown metric *types* are skipped instead of rejected.
-      std::string_view version_raw = RawField(line, "schema_version");
-      std::string_view kind = RawField(line, "kind");
-      auto version = ParseUint64(version_raw);
-      if (!version.ok() || version.ValueOrDie() < 1 ||
-          kind != "\"gly.metrics\"") {
+      // anywhere are ignored, and under a newer version unknown metric
+      // *types* are skipped instead of rejected.
+      auto version = doc->Get<uint64_t>("schema_version");
+      auto kind = doc->Get<std::string>("kind");
+      if (!version.ok() || *version < 1 || !kind.ok() ||
+          *kind != "gly.metrics") {
         return Status::InvalidArgument(
             "metrics jsonl: bad or missing schema header: " +
             std::string(line));
       }
-      schema_version = version.ValueOrDie();
-      saw_header = true;
+      schema_version = *version;
       continue;
     }
-    GLY_ASSIGN_OR_RETURN(std::string name, StringField(line, "name"));
-    GLY_ASSIGN_OR_RETURN(std::string type, StringField(line, "type"));
-    MetricValue v;
-    if (type == "counter") {
-      v.type = MetricValue::Type::kCounter;
-      GLY_ASSIGN_OR_RETURN(v.counter, ParseUint64(RawField(line, "value")));
-    } else if (type == "gauge") {
-      v.type = MetricValue::Type::kGauge;
-      GLY_ASSIGN_OR_RETURN(v.gauge, ParseDouble(RawField(line, "value")));
-    } else if (type == "histogram") {
-      v.type = MetricValue::Type::kHistogram;
-      std::string_view items = RawField(line, "items");
-      if (items.size() < 2 || items.front() != '[' || items.back() != ']') {
-        return Status::InvalidArgument(
-            "metrics jsonl: histogram without items array: " + name);
-      }
-      std::string_view body = items.substr(1, items.size() - 2);
-      size_t pos = 0;
-      while (pos < body.size()) {
-        size_t open = body.find('[', pos);
-        if (open == std::string_view::npos) break;
-        size_t close = body.find(']', open);
-        if (close == std::string_view::npos) {
-          return Status::InvalidArgument(
-              "metrics jsonl: malformed histogram items: " + name);
-        }
-        std::string_view pair = body.substr(open + 1, close - open - 1);
-        size_t comma = pair.find(',');
-        if (comma == std::string_view::npos) {
-          return Status::InvalidArgument(
-              "metrics jsonl: malformed histogram pair: " + name);
-        }
-        GLY_ASSIGN_OR_RETURN(uint64_t value,
-                             ParseUint64(Trim(pair.substr(0, comma))));
-        GLY_ASSIGN_OR_RETURN(uint64_t count,
-                             ParseUint64(Trim(pair.substr(comma + 1))));
-        v.histogram.Add(value, count);
-        pos = close + 1;
-      }
-    } else {
-      // Version 1 has a closed type set, so an unknown type there is
-      // corruption; newer versions may add types this reader skips.
-      if (schema_version <= 1) {
-        return Status::InvalidArgument(
-            "metrics jsonl: unknown metric type \"" + type + "\"");
-      }
-      continue;
-    }
-    out[name] = std::move(v);
+    Status decoded = DecodeMetricLine(*doc, schema_version, &out);
+    if (!decoded.ok()) return decoded.WithPrefix("metrics jsonl");
   }
-  if (!saw_header) {
+  if (schema_version == 0) {
     return Status::InvalidArgument("metrics jsonl: empty document");
   }
   return out;

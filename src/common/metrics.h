@@ -108,7 +108,10 @@ class Registry {
   std::string ToJsonl() const;
 
   /// Parses a ToJsonl() document back into a snapshot (for the round-trip
-  /// test and for external tools). Fails on schema mismatch.
+  /// test and for external tools). Each line goes through json::Parse.
+  /// The header must have kind "gly.metrics" and an integer
+  /// schema_version >= 1; unknown keys are ignored, and an unknown metric
+  /// type is an error under version 1 and skipped under later versions.
   static Result<std::map<std::string, MetricValue>> FromJsonl(
       std::string_view text);
 

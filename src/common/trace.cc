@@ -1,11 +1,12 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -244,379 +245,69 @@ std::vector<PhaseTotal> AggregateSpans(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON reader, just enough to validate a Chrome
-// trace document structurally. Kept private to this translation unit; the
-// repo's JSON artifacts are otherwise line-oriented and never need a full
-// parser.
-
 namespace {
 
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
+// Timestamps and ids arrive as JSON numbers; traces from other tools may
+// carry fractional or out-of-range ones, which clamp instead of failing.
+Result<uint64_t> ClampedNumber(const json::Value& event, std::string_view key,
+                               double max) {
+  GLY_ASSIGN_OR_RETURN(double value, event.Get<double>(key));
+  return static_cast<uint64_t>(std::clamp(value, 0.0, max));
+}
 
-  // Parses one JSON value starting at pos_; on success pos_ is past it.
-  // Object/array callbacks receive keys/elements via Visit().
-  Status ParseValue(TraceCheck* check,
-                    std::vector<TraceEvent>* trace_events) {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Err("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(check, trace_events, /*top_level=*/depth_ == 0);
-      case '[':
-        return ParseArray(check, trace_events, /*is_events=*/false);
-      case '"':
-        return ParseString(nullptr);
-      case 't':
-        return ParseLiteral("true");
-      case 'f':
-        return ParseLiteral("false");
-      case 'n':
-        return ParseLiteral("null");
-      default:
-        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber(nullptr);
-        return Err("unexpected character");
+// One traceEvents element: name/ph/ts/pid/tid are required; string-valued
+// args are kept and other args (legal in the Chrome format, never written
+// by ChromeTraceJson) are skipped.
+Result<TraceEvent> DecodeEvent(const json::Value& element) {
+  TraceEvent event;
+  GLY_ASSIGN_OR_RETURN(event.name, element.Get<std::string>("name"));
+  GLY_ASSIGN_OR_RETURN(std::string phase, element.Get<std::string>("ph"));
+  if (phase.size() != 1) {
+    return Status::InvalidArgument("key \"ph\": not a single character");
+  }
+  event.phase = phase[0];
+  GLY_ASSIGN_OR_RETURN(event.ts_micros, ClampedNumber(element, "ts", 0x1p63));
+  GLY_RETURN_NOT_OK(element.Get<double>("pid").status());
+  GLY_ASSIGN_OR_RETURN(event.tid, ClampedNumber(element, "tid", UINT32_MAX));
+  GLY_ASSIGN_OR_RETURN(event.category, element.GetOr<std::string>("cat", ""));
+  if (const json::Value* args = element.Find("args")) {
+    if (args->object() == nullptr) {
+      return Status::InvalidArgument("key \"args\": expected an object");
+    }
+    for (const auto& [key, value] : *args->object()) {
+      if (const auto text = value.As<std::string>(); text.ok()) {
+        event.args.emplace_back(key, *text);
+      }
     }
   }
-
-  Status Finish() {
-    SkipWhitespace();
-    if (pos_ != text_.size()) return Err("trailing garbage after document");
-    return Status::OK();
-  }
-
-  bool saw_trace_events() const { return saw_trace_events_; }
-
- private:
-  Status Err(const std::string& what) {
-    return Status::InvalidArgument("invalid trace JSON at byte " +
-                                   std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  Status ParseLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return Err("bad literal");
-    pos_ += lit.size();
-    return Status::OK();
-  }
-
-  Status ParseNumber(double* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Err("bad number");
-    if (out != nullptr) {
-      auto parsed = ParseDouble(text_.substr(start, pos_ - start));
-      if (!parsed.ok()) return Err("bad number");
-      *out = *parsed;
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    if (text_[pos_] != '"') return Err("expected string");
-    ++pos_;
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Err("truncated escape");
-        char esc = text_[pos_];
-        switch (esc) {
-          case '"': value += '"'; break;
-          case '\\': value += '\\'; break;
-          case '/': value += '/'; break;
-          case 'n': value += '\n'; break;
-          case 'r': value += '\r'; break;
-          case 't': value += '\t'; break;
-          case 'b': value += '\b'; break;
-          case 'f': value += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return Err("truncated \\u escape");
-            for (int i = 1; i <= 4; ++i) {
-              if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-                return Err("bad \\u escape");
-              }
-            }
-            // Validation only cares about structure; keep a placeholder.
-            value += '?';
-            pos_ += 4;
-            break;
-          }
-          default:
-            return Err("bad escape");
-        }
-        ++pos_;
-      } else {
-        value += c;
-        ++pos_;
-      }
-    }
-    if (pos_ >= text_.size()) return Err("unterminated string");
-    ++pos_;  // closing quote
-    if (out != nullptr) *out = std::move(value);
-    return Status::OK();
-  }
-
-  Status ParseArray(TraceCheck* check, std::vector<TraceEvent>* trace_events,
-                    bool is_events) {
-    ++pos_;  // '['
-    ++depth_;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      --depth_;
-      return Status::OK();
-    }
-    while (true) {
-      if (is_events) {
-        SkipWhitespace();
-        if (pos_ >= text_.size() || text_[pos_] != '{') {
-          return Err("traceEvents element is not an object");
-        }
-        Status s = ParseEventObject(trace_events);
-        if (!s.ok()) return s;
-      } else {
-        Status s = ParseValue(check, trace_events);
-        if (!s.ok()) return s;
-      }
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Err("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        --depth_;
-        return Status::OK();
-      }
-      return Err("expected ',' or ']' in array");
-    }
-  }
-
-  Status ParseObject(TraceCheck* check, std::vector<TraceEvent>* trace_events,
-                     bool top_level) {
-    ++pos_;  // '{'
-    ++depth_;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      --depth_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      Status s = ParseString(&key);
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Err("expected ':' in object");
-      }
-      ++pos_;
-      SkipWhitespace();
-      if (top_level && key == "traceEvents") {
-        if (pos_ >= text_.size() || text_[pos_] != '[') {
-          return Err("traceEvents is not an array");
-        }
-        saw_trace_events_ = true;
-        s = ParseArray(check, trace_events, /*is_events=*/true);
-      } else {
-        s = ParseValue(check, trace_events);
-      }
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Err("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return Status::OK();
-      }
-      return Err("expected ',' or '}' in object");
-    }
-  }
-
-  // One element of traceEvents: requires name/ph/ts/pid/tid and captures
-  // enough of it to re-run the nesting check on the parsed form.
-  Status ParseEventObject(std::vector<TraceEvent>* trace_events) {
-    ++pos_;  // '{'
-    ++depth_;
-    TraceEvent event;
-    bool saw_name = false, saw_ph = false, saw_ts = false, saw_pid = false,
-         saw_tid = false;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      return Err("trace event missing required keys");
-    }
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      Status s = ParseString(&key);
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Err("expected ':' in trace event");
-      }
-      ++pos_;
-      SkipWhitespace();
-      if (key == "name") {
-        s = ParseString(&event.name);
-        saw_name = s.ok();
-      } else if (key == "ph") {
-        std::string ph;
-        s = ParseString(&ph);
-        if (s.ok() && ph.size() != 1) s = Err("ph is not a single character");
-        if (s.ok()) {
-          event.phase = ph[0];
-          saw_ph = true;
-        }
-      } else if (key == "ts") {
-        double ts = 0;
-        s = ParseNumber(&ts);
-        if (s.ok()) {
-          event.ts_micros = static_cast<uint64_t>(ts);
-          saw_ts = true;
-        }
-      } else if (key == "pid") {
-        double v = 0;
-        s = ParseNumber(&v);
-        saw_pid = s.ok();
-      } else if (key == "tid") {
-        double v = 0;
-        s = ParseNumber(&v);
-        if (s.ok()) {
-          event.tid = static_cast<uint32_t>(v);
-          saw_tid = true;
-        }
-      } else if (key == "cat") {
-        s = ParseString(&event.category);
-      } else if (key == "args") {
-        s = ParseArgsObject(&event.args);
-      } else {
-        s = ParseValue(nullptr, nullptr);
-      }
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Err("unterminated trace event");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        break;
-      }
-      return Err("expected ',' or '}' in trace event");
-    }
-    if (!saw_name || !saw_ph || !saw_ts || !saw_pid || !saw_tid) {
-      return Err("trace event missing one of name/ph/ts/pid/tid");
-    }
-    trace_events->push_back(std::move(event));
-    return Status::OK();
-  }
-
-  // The "args" member of a trace event: an object whose string-valued
-  // members are recovered verbatim; non-string values (legal in the Chrome
-  // format, never produced by ChromeTraceJson) are skipped structurally.
-  Status ParseArgsObject(std::vector<TraceArg>* args) {
-    SkipWhitespace();
-    if (pos_ >= text_.size() || text_[pos_] != '{') {
-      return Err("args is not an object");
-    }
-    ++pos_;
-    ++depth_;
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      --depth_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      Status s = ParseString(&key);
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Err("expected ':' in args");
-      }
-      ++pos_;
-      SkipWhitespace();
-      if (pos_ < text_.size() && text_[pos_] == '"') {
-        std::string value;
-        s = ParseString(&value);
-        if (s.ok()) args->emplace_back(std::move(key), std::move(value));
-      } else {
-        s = ParseValue(nullptr, nullptr);
-      }
-      if (!s.ok()) return s;
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Err("unterminated args object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return Status::OK();
-      }
-      return Err("expected ',' or '}' in args");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-  bool saw_trace_events_ = false;
-};
+  return event;
+}
 
 }  // namespace
 
 Result<TraceCheck> ValidateChromeTraceJson(std::string_view json) {
-  JsonReader reader(json);
-  TraceCheck check;
-  std::vector<TraceEvent> events;
-  GLY_RETURN_NOT_OK(reader.ParseValue(&check, &events));
-  GLY_RETURN_NOT_OK(reader.Finish());
-  if (!reader.saw_trace_events()) {
-    return Status::InvalidArgument(
-        "invalid trace JSON: no top-level \"traceEvents\" array");
-  }
+  GLY_ASSIGN_OR_RETURN(std::vector<TraceEvent> events,
+                       ParseChromeTraceJson(json));
   return CheckWellFormed(events);
 }
 
 Result<std::vector<TraceEvent>> ParseChromeTraceJson(std::string_view json) {
-  JsonReader reader(json);
-  TraceCheck check;
-  std::vector<TraceEvent> events;
-  GLY_RETURN_NOT_OK(reader.ParseValue(&check, &events));
-  GLY_RETURN_NOT_OK(reader.Finish());
-  if (!reader.saw_trace_events()) {
+  GLY_ASSIGN_OR_RETURN(json::Value doc, json::Parse(json));
+  auto elements = doc.GetArray("traceEvents");
+  if (!elements.ok()) {
     return Status::InvalidArgument(
         "invalid trace JSON: no top-level \"traceEvents\" array");
+  }
+  std::vector<TraceEvent> events;
+  events.reserve((*elements)->size());
+  for (const json::Value& element : **elements) {
+    auto event = DecodeEvent(element);
+    if (!event.ok()) {
+      return event.status().WithPrefix(
+          "invalid trace JSON: traceEvents[" + std::to_string(events.size()) +
+          "]");
+    }
+    events.push_back(std::move(event).ValueOrDie());
   }
   return events;
 }

@@ -98,6 +98,8 @@ struct ProfileSummary {
   std::vector<std::string> folded;
 };
 
+/// Reads profile.json through json::Parse, in any layout: kind must be
+/// "gly.profile" and schema_version >= 1; unknown keys are ignored.
 Result<ProfileSummary> ParseProfileJson(std::string_view json);
 
 }  // namespace gly::trace

@@ -80,13 +80,10 @@ std::string CellKey(const std::string& platform, const std::string& graph,
   return platform + "/" + graph + "/" + AlgorithmKindName(algorithm);
 }
 
-/// A journaled cell can replace re-execution only if it finished cleanly:
-/// status OK, and validation either passed or was (matching the spec)
-/// deliberately not run. Anything else re-executes.
+/// A journaled cell can replace re-execution only if it finished cleanly
+/// and, when the spec validates, its validation actually ran.
 bool ReusableFromJournal(const RunSpec& spec, const BenchmarkResult& cell) {
-  if (!cell.status.ok()) return false;
-  if (cell.validation.ok()) return true;
-  return !spec.validate && cell.validation.IsUntested();
+  return FinishedCleanly(cell) && (cell.validation.ok() || !spec.validate);
 }
 
 /// A run killed mid-append (the chaos driver's SIGKILL) can leave a torn
@@ -110,8 +107,9 @@ void SealTornJournalTail(const std::string& path) {
 }
 
 /// Loads the completion journal, keeping the last entry per cell.
-/// Malformed lines (e.g. a torn tail from a killed run) are skipped, not
-/// fatal — resume must work exactly after a crash.
+/// Malformed lines — anything that is not one complete JSON object, e.g. a
+/// torn tail from a killed run — are skipped, not fatal: resume must work
+/// exactly after a crash.
 std::map<std::string, BenchmarkResult> LoadJournal(const std::string& path) {
   std::map<std::string, BenchmarkResult> cells;
   std::ifstream file(path);
@@ -224,6 +222,11 @@ struct CellRef {
 };
 
 }  // namespace
+
+bool FinishedCleanly(const BenchmarkResult& cell) {
+  return cell.status.ok() &&
+         (cell.validation.ok() || cell.validation.IsUntested());
+}
 
 Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
                                                   const ResultCallback& on_result) {

@@ -251,6 +251,11 @@ struct BenchmarkResult {
   std::map<std::string, std::string> platform_metrics;
 };
 
+/// True when a cell finished cleanly: status OK, and validation passed or
+/// was never run. results_query counts every other cell as failed, and
+/// --resume re-executes it.
+bool FinishedCleanly(const BenchmarkResult& cell);
+
 /// Callback invoked after each cell (progress reporting).
 using ResultCallback = std::function<void(const BenchmarkResult&)>;
 

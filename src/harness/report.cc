@@ -1,12 +1,12 @@
 #include "harness/report.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "common/csv.h"
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -18,73 +18,64 @@ std::string CellKey(const BenchmarkResult& r) {
   return r.graph + "/" + r.platform;
 }
 
-// Minimal flat-JSON field extraction, matched to ResultToJson's output
-// shape (no whitespace, top-level fields before the "metrics" object).
+// A journal status field: the code name ResultToJson wrote (messages are
+// not round-tripped).
+Status StatusFromJson(const json::Value& doc, std::string_view key,
+                      Status* out) {
+  GLY_ASSIGN_OR_RETURN(std::string name, doc.Get<std::string>(key));
+  StatusCode code;
+  if (!StatusCodeFromString(name, &code)) {
+    return Status::InvalidArgument("unknown status code: " + name);
+  }
+  *out = code == StatusCode::kOk ? Status::OK() : Status(code, "from journal");
+  return Status::OK();
+}
 
-std::string JsonUnescape(std::string_view s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
+Status DecodeResult(const json::Value& doc, BenchmarkResult* r) {
+  GLY_ASSIGN_OR_RETURN(r->platform, doc.Get<std::string>("platform"));
+  GLY_ASSIGN_OR_RETURN(r->graph, doc.Get<std::string>("graph"));
+  GLY_ASSIGN_OR_RETURN(std::string algorithm,
+                       doc.Get<std::string>("algorithm"));
+  GLY_ASSIGN_OR_RETURN(r->algorithm, ParseAlgorithmKind(algorithm));
+  GLY_RETURN_NOT_OK(StatusFromJson(doc, "status", &r->status));
+  GLY_RETURN_NOT_OK(StatusFromJson(doc, "validation", &r->validation));
+  // Everything else is optional: journals written before the output
+  // checksum, cancellation and tracing fields existed must still resume.
+  GLY_ASSIGN_OR_RETURN(r->runtime_seconds, doc.GetOr("runtime_s", 0.0));
+  GLY_ASSIGN_OR_RETURN(r->load_seconds, doc.GetOr("load_s", 0.0));
+  GLY_ASSIGN_OR_RETURN(r->traversed_edges,
+                       doc.GetOr<uint64_t>("traversed_edges", 0));
+  GLY_ASSIGN_OR_RETURN(r->teps, doc.GetOr("teps", 0.0));
+  GLY_ASSIGN_OR_RETURN(r->output_checksum,
+                       doc.GetOr<uint32_t>("output_checksum", 0));
+  GLY_ASSIGN_OR_RETURN(r->attempts, doc.GetOr<uint32_t>("attempts", 0));
+  GLY_ASSIGN_OR_RETURN(r->timed_out, doc.GetOr("timed_out", false));
+  GLY_ASSIGN_OR_RETURN(r->cancelled, doc.GetOr("cancelled", false));
+  GLY_ASSIGN_OR_RETURN(r->stalled, doc.GetOr("stalled", false));
+  GLY_ASSIGN_OR_RETURN(r->cancel_reason,
+                       doc.GetOr<std::string>("cancel_reason", ""));
+  GLY_ASSIGN_OR_RETURN(r->cancel_join_seconds, doc.GetOr("cancel_join_s", 0.0));
+  GLY_ASSIGN_OR_RETURN(r->injected_faults,
+                       doc.GetOr<uint64_t>("injected_faults", 0));
+  GLY_ASSIGN_OR_RETURN(r->resumed, doc.GetOr("resumed", false));
+  GLY_ASSIGN_OR_RETURN(r->recoveries, doc.GetOr<uint64_t>("recoveries", 0));
+  GLY_ASSIGN_OR_RETURN(r->supersteps_replayed,
+                       doc.GetOr<uint64_t>("supersteps_replayed", 0));
+  GLY_ASSIGN_OR_RETURN(r->resources.peak_rss_bytes,
+                       doc.GetOr<uint64_t>("peak_rss_bytes", 0));
+  GLY_ASSIGN_OR_RETURN(r->trace_spans, doc.GetOr<uint64_t>("trace_spans", 0));
+  GLY_ASSIGN_OR_RETURN(r->top_phases, doc.GetOr<std::string>("top_phases", ""));
+  GLY_ASSIGN_OR_RETURN(r->critical_path_seconds,
+                       doc.GetOr("critical_path_s", 0.0));
+  if (const json::Value* metrics = doc.Find("metrics")) {
+    if (metrics->object() == nullptr) {
+      return Status::InvalidArgument("key \"metrics\": expected an object");
     }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtoul(std::string(s.substr(i + 1, 4)).c_str(), nullptr,
-                           16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
+    for (const auto& [key, value] : *metrics->object()) {
+      GLY_ASSIGN_OR_RETURN(r->platform_metrics[key], value.As<std::string>());
     }
   }
-  return out;
-}
-
-/// Scans a quoted JSON string starting at `pos` (the opening quote);
-/// returns the index one past the closing quote, or npos.
-size_t ScanJsonString(std::string_view text, size_t pos, std::string* out) {
-  if (pos >= text.size() || text[pos] != '"') return std::string_view::npos;
-  size_t end = pos + 1;
-  while (end < text.size() && text[end] != '"') {
-    end += (text[end] == '\\') ? 2 : 1;
-  }
-  if (end >= text.size()) return std::string_view::npos;
-  *out = JsonUnescape(text.substr(pos + 1, end - pos - 1));
-  return end + 1;
-}
-
-bool ExtractJsonString(std::string_view text, std::string_view key,
-                       std::string* out) {
-  std::string pattern = "\"" + std::string(key) + "\":";
-  size_t pos = text.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  return ScanJsonString(text, pos + pattern.size(), out) !=
-         std::string_view::npos;
-}
-
-bool ExtractJsonNumber(std::string_view text, std::string_view key,
-                       double* out) {
-  std::string pattern = "\"" + std::string(key) + "\":";
-  size_t pos = text.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  *out = std::strtod(std::string(text.substr(pos + pattern.size())).c_str(),
-                     nullptr);
-  return true;
-}
-
-bool ExtractJsonBool(std::string_view text, std::string_view key, bool* out) {
-  std::string pattern = "\"" + std::string(key) + "\":";
-  size_t pos = text.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  *out = text.compare(pos + pattern.size(), 4, "true") == 0;
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
@@ -345,103 +336,12 @@ std::string ResultToJson(const BenchmarkResult& result) {
 }
 
 Result<BenchmarkResult> ResultFromJson(const std::string& line) {
-  // Restrict top-level field searches to the text before the metrics
-  // object, whose (string) values could otherwise shadow top-level keys.
-  size_t metrics_pos = line.find("\"metrics\":{");
-  std::string_view head(line.data(), metrics_pos == std::string::npos
-                                         ? line.size()
-                                         : metrics_pos);
   BenchmarkResult r;
-  std::string algorithm;
-  std::string status_name;
-  std::string validation_name;
-  if (!ExtractJsonString(head, "platform", &r.platform) ||
-      !ExtractJsonString(head, "graph", &r.graph) ||
-      !ExtractJsonString(head, "algorithm", &algorithm) ||
-      !ExtractJsonString(head, "status", &status_name) ||
-      !ExtractJsonString(head, "validation", &validation_name)) {
-    return Status::InvalidArgument("malformed result record: " + line);
-  }
-  GLY_ASSIGN_OR_RETURN(r.algorithm, ParseAlgorithmKind(algorithm));
-  StatusCode code;
-  if (!StatusCodeFromString(status_name, &code)) {
-    return Status::InvalidArgument("unknown status code: " + status_name);
-  }
-  r.status = code == StatusCode::kOk ? Status::OK()
-                                     : Status(code, "from journal");
-  if (!StatusCodeFromString(validation_name, &code)) {
-    return Status::InvalidArgument("unknown status code: " + validation_name);
-  }
-  r.validation = code == StatusCode::kOk ? Status::OK()
-                                         : Status(code, "from journal");
-
-  double value = 0.0;
-  if (ExtractJsonNumber(head, "runtime_s", &value)) r.runtime_seconds = value;
-  if (ExtractJsonNumber(head, "load_s", &value)) r.load_seconds = value;
-  if (ExtractJsonNumber(head, "traversed_edges", &value)) {
-    r.traversed_edges = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "teps", &value)) r.teps = value;
-  // Optional: journals from before the output-checksum field existed must
-  // still parse for resume.
-  if (ExtractJsonNumber(head, "output_checksum", &value)) {
-    r.output_checksum = static_cast<uint32_t>(value);
-  }
-  if (ExtractJsonNumber(head, "attempts", &value)) {
-    r.attempts = static_cast<uint32_t>(value);
-  }
-  ExtractJsonBool(head, "timed_out", &r.timed_out);
-  // Cancellation fields are optional: journals from before the
-  // cancellation subsystem existed must still parse for resume.
-  ExtractJsonBool(head, "cancelled", &r.cancelled);
-  ExtractJsonBool(head, "stalled", &r.stalled);
-  ExtractJsonString(head, "cancel_reason", &r.cancel_reason);
-  if (ExtractJsonNumber(head, "cancel_join_s", &value)) {
-    r.cancel_join_seconds = value;
-  }
-  if (ExtractJsonNumber(head, "injected_faults", &value)) {
-    r.injected_faults = static_cast<uint64_t>(value);
-  }
-  ExtractJsonBool(head, "resumed", &r.resumed);
-  if (ExtractJsonNumber(head, "recoveries", &value)) {
-    r.recoveries = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "supersteps_replayed", &value)) {
-    r.supersteps_replayed = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "peak_rss_bytes", &value)) {
-    r.resources.peak_rss_bytes = static_cast<uint64_t>(value);
-  }
-  // Observability fields are optional: journals written before tracing
-  // existed (or with it off) must still parse for resume.
-  if (ExtractJsonNumber(head, "trace_spans", &value)) {
-    r.trace_spans = static_cast<uint64_t>(value);
-  }
-  ExtractJsonString(head, "top_phases", &r.top_phases);
-  if (ExtractJsonNumber(head, "critical_path_s", &value)) {
-    r.critical_path_seconds = value;
-  }
-
-  if (metrics_pos != std::string::npos) {
-    size_t pos = metrics_pos + std::string_view("\"metrics\":{").size();
-    while (pos < line.size() && line[pos] != '}') {
-      if (line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      std::string key;
-      pos = ScanJsonString(line, pos, &key);
-      if (pos == std::string::npos || pos >= line.size() ||
-          line[pos] != ':') {
-        return Status::InvalidArgument("malformed metrics: " + line);
-      }
-      std::string metric_value;
-      pos = ScanJsonString(line, pos + 1, &metric_value);
-      if (pos == std::string::npos) {
-        return Status::InvalidArgument("malformed metrics: " + line);
-      }
-      r.platform_metrics[key] = metric_value;
-    }
+  auto doc = json::Parse(line);
+  Status s = doc.ok() ? DecodeResult(*doc, &r) : doc.status();
+  if (!s.ok()) {
+    return Status::InvalidArgument("malformed result record (" + s.message() +
+                                   "): " + line);
   }
   return r;
 }

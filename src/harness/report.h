@@ -41,7 +41,10 @@ std::string ResultToJson(const BenchmarkResult& result);
 
 /// Parses a journal/database line written by ResultToJson back into a
 /// BenchmarkResult (status and validation carry only the code; messages
-/// are not round-tripped). Returns an error on malformed lines.
+/// are not round-tripped). Returns an error unless the line is one
+/// complete JSON object (so a torn line never parses) with the platform,
+/// graph, algorithm, status and validation keys; every other key is
+/// optional, so journals from before a field existed still resume.
 Result<BenchmarkResult> ResultFromJson(const std::string& line);
 
 }  // namespace gly::harness

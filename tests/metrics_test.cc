@@ -153,6 +153,20 @@ TEST(MetricsTest, JsonlRoundTrip) {
   }
 }
 
+// Names carrying escapes JsonEscape writes come back byte for byte.
+TEST(MetricsTest, JsonlRoundTripsEscapedNames) {
+  Registry registry;
+  const std::vector<std::string> names = {"a\nb", "tab\there", "ctl\x01x",
+                                          "quote\"d", "back\\slash"};
+  for (const std::string& name : names) registry.GetCounter(name)->Add(1);
+  auto parsed = Registry::FromJsonl(registry.ToJsonl());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  for (const std::string& name : names) {
+    ASSERT_EQ(parsed->count(name), 1u) << name;
+    EXPECT_EQ(parsed->at(name).counter, 1u) << name;
+  }
+}
+
 TEST(MetricsTest, FromJsonlRejectsBadDocuments) {
   // Empty / headerless.
   EXPECT_FALSE(Registry::FromJsonl("").ok());

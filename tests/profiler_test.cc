@@ -369,6 +369,68 @@ TEST(TraceAnalysisTest, ProfileJsonRoundTrips) {
   EXPECT_FALSE(trace::ParseProfileJson("not json").ok());
 }
 
+// Folded lines and span names holding '"' or '\\' come back unescaped.
+TEST(TraceAnalysisTest, ProfileJsonRoundTripsEscapes) {
+  trace::TraceAnalysis analysis;
+  analysis.root = "root \"quoted\"";
+  trace::SelfTimeEntry entry;
+  entry.name = "ns\\Fn<\"x\">";
+  analysis.self_time.push_back(entry);
+  std::vector<std::string> folded = {"main;ns\\Fn<\"x\"> 3",
+                                     "tab\there;ctl\x01 1"};
+  auto parsed = trace::ParseProfileJson(
+      trace::ProfileJson(analysis, trace::SamplerSummary{}, folded));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->root, analysis.root);
+  ASSERT_EQ(parsed->self_time.size(), 1u);
+  EXPECT_EQ(parsed->self_time[0].name, entry.name);
+  EXPECT_EQ(parsed->folded, folded);
+}
+
+// The reader depends on the JSON, not on ProfileJson's line layout.
+TEST(TraceAnalysisTest, ParseProfileJsonReadsAnyLayout) {
+  const std::string sample =
+      ReadFileOrDie(std::string(GLY_TESTS_DIR) + "/data/sample_profile.json");
+  std::string one_line = sample;
+  std::erase(one_line, '\n');
+  auto want = trace::ParseProfileJson(sample);
+  auto got = trace::ParseProfileJson(one_line);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->wall_seconds, want->wall_seconds);
+  EXPECT_EQ(got->critical_path_seconds, want->critical_path_seconds);
+  EXPECT_EQ(got->root, want->root);
+  EXPECT_EQ(got->completed_spans, want->completed_spans);
+  ASSERT_EQ(got->critical_path.size(), want->critical_path.size());
+  for (size_t i = 0; i < want->critical_path.size(); ++i) {
+    EXPECT_EQ(got->critical_path[i].name, want->critical_path[i].name);
+    EXPECT_EQ(got->critical_path[i].tid, want->critical_path[i].tid);
+    EXPECT_EQ(got->critical_path[i].span_seconds,
+              want->critical_path[i].span_seconds);
+    EXPECT_EQ(got->critical_path[i].self_seconds,
+              want->critical_path[i].self_seconds);
+  }
+  ASSERT_EQ(got->workers.size(), want->workers.size());
+  for (size_t i = 0; i < want->workers.size(); ++i) {
+    EXPECT_EQ(got->workers[i].tid, want->workers[i].tid);
+    EXPECT_EQ(got->workers[i].busy_seconds, want->workers[i].busy_seconds);
+    EXPECT_EQ(got->workers[i].idle_seconds, want->workers[i].idle_seconds);
+    EXPECT_EQ(got->workers[i].utilization, want->workers[i].utilization);
+  }
+  ASSERT_EQ(got->self_time.size(), want->self_time.size());
+  for (size_t i = 0; i < want->self_time.size(); ++i) {
+    EXPECT_EQ(got->self_time[i].name, want->self_time[i].name);
+    EXPECT_EQ(got->self_time[i].self_seconds, want->self_time[i].self_seconds);
+    EXPECT_EQ(got->self_time[i].count, want->self_time[i].count);
+  }
+  EXPECT_EQ(got->sampler.mode, want->sampler.mode);
+  EXPECT_EQ(got->sampler.interval_us, want->sampler.interval_us);
+  EXPECT_EQ(got->sampler.samples, want->sampler.samples);
+  EXPECT_EQ(got->sampler.dropped, want->sampler.dropped);
+  EXPECT_EQ(got->folded, want->folded);
+  EXPECT_EQ(want->self_time.size(), 10u);  // the sample is fully read
+}
+
 // ------------------------------------------------ harness, full profile
 
 Graph Rmat8() {

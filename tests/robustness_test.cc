@@ -9,15 +9,22 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/macros.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/temp_dir.h"
+#include "common/trace.h"
+#include "common/trace_analysis.h"
 #include "harness/core.h"
 #include "harness/report.h"
 #include "harness/validator.h"
@@ -397,6 +404,21 @@ TEST(ResumeTest, ResultJsonRoundTrips) {
 
   EXPECT_FALSE(ResultFromJson("not json at all").ok());
   EXPECT_FALSE(ResultFromJson("{\"platform\":\"x\"}").ok());
+
+  // Only the cell key and the two codes are required: a line written
+  // before the other fields existed still resumes, and unknown keys are
+  // ignored. A known key holding the wrong type is corruption.
+  const std::string minimal =
+      R"({"platform":"giraph","graph":"g","algorithm":"BFS",)"
+      R"("status":"ok","validation":"ok","future":[1,{"x":null}])";
+  parsed = ResultFromJson(minimal + "}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->algorithm, AlgorithmKind::kBfs);
+  EXPECT_EQ(parsed->output_checksum, 0u);
+  EXPECT_TRUE(parsed->platform_metrics.empty());
+  EXPECT_FALSE(ResultFromJson(minimal + R"(,"attempts":"two"})").ok());
+  EXPECT_FALSE(ResultFromJson(minimal + R"(,"output_checksum":4294967296})")
+                   .ok());
 }
 
 TEST(ResumeTest, ResumeReExecutesOnlyUnfinishedCells) {
@@ -675,6 +697,150 @@ TEST(RobustnessTest, FullMatrixUnderFaultsCompletesEveryCellThenRunsClean) {
 }
 
 #endif  // GLY_DISABLE_FAULT_POINTS
+
+// ------------------------------------------- artifact readers, untrusted
+
+std::string ReadTestData(const std::string& name) {
+  std::ifstream in(std::string(GLY_TESTS_DIR) + "/data/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << name;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The journal as LoadJournal reads it: every non-empty line must decode.
+Status ReadJournal(const std::string& text) {
+  for (const std::string& line : Split(text, '\n')) {
+    if (!line.empty()) GLY_RETURN_NOT_OK(ResultFromJson(line).status());
+  }
+  return Status::OK();
+}
+
+// The four artifact readers, each with a committed sample of its input.
+struct ArtifactReader {
+  const char* fixture;  ///< under tests/data/
+  bool jsonl;           ///< one record per line (else one document)
+  std::function<Status(const std::string&)> read;
+};
+
+const ArtifactReader kReaders[] = {
+    {"sample_trace.json", false,
+     [](const std::string& text) {
+       return trace::ValidateChromeTraceJson(text).status();
+     }},
+    {"sample_metrics.jsonl", true,
+     [](const std::string& text) {
+       return metrics::Registry::FromJsonl(text).status();
+     }},
+    {"sample_profile.json", false,
+     [](const std::string& text) {
+       return trace::ParseProfileJson(text).status();
+     }},
+    {"golden/journal.jsonl", true, ReadJournal},
+};
+
+// A torn journal line — any strict prefix of one ResultToJson line — must
+// be rejected: read back as a cell, --resume would reuse it as finished
+// (SealTornJournalTail's contract).
+TEST(ResumeTest, EveryStrictPrefixOfAJournalLineIsRejected) {
+  BenchmarkResult r;
+  r.platform = "graphx";
+  r.graph = "snb-1000";
+  r.algorithm = AlgorithmKind::kPr;
+  r.validation = Status::OK();
+  r.runtime_seconds = 12.345678;
+  r.load_seconds = 0.5;
+  r.traversed_edges = 4096;
+  r.teps = 331.8;
+  r.output_checksum = 0xDEADBEEF;
+  r.attempts = 3;
+  r.cancel_reason = "stall";
+  r.cancel_join_seconds = 0.25;
+  r.injected_faults = 2;
+  r.recoveries = 1;
+  r.supersteps_replayed = 7;
+  r.resources.peak_rss_bytes = 123456789;
+  r.trace_spans = 1024;
+  r.top_phases = "harness.run:1.5;pregel.superstep:0.9";
+  r.critical_path_seconds = 1.75;
+  r.platform_metrics["supersteps"] = "17";
+  r.platform_metrics["messages"] = "123456";
+  std::vector<std::string> lines = {ResultToJson(r)};
+  for (const std::string& line :
+       Split(ReadTestData("golden/journal.jsonl"), '\n')) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(ResultFromJson(line).ok()) << line;
+    size_t accepted = 0;
+    std::string example;
+    for (size_t n = 0; n < line.size(); ++n) {
+      if (!ResultFromJson(line.substr(0, n)).ok()) continue;
+      if (accepted++ == 0) example = line.substr(0, n);
+    }
+    EXPECT_EQ(accepted, 0u) << "of " << line.size()
+                            << " strict prefixes; e.g. " << example;
+  }
+}
+
+TEST(ArtifactReaderTest, DeepNestingIsAnErrorInEveryReader) {
+  const std::string open = "{\"x\":" + std::string(1000000, '[');
+  const std::string closed = open + std::string(1000000, ']') + "}";
+  for (const std::string* doc : {&open, &closed}) {
+    for (const ArtifactReader& reader : kReaders) {
+      EXPECT_TRUE(reader.read(*doc).IsInvalidArgument()) << reader.fixture;
+    }
+    EXPECT_TRUE(trace::ParseChromeTraceJson(*doc).status().IsInvalidArgument());
+  }
+}
+
+// Seeded byte mutations (flip, insert, delete, truncate) of every committed
+// sample, run through its reader: each mutant yields a value or an error,
+// never a crash or a hang. A truncation that cuts into a record must be an
+// error — a torn write never reads back as data.
+TEST(ArtifactReaderTest, ByteMutationsYieldAValueOrAnError) {
+  constexpr int kMutantsPerReader = 400;
+  const std::string kInteresting = "{}[]\",:\\-+.eE0123456789 \n\tu";
+  for (const ArtifactReader& reader : kReaders) {
+    const std::string original = ReadTestData(reader.fixture);
+    ASSERT_FALSE(original.empty());
+    ASSERT_TRUE(reader.read(original).ok()) << reader.fixture;
+    Rng rng(0x5EED);
+    size_t accepted = 0;
+    for (int i = 0; i < kMutantsPerReader; ++i) {
+      std::string mutant = original;
+      size_t pos = rng.Next() % mutant.size();
+      switch (i % 4) {
+        case 0:
+          mutant[pos] =
+              static_cast<char>(mutant[pos] ^ (1 << (rng.Next() % 8)));
+          break;
+        case 1:
+          mutant.insert(pos, 1,
+                        rng.Next() % 2 == 0
+                            ? kInteresting[rng.Next() % kInteresting.size()]
+                            : static_cast<char>(rng.Next() % 256));
+          break;
+        case 2:
+          mutant.erase(pos, 1);
+          break;
+        case 3:
+          mutant.resize(pos);
+          break;
+      }
+      Status status = reader.read(mutant);
+      if (status.ok()) ++accepted;
+      if (i % 4 != 3 || pos == 0) continue;
+      bool torn = reader.jsonl
+                      ? mutant.back() != '\n' && original[pos] != '\n'
+                      : !Trim(std::string_view(original).substr(pos)).empty();
+      EXPECT_TRUE(!torn || !status.ok())
+          << reader.fixture << " cut at byte " << pos << " read back";
+    }
+    // The sweep reaches past the first byte: some mutants still decode.
+    EXPECT_GT(accepted, 0u) << reader.fixture;
+  }
+}
 
 }  // namespace
 }  // namespace gly::harness

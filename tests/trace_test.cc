@@ -188,6 +188,28 @@ TEST(TraceTest, AttributeAndNameEscaping) {
   EXPECT_EQ(check->completed_spans, 1u);
 }
 
+// Names and args with control characters survive export and read-back.
+TEST(TraceTest, ParseRoundTripsEscapedNamesAndArgs) {
+  FakeClock clock(0, 1);
+  Tracer tracer(&clock);
+  {
+    ScopedTracer active(&tracer);
+    TraceSpan span("ctl\x01span", "cat\\egory");
+    span.SetAttribute("arg", std::string("ctl\x01x"));
+    span.SetAttribute("path", std::string("/tmp/a\nb\tc \"q\""));
+  }
+  auto events = ParseChromeTraceJson(tracer.ToChromeJson());
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  std::vector<TraceEvent> want = tracer.Snapshot();
+  ASSERT_EQ(events->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ((*events)[i].name, want[i].name);
+    EXPECT_EQ((*events)[i].category, want[i].category);
+    EXPECT_EQ((*events)[i].phase, want[i].phase);
+    EXPECT_EQ((*events)[i].args, want[i].args);
+  }
+}
+
 // -------------------------------------------------------- well-formedness
 
 TEST(TraceTest, CheckWellFormedCountsUnmatchedBegins) {

@@ -11,9 +11,9 @@
 //   $ results_query --top-phases <profile.json> [--top K]
 //   $ results_query --critical-path <profile.json>
 //
-// The row parser handles exactly the flat JSON the Report Generator emits;
-// it is not a general JSON library. The profile subcommands read the
-// profile.json artifacts a `--profile` run writes next to trace.json.
+// Rows are decoded by harness::ResultFromJson, the same reader --resume
+// uses. The profile subcommands read the profile.json artifacts a
+// `--profile` run writes next to trace.json.
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,37 +23,13 @@
 #include <string>
 #include <vector>
 
-#include "common/string_util.h"
 #include "common/trace_analysis.h"
+#include "harness/core.h"
+#include "harness/report.h"
 
 namespace {
 
-using gly::Split;
-using gly::StringPrintf;
-
-struct Row {
-  std::string platform;
-  std::string graph;
-  std::string algorithm;
-  std::string status;
-  double runtime_s = 0.0;
-  double teps = 0.0;
-};
-
-// Extracts `"key":"value"` or `"key":number` from one flat JSON line.
-std::string ExtractField(const std::string& line, const std::string& key) {
-  std::string needle = "\"" + key + "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  pos += needle.size();
-  if (pos < line.size() && line[pos] == '"') {
-    size_t end = line.find('"', pos + 1);
-    if (end == std::string::npos) return "";
-    return line.substr(pos + 1, end - pos - 1);
-  }
-  size_t end = line.find_first_of(",}", pos);
-  return line.substr(pos, end - pos);
-}
+using gly::harness::BenchmarkResult;
 
 gly::Result<gly::trace::ProfileSummary> LoadProfile(const std::string& path) {
   std::ifstream in(path);
@@ -178,26 +154,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::vector<Row> rows;
+  std::vector<BenchmarkResult> rows;
   std::string line;
-  while (std::getline(in, line)) {
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    Row row;
-    row.platform = ExtractField(line, "platform");
-    row.graph = ExtractField(line, "graph");
-    row.algorithm = ExtractField(line, "algorithm");
-    row.status = ExtractField(line, "status");
-    row.runtime_s = std::strtod(ExtractField(line, "runtime_s").c_str(), nullptr);
-    row.teps = std::strtod(ExtractField(line, "teps").c_str(), nullptr);
-    if (!want_platform.empty() && row.platform != want_platform) continue;
-    if (!want_graph.empty() && row.graph != want_graph) continue;
-    if (!want_algorithm.empty() && row.algorithm != want_algorithm) continue;
-    if (failures_only && row.status == "ok") continue;
-    rows.push_back(row);
+    auto row = gly::harness::ResultFromJson(line);
+    if (!row.ok()) {
+      std::fprintf(stderr, "%s:%zu: skipped: %s\n", path.c_str(), line_no,
+                   row.status().ToString().c_str());
+      continue;
+    }
+    if (!want_platform.empty() && row->platform != want_platform) continue;
+    if (!want_graph.empty() && row->graph != want_graph) continue;
+    if (!want_algorithm.empty() &&
+        gly::AlgorithmKindName(row->algorithm) != want_algorithm) {
+      continue;
+    }
+    if (failures_only && gly::harness::FinishedCleanly(*row)) continue;
+    rows.push_back(std::move(row).ValueOrDie());
   }
 
   if (summary) {
-    // Aggregate mean runtime/teps per (platform, algorithm).
+    // Aggregate mean runtime/teps per (platform, algorithm) over the cells
+    // that finished cleanly.
     struct Agg {
       double runtime_sum = 0;
       double teps_sum = 0;
@@ -205,10 +184,10 @@ int main(int argc, char** argv) {
       int failed = 0;
     };
     std::map<std::string, Agg> aggs;
-    for (const Row& r : rows) {
-      Agg& a = aggs[r.platform + "/" + r.algorithm];
-      if (r.status == "ok") {
-        a.runtime_sum += r.runtime_s;
+    for (const BenchmarkResult& r : rows) {
+      Agg& a = aggs[r.platform + "/" + gly::AlgorithmKindName(r.algorithm)];
+      if (gly::harness::FinishedCleanly(r)) {
+        a.runtime_sum += r.runtime_seconds;
         a.teps_sum += r.teps;
         ++a.ok;
       } else {
@@ -225,12 +204,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("%-12s %-12s %-8s %-10s %12s %12s\n", "platform", "graph",
-              "algo", "status", "runtime (s)", "kTEPS");
-  for (const Row& r : rows) {
-    std::printf("%-12s %-12s %-8s %-10s %12.3f %12.0f\n", r.platform.c_str(),
-                r.graph.c_str(), r.algorithm.c_str(), r.status.c_str(),
-                r.runtime_s, r.teps / 1e3);
+  std::printf("%-12s %-12s %-8s %-10s %-18s %12s %12s\n", "platform",
+              "graph", "algo", "status", "validation", "runtime (s)",
+              "kTEPS");
+  for (const BenchmarkResult& r : rows) {
+    std::string status(gly::StatusCodeToString(r.status.code()));
+    std::string validation(gly::StatusCodeToString(r.validation.code()));
+    std::printf("%-12s %-12s %-8s %-10s %-18s %12.3f %12.0f\n",
+                r.platform.c_str(), r.graph.c_str(),
+                gly::AlgorithmKindName(r.algorithm).c_str(), status.c_str(),
+                validation.c_str(), r.runtime_seconds, r.teps / 1e3);
   }
   std::printf("(%zu rows)\n", rows.size());
   return 0;
