@@ -14,10 +14,13 @@
 #                    the committed samples and 10^6-deep documents through
 #                    all four decoders), fault-injection,
 #                    checkpoint/recovery, WAL/resume,
-#                    cancellation, the cross-engine kernel-conformance
-#                    suites, and the golden hot-path pins (recycled arenas,
-#                    pooled partitions, striped page cache) — the paths
-#                    most valuable to run under a sanitizer.
+#                    cancellation, the graph store (graphdb_test's page
+#                    cache, WAL torn-tail and recovery cases), the
+#                    cross-engine kernel-conformance suites, and the
+#                    golden hot-path pins (recycled arenas, pooled
+#                    partitions, striped page cache, page cursors and
+#                    their failure/cancellation paths) — the paths most
+#                    valuable to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
 #                    `observability`, `robustness`, `scheduler`, and
 #                    `hotpath` CTest labels: the ETL pipeline (chunked
@@ -29,11 +32,13 @@
 #                    watchdog/grace-join paths (harness watchdog vs attempt
 #                    thread, token polls from every engine), the
 #                    artifact readers (json_test and the byte-mutation
-#                    sweep ride the robustness label), the
+#                    sweep ride the robustness label), the graph store
+#                    (graphdb_test, also on the robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
 #                    writer), and the golden hot-path pins (work-stealing
-#                    compute chunks, the 8-thread page-cache hammer) under
+#                    compute chunks, the 8-thread page-cache hammer, 8
+#                    threads walking chains through page cursors) under
 #                    the race detector, where their bugs would actually
 #                    show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the

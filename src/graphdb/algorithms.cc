@@ -178,11 +178,16 @@ Result<AlgorithmOutput> RunEvo(GraphStore* store, bool undirected,
   const VertexId n = static_cast<VertexId>(store->node_count());
   AlgorithmOutput out;
   uint64_t expanded = 0;
-  auto fetch = [store, undirected,
-                &expanded](VertexId v) -> std::vector<VertexId> {
+  // The burn cannot take a Status, so the first failed read is kept here:
+  // every later fetch returns no neighbours, which ends the burn, and the
+  // run returns the failure.
+  Status fetch_status;
+  auto fetch = [store, undirected, &expanded,
+                &fetch_status](VertexId v) -> std::vector<VertexId> {
     std::vector<VertexId> nbrs;
-    Status s = FetchSortedNeighbors(store, v, undirected, &nbrs);
-    s.Check();  // I/O failure mid-burn is unrecoverable for determinism
+    if (!fetch_status.ok()) return nbrs;
+    fetch_status = FetchSortedNeighbors(store, v, undirected, &nbrs);
+    if (!fetch_status.ok()) return {};
     expanded += nbrs.size();
     return nbrs;
   };
@@ -193,6 +198,7 @@ Result<AlgorithmOutput> RunEvo(GraphStore* store, bool undirected,
     VertexId ambassador = static_cast<VertexId>(rng.NextBounded(n));
     std::vector<VertexId> burned =
         ForestFireBurnWithFetch(n, fetch, ambassador, params, i);
+    GLY_RETURN_NOT_OK(fetch_status);
     for (VertexId b : burned) out.new_edges.Add(n + i, b);
   }
   out.new_edges.EnsureVertices(n + params.num_new_vertices);
@@ -273,13 +279,10 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
     case AlgorithmKind::kCd:
       result = RunCd(store, graph_is_undirected, params.cd, cancel, &stats);
       break;
-    case AlgorithmKind::kStats: {
-      uint64_t logical = graph_is_undirected ? store->relationship_count()
-                                             : store->relationship_count();
-      result = RunStatsAlgorithm(store, graph_is_undirected, logical, cancel,
-                                 &stats);
+    case AlgorithmKind::kStats:
+      result = RunStatsAlgorithm(store, graph_is_undirected,
+                                 store->relationship_count(), cancel, &stats);
       break;
-    }
     case AlgorithmKind::kEvo:
       result = RunEvo(store, graph_is_undirected, params.evo, cancel, &stats);
       break;

@@ -164,17 +164,47 @@ Status PageCache::WritebackFrame(Frame& frame, PageCacheStats* stats) {
 
 Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
                        size_t len) {
+  return Cursor(*this).Read(file_id, offset, out, len);
+}
+
+Status PageCache::Write(uint32_t file_id, uint64_t offset, const void* data,
+                        size_t len) {
+  return Cursor(*this).Write(file_id, offset, data, len);
+}
+
+Status PageCache::Cursor::Seek(uint32_t file_id, uint64_t page_no) {
+  const PageKey key{file_id, page_no};
+  if (frame_ != nullptr && frame_->key == key) {
+    // The held frame cannot have been evicted (we hold its shard), and its
+    // second-chance bit is still set from the access that faulted it in.
+    ++shard_->stats.hits;
+    return Status::OK();
+  }
+  frame_ = nullptr;
+  Shard& shard = cache_->ShardFor(key);
+  if (shard_ != &shard) {
+    if (lock_.owns_lock()) lock_.unlock();  // never hold two shard locks
+    lock_ = LockShard(shard);
+    shard_ = &shard;
+  }
+  Result<Frame*> frame = cache_->GetFrame(shard, file_id, page_no);
+  if (!frame.ok()) {
+    lock_.unlock();
+    shard_ = nullptr;
+    return frame.status();
+  }
+  frame_ = *frame;
+  return Status::OK();
+}
+
+Status PageCache::Cursor::Read(uint32_t file_id, uint64_t offset, void* out,
+                               size_t len) {
   char* dst = static_cast<char*>(out);
   while (len > 0) {
-    uint64_t page_no = offset / kPageSize;
-    size_t in_page = static_cast<size_t>(offset % kPageSize);
-    size_t chunk = std::min(len, kPageSize - in_page);
-    Shard& shard = ShardFor(PageKey{file_id, page_no});
-    {
-      std::unique_lock<std::mutex> lock = LockShard(shard);
-      GLY_ASSIGN_OR_RETURN(Frame * frame, GetFrame(shard, file_id, page_no));
-      std::memcpy(dst, frame->data.data() + in_page, chunk);
-    }
+    const size_t in_page = static_cast<size_t>(offset % kPageSize);
+    const size_t chunk = std::min(len, kPageSize - in_page);
+    GLY_RETURN_NOT_OK(Seek(file_id, offset / kPageSize));
+    std::memcpy(dst, frame_->data.data() + in_page, chunk);
     dst += chunk;
     offset += chunk;
     len -= chunk;
@@ -182,20 +212,15 @@ Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
   return Status::OK();
 }
 
-Status PageCache::Write(uint32_t file_id, uint64_t offset, const void* data,
-                        size_t len) {
+Status PageCache::Cursor::Write(uint32_t file_id, uint64_t offset,
+                                const void* data, size_t len) {
   const char* src = static_cast<const char*>(data);
   while (len > 0) {
-    uint64_t page_no = offset / kPageSize;
-    size_t in_page = static_cast<size_t>(offset % kPageSize);
-    size_t chunk = std::min(len, kPageSize - in_page);
-    Shard& shard = ShardFor(PageKey{file_id, page_no});
-    {
-      std::unique_lock<std::mutex> lock = LockShard(shard);
-      GLY_ASSIGN_OR_RETURN(Frame * frame, GetFrame(shard, file_id, page_no));
-      std::memcpy(frame->data.data() + in_page, src, chunk);
-      frame->dirty = true;
-    }
+    const size_t in_page = static_cast<size_t>(offset % kPageSize);
+    const size_t chunk = std::min(len, kPageSize - in_page);
+    GLY_RETURN_NOT_OK(Seek(file_id, offset / kPageSize));
+    std::memcpy(frame_->data.data() + in_page, src, chunk);
+    frame_->dirty = true;
     src += chunk;
     offset += chunk;
     len -= chunk;

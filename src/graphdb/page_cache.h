@@ -14,6 +14,11 @@
 // `shard_contention` (surfaced as `graphdb.pagecache.shard_contention`).
 // WAL and checkpoint semantics are unchanged: Flush() still writes back
 // every dirty page and fsyncs before the WAL truncates.
+//
+// Every access goes through a PageCache::Cursor, which holds one page
+// across consecutive accesses (Read and Write are one-shot cursors), so a
+// record walk that stays on a page pays one lookup for the page, not one
+// per record, while each record access still counts one hit or one miss.
 
 #pragma once
 
@@ -56,6 +61,8 @@ class PageCache {
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
+
+  class Cursor;
 
   /// Registers a backing file; returns its file id. Creates the file if
   /// missing.
@@ -130,6 +137,47 @@ class PageCache {
   mutable std::mutex files_mu_;
   std::vector<int> fds_;            // file descriptors by file id
   std::vector<std::string> paths_;  // for error messages
+};
+
+/// A page cursor: holds one page — its shard's lock and frame — across
+/// consecutive accesses, the way Neo4j's storage engine walks records.
+/// An access to the page the cursor holds counts a hit and does nothing
+/// else (no lock, no index lookup). An access to any other page releases
+/// the held shard, locks the target shard and looks the page up exactly as
+/// a one-shot Read/Write does (hit/miss and clock accounting, eviction,
+/// the `graphdb.pagecache.read` fault point), so every access still counts
+/// one hit or one miss and a cursor never holds two shard locks. An access
+/// that fails leaves the cursor holding nothing. Destroying the cursor
+/// releases its page.
+///
+/// The one rule a cursor adds: while a cursor holds a page, its thread
+/// makes no other call into the same PageCache — no Read, Write, Flush,
+/// stats() or second cursor — because a call that needs the held shard
+/// would deadlock. Cursors on different threads may share a cache.
+class PageCache::Cursor {
+ public:
+  explicit Cursor(PageCache& cache) : cache_(&cache) {}
+
+  /// Reads `len` bytes at `offset` of file `file_id` into `out`, holding
+  /// the last page touched. Reads beyond EOF yield zero bytes.
+  Status Read(uint32_t file_id, uint64_t offset, void* out, size_t len);
+
+  /// Writes `len` bytes at `offset` (marks the pages dirty), holding the
+  /// last page touched.
+  Status Write(uint32_t file_id, uint64_t offset, const void* data,
+               size_t len);
+
+  /// True while the cursor holds a page, and so its shard's lock.
+  bool holds_page() const { return lock_.owns_lock(); }
+
+ private:
+  /// Positions the cursor on (file_id, page_no).
+  Status Seek(uint32_t file_id, uint64_t page_no);
+
+  PageCache* cache_;
+  std::unique_lock<std::mutex> lock_;  // the held shard's lock, if any
+  Shard* shard_ = nullptr;             // the shard lock_ guards
+  Frame* frame_ = nullptr;             // the held page, if any
 };
 
 }  // namespace gly::graphdb

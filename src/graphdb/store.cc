@@ -126,82 +126,85 @@ Status GraphStore::BulkImport(const EdgeList& edges,
   // Bulk path bypasses the WAL (like neo4j-admin import) and checkpoints at
   // the end.
   constexpr size_t kCancelBatch = 4096;
+  // Chain heads are looked up this many edges ahead of use: a destination's
+  // head is a random access into `nodes`.
+  constexpr size_t kPrefetchDistance = 16;
   const VertexId n = edges.num_vertices();
+  const size_t m = edges.num_edges();
   std::vector<NodeRecord> nodes(n);
-  for (size_t i = 0; i < edges.num_edges(); ++i) {
-    if (i % kCancelBatch == 0) {
-      GLY_RETURN_NOT_OK(CheckCancel(cancel));
-      if (cancel != nullptr) cancel->Heartbeat();
+  {
+    // Records are written in id order, so one cursor fills each page with
+    // a single lookup. It is released before SaveCounts/Checkpoint call
+    // back into the cache.
+    PageCache::Cursor cursor(*cache_);
+    for (size_t i = 0; i < m; ++i) {
+      if (i % kCancelBatch == 0) {
+        GLY_RETURN_NOT_OK(CheckCancel(cancel));
+        if (cancel != nullptr) cancel->Heartbeat();
+      }
+      if (i + kPrefetchDistance < m) {
+        __builtin_prefetch(&nodes[edges.edges()[i + kPrefetchDistance].dst]);
+      }
+      const Edge& e = edges.edges()[i];
+      uint64_t rel_id = i;
+      RelRecord rel;
+      rel.src = e.src;
+      rel.dst = e.dst;
+      rel.in_use = 1;
+      rel.src_next = nodes[e.src].first_rel;
+      nodes[e.src].first_rel = rel_id;
+      if (e.dst != e.src) {
+        rel.dst_next = nodes[e.dst].first_rel;
+        nodes[e.dst].first_rel = rel_id;
+      }
+      GLY_RETURN_NOT_OK(cursor.Write(rels_file_, rel_id * kRelRecordSize,
+                                     &rel, sizeof(rel)));
     }
-    const Edge& e = edges.edges()[i];
-    uint64_t rel_id = i;
-    RelRecord rel;
-    rel.src = e.src;
-    rel.dst = e.dst;
-    rel.in_use = 1;
-    rel.src_next = nodes[e.src].first_rel;
-    nodes[e.src].first_rel = rel_id;
-    if (e.dst != e.src) {
-      rel.dst_next = nodes[e.dst].first_rel;
-      nodes[e.dst].first_rel = rel_id;
+    for (VertexId v = 0; v < n; ++v) {
+      if (v % kCancelBatch == 0) GLY_RETURN_NOT_OK(CheckCancel(cancel));
+      GLY_RETURN_NOT_OK(cursor.Write(nodes_file_,
+                                     uint64_t{v} * kNodeRecordSize, &nodes[v],
+                                     sizeof(NodeRecord)));
     }
-    GLY_RETURN_NOT_OK(cache_->Write(rels_file_, rel_id * kRelRecordSize, &rel,
-                                    sizeof(rel)));
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    if (v % kCancelBatch == 0) GLY_RETURN_NOT_OK(CheckCancel(cancel));
-    GLY_RETURN_NOT_OK(cache_->Write(nodes_file_, uint64_t{v} * kNodeRecordSize,
-                                    &nodes[v], sizeof(NodeRecord)));
   }
   node_count_ = n;
-  rel_count_ = edges.num_edges();
+  rel_count_ = m;
   if (cancel != nullptr) cancel->Heartbeat();
   GLY_RETURN_NOT_OK(SaveCounts());
   return Checkpoint();
 }
 
-Result<uint64_t> GraphStore::FirstRelationship(VertexId node) {
-  if (node >= node_count_) {
-    return Status::InvalidArgument("node out of range");
-  }
-  NodeRecord rec;
-  GLY_RETURN_NOT_OK(cache_->Read(nodes_file_, uint64_t{node} * kNodeRecordSize,
-                                 &rec, sizeof(rec)));
-  return rec.first_rel;
-}
-
-Result<RelView> GraphStore::ReadRelationship(uint64_t rel_id, VertexId node) {
-  RelRecord rec;
-  GLY_RETURN_NOT_OK(cache_->Read(rels_file_, rel_id * kRelRecordSize, &rec,
-                                 sizeof(rec)));
-  if (rec.in_use == 0) {
-    return Status::NotFound("relationship " + std::to_string(rel_id));
-  }
-  RelView view;
-  view.rel_id = rel_id;
-  if (rec.src == node) {
-    view.other = rec.dst;
-    view.outgoing = true;
-    view.next = rec.src_next;
-  } else if (rec.dst == node) {
-    view.other = rec.src;
-    view.outgoing = false;
-    view.next = rec.dst_next;
-  } else {
-    return Status::Internal("relationship chain corruption at rel " +
-                            std::to_string(rel_id));
-  }
-  return view;
-}
-
 Status GraphStore::CollectNeighbors(VertexId node, bool outgoing_only,
                                     std::vector<VertexId>* out) {
   out->clear();
-  GLY_ASSIGN_OR_RETURN(uint64_t rel, FirstRelationship(node));
+  if (node >= node_count_) {
+    return Status::InvalidArgument("node out of range");
+  }
+  // One cursor walks the node record and the whole chain: consecutive
+  // records on one page cost one cache lookup.
+  PageCache::Cursor cursor(*cache_);
+  NodeRecord node_rec;
+  GLY_RETURN_NOT_OK(cursor.Read(nodes_file_, uint64_t{node} * kNodeRecordSize,
+                                &node_rec, sizeof(node_rec)));
+  uint64_t rel = node_rec.first_rel;
   while (rel != kNilRecord) {
-    GLY_ASSIGN_OR_RETURN(RelView view, ReadRelationship(rel, node));
-    if (!outgoing_only || view.outgoing) out->push_back(view.other);
-    rel = view.next;
+    RelRecord rec;
+    GLY_RETURN_NOT_OK(
+        cursor.Read(rels_file_, rel * kRelRecordSize, &rec, sizeof(rec)));
+    if (rec.in_use == 0) {
+      return Status::NotFound("relationship " + std::to_string(rel));
+    }
+    // Choose the next pointer by which endpoint this node is.
+    if (rec.src == node) {
+      out->push_back(rec.dst);
+      rel = rec.src_next;
+    } else if (rec.dst == node) {
+      if (!outgoing_only) out->push_back(rec.src);
+      rel = rec.dst_next;
+    } else {
+      return Status::Internal("relationship chain corruption at rel " +
+                              std::to_string(rel));
+    }
   }
   return Status::OK();
 }

@@ -14,8 +14,12 @@
 // record from both chains and tombstones it (in_use = 0); record ids are
 // never reused.
 //
-// All access goes through the PageCache. Mutations go through Transactions
-// whose commits are WAL-journaled (see wal.h); Recover() replays the log.
+// All access goes through the PageCache. The two record-streaming paths —
+// BulkImport writing records in id order and CollectNeighbors walking a
+// chain — each hold one PageCache::Cursor, so consecutive records on a page
+// cost one cache lookup; every other access is a one-shot Read/Write.
+// Mutations go through Transactions whose commits are WAL-journaled (see
+// wal.h); Recover() replays the log.
 
 #pragma once
 
@@ -34,14 +38,6 @@ namespace gly::graphdb {
 
 /// Sentinel for "end of chain".
 inline constexpr uint64_t kNilRecord = ~0ULL;
-
-/// One relationship as seen from a node during traversal.
-struct RelView {
-  uint64_t rel_id = kNilRecord;
-  VertexId other = 0;      ///< the opposite endpoint
-  bool outgoing = false;   ///< true if this node is the src
-  uint64_t next = kNilRecord;  ///< next relationship of this node
-};
 
 /// Store configuration.
 struct StoreConfig {
@@ -68,13 +64,10 @@ class GraphStore {
   /// Live relationships (created minus deleted).
   uint64_t relationship_count() const { return rel_count_ - rel_deleted_; }
 
-  /// First relationship id of `node`'s chain (kNilRecord if none).
-  Result<uint64_t> FirstRelationship(VertexId node);
-
-  /// Decodes relationship `rel_id` from `node`'s perspective.
-  Result<RelView> ReadRelationship(uint64_t rel_id, VertexId node);
-
-  /// Collects all neighbors of `node` (`outgoing_only` filters direction).
+  /// Collects all neighbors of `node` in chain order (newest relationship
+  /// first; `outgoing_only` filters direction) by walking its chain
+  /// through one page cursor. Threads may call it concurrently while no
+  /// transaction commits.
   Status CollectNeighbors(VertexId node, bool outgoing_only,
                           std::vector<VertexId>* out);
 

@@ -15,19 +15,27 @@
 //
 // The rows were produced by the heap paths (EngineConfig::num_threads and
 // ContextConfig::num_partitions as in each row, everything else default)
-// before they were deleted. A mismatch prints the actual row in table
-// syntax; regenerate a row only for a deliberate change of results.
+// before they were deleted; the graphdb rows by the per-record page-cache
+// lookups that page cursors replaced. A mismatch prints the actual row in
+// table syntax; regenerate a row only for a deliberate change of results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
+#include "common/macros.h"
 #include "common/random.h"
 #include "common/temp_dir.h"
 #include "dataflow/algorithms.h"
@@ -75,6 +83,8 @@ std::string KindEnum(AlgorithmKind kind) {
     case AlgorithmKind::kConn: return "AlgorithmKind::kConn";
     case AlgorithmKind::kPr: return "AlgorithmKind::kPr";
     case AlgorithmKind::kCd: return "AlgorithmKind::kCd";
+    case AlgorithmKind::kStats: return "AlgorithmKind::kStats";
+    case AlgorithmKind::kEvo: return "AlgorithmKind::kEvo";
     default: return std::string(AlgorithmKindName(kind));
   }
 }
@@ -351,22 +361,33 @@ TEST(DataflowHotpathParity, CancellationStopsPooledRuns) {
 
 // ----------------------------------------------------------------- Graphdb
 
+// Opens a store under `dir` with a `cache_bytes` page cache and
+// bulk-imports TestGraph() into it.
+std::unique_ptr<graphdb::GraphStore> ImportedStore(const TempDir& dir,
+                                                   uint64_t cache_bytes) {
+  graphdb::StoreConfig config;
+  config.directory = dir.path() + "/store";
+  config.page_cache_bytes = cache_bytes;
+  auto store = graphdb::GraphStore::Open(config).ValueOrDie();
+  GLY_CHECK_OK(store->BulkImport(TestGraph().ToEdgeList()));
+  return store;
+}
+
+// A 64 KiB cache is 8 pages in 8 one-frame shards: far below the ~160 KiB
+// store, so walks keep evicting.
+constexpr uint64_t kSmallCache = 64 << 10;
+
 TEST(GraphdbHotpathParity, ShardCountDoesNotChangeResults) {
-  // A 64 KiB cache is 8 pages, so the store runs 8 lock-striped shards
-  // under real eviction pressure; the golden checksum was produced by the
-  // single-mutex (1-shard) cache on the same store.
+  // The 8-shard cache runs under real eviction pressure; the golden
+  // checksum was produced by the single-mutex (1-shard) cache on the same
+  // store.
   constexpr uint32_t kGoldenChecksum = 0xd7882d3du;
   const Graph g = TestGraph();
   auto dir = TempDir::Create("gly-hotpath-db");
   ASSERT_TRUE(dir.ok());
-  graphdb::StoreConfig config;
-  config.directory = dir->path() + "/store";
-  config.page_cache_bytes = 64 << 10;
-  auto store = graphdb::GraphStore::Open(config);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE((*store)->BulkImport(g.ToEdgeList()).ok());
+  auto store = ImportedStore(*dir, kSmallCache);
   graphdb::DbRunStats stats;
-  auto out = graphdb::RunAlgorithmOnStore(store->get(), g.undirected(),
+  auto out = graphdb::RunAlgorithmOnStore(store.get(), g.undirected(),
                                           /*memory_budget_bytes=*/0,
                                           AlgorithmKind::kBfs, TestParams(),
                                           &stats);
@@ -374,6 +395,282 @@ TEST(GraphdbHotpathParity, ShardCountDoesNotChangeResults) {
   EXPECT_EQ(harness::OutputChecksum(*out), kGoldenChecksum);
   EXPECT_EQ(out->traversed_edges, 9740u);
   EXPECT_GT(stats.cache.evictions, 0u);
+}
+
+// Cumulative page-cache counters of one store.
+struct CacheCounts {
+  uint64_t hits;
+  uint64_t misses;
+  uint64_t evictions;
+  uint64_t writebacks;
+  bool operator==(const CacheCounts&) const = default;
+};
+
+CacheCounts CountsOf(const graphdb::PageCacheStats& stats) {
+  return {stats.hits, stats.misses, stats.evictions, stats.writebacks};
+}
+
+// One frozen graph-database run on a freshly imported store: the output,
+// and the cache counters after BulkImport and after the run. Equal counters
+// mean every record access still costs exactly one hit or one miss and the
+// clock evicts and writes back the same frames, whatever a cursor holds.
+struct GraphdbRow {
+  AlgorithmKind kind;
+  uint64_t cache_kib;
+  uint32_t checksum;
+  uint64_t traversed_edges;
+  CacheCounts after_import;
+  CacheCounts after_run;
+  bool operator==(const GraphdbRow&) const = default;
+};
+
+std::string ToString(const CacheCounts& c) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{%lluu, %lluu, %lluu, %lluu}",
+                static_cast<unsigned long long>(c.hits),
+                static_cast<unsigned long long>(c.misses),
+                static_cast<unsigned long long>(c.evictions),
+                static_cast<unsigned long long>(c.writebacks));
+  return buf;
+}
+
+std::string ToString(const GraphdbRow& r) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf), "{%s, %lluu, 0x%08xu, %lluu, %s, %s}",
+                KindEnum(r.kind).c_str(),
+                static_cast<unsigned long long>(r.cache_kib), r.checksum,
+                static_cast<unsigned long long>(r.traversed_edges),
+                ToString(r.after_import).c_str(),
+                ToString(r.after_run).c_str());
+  return buf;
+}
+
+// 64 KiB rows run under eviction pressure; 65536 KiB is StoreConfig's
+// default cache, which holds the whole store.
+constexpr GraphdbRow kGraphdbGolden[] = {
+    {AlgorithmKind::kBfs, 64u, 0xd7882d3du, 9740u,
+     {5448u, 24u, 16u, 23u}, {12463u, 3349u, 3341u, 23u}},
+    {AlgorithmKind::kConn, 64u, 0x284d4c20u, 9740u,
+     {5448u, 24u, 16u, 23u}, {12495u, 3317u, 3309u, 23u}},
+    {AlgorithmKind::kPr, 64u, 0xc50b1a93u, 77920u,
+     {5448u, 24u, 16u, 23u}, {70262u, 28270u, 28262u, 23u}},
+    {AlgorithmKind::kCd, 64u, 0x284d4c20u, 58440u,
+     {5448u, 24u, 16u, 23u}, {48656u, 18856u, 18848u, 23u}},
+    {AlgorithmKind::kStats, 64u, 0x7cd40f4fu, 219544u,
+     {5448u, 24u, 16u, 23u}, {183573u, 51783u, 51775u, 23u}},
+    {AlgorithmKind::kEvo, 64u, 0xd48838d0u, 72u,
+     {5448u, 24u, 16u, 23u}, {5495u, 54u, 46u, 23u}},
+    {AlgorithmKind::kBfs, 65536u, 0xd7882d3du, 9740u,
+     {5449u, 23u, 0u, 23u}, {15789u, 23u, 0u, 23u}},
+    {AlgorithmKind::kConn, 65536u, 0x284d4c20u, 9740u,
+     {5449u, 23u, 0u, 23u}, {15789u, 23u, 0u, 23u}},
+    {AlgorithmKind::kPr, 65536u, 0xc50b1a93u, 77920u,
+     {5449u, 23u, 0u, 23u}, {98509u, 23u, 0u, 23u}},
+    {AlgorithmKind::kCd, 65536u, 0x284d4c20u, 58440u,
+     {5449u, 23u, 0u, 23u}, {67489u, 23u, 0u, 23u}},
+    {AlgorithmKind::kStats, 65536u, 0x7cd40f4fu, 219544u,
+     {5449u, 23u, 0u, 23u}, {235333u, 23u, 0u, 23u}},
+    {AlgorithmKind::kEvo, 65536u, 0xd48838d0u, 72u,
+     {5449u, 23u, 0u, 23u}, {5526u, 23u, 0u, 23u}},
+};
+
+TEST(GraphdbHotpathParity, CursorsMatchPerRecordLookups) {
+  const Graph g = TestGraph();
+  for (const GraphdbRow& golden : kGraphdbGolden) {
+    auto dir = TempDir::Create("gly-hotpath-db");
+    ASSERT_TRUE(dir.ok());
+    auto store = ImportedStore(*dir, golden.cache_kib << 10);
+    GraphdbRow actual{golden.kind, golden.cache_kib, 0, 0,
+                      CountsOf(store->cache_stats()), {}};
+    auto out = graphdb::RunAlgorithmOnStore(store.get(), g.undirected(),
+                                            /*memory_budget_bytes=*/0,
+                                            golden.kind, TestParams());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    actual.checksum = harness::OutputChecksum(*out);
+    actual.traversed_edges = out->traversed_edges;
+    actual.after_run = CountsOf(store->cache_stats());
+    EXPECT_EQ(actual, golden) << "actual row: " << ToString(actual);
+  }
+}
+
+TEST(GraphdbHotpathParity, FailedReadDuringEvoIsAStatus) {
+  // EVO's burn reads neighbourhoods through a callback; a read failure
+  // inside it must come back as the run's Status (a failed cell), not
+  // abort the process.
+  auto dir = TempDir::Create("gly-hotpath-db");
+  ASSERT_TRUE(dir.ok());
+  auto store = ImportedStore(*dir, kSmallCache);
+  fault::FaultPlan plan(/*seed=*/1);
+  plan.Add({.site = "graphdb.pagecache.read",
+            .kind = fault::FaultKind::kCrash,
+            .max_triggers = 1});
+  fault::ScopedFaultPlan active(&plan);
+  auto out = graphdb::RunAlgorithmOnStore(store.get(), /*undirected=*/true,
+                                          /*memory_budget_bytes=*/0,
+                                          AlgorithmKind::kEvo, TestParams());
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsInternal()) << out.status().ToString();
+  EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u);
+}
+
+// Runs `fn` on a helper thread and waits for it. A shard lock left held
+// would block `fn` for ever; aborting with a message turns that deadlock
+// into a failure instead of a hung suite.
+void MustFinish(const char* what, const std::function<void()>& fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread helper([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "%s did not return: a shard lock was left held\n",
+                 what);
+    std::abort();
+  }
+  helper.join();
+}
+
+// A node's chain-walk result in ascending order, as the CSR lists it.
+Result<std::vector<VertexId>> SortedNeighbors(graphdb::GraphStore& store,
+                                              VertexId v) {
+  std::vector<VertexId> nbrs;
+  GLY_RETURN_NOT_OK(store.CollectNeighbors(v, /*outgoing_only=*/false, &nbrs));
+  std::sort(nbrs.begin(), nbrs.end());
+  return nbrs;
+}
+
+std::vector<VertexId> CsrNeighbors(const Graph& g, VertexId v) {
+  auto span = g.OutNeighbors(v);
+  return {span.begin(), span.end()};
+}
+
+TEST(PageCursorHotpath, ConcurrentChainWalksMatchCsr) {
+  // 8 threads walk every node's chain, each through its own cursors, on
+  // one store whose cache is far below the store: cursors keep crossing
+  // shards while other threads evict frames under them.
+  const Graph g = TestGraph();
+  const VertexId n = g.num_vertices();
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  auto store = ImportedStore(*dir, kSmallCache);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> walkers;
+  for (uint32_t t = 0; t < 8; ++t) {
+    walkers.emplace_back([&, t] {
+      for (VertexId i = 0; i < n; ++i) {
+        const VertexId v = (i + t * (n / 8)) % n;  // staggered starts
+        auto nbrs = SortedNeighbors(*store, v);
+        if (!nbrs.ok() || *nbrs != CsrNeighbors(g, v)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& w : walkers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(store->cache_stats().evictions, 0u);
+}
+
+TEST(PageCursorHotpath, FailedSeekHoldsNoLock) {
+  // One shard, so every page shares the lock a failed cursor could leak.
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  graphdb::PageCache cache(2 * graphdb::kPageSize, /*shards=*/1);
+  auto file = cache.OpenFile(dir->File("cursor.db"));
+  ASSERT_TRUE(file.ok());
+  for (uint64_t p = 0; p < 4; ++p) {
+    const uint64_t value = p * 7;
+    ASSERT_TRUE(
+        cache.Write(*file, p * graphdb::kPageSize, &value, sizeof(value))
+            .ok());
+  }
+  ASSERT_TRUE(cache.Flush().ok());  // pages 2 and 3 stay resident
+  graphdb::PageCache::Cursor cursor(cache);
+  uint64_t value = 0;
+  ASSERT_TRUE(
+      cursor.Read(*file, 3 * graphdb::kPageSize, &value, sizeof(value)).ok());
+  EXPECT_TRUE(cursor.holds_page());
+  {
+    fault::FaultPlan plan(/*seed=*/3);
+    plan.Add({.site = "graphdb.pagecache.read",
+              .kind = fault::FaultKind::kCrash,
+              .max_triggers = 1});
+    fault::ScopedFaultPlan active(&plan);
+    const Status s = cursor.Read(*file, 0, &value, sizeof(value));  // miss
+    EXPECT_TRUE(s.IsInternal()) << s.ToString();
+    EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u);
+  }
+  EXPECT_FALSE(cursor.holds_page());
+  // With the failed cursor still alive, another thread reads the page that
+  // failed and flushes the whole cache.
+  MustFinish("Read and Flush after a failed Seek", [&] {
+    uint64_t page0 = 1;
+    EXPECT_TRUE(cache.Read(*file, 0, &page0, sizeof(page0)).ok());
+    EXPECT_EQ(page0, 0u);
+    EXPECT_TRUE(cache.Flush().ok());
+  });
+  // The failed cursor itself is usable again.
+  ASSERT_TRUE(
+      cursor.Read(*file, graphdb::kPageSize, &value, sizeof(value)).ok());
+  EXPECT_EQ(value, 7u);
+}
+
+TEST(PageCursorHotpath, StoreRecoversFromAFailedChainWalk) {
+  // Node 1 is a hub whose chain spans most relationship pages, so walking
+  // it through the 8-page cache misses; the first miss fails.
+  const Graph g = TestGraph();
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  auto store = ImportedStore(*dir, kSmallCache);
+  fault::FaultPlan plan(/*seed=*/4);
+  plan.Add({.site = "graphdb.pagecache.read",
+            .kind = fault::FaultKind::kCrash,
+            .max_triggers = 1});
+  fault::ScopedFaultPlan active(&plan);
+  const Status failed = SortedNeighbors(*store, 1).status();
+  EXPECT_TRUE(failed.IsInternal()) << failed.ToString();
+  ASSERT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u);
+  // The same walk crosses the shard whose lookup failed.
+  MustFinish("CollectNeighbors and Checkpoint after a failed walk", [&] {
+    auto again = SortedNeighbors(*store, 1);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(*again, CsrNeighbors(g, 1));
+    EXPECT_TRUE(store->Checkpoint().ok());
+  });
+}
+
+TEST(PageCursorHotpath, CancelledImportLeavesNoShardLocked) {
+  // A stall on the import's third page fault holds BulkImport mid-loop
+  // while another thread arms the token; the import returns at its next
+  // poll (record 4096), and its cursor must have let go of every shard.
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  graphdb::StoreConfig config;
+  config.directory = dir->path() + "/store";
+  config.page_cache_bytes = kSmallCache;
+  auto store = graphdb::GraphStore::Open(config);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  fault::FaultPlan plan(/*seed=*/5);
+  plan.Add({.site = "graphdb.pagecache.read",
+            .kind = fault::FaultKind::kStall,
+            .skip_hits = 2,
+            .max_triggers = 1,
+            .delay_seconds = 0.4});
+  fault::ScopedFaultPlan active(&plan);
+  CancelToken token;
+  std::thread canceller([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    token.Cancel(CancelReason::kDeadline, "import deadline");
+  });
+  const Status s = (*store)->BulkImport(TestGraph().ToEdgeList(), &token);
+  canceller.join();
+  EXPECT_TRUE(s.IsTimeout()) << s.ToString();
+  EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u);
+  // stats() and Checkpoint's Flush lock every shard in turn.
+  MustFinish("stats and Checkpoint after a cancelled import", [&] {
+    EXPECT_GT((*store)->cache_stats().misses, 3u);
+    EXPECT_TRUE((*store)->Checkpoint().ok());
+  });
 }
 
 TEST(PageCacheHotpath, ConcurrentReadersSeeConsistentPages) {
