@@ -98,12 +98,10 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
   add(std::move(naive_rec));
   add(std::move(diropt_rec));
 
-  // Pregel: classic fixed partitions + sparse inboxes vs the dense-frontier
-  // fast path with work-stealing chunks.
+  // Pregel: classic sparse inboxes vs the dense-frontier fast path.
   pregel::EngineConfig classic;
   classic.num_workers = 8;
   classic.dense_frontier_threshold = 0.0;
-  classic.steal_chunk_vertices = 0;
   pregel::EngineConfig fast;
   fast.num_workers = 8;
   add(bench::MeasureKernel("bfs_pregel_classic", graph_name, scale,

@@ -4,6 +4,10 @@
 #   1. tier-1      — plain build, full test suite (the gate every PR must
 #                    hold). The `chaos` label is split out into stage 6 so
 #                    its wall-clock cost is attributed to the chaos stage.
+#                    Then a longest-function guard: code_quality_report's
+#                    maxfn column must stay at or below 150 code lines for
+#                    `pregel`, so Engine::Run stays split into its
+#                    superstep phases.
 #   2. asan        — GLY_SANITIZE=address build running the `ingest`,
 #                    `robustness`, `conformance`, and `hotpath` CTest
 #                    labels: the one text parser that reads every
@@ -36,11 +40,11 @@
 #                    (graphdb_test, also on the robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
-#                    writer), and the golden hot-path pins (work-stealing
-#                    compute chunks, the 8-thread page-cache hammer, 8
-#                    threads walking chains through page cursors) under
-#                    the race detector, where their bugs would actually
-#                    show.
+#                    writer), and the golden hot-path pins (one Pregel
+#                    compute task per worker on up to 8 threads, the
+#                    8-thread page-cache hammer, 8 threads walking chains
+#                    through page cursors) under the race detector, where
+#                    their bugs would actually show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the
 #                    golden-trace, metrics round-trip, monitor, profiler,
 #                    and 4-engine trace-artifact suites), then cross-checks
@@ -101,6 +105,11 @@ cmake --build "${TIER1_DIR}" -j "${JOBS}"
 
 echo "==> [1/6] tier-1: full test suite (chaos split into stage 6)"
 ctest --test-dir "${TIER1_DIR}" --output-on-failure -j "${JOBS}" -LE chaos
+
+echo "==> [1/6] tier-1: longest function (pregel maxfn <= 150)"
+"${TIER1_DIR}/tools/code_quality_report" src | awk '
+  $1 == "pregel" { print; seen = 1; if ($7 > 150) bad = 1 }
+  END { if (!seen || bad) { print "pregel maxfn must be <= 150"; exit 1 } }'
 
 echo "==> [2/6] asan: configure + build (${ASAN_DIR}, GLY_SANITIZE=address)"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -10,11 +10,12 @@
 //
 //  * CancelToken — a thread-safe, reason-carrying flag the harness arms and
 //    the engines poll at bounded-work intervals (per Pregel superstep and
-//    steal-chunk, between MapReduce tasks and reduce groups, per dataflow
-//    operator and shuffle chunk, per graph-database import batch and
-//    algorithm iteration, per ETL chunk). A poll on a null token is a
-//    pointer test; on a live token one relaxed atomic load — free enough
-//    for inner loops, same budget as the fault-injection and trace hooks.
+//    every 4096 vertices of a worker's list, between MapReduce tasks and
+//    reduce groups, per dataflow operator and shuffle chunk, per
+//    graph-database import batch and algorithm iteration, per ETL chunk).
+//    A poll on a null token is a pointer test; on a live token one relaxed
+//    atomic load — free enough for inner loops, same budget as the
+//    fault-injection and trace hooks.
 //
 //  * A progress heartbeat on the token: engines bump it whenever they make
 //    forward progress (a superstep, a job, an operator, an iteration). The

@@ -9,15 +9,26 @@
 
 namespace gly::harness {
 
-uint64_t SystemMonitor::CurrentRssBytes() {
-  FILE* f = std::fopen("/proc/self/statm", "r");
+namespace {
+
+// Reads the "<key>: <n> kB" line of /proc/self/status as bytes, where
+// `format` is "<key>: %llu"; 0 when the file or the key is missing.
+uint64_t ProcStatusBytes(const char* format) {
+  FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
-  unsigned long long size = 0;
-  unsigned long long resident = 0;
-  int n = std::fscanf(f, "%llu %llu", &size, &resident);
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, format, &kib) == 1) break;
+  }
   std::fclose(f);
-  if (n != 2) return 0;
-  return resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  return static_cast<uint64_t>(kib) * 1024;
+}
+
+}  // namespace
+
+uint64_t SystemMonitor::CurrentRssBytes() {
+  return ProcStatusBytes("VmRSS: %llu");
 }
 
 double SystemMonitor::CurrentCpuSeconds() {
@@ -63,6 +74,10 @@ double SelfProcReader::NowSeconds() {
 }
 
 uint64_t SelfProcReader::PeakRssBytes() {
+  // VmHWM folds the current RSS into the kernel's high-water mark when the
+  // file is read; getrusage's ru_maxrss catches up only at some unmaps, so
+  // it can trail the current RSS.
+  if (uint64_t hwm = ProcStatusBytes("VmHWM: %llu"); hwm != 0) return hwm;
   struct rusage usage;
   if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // Linux reports ru_maxrss in kilobytes.
@@ -135,8 +150,8 @@ ResourceSummary SystemMonitor::Stop() {
   if (!samples_.empty()) summary.mean_rss_bytes = sum_rss / samples_.size();
   // Reconcile the sampled peak with the kernel's high-water mark: a short
   // allocation spike between samples is invisible to the /proc poller but
-  // moves ru_maxrss. Only trust the rusage value when it advanced during
-  // this window — the high-water mark is per-process-lifetime, so a large
+  // moves the high-water mark. Only trust that value when it advanced
+  // during this window — the mark is per-process-lifetime, so a large
   // earlier window would otherwise leak into this summary.
   uint64_t end_peak_rss = reader().PeakRssBytes();
   if (end_peak_rss > start_peak_rss_) {

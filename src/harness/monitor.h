@@ -42,13 +42,14 @@ class ProcReader {
   virtual uint64_t RssBytes() = 0;      ///< current resident set, bytes
   virtual double CpuSeconds() = 0;      ///< cumulative user+system CPU
   virtual double NowSeconds() = 0;      ///< monotonic wall clock
-  /// Kernel-tracked lifetime peak RSS (getrusage ru_maxrss), bytes.
+  /// Kernel-tracked lifetime peak RSS (the high-water mark), bytes.
   /// 0 = unavailable; defaulted so scripted fakes need not implement it.
   virtual uint64_t PeakRssBytes() { return 0; }
 };
 
-/// ProcReader over /proc/self (statm for RSS, stat for CPU) plus
-/// getrusage for the kernel's peak-RSS high-water mark.
+/// ProcReader over /proc/self: status for RSS (VmRSS) and its high-water
+/// mark (VmHWM, or getrusage's ru_maxrss where VmHWM is missing), stat for
+/// CPU.
 class SelfProcReader : public ProcReader {
  public:
   uint64_t RssBytes() override;
@@ -83,7 +84,7 @@ class SystemMonitor {
 
   const std::vector<ResourceSample>& samples() const { return samples_; }
 
-  /// Reads the current process RSS (bytes) from /proc/self/statm.
+  /// Reads the current process RSS (bytes), VmRSS of /proc/self/status.
   static uint64_t CurrentRssBytes();
 
   /// Reads cumulative process CPU seconds from /proc/self/stat.

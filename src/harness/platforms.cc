@@ -53,13 +53,11 @@ class GiraphLikePlatform final : public Platform {
         checkpoint_dir_.has_value() ? checkpoint_dir_->path() : "");
     engine.checkpoint.max_recoveries = static_cast<uint32_t>(
         config.GetUintOr("checkpoint_max_recoveries", 3));
-    // Traversal-kernel knobs: 0 disables the dense-frontier fast path /
-    // makes each worker one compute chunk (the pre-optimization engine
-    // that fig4's bfs_pregel_classic record measures).
+    // Traversal-kernel knob: 0 disables the dense-frontier fast path (the
+    // pre-optimization engine that fig4's bfs_pregel_classic record
+    // measures).
     engine.dense_frontier_threshold = config.GetDoubleOr(
         "dense_frontier_threshold", engine.dense_frontier_threshold);
-    engine.steal_chunk_vertices = static_cast<uint32_t>(config.GetUintOr(
-        "steal_chunk_vertices", engine.steal_chunk_vertices));
     engine_ = std::make_unique<pregel::Engine>(engine);
   }
 

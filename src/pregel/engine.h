@@ -35,6 +35,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -258,23 +259,14 @@ struct EngineConfig {
   /// its `bfs_pregel_classic` record (the pre-optimization engine).
   double dense_frontier_threshold = 0.05;
 
-  /// Compute-phase scheduling: vertex ranges of this many vertices are
-  /// pulled from a shared queue by the pool threads (work stealing), so a
-  /// hub-heavy partition no longer serializes the superstep (the §2.1
-  /// skew choke point). 0 makes each worker's whole vertex list one
-  /// range (the fixed-partition schedule), which `fig4_runtimes
-  /// --kernels-only` needs for its `bfs_pregel_classic` record. Message
-  /// order, and therefore results, are identical either way.
-  uint32_t steal_chunk_vertices = 4096;
-
   /// Superstep checkpoint/rollback policy (disabled by default).
   CheckpointPolicy checkpoint;
 
   /// Cooperative cancellation (null = unsupervised). Polled at every
-  /// superstep boundary and before every compute chunk; the engine bumps
-  /// the token's progress heartbeat once per completed superstep. A
-  /// cancelled run returns the token's Status (Timeout/Cancelled) with the
-  /// partial RunStats accumulated so far.
+  /// superstep boundary and every 4096 vertices of a worker's list; the
+  /// engine bumps the token's progress heartbeat once per completed
+  /// superstep. A cancelled run returns the token's Status
+  /// (Timeout/Cancelled) with the partial RunStats accumulated so far.
   CancelToken* cancel = nullptr;
 };
 
@@ -413,6 +405,547 @@ struct RunOutput {
   Aggregators aggregators;  ///< final aggregator values
 };
 
+namespace detail {
+
+/// Vertices a worker computes between two cancellation polls.
+inline constexpr size_t kCancelPollVertices = 4096;
+
+/// The state of one Engine::Run and the superstep phases over it. Run owns
+/// it as a local, so a cancelled or failed run releases every recycled
+/// buffer wholesale (recycle within a run, release on cancel).
+template <typename V, typename M>
+struct SuperstepState {
+  using Outbox = std::vector<std::pair<VertexId, M>>;
+  using Partial = std::map<std::string, double>;
+  static constexpr bool kCanCheckpoint =
+      kCheckpointSerializable<V> && kCheckpointSerializable<M>;
+
+  SuperstepState(const EngineConfig& cfg, const Graph& g,
+                 VertexProgram<V, M>* prog)
+      : config(cfg),
+        graph(g),
+        program(prog),
+        n(g.num_vertices()),
+        workers(std::max(1u, cfg.num_workers)),
+        budget(cfg.memory_budget_bytes),
+        pool(cfg.num_threads != 0 ? cfg.num_threads : HardwareThreads()),
+        worker_vertices(workers),
+        outboxes(workers),
+        ckpt_enabled(kCanCheckpoint && cfg.checkpoint.interval > 0 &&
+                     !cfg.checkpoint.directory.empty()),
+        ckpt_path(cfg.checkpoint.directory + "/pregel.ckpt") {}
+
+  const EngineConfig& config;
+  const Graph& graph;
+  VertexProgram<V, M>* const program;
+  const VertexId n;
+  const uint32_t workers;
+  MemoryBudget budget;
+  ThreadPool pool;
+  std::unique_ptr<Partitioner> partitioner;
+  std::vector<std::vector<VertexId>> worker_vertices;  ///< ascending ids
+  RunOutput<V> out;
+  std::vector<uint8_t> halted;
+  std::optional<std::function<M(const M&, const M&)>> combiner;
+  // Inboxes, double-buffered, in one of two representations per
+  // superstep: flat (a recycled CSR of offsets + contiguous messages —
+  // the general case; v's messages are data[offsets[v] .. offsets[v+1]))
+  // or dense (one combined slot + presence flag per vertex — the fast path
+  // for near-full frontiers of combinable programs, which skips
+  // per-message storage entirely).
+  bool inbox_dense = false;
+  bool next_dense = false;
+  std::vector<M> inbox_slots;
+  std::vector<M> next_slots;
+  std::vector<uint8_t> inbox_has;
+  std::vector<uint8_t> next_has;
+  std::vector<size_t> inbox_offsets;
+  std::vector<size_t> next_offsets;
+  std::vector<M> inbox_data;
+  std::vector<M> next_data;
+  // Delivery staging: kept (post-fault) messages in delivery order plus
+  // per-vertex counts for the count-then-scatter pass, and the
+  // sender-side combining accumulator.
+  Outbox kept;
+  std::vector<uint32_t> counts;
+  std::vector<size_t> scatter_cursor;
+  arena::FlatAccumulator<M> combine_acc;
+  // One outbox per worker, recycled across supersteps (clear() keeps the
+  // capacity); only that worker's compute task writes it.
+  std::vector<Outbox> outboxes;
+  uint64_t outbox_bytes_peak = 0;
+  uint64_t live_message_bytes = 0;
+  uint64_t messages_combined = 0;  ///< folded at the sender this superstep
+  Stopwatch total_watch;
+  uint32_t step = 0;
+  // Checkpointing. A snapshot holds what re-entering superstep `step`
+  // needs: vertex values, halt flags, the delivered inbox and aggregator
+  // epoch values. The recovery counters live outside out.stats because a
+  // rollback resets out.stats to its snapshot-time copy.
+  const bool ckpt_enabled;
+  const std::string ckpt_path;
+  bool have_checkpoint = false;
+  uint32_t checkpoint_step = 0;  ///< superstep a rollback re-enters
+  RunStats stats_at_checkpoint;
+  uint32_t ckpts_written = 0;
+  uint32_t ckpt_failures = 0;
+  uint32_t recoveries = 0;
+  uint32_t replayed = 0;
+  double ckpt_seconds = 0.0;
+
+  /// Charges the graph and vertex state, partitions the vertices and runs
+  /// Init on every vertex.
+  Status Start() {
+    // The graph is replicated state on every worker in Giraph-like systems
+    // only for small worker counts; realistically each worker stores its
+    // partition. We charge the CSR once (partitioned storage).
+    GLY_RETURN_NOT_OK(budget.Charge(graph.MemoryBytes(), "graph partitions"));
+    GLY_RETURN_NOT_OK(
+        budget.Charge(n * (sizeof(V) + 2), "vertex values and flags"));
+    if (config.partitioning == PartitioningPolicy::kBalanced) {
+      partitioner = std::make_unique<BalancedEdgePartitioner>(graph, workers);
+    } else {
+      partitioner = std::make_unique<HashPartitioner>(workers);
+    }
+    out.values.resize(n);
+    halted.assign(n, 0);
+    pool.ParallelForChunked(n, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        out.values[i] = program->Init(graph, static_cast<VertexId>(i));
+      }
+    });
+    combiner = program->Combiner();
+    program->RegisterAggregators(&out.aggregators);
+    inbox_offsets.assign(n + 1, 0);
+    counts.assign(n, 0);
+    if (combiner.has_value()) combine_acc.EnsureDomain(n);
+    for (VertexId v = 0; v < n; ++v) {
+      worker_vertices[partitioner->PartitionOf(v)].push_back(v);
+    }
+    total_watch.Restart();
+    if (ckpt_enabled) {
+      // A missing directory would otherwise fail every snapshot write and
+      // silently disable recovery for the whole run.
+      std::error_code ec;
+      std::filesystem::create_directories(config.checkpoint.directory, ec);
+      RemoveCheckpoint(ckpt_path);  // stale prior-run file
+    }
+    return Status::OK();
+  }
+
+  /// v's delivered messages, viewed in place: its dense slot or its flat
+  /// CSR segment.
+  std::span<const M> InboxOf(VertexId v) const {
+    if (inbox_dense) {
+      return inbox_has[v] ? std::span<const M>(&inbox_slots[v], 1)
+                          : std::span<const M>();
+    }
+    return {inbox_data.data() + inbox_offsets[v],
+            inbox_offsets[v + 1] - inbox_offsets[v]};
+  }
+
+  /// Compute phase: each worker computes its own vertex list into its own
+  /// outbox, one ParallelFor index per worker (inline on a one-thread
+  /// pool). Injected worker crashes keep their once-per-worker-per-
+  /// superstep cadence: statuses are drawn up front in worker order and a
+  /// crashed worker computes nothing, leaving the superstep half-computed;
+  /// its failure is returned once every worker has finished.
+  Status Compute(SuperstepStats* ss) {
+    std::vector<Status> worker_status(workers);
+    for (uint32_t w = 0; w < workers; ++w) {
+      worker_status[w] = fault::CheckPoint("pregel.worker.compute");
+      outboxes[w].clear();
+    }
+    std::vector<Partial> partials(workers);
+    std::vector<double> busy(workers, 0.0);
+    std::atomic<uint64_t> active{0};
+    pool.ParallelFor(0, workers, /*grain=*/1, [&](size_t w) {
+      if (!worker_status[w].ok()) return;
+      Stopwatch watch;
+      active.fetch_add(ComputeWorker(static_cast<uint32_t>(w), &partials[w]),
+                       std::memory_order_relaxed);
+      busy[w] = watch.ElapsedSeconds();
+    });
+    for (uint32_t w = 0; w < workers; ++w) {
+      if (!worker_status[w].ok()) {
+        return worker_status[w].WithPrefix("pregel superstep " +
+                                           std::to_string(step) + " worker " +
+                                           std::to_string(w));
+      }
+    }
+    out.aggregators.EndSuperstep(partials);
+    ss->active_vertices = active.load();
+    // Worker imbalance (skew choke point).
+    const double max_busy = *std::max_element(busy.begin(), busy.end());
+    const double mean_busy =
+        std::accumulate(busy.begin(), busy.end(), 0.0) / workers;
+    ss->worker_imbalance = mean_busy > 1e-12 ? max_busy / mean_busy : 1.0;
+    return Status::OK();
+  }
+
+  /// Runs Compute on worker w's active vertices in list order, polling
+  /// cancellation every kCancelPollVertices vertices; returns the number
+  /// of active vertices.
+  uint64_t ComputeWorker(uint32_t w, Partial* partial) {
+    const std::vector<VertexId>& list = worker_vertices[w];
+    uint64_t active = 0;
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i % kCancelPollVertices == 0 && Cancelled(config.cancel)) break;
+      const VertexId v = list[i];
+      const std::span<const M> messages = InboxOf(v);
+      if (halted[v] && messages.empty() && step > 0) continue;
+      halted[v] = 0;
+      ++active;
+      bool halt_flag = false;
+      typename VertexProgram<V, M>::Context ctx(
+          &graph, v, step, &out.values[v], &outboxes[w], &halt_flag,
+          &out.aggregators, partial);
+      program->Compute(ctx, messages);
+      if (halt_flag) halted[v] = 1;
+    }
+    return active;
+  }
+
+  /// Sender-side combine: folds each target's messages left-to-right in
+  /// emission order through the epoch-tagged dense accumulator (no sort of
+  /// the message stream), then re-emits one entry per target in ascending
+  /// target order.
+  void CombineAtSender(Outbox* outbox) {
+    combine_acc.NewEpoch();
+    for (auto& [target, msg] : *outbox) {
+      if (combine_acc.touched(target)) {
+        M& acc = combine_acc.slot(target);
+        acc = (*combiner)(acc, msg);
+      } else {
+        combine_acc.mark(target) = std::move(msg);
+      }
+    }
+    auto& targets = combine_acc.touched_keys();
+    outbox->clear();
+    if (targets.size() * 16 >= n) {
+      // Dense round: a sequential sweep of the key domain emits the same
+      // ascending target order as sorting the touched list, without the
+      // O(k log k) sort.
+      for (size_t target = 0; target < n; ++target) {
+        if (!combine_acc.touched(target)) continue;
+        outbox->emplace_back(static_cast<VertexId>(target),
+                             std::move(combine_acc.slot(target)));
+      }
+    } else {
+      std::sort(targets.begin(), targets.end());
+      for (size_t target : targets) {
+        outbox->emplace_back(static_cast<VertexId>(target),
+                             std::move(combine_acc.slot(target)));
+      }
+    }
+  }
+
+  /// Delivery phase: combines each worker's outbox at the sender when the
+  /// program has a combiner, then delivers in source-worker order into the
+  /// next inbox, flat or dense, and charges the live messages to the
+  /// budget (the Giraph OOM mode).
+  Status Deliver(SuperstepStats* ss) {
+    budget.Release(live_message_bytes);
+    live_message_bytes = 0;
+    // Dense-frontier fast path: once the active set passes the threshold
+    // (and the program is combinable), deliver into one combined slot +
+    // presence flag per vertex instead of staging every message in the
+    // flat inbox. Messages are folded left-to-right in the same worker
+    // order the flat inbox would present them, so results — including
+    // floating-point ones — are bit-identical.
+    next_dense = combiner.has_value() &&
+                 config.dense_frontier_threshold > 0.0 && n > 0 &&
+                 static_cast<double>(ss->active_vertices) >=
+                     config.dense_frontier_threshold * static_cast<double>(n);
+    if (next_dense) {
+      next_slots.resize(n);
+      next_has.assign(n, 0);
+    }
+    uint64_t inbox_bytes = 0;
+    uint64_t emitted = 0;  // outbox entries before sender-side combine
+    for (const Outbox& outbox : outboxes) emitted += outbox.size();
+    for (uint32_t w = 0; w < workers; ++w) {
+      if (combiner.has_value()) CombineAtSender(&outboxes[w]);
+      for (auto& [target, msg] : outboxes[w]) {
+        if (GLY_FAULT_DROP("pregel.message.deliver")) {
+          ++ss->messages_dropped;
+          continue;
+        }
+        ++ss->messages_sent;
+        const uint64_t wire = MessageWireBytes(msg);
+        if (partitioner->PartitionOf(target) != w) {
+          ++ss->cross_worker_messages;
+          ss->cross_worker_bytes += wire + sizeof(VertexId);
+        }
+        if (!next_dense) {
+          // Count-then-scatter: stage the kept message in delivery order;
+          // the scatter below places it into the flat CSR.
+          inbox_bytes += wire;
+          ++counts[target];
+          kept.emplace_back(target, std::move(msg));
+        } else if (next_has[target]) {
+          next_slots[target] = (*combiner)(next_slots[target], msg);
+        } else {
+          next_slots[target] = std::move(msg);
+          next_has[target] = 1;
+        }
+      }
+    }
+    if (next_dense) {
+      // Live bytes are the combined slots actually occupied — the memory
+      // the fast path holds instead of the per-message flat inbox.
+      for (VertexId v = 0; v < n; ++v) {
+        if (next_has[v]) inbox_bytes += MessageWireBytes(next_slots[v]);
+      }
+    } else {
+      // Scatter pass: prefix-sum the per-vertex counts into CSR offsets,
+      // then place kept messages — already in (source worker, combined
+      // target order / emission order) delivery order — so each vertex's
+      // segment holds its messages in delivery order.
+      next_offsets.resize(n + 1);
+      next_offsets[0] = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        next_offsets[v + 1] = next_offsets[v] + counts[v];
+      }
+      next_data.resize(next_offsets[n]);
+      scatter_cursor.assign(next_offsets.begin(), next_offsets.end() - 1);
+      for (auto& [target, msg] : kept) {
+        next_data[scatter_cursor[target]++] = std::move(msg);
+      }
+      kept.clear();
+      std::fill(counts.begin(), counts.end(), 0u);
+    }
+    messages_combined = emitted - ss->messages_sent - ss->messages_dropped;
+    // Arena telemetry: bytes parked in the recycled buffers right now
+    // (capacity, not occupancy — this is what the pool holds between
+    // supersteps). Surfaced as `pregel.outbox_bytes_peak`.
+    uint64_t pool_bytes = kept.capacity() * sizeof(std::pair<VertexId, M>);
+    for (const Outbox& outbox : outboxes) {
+      pool_bytes += outbox.capacity() * sizeof(std::pair<VertexId, M>);
+    }
+    pool_bytes += (inbox_data.capacity() + next_data.capacity() +
+                   inbox_slots.capacity() + next_slots.capacity()) *
+                  sizeof(M);
+    pool_bytes += combine_acc.held_bytes();
+    outbox_bytes_peak = std::max(outbox_bytes_peak, pool_bytes);
+    ss->dense_delivery = next_dense;
+    if (next_dense) ++out.stats.dense_supersteps;
+    live_message_bytes = inbox_bytes;
+    Status charge = budget.Charge(inbox_bytes, "superstep messages");
+    if (!charge.ok()) {
+      return charge.WithPrefix("pregel superstep " + std::to_string(step));
+    }
+    return Status::OK();
+  }
+
+  /// Barrier: sleeps out the modeled network (cross-worker bytes over the
+  /// pipe plus the barrier latency), passes the barrier fault point and
+  /// swaps the delivered inbox in.
+  Status Barrier(SuperstepStats* ss) {
+    ss->network_seconds = config.barrier_latency_s;
+    if (config.network_mib_per_s > 0.0) {
+      ss->network_seconds += static_cast<double>(ss->cross_worker_bytes) /
+                             (config.network_mib_per_s * (1 << 20));
+    }
+    if (ss->network_seconds > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(ss->network_seconds));
+    }
+    // Injected barrier faults: a crash here kills the superstep after
+    // compute (recoverable from a checkpoint, like a worker crash); a
+    // stall models the slow-worker scenario the harness timeout must cut
+    // short.
+    Status barrier = fault::CheckPoint("pregel.superstep.barrier");
+    if (!barrier.ok()) {
+      return barrier.WithPrefix("pregel superstep " + std::to_string(step) +
+                                " barrier");
+    }
+    inbox_offsets.swap(next_offsets);
+    inbox_data.swap(next_data);
+    inbox_slots.swap(next_slots);
+    inbox_has.swap(next_has);
+    inbox_dense = next_dense;
+    next_dense = false;
+    return Status::OK();
+  }
+
+  void SyncCheckpointStats() {
+    out.stats.checkpoints_written = ckpts_written;
+    out.stats.checkpoint_failures = ckpt_failures;
+    out.stats.recoveries = recoveries;
+    out.stats.supersteps_replayed = replayed;
+    out.stats.checkpoint_seconds = ckpt_seconds;
+  }
+
+  /// Snapshots the entry state of superstep `step`. A failed write is not
+  /// fatal: WriteTo stages and renames atomically, so the previous
+  /// snapshot, if any, stays the recovery point.
+  void WriteCheckpoint() {
+    if constexpr (kCanCheckpoint) {
+      trace::TraceSpan ckpt_span("pregel.checkpoint.write", "pregel");
+      ckpt_span.SetAttribute("superstep", uint64_t{step});
+      Stopwatch ckpt_watch;
+      CheckpointWriter writer;
+      CheckpointEncoder meta(writer.AddSection("meta"));
+      meta.PutU32(step);
+      meta.PutU64(n);
+      meta.PutU64(live_message_bytes);
+      CheckpointEncoder values(writer.AddSection("values"));
+      CkptPutValue(values, out.values);
+      CheckpointEncoder halt(writer.AddSection("halted"));
+      CkptPutValue(halt, halted);
+      // The delivered inbox in canonical sparse form.
+      std::vector<std::vector<M>> inbox(n);
+      for (VertexId v = 0; v < n; ++v) {
+        const std::span<const M> messages = InboxOf(v);
+        inbox[v].assign(messages.begin(), messages.end());
+      }
+      CheckpointEncoder msgs(writer.AddSection("inbox"));
+      CkptPutValue(msgs, inbox);
+      CheckpointEncoder agg(writer.AddSection("aggregators"));
+      const auto& agg_values = out.aggregators.CurrentValues();
+      agg.PutU64(agg_values.size());
+      for (const auto& [name, value] : agg_values) {
+        agg.PutString(name);
+        agg.PutDouble(value);
+      }
+      Status written = writer.WriteTo(ckpt_path);
+      ckpt_seconds += ckpt_watch.ElapsedSeconds();
+      if (written.ok()) {
+        ++ckpts_written;
+        have_checkpoint = true;
+        checkpoint_step = step;
+        SyncCheckpointStats();
+        stats_at_checkpoint = out.stats;
+      } else {
+        ++ckpt_failures;
+      }
+    }
+  }
+
+  /// Loads the last snapshot back into the run state.
+  Status RestoreCheckpoint() {
+    if constexpr (kCanCheckpoint) {
+      trace::TraceSpan restore_span("pregel.checkpoint.restore", "pregel");
+      restore_span.SetAttribute("checkpoint_step", uint64_t{checkpoint_step});
+      GLY_ASSIGN_OR_RETURN(CheckpointReader reader,
+                           CheckpointReader::Load(ckpt_path));
+      GLY_ASSIGN_OR_RETURN(std::string_view meta_raw, reader.Section("meta"));
+      CheckpointDecoder meta(meta_raw);
+      uint32_t saved_step = 0;
+      uint64_t saved_n = 0;
+      uint64_t saved_live_bytes = 0;
+      if (!meta.GetU32(&saved_step) || !meta.GetU64(&saved_n) ||
+          !meta.GetU64(&saved_live_bytes) || saved_n != n ||
+          saved_step != checkpoint_step) {
+        return Status::Internal("pregel checkpoint metadata mismatch");
+      }
+      GLY_ASSIGN_OR_RETURN(std::string_view values_raw,
+                           reader.Section("values"));
+      CheckpointDecoder values(values_raw);
+      if (!CkptGetValue(values, &out.values) || out.values.size() != n) {
+        return Status::Internal("pregel checkpoint vertex values corrupt");
+      }
+      GLY_ASSIGN_OR_RETURN(std::string_view halt_raw,
+                           reader.Section("halted"));
+      CheckpointDecoder halt(halt_raw);
+      if (!CkptGetValue(halt, &halted) || halted.size() != n) {
+        return Status::Internal("pregel checkpoint halt flags corrupt");
+      }
+      GLY_ASSIGN_OR_RETURN(std::string_view msgs_raw, reader.Section("inbox"));
+      CheckpointDecoder msgs(msgs_raw);
+      std::vector<std::vector<M>> restored;
+      if (!CkptGetValue(msgs, &restored) || restored.size() != n) {
+        return Status::Internal("pregel checkpoint inbox corrupt");
+      }
+      GLY_ASSIGN_OR_RETURN(std::string_view agg_raw,
+                           reader.Section("aggregators"));
+      CheckpointDecoder agg(agg_raw);
+      uint64_t agg_count = 0;
+      if (!agg.GetU64(&agg_count)) {
+        return Status::Internal("pregel checkpoint aggregators corrupt");
+      }
+      std::map<std::string, double> agg_values;
+      for (uint64_t i = 0; i < agg_count; ++i) {
+        std::string name;
+        double value = 0.0;
+        if (!agg.GetString(&name) || !agg.GetDouble(&value)) {
+          return Status::Internal("pregel checkpoint aggregators corrupt");
+        }
+        agg_values[name] = value;
+      }
+      out.aggregators.RestoreCurrentValues(agg_values);
+      // Flatten the canonical sparse snapshot into the recycled CSR
+      // buffers (per-vertex order is preserved verbatim).
+      inbox_offsets.resize(n + 1);
+      inbox_offsets[0] = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        inbox_offsets[v + 1] = inbox_offsets[v] + restored[v].size();
+      }
+      inbox_data.resize(inbox_offsets[n]);
+      for (VertexId v = 0; v < n; ++v) {
+        std::move(restored[v].begin(), restored[v].end(),
+                  inbox_data.begin() + inbox_offsets[v]);
+      }
+      kept.clear();
+      std::fill(counts.begin(), counts.end(), 0u);
+      // Snapshots always hold the canonical sparse form.
+      inbox_dense = false;
+      next_dense = false;
+      std::fill(inbox_has.begin(), inbox_has.end(), 0);
+      std::fill(next_has.begin(), next_has.end(), 0);
+      // Swap the message-memory accounting over to the restored inbox.
+      budget.Release(live_message_bytes);
+      live_message_bytes = 0;
+      GLY_RETURN_NOT_OK(
+          budget.Charge(saved_live_bytes, "restored superstep messages"));
+      live_message_bytes = saved_live_bytes;
+      out.stats = stats_at_checkpoint;
+      return Status::OK();
+    } else {
+      return Status::Internal("checkpointing unavailable for this program");
+    }
+  }
+
+  /// On superstep failure: rolls back to the last snapshot and rewinds
+  /// `step` if the policy allows; false leaves the failure to the caller.
+  bool TryRecover() {
+    if (!ckpt_enabled || !have_checkpoint) return false;
+    if (recoveries >= config.checkpoint.max_recoveries) return false;
+    if (!RestoreCheckpoint().ok()) return false;
+    ++recoveries;
+    metrics::AddCounter("pregel.recoveries");
+    replayed += step - checkpoint_step;
+    SyncCheckpointStats();
+    step = checkpoint_step;
+    return true;
+  }
+
+  bool AllHalted() const {
+    return std::all_of(halted.begin(), halted.end(),
+                       [](uint8_t h) { return h != 0; });
+  }
+
+  void FinishStats() {
+    SyncCheckpointStats();
+    out.stats.total_seconds = total_watch.ElapsedSeconds();
+    out.stats.peak_memory_bytes = budget.peak();
+    out.stats.outbox_bytes_peak = outbox_bytes_peak;
+  }
+
+  /// A cancelled superstep: folds the partial stats out and returns the
+  /// token's status, so the harness records a timed-out or stalled cell
+  /// whose attempt thread it can join instead of abandoning a runaway one.
+  Status CancelledStatus(RunStats* partial_stats) {
+    FinishStats();
+    if (partial_stats != nullptr) *partial_stats = out.stats;
+    return config.cancel->ToStatus().WithPrefix("pregel superstep " +
+                                                std::to_string(step));
+  }
+};
+
+}  // namespace detail
+
 /// The BSP engine.
 class Engine {
  public:
@@ -430,688 +963,73 @@ class Engine {
                            RunStats* partial_stats = nullptr) const {
     GLY_FAULT_POINT("pregel.run.start");
     GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-    const VertexId n = graph.num_vertices();
-    const uint32_t workers = std::max(1u, config_.num_workers);
-    const uint32_t threads = config_.num_threads != 0
-                                 ? config_.num_threads
-                                 : static_cast<uint32_t>(HardwareThreads());
-    MemoryBudget budget(config_.memory_budget_bytes);
-
-    // The graph is replicated state on every worker in Giraph-like systems
-    // only for small worker counts; realistically each worker stores its
-    // partition. We charge the CSR once (partitioned storage).
-    GLY_RETURN_NOT_OK(budget.Charge(graph.MemoryBytes(), "graph partitions"));
-    GLY_RETURN_NOT_OK(
-        budget.Charge(n * (sizeof(V) + 2), "vertex values and flags"));
-
-    std::unique_ptr<Partitioner> partitioner_holder;
-    if (config_.partitioning == PartitioningPolicy::kBalanced) {
-      partitioner_holder = std::make_unique<BalancedEdgePartitioner>(graph, workers);
-    } else {
-      partitioner_holder = std::make_unique<HashPartitioner>(workers);
-    }
-    const Partitioner& partitioner = *partitioner_holder;
-    ThreadPool pool(threads);
-
-    RunOutput<V> out;
-    out.values.resize(n);
-    std::vector<uint8_t> halted(n, 0);
-    pool.ParallelForChunked(n, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        out.values[i] = program->Init(graph, static_cast<VertexId>(i));
-      }
-    });
-
-    auto combiner = program->Combiner();
-    Aggregators aggregators;
-    program->RegisterAggregators(&aggregators);
-
-    // Inboxes, double-buffered, in one of two representations per
-    // superstep: flat (a recycled CSR of offsets + contiguous messages —
-    // the general case) or dense (one combined slot + presence flag per
-    // vertex — the fast path for near-full frontiers of combinable
-    // programs, which skips per-message storage entirely).
-    bool inbox_dense = false;
-    bool next_dense = false;
-    std::vector<M> inbox_slots;
-    std::vector<M> next_slots;
-    std::vector<uint8_t> inbox_has;
-    std::vector<uint8_t> next_has;
-    // Flat inbox (CSR): messages for vertex v live in
-    // inbox_data[inbox_offsets[v] .. inbox_offsets[v+1]). All buffers are
-    // recycled across supersteps; they are owned by this activation frame,
-    // so cancellation (which returns through cancelled_status) releases
-    // them wholesale.
-    std::vector<size_t> inbox_offsets(n + 1, 0);
-    std::vector<size_t> next_offsets;
-    std::vector<M> inbox_data;
-    std::vector<M> next_data;
-    // Delivery staging: kept (post-fault) messages in delivery order plus
-    // per-vertex counts for the count-then-scatter pass, and the
-    // sender-side combining accumulator.
-    std::vector<std::pair<VertexId, M>> kept;
-    std::vector<uint32_t> counts(n, 0);
-    std::vector<size_t> scatter_cursor;
-    arena::FlatAccumulator<M> combine_acc;
-    if (combiner.has_value()) combine_acc.EnsureDomain(n);
-    // The delivered inbox in canonical sparse form (checkpointing).
-    auto inbox_as_sparse = [&]() -> std::vector<std::vector<M>> {
-      std::vector<std::vector<M>> sparse(n);
-      for (VertexId v = 0; v < n; ++v) {
-        if (inbox_dense) {
-          if (inbox_has[v]) sparse[v].push_back(inbox_slots[v]);
-        } else {
-          sparse[v].assign(inbox_data.begin() + inbox_offsets[v],
-                           inbox_data.begin() + inbox_offsets[v + 1]);
-        }
-      }
-      return sparse;
-    };
-
-    // Per-worker vertex lists.
-    std::vector<std::vector<VertexId>> worker_vertices(workers);
-    for (VertexId v = 0; v < n; ++v) {
-      worker_vertices[partitioner.PartitionOf(v)].push_back(v);
-    }
-
-    // Work-stealing schedule: each worker's vertex list split into ranges
-    // small enough for idle threads to steal (steal_chunk_vertices = 0:
-    // one range per worker, the fixed-partition schedule). Ranges are
-    // merged back in list order after compute, so message order — and
-    // every result bit — is the same for every chunk size.
-    struct ChunkRange {
-      uint32_t worker;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<ChunkRange> chunk_ranges;
-    for (uint32_t w = 0; w < workers; ++w) {
-      const uint32_t count = static_cast<uint32_t>(worker_vertices[w].size());
-      const uint32_t chunk = config_.steal_chunk_vertices > 0
-                                 ? config_.steal_chunk_vertices
-                                 : count;
-      for (uint32_t b = 0; b < count; b += chunk) {
-        chunk_ranges.push_back({w, b, std::min(b + chunk, count)});
-      }
-    }
-
-    Stopwatch total_watch;
-    uint64_t live_message_bytes = 0;
-
-    // ------------------------------------------------ checkpoint machinery
-    // Snapshots capture the state needed to re-enter superstep `step`:
-    // vertex values, halt flags, the delivered inbox, and aggregator epoch
-    // values. Recovery counters live in locals because a rollback resets
-    // out.stats to the snapshot-time copy.
-    constexpr bool can_checkpoint =
-        kCheckpointSerializable<V> && kCheckpointSerializable<M>;
-    const bool ckpt_enabled = can_checkpoint &&
-                              config_.checkpoint.interval > 0 &&
-                              !config_.checkpoint.directory.empty();
-    const std::string ckpt_path = config_.checkpoint.directory + "/pregel.ckpt";
-    bool have_checkpoint = false;
-    uint32_t checkpoint_step = 0;  // superstep a rollback re-enters
-    RunStats stats_at_checkpoint;
-    uint32_t ckpts_written = 0;
-    uint32_t ckpt_failures = 0;
-    uint32_t recoveries = 0;
-    uint32_t replayed = 0;
-    double ckpt_seconds = 0.0;
-    auto sync_ckpt_stats = [&] {
-      out.stats.checkpoints_written = ckpts_written;
-      out.stats.checkpoint_failures = ckpt_failures;
-      out.stats.recoveries = recoveries;
-      out.stats.supersteps_replayed = replayed;
-      out.stats.checkpoint_seconds = ckpt_seconds;
-    };
-    if (ckpt_enabled) {
-      // A missing directory would otherwise fail every snapshot write and
-      // silently disable recovery for the whole run.
-      std::error_code ec;
-      std::filesystem::create_directories(config_.checkpoint.directory, ec);
-      RemoveCheckpoint(ckpt_path);  // stale prior-run file
-    }
-
-    uint32_t step = 0;
-    auto write_checkpoint = [&] {
-      if constexpr (can_checkpoint) {
-        trace::TraceSpan ckpt_span("pregel.checkpoint.write", "pregel");
-        ckpt_span.SetAttribute("superstep", uint64_t{step});
-        Stopwatch ckpt_watch;
-        CheckpointWriter writer;
-        CheckpointEncoder meta(writer.AddSection("meta"));
-        meta.PutU32(step);
-        meta.PutU64(n);
-        meta.PutU64(live_message_bytes);
-        CheckpointEncoder values(writer.AddSection("values"));
-        detail::CkptPutValue(values, out.values);
-        CheckpointEncoder halt(writer.AddSection("halted"));
-        detail::CkptPutValue(halt, halted);
-        CheckpointEncoder msgs(writer.AddSection("inbox"));
-        detail::CkptPutValue(msgs, inbox_as_sparse());
-        CheckpointEncoder agg(writer.AddSection("aggregators"));
-        const auto& agg_values = aggregators.CurrentValues();
-        agg.PutU64(agg_values.size());
-        for (const auto& [name, value] : agg_values) {
-          agg.PutString(name);
-          agg.PutDouble(value);
-        }
-        Status written = writer.WriteTo(ckpt_path);
-        ckpt_seconds += ckpt_watch.ElapsedSeconds();
-        if (written.ok()) {
-          ++ckpts_written;
-          have_checkpoint = true;
-          checkpoint_step = step;
-          sync_ckpt_stats();
-          stats_at_checkpoint = out.stats;
-        } else {
-          // Non-fatal: the previous snapshot (if any) is still the valid
-          // recovery point — WriteTo stages and renames atomically.
-          ++ckpt_failures;
-        }
-      }
-    };
-
-    auto restore_checkpoint = [&]() -> Status {
-      if constexpr (can_checkpoint) {
-        trace::TraceSpan restore_span("pregel.checkpoint.restore", "pregel");
-        restore_span.SetAttribute("checkpoint_step",
-                                  uint64_t{checkpoint_step});
-        GLY_ASSIGN_OR_RETURN(CheckpointReader reader,
-                             CheckpointReader::Load(ckpt_path));
-        GLY_ASSIGN_OR_RETURN(std::string_view meta_raw,
-                             reader.Section("meta"));
-        CheckpointDecoder meta(meta_raw);
-        uint32_t saved_step = 0;
-        uint64_t saved_n = 0;
-        uint64_t saved_live_bytes = 0;
-        if (!meta.GetU32(&saved_step) || !meta.GetU64(&saved_n) ||
-            !meta.GetU64(&saved_live_bytes) || saved_n != n ||
-            saved_step != checkpoint_step) {
-          return Status::Internal("pregel checkpoint metadata mismatch");
-        }
-        GLY_ASSIGN_OR_RETURN(std::string_view values_raw,
-                             reader.Section("values"));
-        CheckpointDecoder values(values_raw);
-        if (!detail::CkptGetValue(values, &out.values) ||
-            out.values.size() != n) {
-          return Status::Internal("pregel checkpoint vertex values corrupt");
-        }
-        GLY_ASSIGN_OR_RETURN(std::string_view halt_raw,
-                             reader.Section("halted"));
-        CheckpointDecoder halt(halt_raw);
-        if (!detail::CkptGetValue(halt, &halted) || halted.size() != n) {
-          return Status::Internal("pregel checkpoint halt flags corrupt");
-        }
-        GLY_ASSIGN_OR_RETURN(std::string_view msgs_raw,
-                             reader.Section("inbox"));
-        CheckpointDecoder msgs(msgs_raw);
-        std::vector<std::vector<M>> restored;
-        if (!detail::CkptGetValue(msgs, &restored) || restored.size() != n) {
-          return Status::Internal("pregel checkpoint inbox corrupt");
-        }
-        GLY_ASSIGN_OR_RETURN(std::string_view agg_raw,
-                             reader.Section("aggregators"));
-        CheckpointDecoder agg(agg_raw);
-        uint64_t agg_count = 0;
-        if (!agg.GetU64(&agg_count)) {
-          return Status::Internal("pregel checkpoint aggregators corrupt");
-        }
-        std::map<std::string, double> agg_values;
-        for (uint64_t i = 0; i < agg_count; ++i) {
-          std::string name;
-          double value = 0.0;
-          if (!agg.GetString(&name) || !agg.GetDouble(&value)) {
-            return Status::Internal("pregel checkpoint aggregators corrupt");
-          }
-          agg_values[name] = value;
-        }
-        aggregators.RestoreCurrentValues(agg_values);
-        // Flatten the canonical sparse snapshot into the recycled CSR
-        // buffers (per-vertex order is preserved verbatim).
-        inbox_offsets.resize(n + 1);
-        inbox_offsets[0] = 0;
-        for (VertexId v = 0; v < n; ++v) {
-          inbox_offsets[v + 1] = inbox_offsets[v] + restored[v].size();
-        }
-        inbox_data.resize(inbox_offsets[n]);
-        for (VertexId v = 0; v < n; ++v) {
-          std::move(restored[v].begin(), restored[v].end(),
-                    inbox_data.begin() + inbox_offsets[v]);
-        }
-        kept.clear();
-        std::fill(counts.begin(), counts.end(), 0u);
-        // Snapshots always hold the canonical sparse form.
-        inbox_dense = false;
-        next_dense = false;
-        std::fill(inbox_has.begin(), inbox_has.end(), 0);
-        std::fill(next_has.begin(), next_has.end(), 0);
-        // Swap the message-memory accounting over to the restored inbox.
-        budget.Release(live_message_bytes);
-        live_message_bytes = 0;
-        GLY_RETURN_NOT_OK(
-            budget.Charge(saved_live_bytes, "restored superstep messages"));
-        live_message_bytes = saved_live_bytes;
-        out.stats = stats_at_checkpoint;
-        return Status::OK();
-      } else {
-        return Status::Internal("checkpointing unavailable for this program");
-      }
-    };
-
-    // On superstep failure: roll back to the last snapshot if the policy
-    // allows, returning true and rewinding `step`; otherwise the failure
-    // surfaces to the caller.
-    auto try_recover = [&]() -> bool {
-      if (!ckpt_enabled || !have_checkpoint) return false;
-      if (recoveries >= config_.checkpoint.max_recoveries) return false;
-      if (!restore_checkpoint().ok()) return false;
-      ++recoveries;
-      metrics::AddCounter("pregel.recoveries");
-      replayed += step - checkpoint_step;
-      sync_ckpt_stats();
-      step = checkpoint_step;
-      return true;
-    };
-
-    // Computes one ascending slice of a worker's vertex list into the given
-    // outbox/partials, reading whichever inbox representation the previous
-    // barrier delivered.
-    auto run_range = [&](uint32_t w, uint32_t begin, uint32_t end,
-                         std::vector<std::pair<VertexId, M>>* outbox,
-                         std::map<std::string, double>* partials) -> uint64_t {
-      uint64_t local_active = 0;
-      for (uint32_t i = begin; i < end; ++i) {
-        const VertexId v = worker_vertices[w][i];
-        // The message span views the delivered inbox in place: the dense
-        // slot or the flat CSR segment.
-        std::span<const M> messages;
-        if (inbox_dense) {
-          if (inbox_has[v]) messages = {&inbox_slots[v], 1};
-        } else {
-          messages = {inbox_data.data() + inbox_offsets[v],
-                      inbox_offsets[v + 1] - inbox_offsets[v]};
-        }
-        if (halted[v] && messages.empty() && step > 0) continue;
-        halted[v] = 0;
-        ++local_active;
-        bool halt_flag = false;
-        typename VertexProgram<V, M>::Context ctx(
-            &graph, v, step, &out.values[v], outbox, &halt_flag,
-            &aggregators, partials);
-        program->Compute(ctx, messages);
-        if (halt_flag) halted[v] = 1;
-      }
-      return local_active;
-    };
-
-    // Outbox arenas: hoisted out of the superstep loop so clear() recycles
-    // their capacity instead of re-allocating every superstep. Ownership
-    // across steal chunks: a chunk writes only its own chunk-outbox; the
-    // merge into the owning worker's outbox happens on the barrier thread,
-    // after every chunk future has completed.
-    std::vector<std::vector<std::pair<VertexId, M>>> outboxes(workers);
-    std::vector<std::vector<std::pair<VertexId, M>>> chunk_outboxes(
-        chunk_ranges.size());
-    uint64_t outbox_bytes_peak = 0;
-
-    // A cancelled superstep: fold the partial stats out and return the
-    // token's status — the harness records a timed-out/stalled cell whose
-    // attempt thread it can join, instead of abandoning a runaway one.
-    // The arenas are locals of this activation frame, so returning here
-    // releases them outright (recycle-within-run, release-on-cancel).
-    auto cancelled_status = [&]() -> Status {
-      sync_ckpt_stats();
-      out.stats.total_seconds = total_watch.ElapsedSeconds();
-      out.stats.peak_memory_bytes = budget.peak();
-      out.stats.outbox_bytes_peak = outbox_bytes_peak;
-      if (partial_stats != nullptr) *partial_stats = out.stats;
-      return config_.cancel->ToStatus().WithPrefix(
-          "pregel superstep " + std::to_string(step));
-    };
-
-    while (step < config_.max_supersteps) {
-      if (Cancelled(config_.cancel)) return cancelled_status();
+    detail::SuperstepState<V, M> s(config_, graph, program);
+    GLY_RETURN_NOT_OK(s.Start());
+    RunStats& stats = s.out.stats;
+    while (s.step < config_.max_supersteps) {
+      if (Cancelled(config_.cancel)) return s.CancelledStatus(partial_stats);
       SuperstepStats ss;
-      ss.superstep = step;
+      ss.superstep = s.step;
       Stopwatch step_watch;
       // One span per superstep *attempt*: an iteration cut short by a
       // crashed worker or barrier fault still closes its span, so a
       // recovered run's timeline shows the failed attempt and its replays.
       trace::TraceSpan step_span("pregel.superstep", "pregel");
       perf::SpanCounters step_counters(&step_span);
-      step_span.SetAttribute("superstep", uint64_t{step});
+      step_span.SetAttribute("superstep", uint64_t{s.step});
 
-      // Compute phase: each worker processes its active vertices and fills
-      // per-worker outboxes (keyed by destination worker for traffic
-      // accounting), reusing the hoisted arenas.
-      for (auto& ob : outboxes) ob.clear();
-      for (auto& ob : chunk_outboxes) ob.clear();
-      std::vector<std::map<std::string, double>> aggregator_partials(workers);
-      std::vector<double> worker_busy(workers, 0.0);
-      // Injected worker crashes keep their once-per-worker-per-superstep
-      // cadence: statuses are drawn up front in worker order and a crashed
-      // worker's chunks are skipped, leaving the superstep half-computed;
-      // the engine surfaces the failure after the barrier.
-      std::vector<Status> worker_status(workers);
-      for (uint32_t w = 0; w < workers; ++w) {
-        worker_status[w] = fault::CheckPoint("pregel.worker.compute");
-      }
-      // Work-stealing dispatch: any pool thread grabs the next undone
-      // chunk, so a hub-heavy partition spreads across threads instead of
-      // serializing the superstep.
-      const size_t num_chunks = chunk_ranges.size();
-      std::vector<std::map<std::string, double>> chunk_partials(num_chunks);
-      std::vector<double> chunk_busy(num_chunks, 0.0);
-      std::atomic<uint64_t> active_count{0};
-      std::atomic<size_t> cursor{0};
-      auto steal_loop = [&] {
-        for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-             i < num_chunks;
-             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          // Per-chunk cancellation poll: a cancelled superstep stops
-          // dispatching within one chunk's worth of compute.
-          if (Cancelled(config_.cancel)) return;
-          const ChunkRange& c = chunk_ranges[i];
-          if (!worker_status[c.worker].ok()) continue;
-          Stopwatch busy;
-          const uint64_t active = run_range(c.worker, c.begin, c.end,
-                                            &chunk_outboxes[i],
-                                            &chunk_partials[i]);
-          chunk_busy[i] = busy.ElapsedSeconds();
-          active_count.fetch_add(active, std::memory_order_relaxed);
-        }
-      };
-      if (pool.num_threads() == 1) {
-        // A one-thread pool would run the stealing loops back-to-back
-        // anyway; calling them inline skips the queue/future handoff.
-        for (uint32_t t = 0; t < workers; ++t) steal_loop();
-      } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(workers);
-        for (uint32_t t = 0; t < workers; ++t) {
-          futures.push_back(pool.Submit(steal_loop));
-        }
-        for (auto& f : futures) f.get();
-      }
-      // Merge in chunk-index order: a worker's chunks are consecutive and
-      // ascend over its vertex list, so concatenation reproduces the
-      // one-chunk-per-worker outbox — and thus message order — exactly.
-      for (size_t i = 0; i < num_chunks; ++i) {
-        const ChunkRange& c = chunk_ranges[i];
-        auto& dst = outboxes[c.worker];
-        if (dst.empty()) {
-          dst.swap(chunk_outboxes[i]);  // first chunk: no copy
-        } else {
-          dst.insert(dst.end(),
-                     std::make_move_iterator(chunk_outboxes[i].begin()),
-                     std::make_move_iterator(chunk_outboxes[i].end()));
-        }
-        for (const auto& [name, value] : chunk_partials[i]) {
-          aggregators.Combine(&aggregator_partials[c.worker], name, value);
-        }
-        worker_busy[c.worker] += chunk_busy[i];
-      }
-      if (Cancelled(config_.cancel)) return cancelled_status();
-      Status step_failure;
-      for (uint32_t w = 0; w < workers; ++w) {
-        if (!worker_status[w].ok()) {
-          step_failure = worker_status[w].WithPrefix(
-              "pregel superstep " + std::to_string(step) + " worker " +
-              std::to_string(w));
-          break;
-        }
-      }
-      if (!step_failure.ok()) {
+      Status crashed = s.Compute(&ss);
+      if (Cancelled(config_.cancel)) return s.CancelledStatus(partial_stats);
+      if (!crashed.ok()) {
         // A crashed worker left this superstep half-computed; roll the
         // whole state back to the last snapshot and replay from there.
-        if (try_recover()) continue;
-        return step_failure;
+        if (s.TryRecover()) continue;
+        return crashed;
       }
-      aggregators.EndSuperstep(aggregator_partials);
-      ss.active_vertices = active_count.load();
       ss.compute_seconds = step_watch.ElapsedSeconds();
-
-      // Worker imbalance (skew choke point).
-      double max_busy = 0.0;
-      double sum_busy = 0.0;
-      for (double b : worker_busy) {
-        max_busy = std::max(max_busy, b);
-        sum_busy += b;
-      }
-      double mean_busy = sum_busy / workers;
-      ss.worker_imbalance = mean_busy > 1e-12 ? max_busy / mean_busy : 1.0;
-
-      // Message delivery phase. Combine at the *sender* when a combiner is
-      // available (per destination vertex), then deliver.
-      budget.Release(live_message_bytes);
-      live_message_bytes = 0;
-
-      // Dense-frontier fast path: once the active set passes the threshold
-      // (and the program is combinable), deliver into one combined slot +
-      // presence flag per vertex instead of staging every message in the
-      // flat inbox. Messages are folded left-to-right in the same worker
-      // order the flat inbox would present them, so results — including
-      // floating-point ones — are bit-identical.
-      const bool deliver_dense =
-          combiner.has_value() && config_.dense_frontier_threshold > 0.0 &&
-          n > 0 &&
-          static_cast<double>(active_count.load()) >=
-              config_.dense_frontier_threshold * static_cast<double>(n);
-      if (deliver_dense) {
-        next_slots.resize(n);
-        next_has.assign(n, 0);
-      }
-
-      uint64_t sent = 0;
-      uint64_t dropped = 0;
-      uint64_t cross = 0;
-      uint64_t cross_bytes = 0;
-      uint64_t inbox_bytes = 0;
-      uint64_t emitted = 0;  ///< outbox entries before sender-side combine
-      for (const auto& ob : outboxes) emitted += ob.size();
-      // Deliver sequentially per source worker; per-destination-vertex
-      // combining keeps inbox sizes O(1) for combinable programs.
-      for (uint32_t w = 0; w < workers; ++w) {
-        auto& outbox = outboxes[w];
-        if (combiner.has_value()) {
-          // Sender-side combine: fold each target's messages left-to-right
-          // in emission order through the epoch-tagged dense accumulator
-          // (no sort of the message stream), then emit one entry per
-          // target in ascending target order.
-          combine_acc.NewEpoch();
-          for (auto& [target, msg] : outbox) {
-            if (combine_acc.touched(target)) {
-              M& acc = combine_acc.slot(target);
-              acc = (*combiner)(acc, msg);
-            } else {
-              combine_acc.mark(target) = std::move(msg);
-            }
-          }
-          auto& targets = combine_acc.touched_keys();
-          outbox.clear();
-          if (targets.size() * 16 >= n) {
-            // Dense round: a sequential sweep of the key domain emits the
-            // same ascending target order as sorting the touched list,
-            // without the O(k log k) sort.
-            for (size_t target = 0; target < n; ++target) {
-              if (!combine_acc.touched(target)) continue;
-              outbox.emplace_back(static_cast<VertexId>(target),
-                                  std::move(combine_acc.slot(target)));
-            }
-          } else {
-            std::sort(targets.begin(), targets.end());
-            for (size_t target : targets) {
-              outbox.emplace_back(static_cast<VertexId>(target),
-                                  std::move(combine_acc.slot(target)));
-            }
-          }
-        }
-        for (auto& [target, msg] : outbox) {
-          if (GLY_FAULT_DROP("pregel.message.deliver")) {
-            ++dropped;
-            continue;
-          }
-          ++sent;
-          uint64_t wire = MessageWireBytes(msg);
-          if (!deliver_dense) inbox_bytes += wire;
-          if (partitioner.PartitionOf(target) != w) {
-            ++cross;
-            cross_bytes += wire + sizeof(VertexId);
-          }
-          if (deliver_dense) {
-            if (next_has[target]) {
-              next_slots[target] = (*combiner)(next_slots[target], msg);
-            } else {
-              next_slots[target] = std::move(msg);
-              next_has[target] = 1;
-            }
-          } else {
-            // Count-then-scatter: stage the kept message in delivery
-            // order; the scatter below places it into the flat CSR.
-            ++counts[target];
-            kept.emplace_back(target, std::move(msg));
-          }
-        }
-      }
-      if (!deliver_dense) {
-        // Scatter pass: prefix-sum the per-vertex counts into CSR offsets,
-        // then place kept messages — already in (source worker, combined
-        // target order / emission order) delivery order — so each vertex's
-        // segment holds its messages in delivery order.
-        next_offsets.resize(n + 1);
-        next_offsets[0] = 0;
-        for (VertexId v = 0; v < n; ++v) {
-          next_offsets[v + 1] = next_offsets[v] + counts[v];
-        }
-        next_data.resize(next_offsets[n]);
-        scatter_cursor.assign(next_offsets.begin(), next_offsets.end() - 1);
-        for (auto& [target, msg] : kept) {
-          next_data[scatter_cursor[target]++] = std::move(msg);
-        }
-        kept.clear();
-        std::fill(counts.begin(), counts.end(), 0u);
-      }
-      if (deliver_dense) {
-        // Live bytes are the combined slots actually occupied — the memory
-        // the fast path holds instead of the per-message flat inbox.
-        for (VertexId v = 0; v < n; ++v) {
-          if (next_has[v]) inbox_bytes += MessageWireBytes(next_slots[v]);
-        }
-      }
-      // Arena telemetry: bytes parked in the recycled buffers right now
-      // (capacity, not occupancy — this is what the pool holds between
-      // supersteps). Surfaced as `pregel.outbox_bytes_peak`.
-      uint64_t pool_bytes = 0;
-      for (const auto* arenas : {&outboxes, &chunk_outboxes}) {
-        for (const auto& ob : *arenas) {
-          pool_bytes += ob.capacity() * sizeof(std::pair<VertexId, M>);
-        }
-      }
-      pool_bytes += (inbox_data.capacity() + next_data.capacity() +
-                     inbox_slots.capacity() + next_slots.capacity()) *
-                    sizeof(M);
-      pool_bytes += kept.capacity() * sizeof(std::pair<VertexId, M>);
-      pool_bytes += combine_acc.held_bytes();
-      outbox_bytes_peak = std::max(outbox_bytes_peak, pool_bytes);
-      next_dense = deliver_dense;
-      ss.dense_delivery = deliver_dense;
-      if (deliver_dense) ++out.stats.dense_supersteps;
-      ss.messages_sent = sent;
-      ss.messages_dropped = dropped;
-      ss.cross_worker_messages = cross;
-      ss.cross_worker_bytes = cross_bytes;
-
-      // Charge live messages against the budget (the Giraph OOM mode).
-      live_message_bytes = inbox_bytes;
-      Status charge = budget.Charge(inbox_bytes, "superstep messages");
-      if (!charge.ok()) {
-        return charge.WithPrefix("pregel superstep " + std::to_string(step));
-      }
-
-      // Simulated network cost: cross-worker bytes over the pipe plus the
-      // barrier latency.
-      double network_s = config_.barrier_latency_s;
-      if (config_.network_mib_per_s > 0.0) {
-        network_s += static_cast<double>(ss.cross_worker_bytes) /
-                     (config_.network_mib_per_s * (1 << 20));
-      }
-      if (network_s > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(network_s));
-      }
-      ss.network_seconds = network_s;
-
-      // Injected barrier faults: a crash here kills the superstep after
-      // compute (recoverable from a checkpoint, like a worker crash); a
-      // stall models the slow-worker scenario the harness timeout must cut
-      // short.
-      Status barrier = fault::CheckPoint("pregel.superstep.barrier");
+      GLY_RETURN_NOT_OK(s.Deliver(&ss));
+      Status barrier = s.Barrier(&ss);
       if (!barrier.ok()) {
-        if (try_recover()) continue;
-        return barrier.WithPrefix("pregel superstep " + std::to_string(step) +
-                                  " barrier");
+        if (s.TryRecover()) continue;
+        return barrier;
       }
       // Post-barrier poll: an injected stall sleeps through the deadline
-      // here — surface the cancellation before committing the superstep.
-      if (Cancelled(config_.cancel)) return cancelled_status();
+      // at the barrier — surface the cancellation before committing the
+      // superstep.
+      if (Cancelled(config_.cancel)) return s.CancelledStatus(partial_stats);
 
-      inbox_offsets.swap(next_offsets);
-      inbox_data.swap(next_data);
-      inbox_slots.swap(next_slots);
-      inbox_has.swap(next_has);
-      inbox_dense = next_dense;
-      next_dense = false;
-
-      out.stats.total_messages += sent;
-      out.stats.total_messages_dropped += dropped;
-      out.stats.total_cross_worker_bytes += ss.cross_worker_bytes;
-      out.stats.network_seconds += network_s;
-      out.stats.per_superstep.push_back(ss);
-      out.stats.supersteps = step + 1;
-
+      stats.total_messages += ss.messages_sent;
+      stats.total_messages_dropped += ss.messages_dropped;
+      stats.total_cross_worker_bytes += ss.cross_worker_bytes;
+      stats.network_seconds += ss.network_seconds;
+      stats.per_superstep.push_back(ss);
+      stats.supersteps = s.step + 1;
       step_span.SetAttribute("active", ss.active_vertices);
-      step_span.SetAttribute("messages_sent", sent);
-      step_span.SetAttribute("dense", deliver_dense ? "true" : "false");
+      step_span.SetAttribute("messages_sent", ss.messages_sent);
+      step_span.SetAttribute("dense", ss.dense_delivery ? "true" : "false");
       metrics::AddCounter("pregel.supersteps");
       // Progress heartbeat: one completed superstep. The harness stall
       // watchdog cancels the attempt when this stops advancing.
       if (config_.cancel != nullptr) config_.cancel->Heartbeat();
-      metrics::AddCounter("pregel.messages_sent", sent);
-      metrics::AddCounter("pregel.messages_dropped", dropped);
-      // Messages the sender-side combiner folded away before delivery.
-      metrics::AddCounter("pregel.messages_combined", emitted - sent - dropped);
-      if (deliver_dense) metrics::AddCounter("pregel.dense_supersteps");
-      ++step;
+      metrics::AddCounter("pregel.messages_sent", ss.messages_sent);
+      metrics::AddCounter("pregel.messages_dropped", ss.messages_dropped);
+      metrics::AddCounter("pregel.messages_combined", s.messages_combined);
+      if (ss.dense_delivery) metrics::AddCounter("pregel.dense_supersteps");
+      ++s.step;
 
       // Termination: all halted and no messages in flight.
-      if (sent == 0) {
-        bool all_halted = true;
-        for (VertexId v = 0; v < n; ++v) {
-          if (!halted[v]) {
-            all_halted = false;
-            break;
-          }
-        }
-        if (all_halted) break;
-      }
-
+      if (ss.messages_sent == 0 && s.AllHalted()) break;
       // Snapshot the post-barrier state (the entry state of superstep
       // `step`) on the policy's cadence.
-      if (ckpt_enabled && step % config_.checkpoint.interval == 0) {
-        write_checkpoint();
+      if (s.ckpt_enabled && s.step % config_.checkpoint.interval == 0) {
+        s.WriteCheckpoint();
       }
     }
-
-    sync_ckpt_stats();
-    if (ckpt_enabled) RemoveCheckpoint(ckpt_path);  // run finished cleanly
-    out.stats.total_seconds = total_watch.ElapsedSeconds();
-    out.stats.peak_memory_bytes = budget.peak();
-    out.stats.outbox_bytes_peak = outbox_bytes_peak;
+    if (s.ckpt_enabled) RemoveCheckpoint(s.ckpt_path);  // finished cleanly
+    s.FinishStats();
     metrics::SetGauge("pregel.outbox_bytes_peak",
-                      static_cast<double>(outbox_bytes_peak));
-    out.aggregators = aggregators;
-    return out;
+                      static_cast<double>(s.outbox_bytes_peak));
+    return std::move(s.out);
   }
 
  private:

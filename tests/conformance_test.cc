@@ -201,14 +201,14 @@ INSTANTIATE_TEST_SUITE_P(RmatSeeds, DifferentialSweepTest,
                          });
 
 // ------------------------------------------------------------------------
-// Kernel conformance: the direction-optimizing / dense-frontier /
-// work-stealing fast paths must be invisible in every output. Each engine
-// runs BFS, CONN, and PR on R-MAT graphs at scales 8/12/14 plus a
-// social-datagen graph, once with the optimized kernels enabled (the
-// defaults) and once with every optimization forced off, and is compared
-// per-vertex against the reference implementation — exactly for the
-// integer-valued kernels, within a tight tolerance for PageRank, whose
-// summation order legitimately differs across engines.
+// Kernel conformance: the direction-optimizing and dense-frontier fast
+// paths must be invisible in every output. Each engine runs BFS, CONN,
+// and PR on R-MAT graphs at scales 8/12/14 plus a social-datagen graph,
+// once with the optimized kernels enabled (the defaults) and once with
+// every optimization forced off, and is compared per-vertex against the
+// reference implementation — exactly for the integer-valued kernels,
+// within a tight tolerance for PageRank, whose summation order
+// legitimately differs across engines.
 
 enum class KernelGraph { kRmat8, kRmat12, kRmat14, kSocial };
 
@@ -282,10 +282,8 @@ TEST_P(KernelConformanceTest, MatchesReferencePerVertex) {
 
   Config config;
   if (!optimized) {
-    // Force the classic paths: sparse message delivery and fixed
-    // per-worker partitions (no work stealing).
+    // Force the classic path: sparse message delivery.
     config.SetDouble("dense_frontier_threshold", 0.0);
-    config.SetInt("steal_chunk_vertices", 0);
   }
 
   auto platform = harness::MakePlatform(platform_name, config);

@@ -57,7 +57,7 @@ Graph TestGraph() {
     Rng rng(7);
     for (int i = 0; i < 5000; ++i) {
       // Square one endpoint toward low ids to create hubs (skew is what
-      // stresses the steal scheduler and the combining accumulator).
+      // stresses per-worker compute and the combining accumulator).
       VertexId a = static_cast<VertexId>(
           rng.NextBounded(n) * rng.NextBounded(n) / n);
       VertexId b = static_cast<VertexId>(rng.NextBounded(n));
@@ -159,18 +159,6 @@ TEST(PregelHotpathParity, PooledMatchesLegacyAcrossThreadCounts) {
   }
 }
 
-TEST(PregelHotpathParity, FixedPartitionScheduleAlsoMatches) {
-  // steal_chunk_vertices = 0 makes each worker's vertex list one compute
-  // chunk (the fixed-partition schedule); results must not depend on it.
-  for (const PregelRow& golden : kPregelGolden) {
-    if (golden.threads != 2) continue;
-    pregel::EngineConfig config = PregelConfig(golden.threads);
-    config.steal_chunk_vertices = 0;
-    const PregelRow actual = RunPregelRow(config, golden.kind);
-    EXPECT_EQ(actual, golden) << "actual row: " << ToString(actual);
-  }
-}
-
 // A seeded drop plan at one thread: the i-th hit of pregel.message.deliver
 // is the i-th delivered message, so the dropped set — and thus the output
 // and the trigger count — pins the exact delivery stream.
@@ -234,9 +222,9 @@ TEST(PregelHotpathParity, SameFailureStatusUnderWorkerCrash) {
 }
 
 TEST(PregelHotpathParity, MidSuperstepCancellationStopsRun) {
-  // A stall injected inside a compute chunk holds the run mid-superstep
-  // while another thread arms the deadline token; the arenas must not skip
-  // a cancellation poll, so the run unwinds with Timeout.
+  // A stall injected at a worker's compute fault point holds the run
+  // mid-superstep while another thread arms the deadline token; the arenas
+  // must not skip a cancellation poll, so the run unwinds with Timeout.
   fault::FaultPlan plan(/*seed=*/5);
   plan.Add({.site = "pregel.worker.compute",
             .kind = fault::FaultKind::kStall,
@@ -259,6 +247,45 @@ TEST(PregelHotpathParity, MidSuperstepCancellationStopsRun) {
   canceller.join();
   EXPECT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsTimeout()) << out.status().ToString();
+}
+
+// Votes every vertex to halt and cancels `token` on the 100th Compute call
+// of superstep 0.
+class CancelOnHundredthCall
+    : public pregel::VertexProgram<uint32_t, uint32_t> {
+ public:
+  explicit CancelOnHundredthCall(CancelToken* token) : token_(token) {}
+  uint32_t Init(const Graph&, VertexId) override { return 0; }
+  void Compute(Context& ctx, std::span<const uint32_t>) override {
+    if (++calls == 100 && ctx.superstep() == 0) {
+      token_->Cancel(CancelReason::kDeadline, "100th compute call");
+    }
+    ctx.VoteToHalt();
+  }
+  uint64_t calls = 0;  // one engine thread: no synchronization needed
+
+ private:
+  CancelToken* token_;
+};
+
+TEST(PregelHotpathParity, CancellationPollsWithinAWorkersVertexList) {
+  // One worker on one thread owns all 3 x 4096 + 1 vertices, so only the
+  // poll every 4096 vertices of a worker's list stops compute before the
+  // list ends.
+  const Graph g = GraphBuilder::Undirected(EdgeList(3 * 4096 + 1)).ValueOrDie();
+  CancelToken token;
+  CancelOnHundredthCall program(&token);
+  pregel::EngineConfig config;
+  config.num_workers = 1;
+  config.num_threads = 1;
+  config.cancel = &token;
+  auto out = pregel::Engine(config).Run(g, &program);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsTimeout()) << out.status().ToString();
+  EXPECT_NE(out.status().message().find(token.ToStatus().message()),
+            std::string::npos)
+      << out.status().ToString();
+  EXPECT_LE(program.calls, 100u + 4096u);
 }
 
 // ---------------------------------------------------------------- Dataflow

@@ -157,7 +157,7 @@ TEST(SystemMonitorTest, LiveProcReadersReturnPlausibleValues) {
   double a = self.NowSeconds();
   double b = self.NowSeconds();
   EXPECT_GE(b, a);
-  // getrusage's high-water mark can never be below the current RSS.
+  // The kernel's high-water mark can never be below the current RSS.
   EXPECT_GE(self.PeakRssBytes(), self.RssBytes());
 }
 

@@ -308,7 +308,6 @@ TEST(PregelEngineTest, DenseDeliveryMatchesSparseBitIdentically) {
   classic.num_workers = 4;
   classic.num_threads = 4;
   classic.dense_frontier_threshold = 0.0;  // force sparse delivery
-  classic.steal_chunk_vertices = 0;
   EngineConfig dense = classic;
   dense.dense_frontier_threshold = 0.01;  // densify almost immediately
 
@@ -346,33 +345,6 @@ TEST(PregelEngineTest, DenseDeliveryRequiresACombiner) {
                           &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(stats.dense_supersteps, 0u);
-}
-
-TEST(PregelEngineTest, WorkStealingMatchesFixedPartitions) {
-  // Chunked work-stealing must reproduce the fixed-partition outputs and
-  // aggregator values exactly, for any chunk size.
-  Graph g = RandomUndirected(500, 2000, 22);
-  EngineConfig fixed;
-  fixed.num_workers = 8;
-  fixed.num_threads = 4;
-  fixed.steal_chunk_vertices = 0;
-  AlgorithmParams params;
-  params.pr = PrParams{8, 0.85};
-  for (uint32_t chunk : {1u, 16u, 4096u}) {
-    EngineConfig stealing = fixed;
-    stealing.steal_chunk_vertices = chunk;
-    for (AlgorithmKind kind :
-         {AlgorithmKind::kBfs, AlgorithmKind::kConn, AlgorithmKind::kPr}) {
-      auto a = RunAlgorithm(Engine(fixed), g, kind, params);
-      auto b = RunAlgorithm(Engine(stealing), g, kind, params);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->vertex_values, b->vertex_values)
-          << AlgorithmKindName(kind) << " chunk " << chunk;
-      EXPECT_EQ(a->vertex_scores, b->vertex_scores)
-          << AlgorithmKindName(kind) << " chunk " << chunk;
-    }
-  }
 }
 
 TEST(PregelAlgorithmsTest, SkewTraceShowsConvergingTail) {
