@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
   // Results database + CSV (the harness's Report Generator outputs).
   Status s = WriteResultsCsv(*results, "fig4_results.csv");
   s.Check();
-  s = AppendResultsDatabase(*results, config, "results_database.jsonl");
+  s = AppendResultsDatabase(*results, "results_database.jsonl");
   s.Check();
   std::printf("\nwrote fig4_results.csv and results_database.jsonl\n");
 

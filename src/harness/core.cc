@@ -75,6 +75,12 @@ void InterruptibleSleep(double seconds, const CancelToken* stop) {
   }
 }
 
+/// Exponential backoff after failed attempt `attempt` (1-based): the
+/// spec's base delay, doubled for each earlier failure.
+double BackoffSeconds(double base_seconds, uint32_t attempt) {
+  return base_seconds * static_cast<double>(1ull << std::min(attempt - 1, 20u));
+}
+
 std::string CellKey(const std::string& platform, const std::string& graph,
                     AlgorithmKind algorithm) {
   return platform + "/" + graph + "/" + AlgorithmKindName(algorithm);
@@ -221,15 +227,18 @@ struct CellRef {
   AlgorithmKind algorithm = AlgorithmKind::kStats;
 };
 
-}  // namespace
+/// One cell in flight: its group (its own while the cell runs), its
+/// child tracer (null when tracing is off), and the result it fills in.
+struct CellRun {
+  GroupState& group;
+  AlgorithmKind algorithm;
+  std::shared_ptr<trace::Tracer> tracer;
+  BenchmarkResult result;
+};
 
-bool FinishedCleanly(const BenchmarkResult& cell) {
-  return cell.status.ok() &&
-         (cell.validation.ok() || cell.validation.IsUntested());
-}
-
-Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
-                                                  const ResultCallback& on_result) {
+/// The spec checks made before anything starts: a matrix with no rows, a
+/// dataset with no graph, or a reordering without a full permutation.
+Status CheckSpec(const RunSpec& spec) {
   if (spec.platforms.empty()) {
     return Status::InvalidArgument("run spec has no platforms");
   }
@@ -254,626 +263,695 @@ Result<std::vector<BenchmarkResult>> RunBenchmark(const RunSpec& spec,
       }
     }
   }
+  return Status::OK();
+}
 
-  const uint32_t max_attempts = std::max(1u, spec.max_attempts);
-  const uint32_t jobs = std::max(1u, spec.jobs);
-  std::optional<fault::ScopedFaultPlan> fault_scope;
-  if (spec.fault_plan != nullptr) fault_scope.emplace(spec.fault_plan);
-
-  // Observability: install the tracer/registry for the whole run (the
-  // engines pick them up through ActiveTracer()/ActiveRegistry(), no
-  // plumbing). Owned instances are declared before the scoped installers
-  // so the scopes are torn down first — an abandoned attempt that outlives
-  // the grace drain then records nothing instead of touching freed state.
-  std::optional<trace::Tracer> owned_tracer;
-  std::optional<metrics::Registry> owned_registry;
-  trace::Tracer* tracer = spec.tracer;
-  metrics::Registry* registry = spec.metrics;
-  if (!spec.trace_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(spec.trace_dir, ec);
-    if (ec) {
-      return Status::IOError("cannot create trace dir " + spec.trace_dir +
-                             ": " + ec.message());
-    }
-    if (tracer == nullptr) tracer = &owned_tracer.emplace();
-    if (registry == nullptr) registry = &owned_registry.emplace();
+/// Why a cell cannot run at all; OK when it can. CD and EVO seed their
+/// dynamics with vertex ids: running them on a relabeled graph is a
+/// different computation whose output cannot be mapped back. A failed
+/// group load fails every cell of the group. Recorded, never silent.
+Status Refusal(const GroupState& g, AlgorithmKind algorithm) {
+  if (g.dataset->original != nullptr && !RelabelingInvariant(algorithm)) {
+    return Status::InvalidArgument(
+        StringPrintf("%s is not relabeling-invariant; rerun with "
+                     "graph.reorder = none",
+                     AlgorithmKindName(algorithm).c_str()));
   }
-  std::optional<trace::ScopedTracer> trace_scope;
-  std::optional<metrics::ScopedRegistry> metrics_scope;
-  if (tracer != nullptr) trace_scope.emplace(tracer);
-  if (registry != nullptr) metrics_scope.emplace(registry);
+  if (!g.load_status.ok()) return g.load_status.WithPrefix("load");
+  return Status::OK();
+}
+
+/// One RunBenchmark call, in named phases. Open installs observability,
+/// opens the journal, probes the platforms and builds the matrix (emitting
+/// resumed cells). The scheduler then calls LoadGroup once per admitted
+/// group, RunCell once per cell and RetireGroup once per loaded group.
+/// Close drains abandoned attempts and writes the run-wide artifacts.
+class BenchmarkRun {
+ public:
+  BenchmarkRun(const RunSpec& spec, const ResultCallback& on_result)
+      : spec_(spec), on_result_(on_result) {}
+
+  Result<std::vector<BenchmarkResult>> Run() {
+    GLY_RETURN_NOT_OK(Open());
+    SchedulerStats stats = scheduler_.Run(
+        [this](size_t group) { LoadGroup(group); },
+        [this](size_t item) { RunCell(item); },
+        [this](size_t group) { RetireGroup(group); });
+    if (spec_.scheduler_stats != nullptr) *spec_.scheduler_stats = stats;
+    return Close();
+  }
+
+ private:
+  // ---------------------------------------------------------------- Open
+
+  Status Open() {
+    if (spec_.fault_plan != nullptr) fault_scope_.emplace(spec_.fault_plan);
+    GLY_RETURN_NOT_OK(OpenObservability());
+    OpenProfiling();
+    GLY_RETURN_NOT_OK(OpenJournal());
+    // Fail fast on unbuildable platforms (unknown name, bad config) — the
+    // serial loop's whole-run error, checked before any cell executes. The
+    // scheduler builds its own instance per (platform, dataset) group.
+    for (const std::string& platform_name : spec_.platforms) {
+      GLY_ASSIGN_OR_RETURN(
+          std::unique_ptr<Platform> probe,
+          MakePlatform(platform_name,
+                       spec_.platform_config.Scoped(platform_name)));
+      (void)probe;
+    }
+    BuildMatrix();
+    return Status::OK();
+  }
+
+  Status OpenObservability() {
+    tracer_ = spec_.tracer;
+    registry_ = spec_.metrics;
+    if (!spec_.trace_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(spec_.trace_dir, ec);
+      if (ec) {
+        return Status::IOError("cannot create trace dir " + spec_.trace_dir +
+                               ": " + ec.message());
+      }
+      if (tracer_ == nullptr) tracer_ = &owned_tracer_.emplace();
+      if (registry_ == nullptr) registry_ = &owned_registry_.emplace();
+    }
+    if (tracer_ != nullptr) trace_scope_.emplace(tracer_);
+    if (registry_ != nullptr) metrics_scope_.emplace(registry_);
+    return Status::OK();
+  }
 
   // Profiling (DESIGN.md §14). Counters are opened before the scheduler
   // spawns any worker or attempt thread: perf events inherit only into
   // threads created after the open. The sampling profiler is process-wide
-  // (one interval timer); per-cell sample attribution happens by draining
-  // at cell boundaries, which is exact only at jobs == 1 — otherwise all
+  // (one interval timer); per-cell sample attribution happens by draining at
+  // cell boundaries, which is exact only at jobs == 1 — otherwise all
   // samples land in the run-wide folded profile.
-  const bool counters_on = spec.profile.mode == ProfileMode::kCounters ||
-                           spec.profile.mode == ProfileMode::kFull;
-  const bool sampler_on = spec.profile.mode == ProfileMode::kSampler ||
-                          spec.profile.mode == ProfileMode::kFull;
-  std::unique_ptr<perf::PerfCounters> counters;
-  std::optional<perf::ScopedPerfCounters> counters_scope;
-  if (counters_on) {
-    counters = perf::PerfCounters::Open();
-    counters_scope.emplace(counters.get());
-  }
-  std::optional<prof::CpuProfiler> profiler;
-  prof::FoldedProfile run_folded;
-  std::mutex profile_mu;  // guards profiler drains + run_folded merges
-  if (sampler_on) {
-    prof::CpuProfiler::Options profiler_options;
-    profiler_options.interval_us = std::max<uint64_t>(
-        1, spec.profile.sample_interval_us);
-    profiler_options.sampler = spec.profile.sampler;
-    profiler.emplace(profiler_options);
-    Status started = profiler->Start();
-    if (!started.ok()) {
-      GLY_LOG_WARN << "profiler: " << started.ToString()
-                   << " (sampling disabled for this run)";
-      profiler.reset();
+  void OpenProfiling() {
+    const ProfileMode mode = spec_.profile.mode;
+    if (mode == ProfileMode::kCounters || mode == ProfileMode::kFull) {
+      counters_ = perf::PerfCounters::Open();
+      counters_scope_.emplace(counters_.get());
     }
+    if (mode == ProfileMode::kSampler || mode == ProfileMode::kFull) {
+      prof::CpuProfiler::Options profiler_options;
+      profiler_options.interval_us =
+          std::max<uint64_t>(1, spec_.profile.sample_interval_us);
+      profiler_options.sampler = spec_.profile.sampler;
+      profiler_.emplace(profiler_options);
+      Status started = profiler_->Start();
+      if (!started.ok()) {
+        GLY_LOG_WARN << "profiler: " << started.ToString()
+                     << " (sampling disabled for this run)";
+        profiler_.reset();
+      }
+    }
+    per_cell_samples_ = profiler_.has_value() && jobs_ == 1;
   }
-  const bool per_cell_samples = profiler.has_value() && jobs == 1;
 
   // Completion journal: with `resume`, cells already journaled as finished
-  // are reused; without it the journal restarts from scratch. Newly
-  // executed cells are appended (and flushed) as they complete, so a run
-  // killed mid-matrix leaves a valid journal behind.
-  std::map<std::string, BenchmarkResult> journal_cells;
-  std::ofstream journal;
-  if (!spec.journal_path.empty()) {
-    if (spec.resume) {
-      SealTornJournalTail(spec.journal_path);
-      journal_cells = LoadJournal(spec.journal_path);
+  // are reused; without it the journal restarts from scratch. Newly executed
+  // cells are appended (and flushed) as they complete, so a run killed
+  // mid-matrix leaves a valid journal behind.
+  Status OpenJournal() {
+    if (spec_.journal_path.empty()) return Status::OK();
+    if (spec_.resume) {
+      SealTornJournalTail(spec_.journal_path);
+      journal_cells_ = LoadJournal(spec_.journal_path);
     }
-    journal.open(spec.journal_path,
-                 spec.resume ? std::ios::app : std::ios::trunc);
-    if (!journal) {
-      return Status::IOError("cannot open journal " + spec.journal_path);
+    journal_.open(spec_.journal_path,
+                  spec_.resume ? std::ios::app : std::ios::trunc);
+    if (!journal_) {
+      return Status::IOError("cannot open journal " + spec_.journal_path);
     }
+    return Status::OK();
   }
 
-  // Fail fast on unbuildable platforms (unknown name, bad config) — the
-  // serial loop's whole-run error, checked before any cell executes. The
-  // scheduler builds its own instance per (platform, dataset) group.
-  for (const std::string& platform_name : spec.platforms) {
-    GLY_ASSIGN_OR_RETURN(std::unique_ptr<Platform> probe,
-                         MakePlatform(platform_name,
-                                      spec.platform_config.Scoped(platform_name)));
-    (void)probe;
-  }
-
-  // Build the matrix in registration order — the scheduler claims items in
-  // this order, so jobs = 1 is exactly the old serial execution. A group is
-  // one shared (platform, dataset) graph load. Cells resumed from the
-  // journal are emitted up front and never scheduled; a dataset whose cells
-  // all resumed is never loaded at all.
-  CellScheduler::Options sched_options;
-  sched_options.jobs = jobs;
-  sched_options.memory_budget_bytes = spec.sched_memory_budget_mb << 20;
-  sched_options.stop = spec.stop;
-  CellScheduler scheduler(sched_options);
-  std::vector<GroupState> groups;
-  std::vector<CellRef> cells;
-  std::vector<std::optional<BenchmarkResult>> slots(
-      spec.platforms.size() * spec.datasets.size() * spec.algorithms.size());
-
-  std::mutex emit_mu;
-  auto emit = [&](size_t slot, BenchmarkResult result) {
-    std::lock_guard<std::mutex> lock(emit_mu);
-    if (journal.is_open() && !result.resumed) {
-      journal << ResultToJson(result) << '\n';
-      journal.flush();
-    }
-    slots[slot] = std::move(result);
-    if (on_result) on_result(*slots[slot]);
-  };
-
-  size_t slot = 0;
-  const bool stopped_before_start = Cancelled(spec.stop);
-  for (const std::string& platform_name : spec.platforms) {
-    for (const DatasetSpec& dataset : spec.datasets) {
-      auto make_group = [&]() -> size_t {
-        GroupState group;
-        group.platform_name = platform_name;
-        group.dataset = &dataset;
-        group.run_params = dataset.params;
-        // `dataset.params` speaks original vertex ids; on a reordered
-        // dataset the BFS source must be translated into the id space the
-        // platform actually runs in.
-        if (dataset.original != nullptr &&
-            dataset.params.bfs.source < dataset.old_to_new->size()) {
-          group.run_params.bfs.source =
-              (*dataset.old_to_new)[dataset.params.bfs.source];
-        }
-        groups.push_back(std::move(group));
-        return scheduler.AddGroup(dataset.graph->MemoryBytes());
-      };
-      size_t group_id = static_cast<size_t>(-1);
-      for (AlgorithmKind algorithm : spec.algorithms) {
-        const size_t cell_slot = slot++;
-        auto it = journal_cells.find(
-            CellKey(platform_name, dataset.name, algorithm));
-        if (it != journal_cells.end() &&
-            ReusableFromJournal(spec, it->second)) {
-          if (!stopped_before_start) {
-            BenchmarkResult cached = it->second;
-            cached.resumed = true;
-            emit(cell_slot, std::move(cached));
+  // Builds the matrix in registration order — the scheduler claims items in
+  // this order, so jobs = 1 is exactly the old serial execution. Cells
+  // resumed from the journal are emitted up front and never scheduled; a
+  // dataset whose cells all resumed is never loaded at all.
+  void BuildMatrix() {
+    constexpr size_t kNoGroup = static_cast<size_t>(-1);
+    slots_.resize(spec_.platforms.size() * spec_.datasets.size() *
+                  spec_.algorithms.size());
+    size_t slot = 0;
+    const bool stopped_before_start = Cancelled(spec_.stop);
+    for (const std::string& platform_name : spec_.platforms) {
+      for (const DatasetSpec& dataset : spec_.datasets) {
+        size_t group_id = kNoGroup;
+        for (AlgorithmKind algorithm : spec_.algorithms) {
+          const size_t cell_slot = slot++;
+          const std::string key =
+              CellKey(platform_name, dataset.name, algorithm);
+          auto it = journal_cells_.find(key);
+          if (it != journal_cells_.end() &&
+              ReusableFromJournal(spec_, it->second)) {
+            if (!stopped_before_start) {
+              BenchmarkResult cached = it->second;
+              cached.resumed = true;
+              Emit(cell_slot, std::move(cached));
+            }
+            continue;
           }
-          continue;
+          if (group_id == kNoGroup) group_id = AddGroup(platform_name, dataset);
+          // Item ids are assigned densely in AddItem order, so cells_[item]
+          // is this cell by construction.
+          scheduler_.AddItem(group_id, key);
+          cells_.push_back({cell_slot, group_id, algorithm});
         }
-        if (group_id == static_cast<size_t>(-1)) {
-          group_id = make_group();
-        }
-        CellRef cell;
-        cell.slot = cell_slot;
-        cell.group = group_id;
-        cell.algorithm = algorithm;
-        // Item ids are assigned densely in AddItem order, so cells[item]
-        // is this cell by construction.
-        scheduler.AddItem(group_id,
-                          CellKey(platform_name, dataset.name, algorithm));
-        cells.push_back(cell);
       }
     }
   }
 
-  // Attempts abandoned on timeout; drained (bounded) before returning so
-  // orphan threads do not normally outlive caller-owned graphs.
-  std::mutex abandoned_mu;
-  std::vector<std::future<void>> abandoned;
+  // A group is one shared (platform, dataset) graph load.
+  size_t AddGroup(const std::string& platform_name,
+                  const DatasetSpec& dataset) {
+    GroupState group;
+    group.platform_name = platform_name;
+    group.dataset = &dataset;
+    group.run_params = dataset.params;
+    // `dataset.params` speaks original vertex ids; on a reordered dataset the
+    // BFS source must be translated into the id space the platform actually
+    // runs in.
+    if (dataset.original != nullptr &&
+        dataset.params.bfs.source < dataset.old_to_new->size()) {
+      group.run_params.bfs.source =
+          (*dataset.old_to_new)[dataset.params.bfs.source];
+    }
+    groups_.push_back(std::move(group));
+    return scheduler_.AddGroup(dataset.graph->MemoryBytes());
+  }
 
-  auto make_group_platform = [&](GroupState& g) -> Status {
+  void Emit(size_t slot, BenchmarkResult result) {
+    std::lock_guard<std::mutex> lock(emit_mu_);
+    if (journal_.is_open() && !result.resumed) {
+      journal_ << ResultToJson(result) << '\n';
+      journal_.flush();
+    }
+    slots_[slot] = std::move(result);
+    if (on_result_) on_result_(*slots_[slot]);
+  }
+
+  // ---------------------------------------------------------------- Load
+
+  // Group load: platform instance + ETL, once per admitted group; not part
+  // of the runtime metric. A failed load is recorded on every cell of the
+  // group, never thrown.
+  void LoadGroup(size_t group_id) {
+    GroupState& g = groups_[group_id];
+    prof::ScopedProfilePhase profile_phase("harness.load");
+    g.load_status = LoadPlatform(g, &g.load_seconds);
+  }
+
+  // Builds the group's platform and loads its graph inside a harness.load
+  // span. Transient load failures (e.g. injected I/O errors) get the same
+  // bounded retry as cells. The group load and the reload after an abandoned
+  // attempt both come here; `load_seconds` (nullable) receives the load's
+  // wall time, the platform's construction excluded.
+  Status LoadPlatform(GroupState& g, double* load_seconds) {
     GLY_ASSIGN_OR_RETURN(
         std::unique_ptr<Platform> fresh,
         MakePlatform(g.platform_name,
-                     spec.platform_config.Scoped(g.platform_name)));
+                     spec_.platform_config.Scoped(g.platform_name)));
     g.platform = std::move(fresh);
-    // Loads (untimed, outside AlgorithmParams) still honour a harness
-    // stop — this is how Ctrl-C interrupts a multi-minute bulk import.
-    g.platform->SetCancelToken(spec.stop);
-    return Status::OK();
-  };
-
-  // Group load: platform instance + ETL, once per admitted group; not part
-  // of the runtime metric. Transient load failures (e.g. injected I/O
-  // errors) get the same bounded retry as cells; a failed load is recorded
-  // on every cell of the group, never thrown.
-  auto load_group = [&](size_t group_id) {
-    GroupState& g = groups[group_id];
-    prof::ScopedProfilePhase profile_phase("harness.load");
-    g.load_status = make_group_platform(g);
-    if (!g.load_status.ok()) return;
+    // Loads (untimed, outside AlgorithmParams) still honour a harness stop —
+    // this is how Ctrl-C interrupts a multi-minute bulk import.
+    g.platform->SetCancelToken(spec_.stop);
     Stopwatch load_watch;
+    Status status;
     {
       trace::TraceSpan load_span("harness.load", "harness");
       perf::SpanCounters load_counters(&load_span);
       load_span.SetAttribute("platform", g.platform_name);
       load_span.SetAttribute("graph", g.dataset->name);
       uint32_t load_attempts = 0;
-      for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
+      for (uint32_t attempt = 1; attempt <= max_attempts_; ++attempt) {
         load_attempts = attempt;
-        g.load_status =
-            g.platform->LoadGraph(*g.dataset->graph, g.dataset->name);
-        if (g.load_status.ok() || !IsRetryable(g.load_status) ||
-            attempt == max_attempts || Cancelled(spec.stop)) {
+        status = g.platform->LoadGraph(*g.dataset->graph, g.dataset->name);
+        if (status.ok() || !IsRetryable(status) || attempt == max_attempts_ ||
+            Cancelled(spec_.stop)) {
           break;
         }
-        InterruptibleSleep(
-            spec.retry_backoff_s *
-                static_cast<double>(1ull << std::min(attempt - 1, 20u)),
-            spec.stop);
+        InterruptibleSleep(BackoffSeconds(spec_.retry_backoff_s, attempt),
+                           spec_.stop);
       }
       load_span.SetAttribute("attempts", uint64_t{load_attempts});
-      load_span.SetAttribute("ok", g.load_status.ok() ? "true" : "false");
+      load_span.SetAttribute("ok", status.ok() ? "true" : "false");
     }
-    g.load_seconds = load_watch.ElapsedSeconds();
-  };
+    if (load_seconds != nullptr) *load_seconds = load_watch.ElapsedSeconds();
+    return status;
+  }
 
-  // Cell execution: the per-cell watchdog/retry machinery, unchanged from
-  // the serial loop, operating on the cell's group state (which the
-  // scheduler guarantees is not shared with any concurrent cell).
-  auto run_cell = [&](size_t item_id) {
-    const CellRef& cell = cells[item_id];
-    GroupState& g = groups[cell.group];
-    const DatasetSpec& dataset = *g.dataset;
-    const AlgorithmKind algorithm = cell.algorithm;
+  // ---------------------------------------------------------------- Cell
 
-    BenchmarkResult result;
-    result.platform = g.platform_name;
-    result.graph = dataset.name;
-    result.algorithm = algorithm;
-    result.load_seconds = g.load_seconds;
+  // One cell: the refusal checks and the attempt loop inside its
+  // harness.cell envelope, then its trace epilogue and journal emit. The
+  // scheduler guarantees no concurrent cell shares the group state.
+  void RunCell(size_t item_id) {
+    const CellRef& ref = cells_[item_id];
+    CellRun cell{groups_[ref.group], ref.algorithm, nullptr, {}};
+    BenchmarkResult& result = cell.result;
+    result.platform = cell.group.platform_name;
+    result.graph = cell.group.dataset->name;
+    result.algorithm = cell.algorithm;
+    result.load_seconds = cell.group.load_seconds;
 
     prof::ScopedProfilePhase profile_phase("harness.run");
 
-    // The cell records into its own child tracer (sharing the run
-    // tracer's clock), installed as this thread's override and propagated
-    // into engine pools by ThreadPool::Submit — so the window is exactly
-    // this cell's events at any jobs. It is summarized, written as the
-    // per-cell trace/profile, and merged back into the run-wide tracer
-    // once the envelope closes.
-    std::shared_ptr<trace::Tracer> cell_tracer;
+    // The cell records into its own child tracer (sharing the run tracer's
+    // clock), installed as this thread's override and propagated into engine
+    // pools by ThreadPool::Submit — so the window is exactly this cell's
+    // events at any jobs.
     std::optional<trace::ScopedThreadTracer> cell_scope;
-    if (tracer != nullptr) {
-      cell_tracer = std::make_shared<trace::Tracer>(tracer->clock());
-      cell_scope.emplace(cell_tracer.get());
+    if (tracer_ != nullptr) {
+      cell.tracer = std::make_shared<trace::Tracer>(tracer_->clock());
+      cell_scope.emplace(cell.tracer.get());
     }
-
-    // Per-cell sample attribution (jobs == 1 only): samples still queued
-    // from between cells are flushed to the run-wide profile, so the
-    // cell-end drain contains exactly this cell's samples.
-    uint64_t dropped_before = 0;
-    if (per_cell_samples) {
-      std::lock_guard<std::mutex> lock(profile_mu);
-      run_folded.Merge(profiler->Collect());
-      dropped_before = profiler->dropped_samples();
-    }
+    const uint64_t dropped_before = StartCellSamples();
     {
-    trace::TraceSpan cell_span("harness.cell", "harness");
-    cell_span.SetAttribute("platform", g.platform_name);
-    cell_span.SetAttribute("graph", dataset.name);
-    cell_span.SetAttribute("algorithm", AlgorithmKindName(algorithm));
-    metrics::AddCounter("harness.cells");
+      trace::TraceSpan cell_span("harness.cell", "harness");
+      cell_span.SetAttribute("platform", result.platform);
+      cell_span.SetAttribute("graph", result.graph);
+      cell_span.SetAttribute("algorithm", AlgorithmKindName(cell.algorithm));
+      metrics::AddCounter("harness.cells");
+      result.status = Refusal(cell.group, cell.algorithm);
+      if (result.status.ok()) RunAttempts(cell);
+    }
+    if (cell.tracer != nullptr) {
+      // Close the override first so nothing this thread does below lands in
+      // the cell window.
+      cell_scope.reset();
+      FinishCellTrace(cell, dropped_before);
+    }
+    Emit(ref.slot, std::move(result));
+  }
 
-    // CD and EVO seed their dynamics with vertex ids: running them on a
-    // relabeled graph is a different computation whose output cannot be
-    // mapped back. Refuse the cell — recorded, never silent.
-    if (dataset.original != nullptr && !RelabelingInvariant(algorithm)) {
-      result.status = Status::InvalidArgument(
-          StringPrintf("%s is not relabeling-invariant; rerun with "
-                       "graph.reorder = none",
-                       AlgorithmKindName(algorithm).c_str()));
-    } else if (!g.load_status.ok()) {
-      result.status = g.load_status.WithPrefix("load");
-    } else {
+  // The attempt loop: bounded retry of transient failures with exponential
+  // backoff. A platform dropped by an abandoned attempt is rebuilt and
+  // reloaded before the next one.
+  void RunAttempts(CellRun& cell) {
+    BenchmarkResult& result = cell.result;
     const uint64_t faults_before =
-        spec.fault_plan != nullptr ? spec.fault_plan->TotalTriggered() : 0;
-
-    for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
+        spec_.fault_plan != nullptr ? spec_.fault_plan->TotalTriggered() : 0;
+    for (uint32_t attempt = 1; attempt <= max_attempts_; ++attempt) {
       result.attempts = attempt;
       result.timed_out = false;
       result.cancelled = false;
       result.stalled = false;
       result.cancel_reason.clear();
       result.cancel_join_seconds = 0.0;
-
-      // A prior attempt was abandoned: rebuild the platform and
-      // re-run ETL before this attempt.
-      if (g.platform == nullptr) {
-        Status rebuilt = make_group_platform(g);
-        if (rebuilt.ok()) {
-          rebuilt = g.platform->LoadGraph(*dataset.graph, dataset.name);
-        }
-        if (!rebuilt.ok()) {
-          result.status = rebuilt.WithPrefix("reload after timeout");
-          g.platform.reset();
+      if (cell.group.platform == nullptr) {
+        Status reloaded = LoadPlatform(cell.group, nullptr);
+        if (!reloaded.ok()) {
+          result.status = reloaded.WithPrefix("reload after timeout");
+          cell.group.platform.reset();
           break;
         }
       }
-
-      SystemMonitor monitor;
-      if (spec.monitor) monitor.Start();
-      Stopwatch run_watch;
-      Result<AlgorithmOutput> run = Status::Internal("cell never ran");
-      {
-        trace::TraceSpan run_span("harness.run", "harness");
-        perf::SpanCounters run_counters(&run_span);
-        run_span.SetAttribute("attempt", uint64_t{attempt});
-        auto state = std::make_shared<AttemptState>();
-        state->platform = g.platform;
-        state->algorithm = algorithm;
-        state->params = g.run_params;
-        state->params.cancel = &state->cancel;
-        state->cell_tracer = cell_tracer;
-        std::future<void> done = state->done.get_future();
-        std::thread runner([state] {
-          // The runner is a fresh thread: re-install the cell's tracer
-          // override so the attempt (and pools it submits to) records
-          // into the cell's window.
-          trace::ScopedThreadTracer tracer_scope(state->cell_tracer.get());
-          state->run = state->platform->Run(state->algorithm, state->params);
-          state->done.set_value();
-        });
-
-        // Watchdog loop: slice-wait on the attempt, arming its token
-        // on the first condition that fires — harness stop, the
-        // wall-clock deadline, or a stalled progress heartbeat.
-        const Deadline cell_deadline =
-            spec.cell_timeout_s > 0.0 ? Deadline::After(spec.cell_timeout_s)
-                                      : Deadline::Never();
-        uint64_t last_beats = state->cancel.heartbeats();
-        Stopwatch stall_watch;
-        CancelReason why = CancelReason::kNone;
-        for (;;) {
-          if (done.wait_for(kSuperviseSlice) ==
-              std::future_status::ready) {
-            break;
-          }
-          if (Cancelled(spec.stop)) {
-            why = CancelReason::kHarnessStop;
-            state->cancel.Cancel(why, "harness stop requested");
-            break;
-          }
-          if (cell_deadline.expired()) {
-            why = CancelReason::kDeadline;
-            state->cancel.Cancel(
-                why, StringPrintf("cell exceeded %.3fs wall-clock budget",
-                                  spec.cell_timeout_s));
-            break;
-          }
-          if (spec.stall_timeout_s > 0.0) {
-            const uint64_t beats = state->cancel.heartbeats();
-            if (beats != last_beats) {
-              last_beats = beats;
-              stall_watch = Stopwatch();
-            } else if (stall_watch.ElapsedSeconds() >=
-                       spec.stall_timeout_s) {
-              why = CancelReason::kStall;
-              state->cancel.Cancel(
-                  why, StringPrintf(
-                           "no progress heartbeat for %.3fs (stall "
-                           "watchdog)",
-                           spec.stall_timeout_s));
-              break;
-            }
-          }
-        }
-
-        if (why == CancelReason::kNone) {
-          runner.join();
-          run = std::move(state->run);
-        } else {
-          // Grace join: the engines poll the token at bounded-work
-          // intervals, so a cooperative attempt unwinds (releasing
-          // budget charges, closing spans) and joins well within the
-          // grace window — no thread outlives the cell.
-          result.cancelled = true;
-          result.cancel_reason = CancelReasonName(why);
-          result.timed_out = why == CancelReason::kDeadline;
-          result.stalled = why == CancelReason::kStall;
-          metrics::AddCounter("harness.cancels");
-          if (why == CancelReason::kDeadline) {
-            metrics::AddCounter("harness.timeouts");
-          }
-          trace::Instant(
-              "harness.cancel", "harness",
-              {{"reason", CancelReasonName(why)},
-               {"platform", g.platform_name},
-               {"graph", dataset.name},
-               {"algorithm", AlgorithmKindName(algorithm)}});
-          Stopwatch join_watch;
-          const bool joined =
-              done.wait_for(std::chrono::duration<double>(std::max(
-                  0.0, spec.cancel_grace_s))) ==
-              std::future_status::ready;
-          result.cancel_join_seconds = join_watch.ElapsedSeconds();
-          run_span.SetAttribute("cancelled", CancelReasonName(why));
-          if (result.timed_out) {
-            run_span.SetAttribute("timed_out", "true");
-          }
-          if (joined) {
-            runner.join();
-            // The cancelled verdict stands even if the attempt raced
-            // to completion during the grace window: the cell blew
-            // its budget (or the harness is stopping) either way.
-            run = state->cancel.ToStatus();
-            metrics::AddCounter("harness.cancel_joins");
-            // The platform unwound cooperatively: keep it (and its
-            // loaded graph) for the retry instead of rebuilding.
-          } else {
-            // Wedged past the grace window (e.g. stuck in a blocking
-            // syscall the token cannot interrupt): fall back to the
-            // abandon path so the matrix never hangs.
-            runner.detach();
-            run = state->cancel.ToStatus().WithPrefix(
-                StringPrintf("attempt ignored cancellation for %.3fs",
-                             spec.cancel_grace_s));
-            metrics::AddCounter("harness.cancel_join_failures");
-            {
-              std::lock_guard<std::mutex> lock(abandoned_mu);
-              abandoned.push_back(std::move(done));
-            }
-            g.platform.reset();
-          }
-        }
-        run_span.SetAttribute("ok", run.ok() ? "true" : "false");
-      }
-      result.runtime_seconds = run_watch.ElapsedSeconds();
-      if (spec.monitor) result.resources = monitor.Stop();
-      if (g.platform != nullptr) {
-        result.platform_metrics = g.platform->LastRunMetrics();
-      }
-
+      Result<AlgorithmOutput> run = RunAttempt(cell, attempt);
       if (run.ok()) {
-        result.status = Status::OK();
-        result.traversed_edges = run->traversed_edges;
-        result.teps = result.runtime_seconds > 0.0
-                          ? static_cast<double>(run->traversed_edges) /
-                                result.runtime_seconds
-                          : 0.0;
-        // The recorded answer speaks original vertex ids: reordered
-        // outputs are mapped back before both the checksum and the
-        // validation, so a reordered run and a plain run that computed
-        // the same answer fingerprint identically.
-        const AlgorithmOutput* answer = &*run;
-        AlgorithmOutput mapped;
-        if (dataset.original != nullptr) {
-          mapped = MapOutputToOriginalIds(algorithm, *dataset.new_to_old,
-                                          *run);
-          answer = &mapped;
-        }
-        result.output_checksum = OutputChecksum(*answer);
-        if (spec.validate) {
-          prof::ScopedProfilePhase validate_phase("harness.validate");
-          trace::TraceSpan validate_span("harness.validate", "harness");
-          perf::SpanCounters validate_counters(&validate_span);
-          // Reordered datasets validate in original vertex ids against
-          // the original graph, so a reordered run and a plain run
-          // answer to the same reference output.
-          const Graph& expected_on =
-              dataset.original != nullptr ? *dataset.original : *dataset.graph;
-          result.validation = ValidateOutput(expected_on, algorithm,
-                                             dataset.params, *answer);
-          if (!result.validation.ok()) {
-            GLY_LOG_ERROR << g.platform_name << "/" << dataset.name << "/"
-                          << AlgorithmKindName(algorithm) << " validation: "
-                          << result.validation.ToString();
-          }
-        }
+        // Platforms replace their metrics only when a Run succeeds, so only
+        // now are they this cell's.
+        result.platform_metrics = cell.group.platform->LastRunMetrics();
+        RecordAnswer(cell, *run);
         break;
       }
-
       result.status = run.status();
-      GLY_LOG_WARN << g.platform_name << "/" << dataset.name << "/"
-                   << AlgorithmKindName(algorithm) << " attempt "
-                   << attempt << "/" << max_attempts
+      GLY_LOG_WARN << result.platform << "/" << result.graph << "/"
+                   << AlgorithmKindName(cell.algorithm) << " attempt "
+                   << attempt << "/" << max_attempts_
                    << " failed: " << run.status().ToString();
-      if (attempt == max_attempts || !IsRetryable(result.status) ||
-          Cancelled(spec.stop)) {
+      if (attempt == max_attempts_ || !IsRetryable(result.status) ||
+          Cancelled(spec_.stop)) {
         break;
       }
-      double backoff =
-          spec.retry_backoff_s *
-          static_cast<double>(1ull << std::min(attempt - 1, 20u));
+      const double backoff = BackoffSeconds(spec_.retry_backoff_s, attempt);
       metrics::AddCounter("harness.retries");
       trace::Instant("harness.retry", "harness",
                      {{"attempt", std::to_string(attempt)},
                       {"backoff_s", StringPrintf("%.3f", backoff)}});
-      InterruptibleSleep(backoff, spec.stop);
+      InterruptibleSleep(backoff, spec_.stop);
     }
-
     // Per-cell fault attribution via the plan's global trigger counter;
-    // exact at jobs == 1, approximate when concurrent cells trigger
-    // faults in the same window.
+    // exact at jobs == 1, approximate when concurrent cells trigger faults in
+    // the same window.
     result.injected_faults =
-        spec.fault_plan != nullptr
-            ? spec.fault_plan->TotalTriggered() - faults_before
+        spec_.fault_plan != nullptr
+            ? spec_.fault_plan->TotalTriggered() - faults_before
             : 0;
-    // Checkpoint/recovery counters surface through platform metrics
-    // (Pregel rollback-replays and MapReduce map-stage restores).
-    result.recoveries =
-        MetricValue(result.platform_metrics, "recoveries") +
-        MetricValue(result.platform_metrics, "map_stages_recovered");
+    // Checkpoint/recovery counters surface through platform metrics (Pregel
+    // rollback-replays and MapReduce map-stage restores).
+    result.recoveries = MetricValue(result.platform_metrics, "recoveries") +
+                        MetricValue(result.platform_metrics,
+                                    "map_stages_recovered");
     result.supersteps_replayed =
         MetricValue(result.platform_metrics, "supersteps_replayed");
-    }  // retry loop (else branch of the refusal checks)
-    }  // harness.cell envelope
-    if (cell_tracer != nullptr) {
-      // Close the override first so nothing this thread does below lands
-      // in the cell window, then summarize/analyze it and merge it back
-      // into the run-wide trace (events are appended contiguously, with
-      // child tids remapped to fresh run-level tids).
-      cell_scope.reset();
-      std::vector<trace::TraceEvent> window = cell_tracer->Snapshot();
-      SummarizeCellTrace(window, spec.trace_dir, &result);
-      trace::SamplerSummary sampler_summary;
-      prof::FoldedProfile cell_folded;
-      if (per_cell_samples) {
-        std::lock_guard<std::mutex> lock(profile_mu);
-        cell_folded = profiler->Collect();
-        run_folded.Merge(cell_folded);
-        cell_folded.dropped = profiler->dropped_samples() - dropped_before;
-        sampler_summary.mode = profiler->mode();
-        sampler_summary.interval_us = profiler->interval_us();
-        sampler_summary.samples = cell_folded.samples;
-        sampler_summary.dropped = cell_folded.dropped;
+  }
+
+  // One supervised attempt: the platform runs on a runner thread of its own
+  // while this thread watches it (every attempt is supervised).
+  Result<AlgorithmOutput> RunAttempt(CellRun& cell, uint32_t attempt) {
+    SystemMonitor monitor;
+    if (spec_.monitor) monitor.Start();
+    Stopwatch run_watch;
+    Result<AlgorithmOutput> run = Status::Internal("cell never ran");
+    {
+      trace::TraceSpan run_span("harness.run", "harness");
+      perf::SpanCounters run_counters(&run_span);
+      run_span.SetAttribute("attempt", uint64_t{attempt});
+      auto state = std::make_shared<AttemptState>();
+      state->platform = cell.group.platform;
+      state->algorithm = cell.algorithm;
+      state->params = cell.group.run_params;
+      state->params.cancel = &state->cancel;
+      state->cell_tracer = cell.tracer;
+      std::future<void> done = state->done.get_future();
+      std::thread runner([state] {
+        // The runner is a fresh thread: re-install the cell's tracer override
+        // so the attempt (and pools it submits to) records into the cell's
+        // window.
+        trace::ScopedThreadTracer tracer_scope(state->cell_tracer.get());
+        state->run = state->platform->Run(state->algorithm, state->params);
+        state->done.set_value();
+      });
+      const CancelReason why = Watch(state->cancel, done);
+      if (why == CancelReason::kNone) {
+        runner.join();
+        run = std::move(state->run);
+      } else {
+        run = JoinOrAbandon(cell, why, *state, runner, std::move(done),
+                            run_span);
       }
-      WriteCellProfile(window, spec.trace_dir, sampler_summary, cell_folded,
-                       &result);
-      tracer->MergeEvents(std::move(window));
+      run_span.SetAttribute("ok", run.ok() ? "true" : "false");
     }
-    emit(cell.slot, std::move(result));
-  };
+    cell.result.runtime_seconds = run_watch.ElapsedSeconds();
+    if (spec_.monitor) cell.result.resources = monitor.Stop();
+    return run;
+  }
+
+  // Watchdog: slice-waits on the attempt, arming its token on the first
+  // condition that fires — harness stop, the wall-clock deadline, or a
+  // stalled progress heartbeat. kNone means the attempt finished.
+  CancelReason Watch(CancelToken& cancel, std::future<void>& done) const {
+    const Deadline cell_deadline = spec_.cell_timeout_s > 0.0
+                                       ? Deadline::After(spec_.cell_timeout_s)
+                                       : Deadline::Never();
+    uint64_t last_beats = cancel.heartbeats();
+    Stopwatch stall_watch;
+    for (;;) {
+      if (done.wait_for(kSuperviseSlice) == std::future_status::ready) {
+        return CancelReason::kNone;
+      }
+      if (Cancelled(spec_.stop)) {
+        cancel.Cancel(CancelReason::kHarnessStop, "harness stop requested");
+        return CancelReason::kHarnessStop;
+      }
+      if (cell_deadline.expired()) {
+        cancel.Cancel(CancelReason::kDeadline,
+                      StringPrintf("cell exceeded %.3fs wall-clock budget",
+                                   spec_.cell_timeout_s));
+        return CancelReason::kDeadline;
+      }
+      if (spec_.stall_timeout_s <= 0.0) continue;
+      const uint64_t beats = cancel.heartbeats();
+      if (beats != last_beats) {
+        last_beats = beats;
+        stall_watch = Stopwatch();
+      } else if (stall_watch.ElapsedSeconds() >= spec_.stall_timeout_s) {
+        cancel.Cancel(CancelReason::kStall,
+                      StringPrintf("no progress heartbeat for %.3fs (stall "
+                                   "watchdog)",
+                                   spec_.stall_timeout_s));
+        return CancelReason::kStall;
+      }
+    }
+  }
+
+  // Grace join of a cancelled attempt: the engines poll the token at
+  // bounded-work intervals, so a cooperative attempt unwinds (releasing
+  // budget charges, closing spans) and joins well within the grace window —
+  // no thread outlives the cell. One wedged past the window (e.g. stuck in a
+  // blocking syscall the token cannot interrupt) is abandoned so the matrix
+  // never hangs: detached, its future kept for the post-matrix drain, and
+  // its platform dropped so the next attempt rebuilds and reloads.
+  Result<AlgorithmOutput> JoinOrAbandon(
+      CellRun& cell, CancelReason why, AttemptState& state, std::thread& runner,
+      std::future<void> done, trace::TraceSpan& run_span) {
+    BenchmarkResult& result = cell.result;
+    result.cancelled = true;
+    result.cancel_reason = CancelReasonName(why);
+    result.timed_out = why == CancelReason::kDeadline;
+    result.stalled = why == CancelReason::kStall;
+    metrics::AddCounter("harness.cancels");
+    if (why == CancelReason::kDeadline) metrics::AddCounter("harness.timeouts");
+    trace::Instant("harness.cancel", "harness",
+                   {{"reason", CancelReasonName(why)},
+                    {"platform", result.platform},
+                    {"graph", result.graph},
+                    {"algorithm", AlgorithmKindName(cell.algorithm)}});
+    Stopwatch join_watch;
+    const bool joined =
+        done.wait_for(std::chrono::duration<double>(
+            std::max(0.0, spec_.cancel_grace_s))) == std::future_status::ready;
+    result.cancel_join_seconds = join_watch.ElapsedSeconds();
+    run_span.SetAttribute("cancelled", CancelReasonName(why));
+    if (result.timed_out) run_span.SetAttribute("timed_out", "true");
+    if (joined) {
+      runner.join();
+      // The cancelled verdict stands even if the attempt raced to completion
+      // during the grace window: the cell blew its budget (or the harness is
+      // stopping) either way. The platform unwound cooperatively, so it (and
+      // its loaded graph) is kept for the retry.
+      metrics::AddCounter("harness.cancel_joins");
+      return state.cancel.ToStatus();
+    }
+    runner.detach();
+    metrics::AddCounter("harness.cancel_join_failures");
+    {
+      std::lock_guard<std::mutex> lock(abandoned_mu_);
+      abandoned_.push_back(std::move(done));
+    }
+    cell.group.platform.reset();
+    return state.cancel.ToStatus().WithPrefix(StringPrintf(
+        "attempt ignored cancellation for %.3fs", spec_.cancel_grace_s));
+  }
+
+  // Records a successful attempt's answer. The recorded answer speaks
+  // original vertex ids: reordered outputs are mapped back before both the
+  // checksum and the validation, so a reordered run and a plain run that
+  // computed the same answer fingerprint identically and validate against
+  // the same reference output, on the original graph.
+  void RecordAnswer(CellRun& cell, const AlgorithmOutput& output) {
+    BenchmarkResult& result = cell.result;
+    const DatasetSpec& dataset = *cell.group.dataset;
+    result.status = Status::OK();
+    result.traversed_edges = output.traversed_edges;
+    result.teps = result.runtime_seconds > 0.0
+                      ? static_cast<double>(output.traversed_edges) /
+                            result.runtime_seconds
+                      : 0.0;
+    const AlgorithmOutput* answer = &output;
+    AlgorithmOutput mapped;
+    if (dataset.original != nullptr) {
+      mapped = MapOutputToOriginalIds(cell.algorithm, *dataset.new_to_old,
+                                      output);
+      answer = &mapped;
+    }
+    result.output_checksum = OutputChecksum(*answer);
+    if (!spec_.validate) return;
+    prof::ScopedProfilePhase validate_phase("harness.validate");
+    trace::TraceSpan validate_span("harness.validate", "harness");
+    perf::SpanCounters validate_counters(&validate_span);
+    const Graph& expected_on =
+        dataset.original != nullptr ? *dataset.original : *dataset.graph;
+    result.validation =
+        ValidateOutput(expected_on, cell.algorithm, dataset.params, *answer);
+    if (!result.validation.ok()) {
+      GLY_LOG_ERROR << result.platform << "/" << result.graph << "/"
+                    << AlgorithmKindName(cell.algorithm)
+                    << " validation: " << result.validation.ToString();
+    }
+  }
+
+  // Per-cell sample attribution (jobs == 1 only): samples still queued from
+  // between cells are flushed to the run-wide profile, so the cell-end drain
+  // contains exactly this cell's samples. Returns the drop count so far.
+  uint64_t StartCellSamples() {
+    if (!per_cell_samples_) return 0;
+    std::lock_guard<std::mutex> lock(profile_mu_);
+    run_folded_.Merge(profiler_->Collect());
+    return profiler_->dropped_samples();
+  }
+
+  // The cell's trace epilogue: summarize and analyze its window, write the
+  // per-cell trace and profile, and merge the window back into the run-wide
+  // trace (events appended contiguously, child tids remapped to fresh
+  // run-level tids).
+  void FinishCellTrace(CellRun& cell, uint64_t dropped_before) {
+    std::vector<trace::TraceEvent> window = cell.tracer->Snapshot();
+    SummarizeCellTrace(window, spec_.trace_dir, &cell.result);
+    prof::FoldedProfile cell_folded;
+    if (per_cell_samples_) {
+      std::lock_guard<std::mutex> lock(profile_mu_);
+      cell_folded = profiler_->Collect();
+      run_folded_.Merge(cell_folded);
+      cell_folded.dropped = profiler_->dropped_samples() - dropped_before;
+    }
+    WriteCellProfile(window, spec_.trace_dir,
+                     SamplerSummaryOf(cell_folded, per_cell_samples_),
+                     cell_folded, &cell.result);
+    tracer_->MergeEvents(std::move(window));
+  }
+
+  // What the sampler contributed to `folded`; mode "off" unless `sampled`.
+  trace::SamplerSummary SamplerSummaryOf(const prof::FoldedProfile& folded,
+                                         bool sampled) const {
+    if (!sampled) return {};
+    return {.mode = profiler_->mode(),
+            .interval_us = profiler_->interval_us(),
+            .samples = folded.samples,
+            .dropped = folded.dropped};
+  }
+
+  // --------------------------------------------------------------- Close
 
   // Last cell of a group done (or skipped on stop): unload its graph.
-  auto retire_group = [&](size_t group_id) {
-    GroupState& g = groups[group_id];
+  void RetireGroup(size_t group_id) {
+    GroupState& g = groups_[group_id];
     if (g.platform != nullptr) g.platform->UnloadGraph();
     g.platform.reset();
-  };
+  }
 
-  SchedulerStats stats = scheduler.Run(load_group, run_cell, retire_group);
-  if (spec.scheduler_stats != nullptr) *spec.scheduler_stats = stats;
+  std::vector<BenchmarkResult> Close() {
+    DrainAbandoned();
+    // Stop sampling and fold the tail (samples taken after the last cell
+    // completed); the run-wide profile then accounts for every sample the
+    // ring accepted, with drops reported from the sampler's own counter.
+    if (profiler_.has_value()) {
+      std::lock_guard<std::mutex> lock(profile_mu_);
+      profiler_->Stop();
+      run_folded_.Merge(profiler_->Collect());
+      run_folded_.dropped = profiler_->dropped_samples();
+      metrics::AddCounter("profiler.samples", run_folded_.samples);
+      metrics::AddCounter("profiler.dropped", run_folded_.dropped);
+    }
+    WriteRunArtifacts();
+    // Results in matrix order; cells skipped on stop leave no result, same
+    // as the serial loop breaking out of its nests.
+    std::vector<BenchmarkResult> results;
+    results.reserve(slots_.size());
+    for (std::optional<BenchmarkResult>& filled : slots_) {
+      if (filled.has_value()) results.push_back(*std::move(filled));
+    }
+    return results;
+  }
 
   // Bounded drain: give abandoned attempts a grace window to finish (they
-  // are sleeping in a stalled site or finishing a slow superstep). If one
-  // is genuinely wedged we still return — the matrix never hangs. The wait
+  // are sleeping in a stalled site or finishing a slow superstep). If one is
+  // genuinely wedged we still return — the matrix never hangs. The wait
   // re-checks its own deadline on every slice (a wait_until return is not
   // proof of readiness — timeouts and spurious returns look identical) and
   // wakes immediately when the harness-level stop token fires, so Ctrl-C
   // never hangs on the drain.
-  if (!abandoned.empty()) {
+  void DrainAbandoned() {
+    if (abandoned_.empty()) return;
     const Deadline drain_deadline =
-        Deadline::After(std::max(0.0, spec.cancel_grace_s));
-    for (std::future<void>& done : abandoned) {
+        Deadline::After(std::max(0.0, spec_.cancel_grace_s));
+    for (std::future<void>& done : abandoned_) {
       for (;;) {
         if (done.wait_for(kSuperviseSlice) == std::future_status::ready) break;
-        if (drain_deadline.expired() || Cancelled(spec.stop)) break;
+        if (drain_deadline.expired() || Cancelled(spec_.stop)) break;
       }
     }
-  }
-
-  // Stop sampling and fold the tail (samples taken after the last cell
-  // completed); the run-wide profile then accounts for every sample the
-  // ring accepted, with drops reported from the sampler's own counter.
-  if (profiler.has_value()) {
-    std::lock_guard<std::mutex> lock(profile_mu);
-    profiler->Stop();
-    run_folded.Merge(profiler->Collect());
-    run_folded.dropped = profiler->dropped_samples();
-    metrics::AddCounter("profiler.samples", run_folded.samples);
-    metrics::AddCounter("profiler.dropped", run_folded.dropped);
   }
 
   // Run-wide observability artifacts (after the drain, so spans from
   // abandoned-but-finished attempts are included).
-  if (!spec.trace_dir.empty()) {
-    std::filesystem::path dir(spec.trace_dir);
-    if (tracer != nullptr) {
-      Status written = tracer->WriteTo((dir / "trace.json").string());
+  void WriteRunArtifacts() {
+    if (spec_.trace_dir.empty()) return;
+    std::filesystem::path dir(spec_.trace_dir);
+    if (tracer_ != nullptr) {
+      Status written = tracer_->WriteTo((dir / "trace.json").string());
       if (!written.ok()) {
         GLY_LOG_WARN << "trace: " << written.ToString();
       }
       // Run-wide profile.json: critical path over the whole span forest
-      // (longest top-level span as root), per-worker utilization, top-K
-      // self time, plus the run-wide folded stacks.
-      trace::TraceAnalysis analysis = trace::AnalyzeTrace(tracer->Snapshot());
-      trace::SamplerSummary sampler_summary;
-      if (profiler.has_value()) {
-        sampler_summary.mode = profiler->mode();
-        sampler_summary.interval_us = profiler->interval_us();
-        sampler_summary.samples = run_folded.samples;
-        sampler_summary.dropped = run_folded.dropped;
-      }
+      // (longest top-level span as root), per-worker utilization, top-K self
+      // time, plus the run-wide folded stacks.
+      trace::TraceAnalysis analysis = trace::AnalyzeTrace(tracer_->Snapshot());
+      trace::SamplerSummary sampler =
+          SamplerSummaryOf(run_folded_, profiler_.has_value());
       WriteTraceArtifact(
-          spec.trace_dir, "profile.json",
-          trace::ProfileJson(analysis, sampler_summary, run_folded.ToLines()));
-      if (profiler.has_value()) {
-        WriteTraceArtifact(spec.trace_dir, "profile.folded",
-                           run_folded.ToFolded());
+          spec_.trace_dir, "profile.json",
+          trace::ProfileJson(analysis, sampler, run_folded_.ToLines()));
+      if (profiler_.has_value()) {
+        WriteTraceArtifact(spec_.trace_dir, "profile.folded",
+                           run_folded_.ToFolded());
       }
     }
-    if (registry != nullptr) {
-      Status written = registry->WriteTo((dir / "metrics.jsonl").string());
+    if (registry_ != nullptr) {
+      Status written = registry_->WriteTo((dir / "metrics.jsonl").string());
       if (!written.ok()) {
         GLY_LOG_WARN << "metrics: " << written.ToString();
       }
     }
   }
 
-  // Results in matrix order; cells skipped on stop leave no result, same
-  // as the serial loop breaking out of its nests.
-  std::vector<BenchmarkResult> results;
-  results.reserve(slots.size());
-  for (std::optional<BenchmarkResult>& filled : slots) {
-    if (filled.has_value()) results.push_back(*std::move(filled));
-  }
-  return results;
+  const RunSpec& spec_;
+  const ResultCallback& on_result_;
+  const uint32_t max_attempts_ = std::max(1u, spec_.max_attempts);
+  const uint32_t jobs_ = std::max(1u, spec_.jobs);
+  std::optional<fault::ScopedFaultPlan> fault_scope_;
+
+  // Observability: the tracer/registry installed for the whole run (the
+  // engines pick them up through ActiveTracer()/ActiveRegistry(), no
+  // plumbing). Owned instances are declared before the scoped installers
+  // so the scopes are torn down first — an abandoned attempt that outlives
+  // the grace drain then records nothing instead of touching freed state.
+  std::optional<trace::Tracer> owned_tracer_;
+  std::optional<metrics::Registry> owned_registry_;
+  trace::Tracer* tracer_ = nullptr;
+  metrics::Registry* registry_ = nullptr;
+  std::optional<trace::ScopedTracer> trace_scope_;
+  std::optional<metrics::ScopedRegistry> metrics_scope_;
+
+  std::unique_ptr<perf::PerfCounters> counters_;
+  std::optional<perf::ScopedPerfCounters> counters_scope_;
+  std::optional<prof::CpuProfiler> profiler_;
+  prof::FoldedProfile run_folded_;
+  std::mutex profile_mu_;  // guards profiler drains + run_folded_ merges
+  bool per_cell_samples_ = false;
+
+  std::map<std::string, BenchmarkResult> journal_cells_;
+  std::ofstream journal_;
+
+  CellScheduler scheduler_{CellScheduler::Options{
+      .jobs = jobs_,
+      .memory_budget_bytes = spec_.sched_memory_budget_mb << 20,
+      .stop = spec_.stop}};
+  std::vector<GroupState> groups_;
+  std::vector<CellRef> cells_;
+  std::vector<std::optional<BenchmarkResult>> slots_;
+  std::mutex emit_mu_;
+
+  // Attempts abandoned on timeout; drained (bounded) before returning so
+  // orphan threads do not normally outlive caller-owned graphs.
+  std::mutex abandoned_mu_;
+  std::vector<std::future<void>> abandoned_;
+};
+
+}  // namespace
+
+bool FinishedCleanly(const BenchmarkResult& cell) {
+  return cell.status.ok() &&
+         (cell.validation.ok() || cell.validation.IsUntested());
+}
+
+Result<std::vector<BenchmarkResult>> RunBenchmark(
+    const RunSpec& spec, const ResultCallback& on_result) {
+  GLY_RETURN_NOT_OK(CheckSpec(spec));
+  return BenchmarkRun(spec, on_result).Run();
 }
 
 }  // namespace gly::harness

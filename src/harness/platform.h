@@ -4,7 +4,7 @@
 // The paper: "adding a new platform to Graphalytics consists of
 // implementing the algorithms, adding a dataset loading method, providing a
 // workload processing interface, and logging the information required for
-// results reporting" — which maps onto LoadGraph / Run / metrics().
+// results reporting" — which maps onto LoadGraph / Run / LastRunMetrics().
 
 #pragma once
 
@@ -23,10 +23,6 @@ namespace gly::harness {
 class Platform {
  public:
   virtual ~Platform() = default;
-
-  /// Stable identifier used in configs and reports ("giraph", "graphx",
-  /// "mapreduce", "neo4j").
-  virtual std::string name() const = 0;
 
   /// Dataset loading (ETL). Untimed by the harness: "The runtime measures
   /// the complete execution of an algorithm, from job submission to result
@@ -47,10 +43,15 @@ class Platform {
   /// in-memory pointer swaps except the graph database's bulk import).
   virtual void SetCancelToken(const CancelToken* /*cancel*/) {}
 
-  /// Free-form run metrics for the report (messages, supersteps, spills...).
-  virtual std::map<std::string, std::string> LastRunMetrics() const {
-    return {};
+  /// Free-form metrics of the last successful Run for the report
+  /// (messages, supersteps, spills...). A failed Run leaves them as they
+  /// were, so the harness reads them only after a Run that returned OK.
+  const std::map<std::string, std::string>& LastRunMetrics() const {
+    return metrics_;
   }
+
+ protected:
+  std::map<std::string, std::string> metrics_;
 };
 
 /// Names of all registered platforms.

@@ -61,8 +61,6 @@ class GiraphLikePlatform final : public Platform {
     engine_ = std::make_unique<pregel::Engine>(engine);
   }
 
-  std::string name() const override { return "giraph"; }
-
   Status LoadGraph(const Graph& graph, const std::string&) override {
     graph_ = &graph;
     return Status::OK();
@@ -96,15 +94,10 @@ class GiraphLikePlatform final : public Platform {
 
   void UnloadGraph() override { graph_ = nullptr; }
 
-  std::map<std::string, std::string> LastRunMetrics() const override {
-    return metrics_;
-  }
-
  private:
   std::optional<TempDir> checkpoint_dir_;
   std::unique_ptr<pregel::Engine> engine_;
   const Graph* graph_ = nullptr;
-  std::map<std::string, std::string> metrics_;
 };
 
 // ----------------------------------------------------------------- GraphX
@@ -121,8 +114,6 @@ class GraphXLikePlatform final : public Platform {
     context_.materialize_mib_per_s =
         config.GetDoubleOr("materialize_mib_per_s", 0.0);
   }
-
-  std::string name() const override { return "graphx"; }
 
   Status LoadGraph(const Graph& graph, const std::string&) override {
     graph_ = &graph;
@@ -150,14 +141,9 @@ class GraphXLikePlatform final : public Platform {
 
   void UnloadGraph() override { graph_ = nullptr; }
 
-  std::map<std::string, std::string> LastRunMetrics() const override {
-    return metrics_;
-  }
-
  private:
   dataflow::ContextConfig context_;
   const Graph* graph_ = nullptr;
-  std::map<std::string, std::string> metrics_;
 };
 
 // -------------------------------------------------------------- MapReduce
@@ -177,8 +163,6 @@ class MapReducePlatform final : public Platform {
     config_.max_iterations =
         static_cast<uint32_t>(config.GetUintOr("max_iterations", 1000));
   }
-
-  std::string name() const override { return "mapreduce"; }
 
   Status LoadGraph(const Graph& graph, const std::string& graph_name) override {
     // The HDFS-upload analog: the dataset must be on the job filesystem
@@ -219,16 +203,11 @@ class MapReducePlatform final : public Platform {
 
   void UnloadGraph() override { graph_ = nullptr; }
 
-  std::map<std::string, std::string> LastRunMetrics() const override {
-    return metrics_;
-  }
-
  private:
   TempDir scratch_;
   mapreduce::PlatformConfig config_;
   const Graph* graph_ = nullptr;
   uint64_t run_counter_ = 0;
-  std::map<std::string, std::string> metrics_;
 };
 
 // ------------------------------------------------------------------ Neo4j
@@ -244,8 +223,6 @@ class Neo4jLikePlatform final : public Platform {
         opts.memory_budget_bytes != 0 ? (opts.memory_budget_bytes >> 20) : 256)
         << 20;
   }
-
-  std::string name() const override { return "neo4j"; }
 
   Status LoadGraph(const Graph& graph, const std::string& graph_name) override {
     graphdb::StoreConfig store_config;
@@ -282,10 +259,6 @@ class Neo4jLikePlatform final : public Platform {
 
   void UnloadGraph() override { store_.reset(); }
 
-  std::map<std::string, std::string> LastRunMetrics() const override {
-    return metrics_;
-  }
-
  private:
   TempDir scratch_;
   uint64_t memory_budget_bytes_;
@@ -294,7 +267,6 @@ class Neo4jLikePlatform final : public Platform {
   const CancelToken* load_cancel_ = nullptr;
   bool undirected_ = true;
   uint64_t load_counter_ = 0;
-  std::map<std::string, std::string> metrics_;
 };
 
 // -------------------------------------------------------------- Reference
@@ -309,8 +281,6 @@ class ReferencePlatform final : public Platform {
  public:
   explicit ReferencePlatform(const CommonOptions& opts)
       : memory_budget_bytes_(opts.memory_budget_bytes) {}
-
-  std::string name() const override { return "reference"; }
 
   Status LoadGraph(const Graph& graph, const std::string&) override {
     graph_ = &graph;
@@ -331,14 +301,9 @@ class ReferencePlatform final : public Platform {
 
   void UnloadGraph() override { graph_ = nullptr; }
 
-  std::map<std::string, std::string> LastRunMetrics() const override {
-    return metrics_;
-  }
-
  private:
   uint64_t memory_budget_bytes_;
   const Graph* graph_ = nullptr;
-  std::map<std::string, std::string> metrics_;
 };
 
 }  // namespace

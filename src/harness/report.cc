@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/csv.h"
 #include "common/json.h"
@@ -18,10 +18,100 @@ std::string CellKey(const BenchmarkResult& r) {
   return r.graph + "/" + r.platform;
 }
 
-// A journal status field: the code name ResultToJson wrote (messages are
-// not round-tripped).
-Status StatusFromJson(const json::Value& doc, std::string_view key,
-                      Status* out) {
+// Field flags of the result schema below.
+enum FieldFlag : unsigned {
+  kRequired = 1,  ///< a journal line without it is malformed
+  kVolatile = 2,  ///< timing or host dependent: golden tests mask it
+  kCsvOnly = 4,   ///< results.csv only: not in the JSON line, never decoded
+  kRate = 8,      ///< the JSON line keeps one decimal, not six
+};
+
+// The BenchmarkResult schema, in column order. WriteResultsCsv (header and
+// rows), ResultToJson, DecodeResult and VolatileResultFields all walk this
+// one list, so a new field is one line here. `visit(name, flags, member)`
+// gets each member by reference, const when `r` is.
+template <typename R, typename Visit>
+void ForEachResultField(R& r, Visit&& visit) {
+  visit("platform", kRequired, r.platform);
+  visit("graph", kRequired, r.graph);
+  visit("algorithm", kRequired, r.algorithm);
+  visit("status", kRequired, r.status);
+  visit("status_detail", kCsvOnly, r.status.message());
+  visit("validation", kRequired, r.validation);
+  visit("runtime_s", kVolatile, r.runtime_seconds);
+  visit("load_s", kVolatile, r.load_seconds);
+  visit("traversed_edges", 0, r.traversed_edges);
+  visit("teps", kVolatile | kRate, r.teps);
+  visit("output_checksum", 0, r.output_checksum);
+  visit("attempts", 0, r.attempts);
+  visit("timed_out", 0, r.timed_out);
+  visit("cancelled", 0, r.cancelled);
+  visit("stalled", 0, r.stalled);
+  visit("cancel_reason", 0, r.cancel_reason);
+  visit("cancel_join_s", kVolatile, r.cancel_join_seconds);
+  visit("injected_faults", 0, r.injected_faults);
+  visit("resumed", 0, r.resumed);
+  visit("recoveries", 0, r.recoveries);
+  visit("supersteps_replayed", 0, r.supersteps_replayed);
+  visit("peak_rss_bytes", kVolatile, r.resources.peak_rss_bytes);
+  visit("cpu_utilization", kVolatile | kCsvOnly, r.resources.cpu_utilization);
+  visit("trace_spans", 0, r.trace_spans);
+  visit("top_phases", 0, r.top_phases);
+  visit("critical_path_s", kVolatile, r.critical_path_seconds);
+}
+
+// A text field's value: statuses are written as their code name only.
+const std::string& Text(const std::string& v) { return v; }
+std::string Text(AlgorithmKind v) { return AlgorithmKindName(v); }
+std::string Text(const Status& v) {
+  return std::string(StatusCodeToString(v.code()));
+}
+
+// One field as a CSV cell: CsvWriter escapes text and formats doubles, and
+// booleans are 0/1.
+template <typename T>
+void CsvField(CsvWriter& csv, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    csv.Field(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    csv.Field(uint64_t{v});
+  } else {
+    csv.Field(Text(v));
+  }
+}
+
+// One field as a JSON value.
+template <typename T>
+std::string JsonValue(const T& v, unsigned flags) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return StringPrintf((flags & kRate) != 0 ? "%.1f" : "%.6f", v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else {
+    return '"' + JsonEscape(Text(v)) + '"';
+  }
+}
+
+// Reads one field back. A missing optional key keeps the member's default,
+// so journals written before a field existed still resume.
+template <typename T>
+Status DecodeField(const json::Value& doc, const char* key, bool required,
+                   T* out) {
+  GLY_ASSIGN_OR_RETURN(*out, required ? doc.Get<T>(key)
+                                      : doc.GetOr<T>(key, *out));
+  return Status::OK();
+}
+Status DecodeField(const json::Value& doc, const char* key, bool,
+                   AlgorithmKind* out) {
+  GLY_ASSIGN_OR_RETURN(std::string name, doc.Get<std::string>(key));
+  GLY_ASSIGN_OR_RETURN(*out, ParseAlgorithmKind(name));
+  return Status::OK();
+}
+// Status messages are not round-tripped: only the code name comes back.
+Status DecodeField(const json::Value& doc, const char* key, bool,
+                   Status* out) {
   GLY_ASSIGN_OR_RETURN(std::string name, doc.Get<std::string>(key));
   StatusCode code;
   if (!StatusCodeFromString(name, &code)) {
@@ -32,41 +122,17 @@ Status StatusFromJson(const json::Value& doc, std::string_view key,
 }
 
 Status DecodeResult(const json::Value& doc, BenchmarkResult* r) {
-  GLY_ASSIGN_OR_RETURN(r->platform, doc.Get<std::string>("platform"));
-  GLY_ASSIGN_OR_RETURN(r->graph, doc.Get<std::string>("graph"));
-  GLY_ASSIGN_OR_RETURN(std::string algorithm,
-                       doc.Get<std::string>("algorithm"));
-  GLY_ASSIGN_OR_RETURN(r->algorithm, ParseAlgorithmKind(algorithm));
-  GLY_RETURN_NOT_OK(StatusFromJson(doc, "status", &r->status));
-  GLY_RETURN_NOT_OK(StatusFromJson(doc, "validation", &r->validation));
-  // Everything else is optional: journals written before the output
-  // checksum, cancellation and tracing fields existed must still resume.
-  GLY_ASSIGN_OR_RETURN(r->runtime_seconds, doc.GetOr("runtime_s", 0.0));
-  GLY_ASSIGN_OR_RETURN(r->load_seconds, doc.GetOr("load_s", 0.0));
-  GLY_ASSIGN_OR_RETURN(r->traversed_edges,
-                       doc.GetOr<uint64_t>("traversed_edges", 0));
-  GLY_ASSIGN_OR_RETURN(r->teps, doc.GetOr("teps", 0.0));
-  GLY_ASSIGN_OR_RETURN(r->output_checksum,
-                       doc.GetOr<uint32_t>("output_checksum", 0));
-  GLY_ASSIGN_OR_RETURN(r->attempts, doc.GetOr<uint32_t>("attempts", 0));
-  GLY_ASSIGN_OR_RETURN(r->timed_out, doc.GetOr("timed_out", false));
-  GLY_ASSIGN_OR_RETURN(r->cancelled, doc.GetOr("cancelled", false));
-  GLY_ASSIGN_OR_RETURN(r->stalled, doc.GetOr("stalled", false));
-  GLY_ASSIGN_OR_RETURN(r->cancel_reason,
-                       doc.GetOr<std::string>("cancel_reason", ""));
-  GLY_ASSIGN_OR_RETURN(r->cancel_join_seconds, doc.GetOr("cancel_join_s", 0.0));
-  GLY_ASSIGN_OR_RETURN(r->injected_faults,
-                       doc.GetOr<uint64_t>("injected_faults", 0));
-  GLY_ASSIGN_OR_RETURN(r->resumed, doc.GetOr("resumed", false));
-  GLY_ASSIGN_OR_RETURN(r->recoveries, doc.GetOr<uint64_t>("recoveries", 0));
-  GLY_ASSIGN_OR_RETURN(r->supersteps_replayed,
-                       doc.GetOr<uint64_t>("supersteps_replayed", 0));
-  GLY_ASSIGN_OR_RETURN(r->resources.peak_rss_bytes,
-                       doc.GetOr<uint64_t>("peak_rss_bytes", 0));
-  GLY_ASSIGN_OR_RETURN(r->trace_spans, doc.GetOr<uint64_t>("trace_spans", 0));
-  GLY_ASSIGN_OR_RETURN(r->top_phases, doc.GetOr<std::string>("top_phases", ""));
-  GLY_ASSIGN_OR_RETURN(r->critical_path_seconds,
-                       doc.GetOr("critical_path_s", 0.0));
+  Status status;
+  ForEachResultField(*r, [&](const char* key, unsigned flags, auto& member) {
+    // CSV-only fields are never read back (status_detail is even computed).
+    using Member = std::remove_reference_t<decltype(member)>;
+    if constexpr (!std::is_const_v<Member>) {
+      if (status.ok() && (flags & kCsvOnly) == 0) {
+        status = DecodeField(doc, key, (flags & kRequired) != 0, &member);
+      }
+    }
+  });
+  GLY_RETURN_NOT_OK(status);
   if (const json::Value* metrics = doc.Find("metrics")) {
     if (metrics->object() == nullptr) {
       return Status::InvalidArgument("key \"metrics\": expected an object");
@@ -248,44 +314,18 @@ Status WriteResultsCsv(const std::vector<BenchmarkResult>& results,
   std::ofstream file(path);
   if (!file) return Status::IOError("cannot open " + path);
   CsvWriter csv(&file);
-  csv.WriteHeader({"platform", "graph", "algorithm", "status",
-                   "status_detail", "validation", "runtime_s", "load_s",
-                   "traversed_edges", "teps", "output_checksum",
-                   "attempts", "timed_out", "cancelled", "stalled",
-                   "cancel_reason", "cancel_join_s", "injected_faults",
-                   "resumed", "recoveries", "supersteps_replayed",
-                   "peak_rss_bytes", "cpu_utilization", "trace_spans",
-                   "top_phases", "critical_path_s"});
+  std::vector<std::string> header;
+  const BenchmarkResult defaults;
+  ForEachResultField(defaults, [&](const char* key, unsigned, const auto&) {
+    header.push_back(key);
+  });
+  csv.WriteHeader(header);
   for (const BenchmarkResult& r : results) {
-    // status_detail (and cancel_reason / top_phases below) carry free-form
-    // engine text — commas, quotes, newlines — which CsvWriter::Field
-    // escapes per RFC 4180; see the round-trip test in common_test.
-    csv.Field(r.platform)
-        .Field(r.graph)
-        .Field(AlgorithmKindName(r.algorithm))
-        .Field(std::string(StatusCodeToString(r.status.code())))
-        .Field(r.status.message())
-        .Field(std::string(StatusCodeToString(r.validation.code())))
-        .Field(r.runtime_seconds)
-        .Field(r.load_seconds)
-        .Field(r.traversed_edges)
-        .Field(r.teps)
-        .Field(static_cast<uint64_t>(r.output_checksum))
-        .Field(static_cast<uint64_t>(r.attempts))
-        .Field(static_cast<uint64_t>(r.timed_out ? 1 : 0))
-        .Field(static_cast<uint64_t>(r.cancelled ? 1 : 0))
-        .Field(static_cast<uint64_t>(r.stalled ? 1 : 0))
-        .Field(r.cancel_reason)
-        .Field(r.cancel_join_seconds)
-        .Field(r.injected_faults)
-        .Field(static_cast<uint64_t>(r.resumed ? 1 : 0))
-        .Field(r.recoveries)
-        .Field(r.supersteps_replayed)
-        .Field(r.resources.peak_rss_bytes)
-        .Field(r.resources.cpu_utilization)
-        .Field(r.trace_spans)
-        .Field(r.top_phases)
-        .Field(r.critical_path_seconds);
+    // Free-form engine text (status_detail, cancel_reason, top_phases) is
+    // escaped per RFC 4180; see the round-trip test in common_test.
+    ForEachResultField(r, [&](const char*, unsigned, const auto& member) {
+      CsvField(csv, member);
+    });
     csv.EndRow();
   }
   file.flush();
@@ -295,36 +335,13 @@ Status WriteResultsCsv(const std::vector<BenchmarkResult>& results,
 
 std::string ResultToJson(const BenchmarkResult& result) {
   std::ostringstream out;
-  out << '{'
-      << "\"platform\":\"" << JsonEscape(result.platform) << "\","
-      << "\"graph\":\"" << JsonEscape(result.graph) << "\","
-      << "\"algorithm\":\"" << AlgorithmKindName(result.algorithm) << "\","
-      << "\"status\":\"" << StatusCodeToString(result.status.code()) << "\","
-      << "\"validation\":\"" << StatusCodeToString(result.validation.code())
-      << "\","
-      << StringPrintf("\"runtime_s\":%.6f,", result.runtime_seconds)
-      << StringPrintf("\"load_s\":%.6f,", result.load_seconds)
-      << "\"traversed_edges\":" << result.traversed_edges << ','
-      << StringPrintf("\"teps\":%.1f,", result.teps)
-      << "\"output_checksum\":" << result.output_checksum << ','
-      << "\"attempts\":" << result.attempts << ','
-      << "\"timed_out\":" << (result.timed_out ? "true" : "false") << ','
-      << "\"cancelled\":" << (result.cancelled ? "true" : "false") << ','
-      << "\"stalled\":" << (result.stalled ? "true" : "false") << ','
-      << "\"cancel_reason\":\"" << JsonEscape(result.cancel_reason)
-      << "\","
-      << StringPrintf("\"cancel_join_s\":%.6f,",
-                      result.cancel_join_seconds)
-      << "\"injected_faults\":" << result.injected_faults << ','
-      << "\"resumed\":" << (result.resumed ? "true" : "false") << ','
-      << "\"recoveries\":" << result.recoveries << ','
-      << "\"supersteps_replayed\":" << result.supersteps_replayed << ','
-      << "\"peak_rss_bytes\":" << result.resources.peak_rss_bytes << ','
-      << "\"trace_spans\":" << result.trace_spans << ','
-      << "\"top_phases\":\"" << JsonEscape(result.top_phases) << "\","
-      << StringPrintf("\"critical_path_s\":%.6f,",
-                      result.critical_path_seconds)
-      << "\"metrics\":{";
+  out << '{';
+  ForEachResultField(
+      result, [&](const char* key, unsigned flags, const auto& member) {
+        if ((flags & kCsvOnly) != 0) return;
+        out << '"' << key << "\":" << JsonValue(member, flags) << ',';
+      });
+  out << "\"metrics\":{";
   bool first = true;
   for (const auto& [k, v] : result.platform_metrics) {
     if (!first) out << ',';
@@ -333,6 +350,16 @@ std::string ResultToJson(const BenchmarkResult& result) {
   }
   out << "}}";
   return out.str();
+}
+
+std::vector<std::string> VolatileResultFields() {
+  std::vector<std::string> names;
+  const BenchmarkResult defaults;
+  ForEachResultField(defaults,
+                     [&](const char* key, unsigned flags, const auto&) {
+                       if ((flags & kVolatile) != 0) names.push_back(key);
+                     });
+  return names;
 }
 
 Result<BenchmarkResult> ResultFromJson(const std::string& line) {
@@ -347,14 +374,12 @@ Result<BenchmarkResult> ResultFromJson(const std::string& line) {
 }
 
 Status AppendResultsDatabase(const std::vector<BenchmarkResult>& results,
-                             const Config& configuration,
                              const std::string& path) {
   std::ofstream file(path, std::ios::app);
   if (!file) return Status::IOError("cannot open " + path);
   for (const BenchmarkResult& r : results) {
     file << ResultToJson(r) << '\n';
   }
-  (void)configuration;
   file.flush();
   if (!file) return Status::IOError("write failed: " + path);
   return Status::OK();

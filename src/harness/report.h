@@ -33,7 +33,6 @@ Status WriteResultsCsv(const std::vector<BenchmarkResult>& results,
 
 /// Appends results to the JSONL results database.
 Status AppendResultsDatabase(const std::vector<BenchmarkResult>& results,
-                             const Config& configuration,
                              const std::string& path);
 
 /// Serializes one result as a single-line JSON object.
@@ -46,5 +45,9 @@ std::string ResultToJson(const BenchmarkResult& result);
 /// graph, algorithm, status and validation keys; every other key is
 /// optional, so journals from before a field existed still resume.
 Result<BenchmarkResult> ResultFromJson(const std::string& line);
+
+/// Names of the CSV columns and JSON keys whose values depend on timing or
+/// the host (runtime_s, teps, peak_rss_bytes, ...), in column order.
+std::vector<std::string> VolatileResultFields();
 
 }  // namespace gly::harness

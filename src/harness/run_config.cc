@@ -87,6 +87,57 @@ Result<Graph> BuildGraph(const std::string& name, const Config& scope,
                                  source + "'");
 }
 
+// Shared algorithm parameters.
+Result<AlgorithmParams> ReadAlgorithmParams(const Config& config) {
+  AlgorithmParams params;
+  params.cd.max_iterations =
+      static_cast<uint32_t>(config.GetUintOr("cd.max_iterations", 10));
+  params.cd.hop_attenuation = config.GetDoubleOr("cd.hop_attenuation", 0.05);
+  params.evo.num_new_vertices =
+      static_cast<uint32_t>(config.GetUintOr("evo.new_vertices", 16));
+  params.evo.p_forward = config.GetDoubleOr("evo.p_forward", 0.3);
+  params.evo.seed = config.GetUintOr("evo.seed", 99);
+  auto strategy =
+      ParseBfsStrategy(config.GetStringOr("bfs.strategy", "diropt"));
+  if (!strategy.ok()) return strategy.status().WithPrefix("bfs.strategy");
+  params.bfs.strategy = *strategy;
+  params.bfs.alpha = config.GetDoubleOr("bfs.alpha", params.bfs.alpha);
+  params.bfs.beta = config.GetDoubleOr("bfs.beta", params.bfs.beta);
+  return params;
+}
+
+// Profiling (DESIGN.md §14): profile.mode = off | counters | sampler |
+// full. Profile artifacts land next to the trace exports, so a profiled
+// run needs a trace directory; `*trace_dir` defaults to one under
+// report.dir when unset.
+Result<ProfileOptions> ReadProfile(const Config& config,
+                                   std::string* trace_dir) {
+  ProfileOptions profile;
+  std::string mode = ToLower(config.GetStringOr("profile.mode", "off"));
+  if (mode == "off") {
+    profile.mode = ProfileMode::kOff;
+  } else if (mode == "counters") {
+    profile.mode = ProfileMode::kCounters;
+  } else if (mode == "sampler") {
+    profile.mode = ProfileMode::kSampler;
+  } else if (mode == "full") {
+    profile.mode = ProfileMode::kFull;
+  } else {
+    return Status::InvalidArgument("profile.mode: unknown '" + mode +
+                                   "' (off | counters | sampler | full)");
+  }
+  profile.sample_interval_us = config.GetUintOr("profile.interval_us", 2000);
+  if (profile.mode != ProfileMode::kOff && trace_dir->empty()) {
+    std::string report_dir = config.GetStringOr("report.dir", "");
+    if (report_dir.empty()) {
+      return Status::InvalidArgument(
+          "profile.mode requires trace.dir or report.dir for artifacts");
+    }
+    *trace_dir = report_dir + "/trace";
+  }
+  return profile;
+}
+
 // Backing store for one dataset: the built graph plus, when the reorder
 // knob asks for it, the degree-relabeled copy and its permutation. Held by
 // pointer so DatasetSpec's raw pointers stay valid as the vector grows.
@@ -95,6 +146,22 @@ struct DatasetStorage {
   bool reordered = false;
   ReorderedGraph by_degree;
 };
+
+// Writes report.txt and results.csv, and appends results.jsonl, under
+// out.report_dir.
+Status WriteReportFiles(const ConfigRunOutput& out) {
+  std::error_code ec;
+  fs::create_directories(out.report_dir, ec);
+  if (ec) {
+    return Status::IOError("cannot create report dir: " + out.report_dir);
+  }
+  std::ofstream report(out.report_dir + "/report.txt");
+  report << out.report_text;
+  if (!report) return Status::IOError("cannot write report.txt");
+  GLY_RETURN_NOT_OK(
+      WriteResultsCsv(out.results, out.report_dir + "/results.csv"));
+  return AppendResultsDatabase(out.results, out.report_dir + "/results.jsonl");
+}
 
 }  // namespace
 
@@ -111,24 +178,8 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
     return Status::InvalidArgument("'graphs' lists no datasets");
   }
 
-  // Shared algorithm parameters.
-  AlgorithmParams base_params;
-  base_params.cd.max_iterations =
-      static_cast<uint32_t>(config.GetUintOr("cd.max_iterations", 10));
-  base_params.cd.hop_attenuation =
-      config.GetDoubleOr("cd.hop_attenuation", 0.05);
-  base_params.evo.num_new_vertices =
-      static_cast<uint32_t>(config.GetUintOr("evo.new_vertices", 16));
-  base_params.evo.p_forward = config.GetDoubleOr("evo.p_forward", 0.3);
-  base_params.evo.seed = config.GetUintOr("evo.seed", 99);
-  {
-    auto strategy =
-        ParseBfsStrategy(config.GetStringOr("bfs.strategy", "diropt"));
-    if (!strategy.ok()) return strategy.status().WithPrefix("bfs.strategy");
-    base_params.bfs.strategy = *strategy;
-  }
-  base_params.bfs.alpha = config.GetDoubleOr("bfs.alpha", base_params.bfs.alpha);
-  base_params.bfs.beta = config.GetDoubleOr("bfs.beta", base_params.bfs.beta);
+  GLY_ASSIGN_OR_RETURN(AlgorithmParams base_params,
+                       ReadAlgorithmParams(config));
 
   // ETL parallelism: etl.threads = 1 parses and builds on the calling
   // thread with no pool; N > 1 uses an N-thread pool; 0 = hardware
@@ -146,33 +197,8 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
   // uninstalls the process-global pointer) precedes object destruction.
   std::string trace_dir = config.GetStringOr("trace.dir", "");
 
-  // Profiling (DESIGN.md §14): profile.mode = off | counters | sampler |
-  // full. Profile artifacts land next to the trace exports, so a profiled
-  // run needs a trace directory; default one under report.dir when unset.
-  ProfileOptions profile;
-  std::string profile_mode =
-      ToLower(config.GetStringOr("profile.mode", "off"));
-  if (profile_mode == "off") {
-    profile.mode = ProfileMode::kOff;
-  } else if (profile_mode == "counters") {
-    profile.mode = ProfileMode::kCounters;
-  } else if (profile_mode == "sampler") {
-    profile.mode = ProfileMode::kSampler;
-  } else if (profile_mode == "full") {
-    profile.mode = ProfileMode::kFull;
-  } else {
-    return Status::InvalidArgument("profile.mode: unknown '" + profile_mode +
-                                   "' (off | counters | sampler | full)");
-  }
-  profile.sample_interval_us = config.GetUintOr("profile.interval_us", 2000);
-  if (profile.mode != ProfileMode::kOff && trace_dir.empty()) {
-    std::string profile_report_dir = config.GetStringOr("report.dir", "");
-    if (profile_report_dir.empty()) {
-      return Status::InvalidArgument(
-          "profile.mode requires trace.dir or report.dir for artifacts");
-    }
-    trace_dir = profile_report_dir + "/trace";
-  }
+  GLY_ASSIGN_OR_RETURN(ProfileOptions profile,
+                       ReadProfile(config, &trace_dir));
 
   std::optional<trace::Tracer> tracer;
   std::optional<metrics::Registry> run_metrics;
@@ -306,20 +332,7 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
   out.results = std::move(results);
 
   out.report_dir = config.GetStringOr("report.dir", "");
-  if (!out.report_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(out.report_dir, ec);
-    if (ec) {
-      return Status::IOError("cannot create report dir: " + out.report_dir);
-    }
-    std::ofstream report(out.report_dir + "/report.txt");
-    report << out.report_text;
-    if (!report) return Status::IOError("cannot write report.txt");
-    GLY_RETURN_NOT_OK(
-        WriteResultsCsv(out.results, out.report_dir + "/results.csv"));
-    GLY_RETURN_NOT_OK(AppendResultsDatabase(
-        out.results, config, out.report_dir + "/results.jsonl"));
-  }
+  if (!out.report_dir.empty()) GLY_RETURN_NOT_OK(WriteReportFiles(out));
   return out;
 }
 

@@ -1,8 +1,6 @@
 #include "harness/scheduler.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 #include "common/metrics.h"
@@ -51,115 +49,106 @@ size_t CellScheduler::AddItem(size_t group, std::string label) {
   return items_.size() - 1;
 }
 
-SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
-                                  const GroupFn& retire) {
-  SchedulerStats stats;
-  stats.jobs = options_.jobs;
-  stats.items = items_.size();
-  stats.groups = groups_.size();
-  Stopwatch wall;
+// Would admitting `estimate` more bytes stay inside the budget? The
+// MemoryBudget itself is the accounting; this is the pre-claim check that
+// keeps the admission scan side-effect free.
+bool CellScheduler::Fits(uint64_t estimate) const {
+  return budget_.limit() == 0 || budget_.used() + estimate <= budget_.limit();
+}
 
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done_items = 0;       // finished or skipped
-  uint32_t in_flight = 0;      // claimed items currently loading/running
-  size_t active_groups = 0;    // loaded-not-retired groups
-  bool bypass_active = false;  // an oversized group is running alone
-  bool stop_swept = false;     // unclaimed items already skipped on stop
-
-  // Would admitting `estimate` more bytes stay inside the budget? The
-  // MemoryBudget itself is the accounting; this is the pre-claim check
-  // that keeps the scan side-effect free.
-  auto fits = [&](uint64_t estimate) {
-    return budget_.limit() == 0 ||
-           budget_.used() + estimate <= budget_.limit();
-  };
-
-  // Admission scan (mu held, pure): the first unclaimed item whose group
-  // can go right now. A loaded group just needs to be idle; a fresh group
-  // must also fit the remaining admission budget — unless nothing at all
-  // is admitted, in which case it goes through oversized (running alone
-  // beats starving; the engines' own MemoryBudget still polices real
-  // memory). While an oversized group runs, nothing else is admitted.
-  auto find_admissible = [&]() -> size_t {
-    for (size_t i = 0; i < items_.size(); ++i) {
-      Item& item = items_[i];
-      if (item.claimed) continue;
-      Group& group = groups_[item.group];
-      if (group.busy) {
+// Admission scan (mu_ held, pure): the first unclaimed item whose group can
+// go right now. A loaded group just needs to be idle; a fresh group must
+// also fit the remaining admission budget — unless nothing at all is
+// admitted, in which case it goes through oversized (running alone beats
+// starving; the engines' own MemoryBudget still polices real memory).
+// While an oversized group runs, nothing else is admitted.
+size_t CellScheduler::FindAdmissible() {
+  for (size_t i = 0; i < items_.size(); ++i) {
+    Item& item = items_[i];
+    if (item.claimed) continue;
+    Group& group = groups_[item.group];
+    if (group.busy) {
+      item.deferred = true;
+      continue;
+    }
+    if (!group.loaded) {
+      if (bypass_active_) {
         item.deferred = true;
         continue;
       }
-      if (!group.loaded) {
-        if (bypass_active) {
-          item.deferred = true;
-          continue;
-        }
-        if (!fits(group.estimate) && active_groups > 0) {
-          if (!item.deferred) stats.budget_deferrals += 1;
-          item.deferred = true;
-          continue;
-        }
+      if (!Fits(group.estimate) && active_groups_ > 0) {
+        if (!item.deferred) stats_.budget_deferrals += 1;
+        item.deferred = true;
+        continue;
       }
-      return i;
     }
-    return kNone;
-  };
+    return i;
+  }
+  return kNone;
+}
 
-  // Claim bookkeeping (mu held). Returns true when this worker must run
-  // the group's load before the item.
-  auto claim = [&](size_t i) -> bool {
-    Item& item = items_[i];
-    Group& group = groups_[item.group];
+// Claim bookkeeping (mu_ held). Returns true when this worker must run the
+// group's load before the item.
+bool CellScheduler::Claim(size_t i) {
+  Item& item = items_[i];
+  Group& group = groups_[item.group];
+  item.claimed = true;
+  group.busy = true;
+  const bool need_load = !group.loaded;
+  if (need_load) {
+    group.loaded = true;
+    if (group.estimate > 0 && Fits(group.estimate) &&
+        budget_.Charge(group.estimate, "sched.group").ok()) {
+      group.charged = true;
+    } else if (!Fits(group.estimate)) {
+      group.bypass = true;  // oversized: admitted against an empty budget
+      bypass_active_ = true;
+    }
+    active_groups_ += 1;
+    stats_.admitted += 1;
+  } else {
+    stats_.graph_cache_hits += 1;
+  }
+  if (item.deferred) stats_.queued += 1;
+  in_flight_ += 1;
+  stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
+  return need_load;
+}
+
+// Stop (mu_ held): skip everything unclaimed, exactly once. Returns the
+// groups that became retirable because all their remaining items were
+// skipped.
+std::vector<size_t> CellScheduler::SweepOnStop() {
+  std::vector<size_t> retirable;
+  if (stop_swept_) return retirable;
+  stop_swept_ = true;
+  for (Item& item : items_) {
+    if (item.claimed) continue;
     item.claimed = true;
-    group.busy = true;
-    const bool need_load = !group.loaded;
-    if (need_load) {
-      group.loaded = true;
-      if (group.estimate > 0 && fits(group.estimate) &&
-          budget_.Charge(group.estimate, "sched.group").ok()) {
-        group.charged = true;
-      } else if (!fits(group.estimate)) {
-        group.bypass = true;  // oversized: admitted against an empty budget
-        bypass_active = true;
-      }
-      active_groups += 1;
-      stats.admitted += 1;
-    } else {
-      stats.graph_cache_hits += 1;
+    done_items_ += 1;
+    stats_.skipped += 1;
+    Group& group = groups_[item.group];
+    group.pending -= 1;
+    if (group.pending == 0 && group.loaded && !group.busy) {
+      retirable.push_back(item.group);
     }
-    if (item.deferred) stats.queued += 1;
-    in_flight += 1;
-    stats.max_in_flight = std::max(stats.max_in_flight, in_flight);
-    return need_load;
-  };
+  }
+  cv_.notify_all();
+  return retirable;
+}
 
-  // Stop: skip everything unclaimed, exactly once. Returns the groups that
-  // became retirable because all their remaining items were skipped.
-  auto sweep_on_stop = [&]() -> std::vector<size_t> {
-    std::vector<size_t> retirable;
-    if (stop_swept) return retirable;
-    stop_swept = true;
-    for (Item& item : items_) {
-      if (item.claimed) continue;
-      item.claimed = true;
-      done_items += 1;
-      stats.skipped += 1;
-      Group& group = groups_[item.group];
-      group.pending -= 1;
-      if (group.pending == 0 && group.loaded && !group.busy) {
-        retirable.push_back(item.group);
-      }
-    }
-    cv.notify_all();
-    return retirable;
-  };
+SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
+                                  const GroupFn& retire) {
+  stats_.jobs = options_.jobs;
+  stats_.items = items_.size();
+  stats_.groups = groups_.size();
+  Stopwatch wall;
 
-  // Retire a group (mu NOT held): unload first, then release its
+  // Retire a group (mu_ NOT held): unload first, then release its
   // admission hold so waiters see memory only after it is actually free.
   auto retire_group = [&](size_t g) {
     retire(g);
-    std::lock_guard<std::mutex> lock(mu);
+    std::lock_guard<std::mutex> lock(mu_);
     Group& group = groups_[g];
     if (group.charged) {
       budget_.Release(group.estimate);
@@ -167,10 +156,10 @@ SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
     }
     if (group.bypass) {
       group.bypass = false;
-      bypass_active = false;
+      bypass_active_ = false;
     }
-    active_groups -= 1;
-    cv.notify_all();
+    active_groups_ -= 1;
+    cv_.notify_all();
   };
 
   auto worker = [&]() {
@@ -180,36 +169,36 @@ SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
       bool exit_now = false;
       std::vector<size_t> stop_retires;
       {
-        std::unique_lock<std::mutex> lock(mu);
+        std::unique_lock<std::mutex> lock(mu_);
         for (;;) {
           if (Cancelled(options_.stop)) {
-            stop_retires = sweep_on_stop();
+            stop_retires = SweepOnStop();
             exit_now = true;
             break;
           }
-          if (done_items + in_flight == items_.size()) {
+          if (done_items_ + in_flight_ == items_.size()) {
             // Everything is finished or running on other workers.
             exit_now = true;
             break;
           }
-          size_t next = find_admissible();
+          size_t next = FindAdmissible();
           if (next == kNone) {
             // Blocked on a busy group or the budget: wait under a real
             // span so queue time shows up in the trace, attributed to the
             // item this worker ends up claiming.
             trace::TraceSpan wait_span("harness.sched.wait", "harness");
             while (next == kNone) {
-              cv.wait(lock);
+              cv_.wait(lock);
               if (Cancelled(options_.stop) ||
-                  done_items + in_flight == items_.size()) {
+                  done_items_ + in_flight_ == items_.size()) {
                 break;
               }
-              next = find_admissible();
+              next = FindAdmissible();
             }
             if (next == kNone) continue;  // stop or drained: re-evaluate
             wait_span.SetAttribute("cell", items_[next].label);
           }
-          need_load = claim(next);
+          need_load = Claim(next);
           claimed = next;
           break;
         }
@@ -218,7 +207,7 @@ SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
       for (size_t g : stop_retires) retire_group(g);
       if (claimed == kNone) {
         if (exit_now) {
-          cv.notify_all();
+          cv_.notify_all();
           return;
         }
         continue;
@@ -238,14 +227,14 @@ SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
       bool do_retire = false;
       const size_t g = items_[claimed].group;
       {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(mu_);
         Group& group = groups_[g];
         group.busy = false;
         group.pending -= 1;
         do_retire = group.pending == 0;
-        in_flight -= 1;
-        done_items += 1;
-        cv.notify_all();
+        in_flight_ -= 1;
+        done_items_ += 1;
+        cv_.notify_all();
       }
       if (do_retire) retire_group(g);
     }
@@ -258,8 +247,8 @@ SchedulerStats CellScheduler::Run(const GroupFn& load, const ItemFn& run,
   for (size_t i = 0; i < workers; ++i) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
 
-  stats.wall_seconds = wall.ElapsedSeconds();
-  return stats;
+  stats_.wall_seconds = wall.ElapsedSeconds();
+  return stats_;
 }
 
 }  // namespace gly::harness

@@ -34,8 +34,10 @@
 
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -110,10 +112,25 @@ class CellScheduler {
     bool deferred = false;  ///< was scanned and passed over at least once
   };
 
+  bool Fits(uint64_t estimate) const;
+  size_t FindAdmissible();
+  bool Claim(size_t item);
+  std::vector<size_t> SweepOnStop();
+
   Options options_;
   MemoryBudget budget_;
   std::vector<Group> groups_;
   std::vector<Item> items_;
+
+  // State of the one Run(), guarded by mu_.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  SchedulerStats stats_;
+  size_t done_items_ = 0;       ///< finished or skipped
+  uint32_t in_flight_ = 0;      ///< claimed items currently loading/running
+  size_t active_groups_ = 0;    ///< loaded-not-retired groups
+  bool bypass_active_ = false;  ///< an oversized group is running alone
+  bool stop_swept_ = false;     ///< unclaimed items already skipped on stop
 };
 
 }  // namespace gly::harness

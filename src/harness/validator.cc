@@ -11,6 +11,9 @@ namespace gly::harness {
 
 namespace {
 
+constexpr double kStatsTolerance = 1e-6;  ///< relative, for mean LCC
+constexpr double kScoreTolerance = 1e-9;  ///< relative, for PR ranks
+
 Status CompareVertexValues(const std::vector<int64_t>& expected,
                            const std::vector<int64_t>& actual,
                            const char* what) {
@@ -74,8 +77,7 @@ Status CompareEdges(const EdgeList& expected, const EdgeList& actual) {
 }  // namespace
 
 Status ValidateAgainst(const AlgorithmOutput& expected,
-                       const AlgorithmOutput& actual, AlgorithmKind kind,
-                       const ValidatorOptions& options) {
+                       const AlgorithmOutput& actual, AlgorithmKind kind) {
   switch (kind) {
     case AlgorithmKind::kBfs:
       return CompareVertexValues(expected.vertex_values, actual.vertex_values,
@@ -90,7 +92,7 @@ Status ValidateAgainst(const AlgorithmOutput& expected,
       return CompareEdges(expected.new_edges, actual.new_edges);
     case AlgorithmKind::kPr:
       return CompareVertexScores(expected.vertex_scores, actual.vertex_scores,
-                                 options.score_tolerance);
+                                 kScoreTolerance);
     case AlgorithmKind::kStats: {
       if (expected.stats.num_vertices != actual.stats.num_vertices) {
         return Status::ValidationFailed(
@@ -109,7 +111,7 @@ Status ValidateAgainst(const AlgorithmOutput& expected,
       double e = expected.stats.mean_local_clustering;
       double a = actual.stats.mean_local_clustering;
       double scale = std::max({std::abs(e), std::abs(a), 1e-12});
-      if (std::abs(e - a) / scale > options.stats_tolerance) {
+      if (std::abs(e - a) / scale > kStatsTolerance) {
         return Status::ValidationFailed(StringPrintf(
             "STATS mean LCC mismatch (expected %.9f, got %.9f)", e, a));
       }
@@ -121,10 +123,9 @@ Status ValidateAgainst(const AlgorithmOutput& expected,
 
 Status ValidateOutput(const Graph& graph, AlgorithmKind kind,
                       const AlgorithmParams& params,
-                      const AlgorithmOutput& actual,
-                      const ValidatorOptions& options) {
+                      const AlgorithmOutput& actual) {
   AlgorithmOutput expected = ref::Run(graph, kind, params);
-  return ValidateAgainst(expected, actual, kind, options);
+  return ValidateAgainst(expected, actual, kind);
 }
 
 bool RelabelingInvariant(AlgorithmKind kind) {

@@ -13,24 +13,16 @@
 
 namespace gly::harness {
 
-/// Validation options.
-struct ValidatorOptions {
-  double stats_tolerance = 1e-6;   ///< relative tolerance for mean LCC
-  double score_tolerance = 1e-9;   ///< relative tolerance for PR ranks
-};
-
 /// Validates `actual` against a freshly computed reference result.
 /// OK on match; ValidationFailed with a diagnostic otherwise.
 Status ValidateOutput(const Graph& graph, AlgorithmKind kind,
                       const AlgorithmParams& params,
-                      const AlgorithmOutput& actual,
-                      const ValidatorOptions& options = {});
+                      const AlgorithmOutput& actual);
 
 /// Validates against a precomputed expected output (used when the reference
 /// run is amortized across platforms).
 Status ValidateAgainst(const AlgorithmOutput& expected,
-                       const AlgorithmOutput& actual, AlgorithmKind kind,
-                       const ValidatorOptions& options = {});
+                       const AlgorithmOutput& actual, AlgorithmKind kind);
 
 /// True when `kind`'s output is invariant under vertex relabeling (the
 /// reorder-permutation contract): STATS, BFS, CONN, and PR qualify; CD and

@@ -25,21 +25,19 @@
 
 #include "common/config.h"
 #include "common/csv.h"
+#include "common/string_util.h"
 #include "common/temp_dir.h"
+#include "harness/report.h"
 #include "harness/run_config.h"
 
 namespace gly::harness {
 namespace {
 
 // The run is deterministic modulo wall-clock and machine-load effects;
-// exactly these fields carry them. Everything else — statuses, validation,
-// traversed edges, output checksums, attempts, metrics — must match the
-// goldens bit-for-bit.
-const char* const kVolatileJsonKeys =
-    "runtime_s|load_s|teps|cancel_join_s|peak_rss_bytes|critical_path_s";
-const std::vector<std::string> kVolatileCsvColumns = {
-    "runtime_s",       "load_s",         "teps",            "cancel_join_s",
-    "peak_rss_bytes",  "cpu_utilization", "critical_path_s"};
+// exactly the fields the result schema flags volatile carry them.
+// Everything else — statuses, validation, traversed edges, output
+// checksums, attempts, metrics — must match the goldens bit-for-bit.
+const std::vector<std::string> kVolatileFields = VolatileResultFields();
 
 std::string ReadFile(const std::string& path) {
   std::ifstream file(path);
@@ -52,7 +50,7 @@ std::string ReadFile(const std::string& path) {
 /// Replaces the value of every volatile numeric field with `0`.
 std::string MaskJsonl(const std::string& text) {
   static const std::regex volatile_field(
-      std::string("\"(") + kVolatileJsonKeys + ")\":[-+0-9.eE]+");
+      "\"(" + Join(kVolatileFields, "|") + ")\":[-+0-9.eE]+");
   return std::regex_replace(text, volatile_field, "\"$1\":0");
 }
 
@@ -72,11 +70,11 @@ std::string MaskCsv(const std::string& text) {
     if (header) {
       header = false;
       for (size_t i = 0; i < fields.size(); ++i) {
-        for (const std::string& name : kVolatileCsvColumns) {
+        for (const std::string& name : kVolatileFields) {
           if (fields[i] == name) volatile_cols.push_back(i);
         }
       }
-      EXPECT_EQ(volatile_cols.size(), kVolatileCsvColumns.size())
+      EXPECT_EQ(volatile_cols.size(), kVolatileFields.size())
           << "results.csv header no longer names every timing column";
     } else {
       for (size_t col : volatile_cols) {

@@ -356,6 +356,35 @@ TEST(CheckpointRecoveryTest, MapReduceRetrySkipsTheCompletedMapStage) {
   EXPECT_GE(r.recoveries, 1u) << "map stage was re-executed, not restored";
 }
 
+TEST(CheckpointRecoveryTest, FailedCellDoesNotReportThePreviousCellsMetrics) {
+  // BFS recovers from one worker crash; every CONN attempt then crashes at
+  // its start. The platform still holds BFS's metrics, and the failed CONN
+  // row must not inherit them (nor count BFS's recovery a second time).
+  Graph g = RandomUndirected(100, 250, 83);
+  fault::FaultPlan plan(0xD6);
+  plan.Add({.site = "pregel.worker.compute",
+            .kind = fault::FaultKind::kCrash, .skip_hits = 8,
+            .max_triggers = 1});
+  plan.Add({.site = "pregel.run.start", .kind = fault::FaultKind::kCrash,
+            .skip_hits = 1});
+  RunSpec spec = BaseSpec(&g, "giraph");
+  spec.algorithms = {AlgorithmKind::kBfs, AlgorithmKind::kConn};
+  spec.platform_config.SetInt("giraph.checkpoint_interval", 1);
+  spec.fault_plan = &plan;
+  auto results = RunBenchmark(spec);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 2u);
+  const BenchmarkResult& bfs = (*results)[0];
+  ASSERT_TRUE(bfs.status.ok()) << bfs.status.ToString();
+  EXPECT_EQ(bfs.recoveries, 1u);
+  EXPECT_FALSE(bfs.platform_metrics.empty());
+  const BenchmarkResult& conn = (*results)[1];
+  EXPECT_TRUE(conn.status.IsInternal()) << conn.status.ToString();
+  EXPECT_TRUE(conn.platform_metrics.empty());
+  EXPECT_EQ(conn.recoveries, 0u);
+  EXPECT_EQ(conn.supersteps_replayed, 0u);
+}
+
 // ------------------------------------------------------- resumable matrices
 
 TEST(ResumeTest, ResultJsonRoundTrips) {
@@ -368,31 +397,30 @@ TEST(ResumeTest, ResultJsonRoundTrips) {
   r.load_seconds = 0.25;
   r.traversed_edges = 1234;
   r.teps = 822.7;
+  r.output_checksum = 0xDEADBEEF;
   r.attempts = 2;
+  r.timed_out = true;
+  r.cancelled = true;
+  r.stalled = true;
+  r.cancel_reason = "deadline, \"late\"";
+  r.cancel_join_seconds = 0.125;
   r.injected_faults = 3;
+  r.resumed = true;
   r.recoveries = 1;
   r.supersteps_replayed = 4;
   r.resources.peak_rss_bytes = 1 << 20;
+  r.trace_spans = 9;
+  r.top_phases = "harness.run:0.500000;pregel.superstep:0.250000";
+  r.critical_path_seconds = 0.75;
   r.platform_metrics["supersteps"] = "17";
   r.platform_metrics["odd\"key"] = "value with spaces";
 
+  // Every field the JSON line carries survives the round trip.
   auto parsed = ResultFromJson(ResultToJson(r));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->platform, r.platform);
-  EXPECT_EQ(parsed->graph, r.graph);
-  EXPECT_EQ(parsed->algorithm, r.algorithm);
+  EXPECT_EQ(ResultToJson(*parsed), ResultToJson(r));
   EXPECT_TRUE(parsed->status.ok());
   EXPECT_TRUE(parsed->validation.ok());
-  EXPECT_EQ(parsed->runtime_seconds, r.runtime_seconds);
-  EXPECT_EQ(parsed->load_seconds, r.load_seconds);
-  EXPECT_EQ(parsed->traversed_edges, r.traversed_edges);
-  EXPECT_EQ(parsed->teps, r.teps);
-  EXPECT_EQ(parsed->attempts, r.attempts);
-  EXPECT_EQ(parsed->injected_faults, r.injected_faults);
-  EXPECT_EQ(parsed->recoveries, r.recoveries);
-  EXPECT_EQ(parsed->supersteps_replayed, r.supersteps_replayed);
-  EXPECT_EQ(parsed->resources.peak_rss_bytes, r.resources.peak_rss_bytes);
-  EXPECT_EQ(parsed->platform_metrics, r.platform_metrics);
 
   // Failure codes round-trip too (messages intentionally don't).
   r.status = Status::Timeout("cell exceeded budget");
@@ -577,6 +605,53 @@ TEST(CancellationTest, CancelledAttemptIsJoinedAndNoThreadOutlivesTheCell) {
   // The timed-out attempt was cooperatively joined, not detached: the
   // process thread count returns to its pre-run baseline (bounded wait —
   // platform teardown after RunBenchmark returns is not instantaneous).
+  Stopwatch watch;
+  while (ThreadCount() > baseline && watch.ElapsedSeconds() < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(ThreadCount(), baseline);
+}
+
+TEST(CancellationTest, AttemptPastGraceIsAbandonedAndTheRetryReloads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task unavailable; cannot count threads";
+  }
+  Graph g = RandomUndirected(100, 250, 84);
+  std::thread([] {}).join();  // see the test above
+  const size_t baseline = ThreadCount();
+  // The stall (0.6 s) outlasts the deadline plus the grace window (0.15 +
+  // 0.3 s), so the first attempt is abandoned and the retry runs on a
+  // rebuilt, reloaded platform. It ends inside the post-matrix drain
+  // (0.15 + 2 x 0.3 s), so RunBenchmark still joins the abandoned thread
+  // through its future before returning.
+  fault::FaultPlan plan(0xB3);
+  plan.Add({.site = "pregel.superstep.barrier",
+            .kind = fault::FaultKind::kStall, .max_triggers = 1,
+            .delay_seconds = 0.6});
+  RunSpec spec = BaseSpec(&g, "giraph");
+  spec.fault_plan = &plan;
+  spec.cell_timeout_s = 0.15;
+  spec.cancel_grace_s = 0.3;
+  spec.max_attempts = 2;
+  metrics::Registry registry;
+  trace::Tracer tracer;
+  spec.metrics = &registry;
+  spec.tracer = &tracer;
+  auto results = RunBenchmark(spec);
+  ASSERT_TRUE(results.ok());
+  const BenchmarkResult& r = (*results)[0];
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.validation.ok()) << r.validation.ToString();
+  EXPECT_EQ(r.attempts, 2u);
+  auto snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.at("harness.cancel_join_failures").counter, 1u);
+  EXPECT_EQ(snapshot.count("harness.cancel_joins"), 0u);
+  // The group load and the reload before the retry each open a span.
+  size_t load_spans = 0;
+  for (const trace::TraceEvent& event : tracer.Snapshot()) {
+    if (event.name == "harness.load" && event.phase == 'B') ++load_spans;
+  }
+  EXPECT_EQ(load_spans, 2u);
   Stopwatch watch;
   while (ThreadCount() > baseline && watch.ElapsedSeconds() < 5.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
