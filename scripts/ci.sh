@@ -5,10 +5,12 @@
 #                    hold). The `chaos` label is split out into stage 6 so
 #                    its wall-clock cost is attributed to the chaos stage.
 #                    Then a longest-function guard: code_quality_report's
-#                    maxfn column must stay at or below 150 code lines for
-#                    `pregel` and `harness`, so Engine::Run stays split
-#                    into its superstep phases and RunBenchmark into its
-#                    open, load, cell and close phases.
+#                    maxfn column must stay at or below 150 code lines in
+#                    every module row, and all 11 modules of src/ must be
+#                    listed, so Engine::Run stays split into its superstep
+#                    phases, RunBenchmark into its open, load, cell and
+#                    close phases, and mapreduce::Job::Run into its map,
+#                    shuffle+reduce and cleanup phases.
 #   2. asan        — GLY_SANITIZE=address build running the `ingest`,
 #                    `robustness`, `conformance`, and `hotpath` CTest
 #                    labels: the one text parser that reads every
@@ -21,11 +23,14 @@
 #                    checkpoint/recovery, WAL/resume,
 #                    cancellation, the graph store (graphdb_test's page
 #                    cache, WAL torn-tail and recovery cases), the
-#                    cross-engine kernel-conformance suites, and the
-#                    golden hot-path pins (recycled arenas, pooled
-#                    partitions, striped page cache, page cursors and
-#                    their failure/cancellation paths) — the paths most
-#                    valuable to run under a sanitizer.
+#                    MapReduce job engine (mapreduce_test's spill, combine
+#                    and k-way merge cases), the cross-engine
+#                    kernel-conformance suites, and the golden hot-path
+#                    pins (recycled arenas, pooled partitions, striped
+#                    page cache, page cursors and their failure/
+#                    cancellation paths, and the 1- and 3-worker
+#                    MapReduce chains) — the paths most valuable to run
+#                    under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
 #                    `observability`, `robustness`, `scheduler`, and
 #                    `hotpath` CTest labels: the ETL pipeline (chunked
@@ -38,7 +43,8 @@
 #                    thread, token polls from every engine), the
 #                    artifact readers (json_test and the byte-mutation
 #                    sweep ride the robustness label), the graph store
-#                    (graphdb_test, also on the robustness label), the
+#                    and the MapReduce job engine (graphdb_test and
+#                    mapreduce_test, also on the robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
 #                    writer), and the golden hot-path pins (one Pregel
@@ -107,14 +113,14 @@ cmake --build "${TIER1_DIR}" -j "${JOBS}"
 echo "==> [1/6] tier-1: full test suite (chaos split into stage 6)"
 ctest --test-dir "${TIER1_DIR}" --output-on-failure -j "${JOBS}" -LE chaos
 
-echo "==> [1/6] tier-1: longest function (pregel and harness maxfn <= 150)"
+echo "==> [1/6] tier-1: longest function (every module's maxfn <= 150)"
 "${TIER1_DIR}/tools/code_quality_report" src | awk '
-  $1 == "pregel" || $1 == "harness" {
-    print; seen[$1] = 1; if ($7 > 150) bad = 1
+  NF == 8 && $2 ~ /^[0-9]+$/ && $1 != "TOTAL" {
+    print; ++modules; if ($7 > 150) bad = 1
   }
   END {
-    if (!seen["pregel"] || !seen["harness"] || bad) {
-      print "pregel and harness maxfn must be <= 150"; exit 1
+    if (modules < 11 || bad) {
+      print "all 11 modules must be listed, each with maxfn <= 150"; exit 1
     }
   }'
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
+#include <span>
 
+#include "common/checkpoint.h"
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "graph/io.h"
 
@@ -16,9 +18,12 @@ namespace {
 
 // ------------------------------------------------------------ record codec
 //
-// Two record flavors share the (key = vertex id) keyspace:
-//   'G' — graph record: vertex state + adjacency
-//   'M' — message record: (i64, double) payload
+// Two record flavors share the (key = vertex id) keyspace, both encoded
+// with the checkpoint codec (fixed-width little-endian):
+//   'G' — graph record: i64 state, double aux, u32 changed, u32 degree,
+//         then the adjacency (degree u32 ids);
+//   'M' — message record: i64 payload, double aux and, in LCC's messages
+//         only, the sender's adjacency (payload u32 ids).
 constexpr char kGraphTag = 'G';
 constexpr char kMessageTag = 'M';
 
@@ -29,503 +34,348 @@ struct GraphRecord {
   std::vector<VertexId> adjacency;
 };
 
-std::string EncodeGraphRecord(const GraphRecord& rec) {
-  std::string out;
-  out.push_back(kGraphTag);
-  ValueWriter w(&out);
-  w.PutI64(rec.state);
-  w.PutDouble(rec.aux);
-  w.PutU32(rec.changed);
-  w.PutU32(static_cast<uint32_t>(rec.adjacency.size()));
-  for (VertexId v : rec.adjacency) w.PutU32(v);
-  return out;
-}
-
-Result<GraphRecord> DecodeGraphRecord(const std::string& value) {
-  if (value.empty() || value[0] != kGraphTag) {
-    return Status::InvalidArgument("not a graph record");
-  }
-  // Skip the tag byte by re-reading through a trimmed view.
-  std::string body = value.substr(1);
-  ValueReader br(body);
-  GraphRecord rec;
-  GLY_ASSIGN_OR_RETURN(rec.state, br.GetI64());
-  GLY_ASSIGN_OR_RETURN(rec.aux, br.GetDouble());
-  GLY_ASSIGN_OR_RETURN(uint32_t changed, br.GetU32());
-  rec.changed = static_cast<uint8_t>(changed);
-  GLY_ASSIGN_OR_RETURN(uint32_t n, br.GetU32());
-  rec.adjacency.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    GLY_ASSIGN_OR_RETURN(uint32_t v, br.GetU32());
-    rec.adjacency.push_back(v);
-  }
-  return rec;
-}
-
-std::string EncodeMessage(int64_t payload, double aux = 0.0) {
-  std::string out;
-  out.push_back(kMessageTag);
-  ValueWriter w(&out);
-  w.PutI64(payload);
-  w.PutDouble(aux);
-  return out;
-}
-
 struct Message {
   int64_t payload = 0;
   double aux = 0.0;
+  std::vector<VertexId> ids;
 };
 
-Result<Message> DecodeMessage(const std::string& value) {
-  if (value.empty() || value[0] != kMessageTag) {
-    return Status::InvalidArgument("not a message record");
-  }
-  std::string body = value.substr(1);
-  ValueReader br(body);
-  Message m;
-  GLY_ASSIGN_OR_RETURN(m.payload, br.GetI64());
-  GLY_ASSIGN_OR_RETURN(m.aux, br.GetDouble());
-  return m;
-}
-
-bool IsGraphValue(const std::string& v) {
+bool IsGraphValue(std::string_view v) {
   return !v.empty() && v[0] == kGraphTag;
 }
 
-// ------------------------------------------------------------- driver util
-
-// Writes initial graph state split across `parts` record files.
-// `propagation_adjacency` folds in-neighbors into the record for directed
-// graphs (needed by CONN's undirected connectivity semantics).
-Result<std::vector<std::string>> WriteInitialState(
-    const Graph& graph, const PlatformConfig& config,
-    const std::function<GraphRecord(VertexId)>& init, bool union_adjacency) {
-  const uint32_t parts = std::max(1u, config.job.num_mappers);
-  std::vector<std::string> paths;
-  std::vector<RecordFileWriter> writers;
-  for (uint32_t p = 0; p < parts; ++p) {
-    std::string path =
-        config.work_dir + StringPrintf("/state-init/part-%05u", p);
-    fs::create_directories(fs::path(path).parent_path());
-    GLY_ASSIGN_OR_RETURN(RecordFileWriter w, RecordFileWriter::Open(path));
-    writers.push_back(std::move(w));
-    paths.push_back(path);
-  }
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    GraphRecord rec = init(v);
-    auto out_nbrs = graph.OutNeighbors(v);
-    rec.adjacency.assign(out_nbrs.begin(), out_nbrs.end());
-    if (union_adjacency && !graph.undirected()) {
-      auto in_nbrs = graph.InNeighbors(v);
-      rec.adjacency.insert(rec.adjacency.end(), in_nbrs.begin(),
-                           in_nbrs.end());
-      std::sort(rec.adjacency.begin(), rec.adjacency.end());
-      rec.adjacency.erase(
-          std::unique(rec.adjacency.begin(), rec.adjacency.end()),
-          rec.adjacency.end());
-    }
-    GLY_RETURN_NOT_OK(writers[v % parts].Append(v, EncodeGraphRecord(rec)));
-  }
-  for (auto& w : writers) {
-    GLY_RETURN_NOT_OK(w.Close());
-  }
-  return paths;
+// Reads `n` ids; a count larger than the bytes left fails the decode
+// before anything is reserved for it.
+bool GetIds(CheckpointDecoder& dec, uint64_t n, std::vector<VertexId>* ids) {
+  if (n > dec.remaining() / sizeof(VertexId)) return false;
+  ids->resize(n);
+  return n == 0 || dec.GetBytes(ids->data(), n * sizeof(VertexId));
 }
 
-// Reads final state part files into a per-vertex state vector.
-Result<std::vector<int64_t>> ReadFinalState(
-    const std::vector<std::string>& paths, VertexId num_vertices) {
-  std::vector<int64_t> values(num_vertices, 0);
-  for (const std::string& path : paths) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      if (!IsGraphValue(r.value)) continue;
-      GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
-      if (r.key < num_vertices) values[r.key] = rec.state;
-    }
-  }
-  return values;
-}
-
-void AccumulateStats(const JobStats& job, ChainStats* chain) {
-  ++chain->jobs_run;
-  chain->total_spill_bytes += job.spill_bytes;
-  chain->total_shuffle_bytes += job.shuffle_bytes;
-  chain->total_output_bytes += job.output_bytes;
-  chain->total_input_records += job.input_records;
-  if (job.map_stage_recovered) ++chain->map_stages_recovered;
-}
-
-// ------------------------------------------------------- BFS mapper/reducer
-
-// Map: pass the graph record through; vertices discovered in the previous
-// iteration (state == iteration-1) send dist+1 to neighbors.
-class BfsMapper : public Mapper {
- public:
-  explicit BfsMapper(int64_t frontier_level) : frontier_(frontier_level) {}
-
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok()) return;
-    if (rec->state == frontier_) {
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, EncodeMessage(rec->state + 1));
-        counters->Increment("traversed");
-      }
-    }
-  }
-
- private:
-  int64_t frontier_;
-};
-
-class BfsReducer : public Reducer {
- public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters* counters) override {
-    GraphRecord rec;
-    bool have_graph = false;
-    int64_t best = kUnreachable;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) best = std::min(best, m->payload);
-      }
-    }
-    if (!have_graph) return;  // message to a vertex with no record
-    if (best < rec.state) {
-      rec.state = best;
-      counters->Increment("updated");
-    }
-    out->Emit(key, EncodeGraphRecord(rec));
-  }
-};
-
-// A min-combiner for BFS/CONN messages: keeps the graph record and the
-// minimum message payload.
-class MinMessageCombiner : public Reducer {
- public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    int64_t best = kUnreachable;
-    bool have_message = false;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        out->Emit(key, v);
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) {
-          best = std::min(best, m->payload);
-          have_message = true;
-        }
-      }
-    }
-    if (have_message) out->Emit(key, EncodeMessage(best));
-  }
-};
-
-// ------------------------------------------------------ CONN mapper/reducer
-
-class ConnMapper : public Mapper {
- public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok()) return;
-    if (rec->changed) {
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, EncodeMessage(rec->state));
-        counters->Increment("traversed");
-      }
-    }
-  }
-};
-
-class ConnReducer : public Reducer {
- public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters* counters) override {
-    GraphRecord rec;
-    bool have_graph = false;
-    int64_t best = std::numeric_limits<int64_t>::max();
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) best = std::min(best, m->payload);
-      }
-    }
-    if (!have_graph) return;
-    if (best < rec.state) {
-      rec.state = best;
-      rec.changed = 1;
-      counters->Increment("updated");
-    } else {
-      rec.changed = 0;
-    }
-    out->Emit(key, EncodeGraphRecord(rec));
-  }
-};
-
-// -------------------------------------------------------- CD mapper/reducer
-
-class CdMapper : public Mapper {
- public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok()) return;
-    for (VertexId w : rec->adjacency) {
-      out->Emit(w, EncodeMessage(rec->state, rec->aux));
-      counters->Increment("traversed");
-    }
-  }
-};
-
-class CdReducer : public Reducer {
- public:
-  explicit CdReducer(double hop_attenuation) : hop_(hop_attenuation) {}
-
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    GraphRecord rec;
-    bool have_graph = false;
-    std::vector<LabelScore> incoming;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) incoming.push_back(LabelScore{m->payload, m->aux});
-      }
-    }
-    if (!have_graph) return;
-    if (!incoming.empty()) {
-      LabelScore adopted = CdAdoptLabel(incoming, hop_);
-      rec.state = adopted.label;
-      rec.aux = adopted.score;
-    }
-    out->Emit(key, EncodeGraphRecord(rec));
-  }
-
- private:
-  double hop_;
-};
-
-// -------------------------------------------------------- PR mapper/reducer
-//
-// Rank rides in the graph record's aux field; messages carry
-// rank/out_degree contributions.
-
-class PrMapper : public Mapper {
- public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok() || rec->adjacency.empty()) return;
-    double contribution =
-        rec->aux / static_cast<double>(rec->adjacency.size());
-    for (VertexId w : rec->adjacency) {
-      out->Emit(w, EncodeMessage(0, contribution));
-      counters->Increment("traversed");
-    }
-  }
-};
-
-class PrReducer : public Reducer {
- public:
-  PrReducer(double base, double damping) : base_(base), damping_(damping) {}
-
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    GraphRecord rec;
-    bool have_graph = false;
-    double sum = 0.0;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) sum += m->aux;
-      }
-    }
-    if (!have_graph) return;
-    rec.aux = base_ + damping_ * sum;
-    out->Emit(key, EncodeGraphRecord(rec));
-  }
-
- private:
-  double base_;
-  double damping_;
-};
-
-// Sum-combiner for PR contributions.
-class PrCombiner : public Reducer {
- public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    double sum = 0.0;
-    bool have_message = false;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        out->Emit(key, v);
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) {
-          sum += m->aux;
-          have_message = true;
-        }
-      }
-    }
-    if (have_message) out->Emit(key, EncodeMessage(0, sum));
-  }
-};
-
-// ----------------------------------------------------- STATS mapper/reducer
-//
-// Job 1: exchange adjacency lists and compute the local clustering
-// coefficient per vertex (stored in aux). Neighbor lists are encoded as a
-// 'M' message whose payload abuses (i64 = count) followed by raw ids in a
-// separate encoding — for simplicity the list rides in the value after the
-// standard message header.
-
-std::string EncodeListMessage(const std::vector<VertexId>& list) {
-  std::string out;
-  out.push_back(kMessageTag);
-  ValueWriter w(&out);
-  w.PutI64(static_cast<int64_t>(list.size()));
-  w.PutDouble(0.0);
-  for (VertexId v : list) w.PutU32(v);
+std::string EncodeGraphRecord(const GraphRecord& rec) {
+  std::string out(1, kGraphTag);
+  CheckpointEncoder enc(&out);
+  enc.PutI64(rec.state);
+  enc.PutDouble(rec.aux);
+  enc.PutU32(rec.changed);
+  enc.PutU32(static_cast<uint32_t>(rec.adjacency.size()));
+  enc.PutBytes(rec.adjacency.data(), rec.adjacency.size() * sizeof(VertexId));
   return out;
 }
 
-Result<std::vector<VertexId>> DecodeListMessage(const std::string& value) {
-  std::string body = value.substr(1);
-  ValueReader br(body);
-  GLY_ASSIGN_OR_RETURN(int64_t n, br.GetI64());
-  GLY_ASSIGN_OR_RETURN(double unused, br.GetDouble());
-  (void)unused;
-  std::vector<VertexId> list;
-  list.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    GLY_ASSIGN_OR_RETURN(uint32_t v, br.GetU32());
-    list.push_back(v);
+Result<GraphRecord> DecodeGraphRecord(std::string_view value) {
+  if (!IsGraphValue(value)) return Status::InvalidArgument("not a graph record");
+  CheckpointDecoder dec(value.substr(1));
+  GraphRecord rec;
+  uint32_t changed = 0;
+  uint32_t degree = 0;
+  if (!dec.GetI64(&rec.state) || !dec.GetDouble(&rec.aux) ||
+      !dec.GetU32(&changed) || !dec.GetU32(&degree) ||
+      !GetIds(dec, degree, &rec.adjacency)) {
+    return Status::InvalidArgument("graph record truncated");
   }
-  return list;
+  rec.changed = static_cast<uint8_t>(changed);
+  return rec;
 }
 
-class LccMapper : public Mapper {
- public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok()) return;
-    if (rec->adjacency.size() >= 2) {
-      std::string msg = EncodeListMessage(rec->adjacency);
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, msg);
-        counters->Increment("traversed");
-      }
-    }
+std::string EncodeMessage(int64_t payload, double aux = 0.0,
+                          std::span<const VertexId> ids = {}) {
+  std::string out(1, kMessageTag);
+  CheckpointEncoder enc(&out);
+  enc.PutI64(payload);
+  enc.PutDouble(aux);
+  enc.PutBytes(ids.data(), ids.size_bytes());
+  return out;
+}
+
+Result<Message> DecodeMessage(std::string_view value) {
+  if (value.empty() || value[0] != kMessageTag) {
+    return Status::InvalidArgument("not a message record");
   }
+  CheckpointDecoder dec(value.substr(1));
+  Message m;
+  if (!dec.GetI64(&m.payload) || !dec.GetDouble(&m.aux) ||
+      (!dec.Done() &&
+       !GetIds(dec, static_cast<uint64_t>(m.payload), &m.ids))) {
+    return Status::InvalidArgument("message record truncated");
+  }
+  return m;
+}
+
+// --------------------------------------------------------- vertex programs
+//
+// BFS, CONN, CD, PR and STATS' clustering-coefficient job share one job
+// shape. Map re-emits every graph record and sends the vertex's message, if
+// it has one, to every neighbour; reduce joins the graph record with its
+// decoded messages and applies the algorithm's update. A VertexProgram is
+// the per-algorithm part.
+
+// How the combiner folds the messages addressed to one vertex.
+enum class Fold { kNone, kMin, kSum };
+
+struct VertexProgram {
+  // The record of vertex v before the first iteration; the driver fills in
+  // the adjacency.
+  std::function<GraphRecord(VertexId v)> init;
+  // CONN's undirected connectivity: fold in-neighbours into the adjacency
+  // of a directed graph.
+  bool union_adjacency = false;
+  // The encoded message `rec` sends every neighbour in iteration `iter`
+  // (1-based), or nothing. Asked only of vertices with neighbours.
+  std::function<std::optional<std::string>(const GraphRecord& rec,
+                                           uint32_t iter)>
+      message;
+  // Joins the decoded messages into `rec`; true counts the vertex as
+  // updated.
+  std::function<bool(GraphRecord* rec, const std::vector<Message>& messages)>
+      update;
+  Fold fold = Fold::kNone;
+  uint32_t iterations = 1;
+  // Stop after the first iteration that updated no vertex.
+  bool until_no_update = false;
 };
 
-class LccReducer : public Reducer {
+class VertexMapper : public Mapper {
  public:
+  VertexMapper(const VertexProgram& program, uint32_t iter)
+      : program_(program), iter_(iter) {}
+
+  void Map(const Record& input, Emitter* out, Counters* counters) override {
+    out->Emit(input.key, input.value);
+    auto rec = DecodeGraphRecord(input.value);
+    if (!rec.ok() || rec->adjacency.empty()) return;
+    std::optional<std::string> message = program_.message(*rec, iter_);
+    if (!message) return;
+    for (VertexId w : rec->adjacency) out->Emit(w, *message);
+    counters->Increment("traversed", rec->adjacency.size());
+  }
+
+ private:
+  const VertexProgram& program_;
+  uint32_t iter_;
+};
+
+class VertexReducer : public Reducer {
+ public:
+  explicit VertexReducer(const VertexProgram& program) : program_(program) {}
+
   void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    GraphRecord rec;
-    bool have_graph = false;
-    std::vector<std::vector<VertexId>> lists;
+              Emitter* out, Counters* counters) override {
+    std::optional<GraphRecord> rec;
+    messages_.clear();
     for (const std::string& v : values) {
       if (IsGraphValue(v)) {
         auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
+        if (g.ok()) rec = std::move(g).ValueOrDie();
       } else {
-        auto l = DecodeListMessage(v);
-        if (l.ok()) lists.push_back(std::move(l).ValueOrDie());
+        auto m = DecodeMessage(v);
+        if (m.ok()) messages_.push_back(std::move(m).ValueOrDie());
       }
     }
-    if (!have_graph) return;
-    uint64_t deg = rec.adjacency.size();
-    if (deg >= 2) {
-      uint64_t links = 0;
-      for (const auto& their : lists) {
-        size_t a = 0;
-        size_t b = 0;
-        while (a < their.size() && b < rec.adjacency.size()) {
-          if (their[a] < rec.adjacency[b]) {
-            ++a;
-          } else if (their[a] > rec.adjacency[b]) {
-            ++b;
-          } else {
-            ++links;
-            ++a;
-            ++b;
-          }
-        }
-      }
-      rec.aux = static_cast<double>(links) /
-                (static_cast<double>(deg) * static_cast<double>(deg - 1));
-    }
-    out->Emit(key, EncodeGraphRecord(rec));
+    if (!rec) return;  // message to a vertex with no record
+    if (program_.update(&*rec, messages_)) counters->Increment("updated");
+    out->Emit(key, EncodeGraphRecord(*rec));
   }
+
+ private:
+  const VertexProgram& program_;
+  std::vector<Message> messages_;
 };
 
-// Job 2: aggregate the mean LCC under a single key.
+// Map-side combiner: passes graph records through and folds the messages
+// to one key into one. kMin keeps the smallest payload; kSum adds payloads
+// and aux values. With kSum it is also the reducer of STATS' aggregate job.
+class FoldCombiner : public Reducer {
+ public:
+  explicit FoldCombiner(Fold fold) : fold_(fold) {}
+
+  void Reduce(uint64_t key, const std::vector<std::string>& values,
+              Emitter* out, Counters*) override {
+    Message folded;
+    if (fold_ == Fold::kMin) folded.payload = kUnreachable;
+    bool have_message = false;
+    for (const std::string& v : values) {
+      if (IsGraphValue(v)) {
+        out->Emit(key, v);
+        continue;
+      }
+      auto m = DecodeMessage(v);
+      if (!m.ok()) continue;
+      have_message = true;
+      if (fold_ == Fold::kMin) {
+        folded.payload = std::min(folded.payload, m->payload);
+      } else {
+        folded.payload += m->payload;
+        folded.aux += m->aux;
+      }
+    }
+    if (have_message) out->Emit(key, EncodeMessage(folded.payload, folded.aux));
+  }
+
+ private:
+  Fold fold_;
+};
+
+int64_t MinPayload(const std::vector<Message>& messages) {
+  int64_t best = kUnreachable;
+  for (const Message& m : messages) best = std::min(best, m.payload);
+  return best;
+}
+
+// Vertices discovered in the previous iteration (state == iter - 1) send
+// dist + 1; a vertex takes the smallest distance offered.
+VertexProgram BfsProgram(const BfsParams& params, uint32_t max_iterations) {
+  VertexProgram p;
+  p.init = [source = params.source](VertexId v) {
+    GraphRecord rec;
+    rec.state = (v == source) ? 0 : kUnreachable;
+    return rec;
+  };
+  p.message = [](const GraphRecord& rec,
+                 uint32_t iter) -> std::optional<std::string> {
+    if (rec.state != static_cast<int64_t>(iter) - 1) return std::nullopt;
+    return EncodeMessage(rec.state + 1);
+  };
+  p.update = [](GraphRecord* rec, const std::vector<Message>& messages) {
+    const int64_t best = MinPayload(messages);
+    if (best >= rec->state) return false;
+    rec->state = best;
+    return true;
+  };
+  p.fold = Fold::kMin;
+  p.iterations = max_iterations;
+  p.until_no_update = true;
+  return p;
+}
+
+// Min-label propagation: a vertex whose label changed sends it on.
+VertexProgram ConnProgram(uint32_t max_iterations) {
+  VertexProgram p;
+  p.init = [](VertexId v) {
+    GraphRecord rec;
+    rec.state = static_cast<int64_t>(v);
+    rec.changed = 1;
+    return rec;
+  };
+  p.union_adjacency = true;
+  p.message = [](const GraphRecord& rec,
+                 uint32_t) -> std::optional<std::string> {
+    if (!rec.changed) return std::nullopt;
+    return EncodeMessage(rec.state);
+  };
+  p.update = [](GraphRecord* rec, const std::vector<Message>& messages) {
+    const int64_t best = MinPayload(messages);
+    rec->changed = best < rec->state ? 1 : 0;
+    if (rec->changed) rec->state = best;
+    return rec->changed == 1;
+  };
+  p.fold = Fold::kMin;
+  p.iterations = max_iterations;
+  p.until_no_update = true;
+  return p;
+}
+
+// Label propagation with hop attenuation; the label's score rides in aux.
+VertexProgram CdProgram(const CdParams& params) {
+  VertexProgram p;
+  p.init = [](VertexId v) {
+    GraphRecord rec;
+    rec.state = static_cast<int64_t>(v);
+    rec.aux = 1.0;
+    return rec;
+  };
+  p.message = [](const GraphRecord& rec,
+                 uint32_t) -> std::optional<std::string> {
+    return EncodeMessage(rec.state, rec.aux);
+  };
+  p.update = [hop = params.hop_attenuation](
+                 GraphRecord* rec, const std::vector<Message>& messages) {
+    if (messages.empty()) return false;
+    std::vector<LabelScore> incoming;
+    incoming.reserve(messages.size());
+    for (const Message& m : messages) incoming.push_back({m.payload, m.aux});
+    const LabelScore adopted = CdAdoptLabel(incoming, hop);
+    rec->state = adopted.label;
+    rec->aux = adopted.score;
+    return false;
+  };
+  p.iterations = params.max_iterations;
+  return p;
+}
+
+// Rank rides in aux; messages carry rank / out-degree contributions.
+VertexProgram PrProgram(const PrParams& params, VertexId num_vertices) {
+  const double n = static_cast<double>(num_vertices);
+  VertexProgram p;
+  p.init = [n](VertexId) {
+    GraphRecord rec;
+    rec.aux = 1.0 / n;
+    return rec;
+  };
+  p.message = [](const GraphRecord& rec,
+                 uint32_t) -> std::optional<std::string> {
+    return EncodeMessage(
+        0, rec.aux / static_cast<double>(rec.adjacency.size()));
+  };
+  p.update = [base = (1.0 - params.damping) / n, damping = params.damping](
+                 GraphRecord* rec, const std::vector<Message>& messages) {
+    double sum = 0.0;
+    for (const Message& m : messages) sum += m.aux;
+    rec->aux = base + damping * sum;
+    return false;
+  };
+  p.fold = Fold::kSum;
+  p.iterations = params.iterations;
+  return p;
+}
+
+// STATS' first job: vertices exchange adjacency lists, and each computes
+// its local clustering coefficient into aux.
+VertexProgram LccProgram() {
+  VertexProgram p;
+  p.init = [](VertexId) { return GraphRecord{}; };
+  p.message = [](const GraphRecord& rec,
+                 uint32_t) -> std::optional<std::string> {
+    if (rec.adjacency.size() < 2) return std::nullopt;
+    return EncodeMessage(static_cast<int64_t>(rec.adjacency.size()), 0.0,
+                         rec.adjacency);
+  };
+  p.update = [](GraphRecord* rec, const std::vector<Message>& messages) {
+    const std::vector<VertexId>& mine = rec->adjacency;
+    const uint64_t deg = mine.size();
+    if (deg < 2) return false;
+    uint64_t links = 0;
+    for (const Message& m : messages) {
+      const std::vector<VertexId>& theirs = m.ids;
+      size_t a = 0;
+      size_t b = 0;
+      while (a < theirs.size() && b < mine.size()) {
+        if (theirs[a] < mine[b]) {
+          ++a;
+        } else if (theirs[a] > mine[b]) {
+          ++b;
+        } else {
+          ++links;
+          ++a;
+          ++b;
+        }
+      }
+    }
+    rec->aux = static_cast<double>(links) /
+               (static_cast<double>(deg) * static_cast<double>(deg - 1));
+    return false;
+  };
+  return p;
+}
+
+// STATS' second job: every graph record sends (1, lcc) to key 0, where
+// the kSum FoldCombiner totals them.
 class LccAggregateMapper : public Mapper {
  public:
   void Map(const Record& input, Emitter* out, Counters*) override {
-    if (!IsGraphValue(input.value)) return;
     auto rec = DecodeGraphRecord(input.value);
     if (!rec.ok()) return;
     out->Emit(0, EncodeMessage(1, rec->aux));
-  }
-};
-
-class LccAggregateReducer : public Reducer {
- public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
-              Emitter* out, Counters*) override {
-    double sum = 0.0;
-    int64_t count = 0;
-    for (const std::string& v : values) {
-      auto m = DecodeMessage(v);
-      if (m.ok()) {
-        sum += m->aux;
-        count += m->payload;
-      }
-    }
-    std::string encoded = EncodeMessage(count, sum);
-    out->Emit(key, encoded);
   }
 };
 
@@ -547,8 +397,8 @@ class EvoMapper : public Mapper {
     VertexId new_vertex = graph_->num_vertices() + fire;
     for (VertexId b : burned) {
       out->Emit(new_vertex, EncodeMessage(static_cast<int64_t>(b)));
-      counters->Increment("traversed");
     }
+    counters->Increment("traversed", burned.size());
   }
 
  private:
@@ -564,271 +414,266 @@ class EvoReducer : public Reducer {
   }
 };
 
-// ----------------------------------------------------------------- drivers
+// ------------------------------------------------------------- part files
 
-struct Driver {
-  const PlatformConfig& config;
-  const Graph& graph;
-  ThreadPool pool;
-  Counters counters;
-  ChainStats chain;
-  uint64_t traversed_total = 0;
+// Calls `fn` on every record of the part files `paths`, in order.
+Status ForEachRecord(const std::vector<std::string>& paths,
+                     const std::function<Status(const Record&)>& fn) {
+  for (const std::string& path : paths) {
+    GLY_ASSIGN_OR_RETURN(RecordFileReader reader, RecordFileReader::Open(path));
+    Record record;
+    for (;;) {
+      GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
+      if (!more) break;
+      GLY_RETURN_NOT_OK(fn(record));
+    }
+  }
+  return Status::OK();
+}
 
-  explicit Driver(const PlatformConfig& cfg, const Graph& g)
-      : config(cfg), graph(g), pool(std::max(1u, cfg.job.num_mappers)) {}
+// The adjacency a graph record carries: out-neighbours, plus in-neighbours
+// of a directed graph when `union_in`.
+std::vector<VertexId> Adjacency(const Graph& graph, VertexId v,
+                                bool union_in) {
+  auto out_nbrs = graph.OutNeighbors(v);
+  std::vector<VertexId> adjacency(out_nbrs.begin(), out_nbrs.end());
+  if (union_in && !graph.undirected()) {
+    auto in_nbrs = graph.InNeighbors(v);
+    adjacency.insert(adjacency.end(), in_nbrs.begin(), in_nbrs.end());
+    std::sort(adjacency.begin(), adjacency.end());
+    adjacency.erase(std::unique(adjacency.begin(), adjacency.end()),
+                    adjacency.end());
+  }
+  return adjacency;
+}
 
+// ----------------------------------------------------------------- driver
+
+class Driver {
+ public:
+  Driver(const PlatformConfig& config, const Graph& graph)
+      : config_(config),
+        graph_(graph),
+        pool_(std::max(1u, config.job.num_mappers)) {}
+
+  Result<AlgorithmOutput> Run(AlgorithmKind kind,
+                              const AlgorithmParams& params);
+
+  const ChainStats& chain() const { return chain_; }
+  uint64_t traversed() const {
+    return traversed_total_ + counters_.Get("traversed");
+  }
+
+ private:
   Result<std::vector<std::string>> RunJob(
       const std::vector<std::string>& inputs, const std::string& out_dir,
-      MapperFactory mf, ReducerFactory rf, ReducerFactory cf = nullptr) {
-    // Chained iterative algorithms stop between jobs: the job itself also
-    // polls between splits/groups, so a cancelled chain unwinds within one
-    // task's worth of work.
-    GLY_RETURN_NOT_OK(CheckCancel(config.job.cancel));
-    Job job(config.job, std::move(mf), std::move(rf), std::move(cf));
-    JobStats stats;
-    Stopwatch watch;
-    GLY_ASSIGN_OR_RETURN(
-        auto outputs, job.Run(inputs, out_dir, &pool, &counters, &stats));
-    chain.total_seconds += watch.ElapsedSeconds();
-    AccumulateStats(stats, &chain);
-    if (config.job.cancel != nullptr) config.job.cancel->Heartbeat();
-    return outputs;
-  }
+      MapperFactory mf, ReducerFactory rf, ReducerFactory cf = nullptr);
+  Result<std::vector<std::string>> WriteParts(
+      const std::string& name, uint64_t count,
+      const std::function<std::string(uint64_t)>& value);
+  Result<std::vector<std::string>> RunChain(const VertexProgram& program);
+  Result<AlgorithmOutput> RunVertexValues(const VertexProgram& program);
+  Result<AlgorithmOutput> RunPr(const PrParams& params);
+  Result<AlgorithmOutput> RunStats();
+  Result<AlgorithmOutput> RunEvo(const EvoParams& params);
+
+  const PlatformConfig& config_;
+  const Graph& graph_;
+  ThreadPool pool_;
+  Counters counters_;
+  ChainStats chain_;
+  uint64_t traversed_total_ = 0;
 };
 
-Result<AlgorithmOutput> RunBfsChain(Driver& driver, const BfsParams& params) {
-  const Graph& graph = driver.graph;
-  GLY_ASSIGN_OR_RETURN(
-      std::vector<std::string> state,
-      WriteInitialState(
-          graph, driver.config,
-          [&params](VertexId v) {
-            GraphRecord rec;
-            rec.state = (v == params.source) ? 0 : kUnreachable;
-            return rec;
-          },
-          /*union_adjacency=*/false));
-
-  for (uint32_t iter = 1; iter <= driver.config.max_iterations; ++iter) {
-    driver.traversed_total += driver.counters.Get("traversed");
-    driver.counters.Reset();
-    int64_t frontier = static_cast<int64_t>(iter) - 1;
-    GLY_ASSIGN_OR_RETURN(
-        state,
-        driver.RunJob(
-            state, driver.config.work_dir + "/iter-" + std::to_string(iter),
-            [frontier] { return std::make_unique<BfsMapper>(frontier); },
-            [] { return std::make_unique<BfsReducer>(); },
-            [] { return std::make_unique<MinMessageCombiner>(); }));
-    if (driver.counters.Get("updated") == 0) break;
-  }
-
-  AlgorithmOutput out;
-  GLY_ASSIGN_OR_RETURN(out.vertex_values,
-                       ReadFinalState(state, graph.num_vertices()));
-  return out;
+Result<std::vector<std::string>> Driver::RunJob(
+    const std::vector<std::string>& inputs, const std::string& out_dir,
+    MapperFactory mf, ReducerFactory rf, ReducerFactory cf) {
+  // Chained iterative algorithms stop between jobs: the job itself also
+  // polls between splits/groups, so a cancelled chain unwinds within one
+  // task's worth of work.
+  GLY_RETURN_NOT_OK(CheckCancel(config_.job.cancel));
+  Job job(config_.job, std::move(mf), std::move(rf), std::move(cf));
+  JobStats stats;
+  GLY_ASSIGN_OR_RETURN(auto outputs,
+                       job.Run(inputs, out_dir, &pool_, &counters_, &stats));
+  ++chain_.jobs_run;
+  chain_.total_spill_bytes += stats.spill_bytes;
+  chain_.total_shuffle_bytes += stats.shuffle_bytes;
+  chain_.total_output_bytes += stats.output_bytes;
+  if (stats.map_stage_recovered) ++chain_.map_stages_recovered;
+  if (config_.job.cancel != nullptr) config_.job.cancel->Heartbeat();
+  return outputs;
 }
 
-Result<AlgorithmOutput> RunConnChain(Driver& driver) {
-  const Graph& graph = driver.graph;
-  GLY_ASSIGN_OR_RETURN(
-      std::vector<std::string> state,
-      WriteInitialState(
-          graph, driver.config,
-          [](VertexId v) {
-            GraphRecord rec;
-            rec.state = static_cast<int64_t>(v);
-            rec.changed = 1;
-            return rec;
-          },
-          /*union_adjacency=*/true));
-
-  for (uint32_t iter = 1; iter <= driver.config.max_iterations; ++iter) {
-    driver.traversed_total += driver.counters.Get("traversed");
-    driver.counters.Reset();
-    GLY_ASSIGN_OR_RETURN(
-        state,
-        driver.RunJob(
-            state, driver.config.work_dir + "/iter-" + std::to_string(iter),
-            [] { return std::make_unique<ConnMapper>(); },
-            [] { return std::make_unique<ConnReducer>(); },
-            [] { return std::make_unique<MinMessageCombiner>(); }));
-    if (driver.counters.Get("updated") == 0) break;
+// Writes records (i, value(i)) for i < count into one part file per
+// mapper under work_dir/`name`, record i to part i % parts.
+Result<std::vector<std::string>> Driver::WriteParts(
+    const std::string& name, uint64_t count,
+    const std::function<std::string(uint64_t)>& value) {
+  const uint32_t parts = std::max(1u, config_.job.num_mappers);
+  const std::string dir = config_.work_dir + "/" + name;
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  std::vector<std::string> paths;
+  std::vector<RecordFileWriter> writers;
+  for (uint32_t p = 0; p < parts; ++p) {
+    paths.push_back(dir + StringPrintf("/part-%05u", p));
+    GLY_ASSIGN_OR_RETURN(RecordFileWriter w,
+                         RecordFileWriter::Open(paths.back()));
+    writers.push_back(std::move(w));
   }
-
-  AlgorithmOutput out;
-  GLY_ASSIGN_OR_RETURN(out.vertex_values,
-                       ReadFinalState(state, graph.num_vertices()));
-  return out;
+  for (uint64_t i = 0; i < count; ++i) {
+    GLY_RETURN_NOT_OK(writers[i % parts].Append(i, value(i)));
+  }
+  for (auto& w : writers) GLY_RETURN_NOT_OK(w.Close());
+  return paths;
 }
 
-Result<AlgorithmOutput> RunCdChain(Driver& driver, const CdParams& params) {
-  const Graph& graph = driver.graph;
+// Writes the initial state, then runs one job of `program` per iteration;
+// returns the final state's part files.
+Result<std::vector<std::string>> Driver::RunChain(
+    const VertexProgram& program) {
   GLY_ASSIGN_OR_RETURN(
       std::vector<std::string> state,
-      WriteInitialState(
-          graph, driver.config,
-          [](VertexId v) {
-            GraphRecord rec;
-            rec.state = static_cast<int64_t>(v);
-            rec.aux = 1.0;
-            return rec;
-          },
-          /*union_adjacency=*/false));
-
-  for (uint32_t iter = 1; iter <= params.max_iterations; ++iter) {
-    double hop = params.hop_attenuation;
+      WriteParts("state-init", graph_.num_vertices(), [&](uint64_t v) {
+        const VertexId vertex = static_cast<VertexId>(v);
+        GraphRecord rec = program.init(vertex);
+        rec.adjacency = Adjacency(graph_, vertex, program.union_adjacency);
+        return EncodeGraphRecord(rec);
+      }));
+  const ReducerFactory combiner =
+      program.fold == Fold::kNone
+          ? nullptr
+          : ReducerFactory([fold = program.fold] {
+              return std::make_unique<FoldCombiner>(fold);
+            });
+  for (uint32_t iter = 1; iter <= program.iterations; ++iter) {
+    traversed_total_ += counters_.Get("traversed");
+    counters_.Reset();
     GLY_ASSIGN_OR_RETURN(
         state,
-        driver.RunJob(
-            state, driver.config.work_dir + "/iter-" + std::to_string(iter),
-            [] { return std::make_unique<CdMapper>(); },
-            [hop] { return std::make_unique<CdReducer>(hop); }));
-  }
-
-  AlgorithmOutput out;
-  GLY_ASSIGN_OR_RETURN(out.vertex_values,
-                       ReadFinalState(state, graph.num_vertices()));
-  return out;
-}
-
-Result<AlgorithmOutput> RunPrChain(Driver& driver, const PrParams& params) {
-  const Graph& graph = driver.graph;
-  const double n = static_cast<double>(graph.num_vertices());
-  GLY_ASSIGN_OR_RETURN(
-      std::vector<std::string> state,
-      WriteInitialState(
-          graph, driver.config,
-          [n](VertexId) {
-            GraphRecord rec;
-            rec.aux = 1.0 / n;
-            return rec;
-          },
-          /*union_adjacency=*/false));
-
-  const double base = (1.0 - params.damping) / n;
-  const double damping = params.damping;
-  for (uint32_t iter = 1; iter <= params.iterations; ++iter) {
-    GLY_ASSIGN_OR_RETURN(
-        state,
-        driver.RunJob(
-            state, driver.config.work_dir + "/iter-" + std::to_string(iter),
-            [] { return std::make_unique<PrMapper>(); },
-            [base, damping] {
-              return std::make_unique<PrReducer>(base, damping);
+        RunJob(
+            state, config_.work_dir + "/iter-" + std::to_string(iter),
+            [&program, iter] {
+              return std::make_unique<VertexMapper>(program, iter);
             },
-            [] { return std::make_unique<PrCombiner>(); }));
+            [&program] { return std::make_unique<VertexReducer>(program); },
+            combiner));
+    if (program.until_no_update && counters_.Get("updated") == 0) break;
   }
+  return state;
+}
 
+// BFS, CONN and CD: the final state per vertex is the output.
+Result<AlgorithmOutput> Driver::RunVertexValues(const VertexProgram& program) {
+  GLY_ASSIGN_OR_RETURN(std::vector<std::string> state, RunChain(program));
   AlgorithmOutput out;
-  out.vertex_scores.assign(graph.num_vertices(), 0.0);
-  for (const std::string& path : state) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      if (!IsGraphValue(r.value)) continue;
-      GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
-      if (r.key < graph.num_vertices()) out.vertex_scores[r.key] = rec.aux;
-    }
-  }
+  out.vertex_values.assign(graph_.num_vertices(), 0);
+  GLY_RETURN_NOT_OK(ForEachRecord(state, [&](const Record& r) -> Status {
+    GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
+    if (r.key < graph_.num_vertices()) out.vertex_values[r.key] = rec.state;
+    return Status::OK();
+  }));
   return out;
 }
 
-Result<AlgorithmOutput> RunStatsChain(Driver& driver) {
-  const Graph& graph = driver.graph;
+Result<AlgorithmOutput> Driver::RunPr(const PrParams& params) {
   GLY_ASSIGN_OR_RETURN(std::vector<std::string> state,
-                       WriteInitialState(
-                           graph, driver.config,
-                           [](VertexId) { return GraphRecord{}; },
-                           /*union_adjacency=*/false));
+                       RunChain(PrProgram(params, graph_.num_vertices())));
+  AlgorithmOutput out;
+  out.vertex_scores.assign(graph_.num_vertices(), 0.0);
+  GLY_RETURN_NOT_OK(ForEachRecord(state, [&](const Record& r) -> Status {
+    GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
+    if (r.key < graph_.num_vertices()) out.vertex_scores[r.key] = rec.aux;
+    return Status::OK();
+  }));
+  return out;
+}
 
-  GLY_ASSIGN_OR_RETURN(
-      state, driver.RunJob(state, driver.config.work_dir + "/lcc",
-                           [] { return std::make_unique<LccMapper>(); },
-                           [] { return std::make_unique<LccReducer>(); }));
+Result<AlgorithmOutput> Driver::RunStats() {
+  GLY_ASSIGN_OR_RETURN(std::vector<std::string> state,
+                       RunChain(LccProgram()));
+  auto sum = [] { return std::make_unique<FoldCombiner>(Fold::kSum); };
   GLY_ASSIGN_OR_RETURN(
       auto agg,
-      driver.RunJob(state, driver.config.work_dir + "/lcc-agg",
-                    [] { return std::make_unique<LccAggregateMapper>(); },
-                    [] { return std::make_unique<LccAggregateReducer>(); },
-                    [] { return std::make_unique<LccAggregateReducer>(); }));
-
+      RunJob(state, config_.work_dir + "/lcc-agg",
+             [] { return std::make_unique<LccAggregateMapper>(); }, sum, sum));
   AlgorithmOutput out;
-  out.stats.num_vertices = graph.num_vertices();
-  out.stats.num_edges = graph.num_edges();
-  double sum = 0.0;
+  out.stats.num_vertices = graph_.num_vertices();
+  out.stats.num_edges = graph_.num_edges();
+  double lcc_sum = 0.0;
   int64_t count = 0;
-  for (const std::string& path : agg) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      auto m = DecodeMessage(r.value);
-      if (m.ok()) {
-        sum += m->aux;
-        count += m->payload;
-      }
+  GLY_RETURN_NOT_OK(ForEachRecord(agg, [&](const Record& r) {
+    auto m = DecodeMessage(r.value);
+    if (m.ok()) {
+      lcc_sum += m->aux;
+      count += m->payload;
     }
-  }
+    return Status::OK();
+  }));
   out.stats.mean_local_clustering =
-      count > 0 ? sum / static_cast<double>(count) : 0.0;
+      count > 0 ? lcc_sum / static_cast<double>(count) : 0.0;
   return out;
 }
 
-Result<AlgorithmOutput> RunEvoChain(Driver& driver, const EvoParams& params) {
-  const Graph& graph = driver.graph;
+Result<AlgorithmOutput> Driver::RunEvo(const EvoParams& params) {
   // Fire-seed input records.
-  std::vector<std::string> inputs;
-  {
-    const uint32_t parts = std::max(1u, driver.config.job.num_mappers);
-    std::vector<RecordFileWriter> writers;
-    for (uint32_t p = 0; p < parts; ++p) {
-      std::string path =
-          driver.config.work_dir + StringPrintf("/fires/part-%05u", p);
-      fs::create_directories(fs::path(path).parent_path());
-      GLY_ASSIGN_OR_RETURN(RecordFileWriter w, RecordFileWriter::Open(path));
-      writers.push_back(std::move(w));
-      inputs.push_back(path);
-    }
-    for (uint32_t f = 0; f < params.num_new_vertices; ++f) {
-      GLY_RETURN_NOT_OK(writers[f % parts].Append(f, std::string()));
-    }
-    for (auto& w : writers) {
-      GLY_RETURN_NOT_OK(w.Close());
-    }
-  }
+  GLY_ASSIGN_OR_RETURN(
+      std::vector<std::string> fires,
+      WriteParts("fires", params.num_new_vertices,
+                 [](uint64_t) { return std::string(); }));
 
   // Distributed cache: write the graph once, each mapper instance loads it.
   // (A single shared immutable instance stands in for the per-process copy
   // every Hadoop mapper would deserialize.)
-  std::string cache_path = driver.config.work_dir + "/cache-graph.bin";
-  GLY_RETURN_NOT_OK(WriteEdgeListBinary(graph.ToEdgeList(), cache_path));
+  std::string cache_path = config_.work_dir + "/cache-graph.bin";
+  GLY_RETURN_NOT_OK(WriteEdgeListBinary(graph_.ToEdgeList(), cache_path));
   GLY_ASSIGN_OR_RETURN(EdgeList cached_edges, ReadEdgeListBinary(cache_path));
-  Result<Graph> cached = graph.undirected()
+  Result<Graph> cached = graph_.undirected()
                              ? GraphBuilder::Undirected(cached_edges)
                              : GraphBuilder::Directed(cached_edges);
   GLY_RETURN_NOT_OK(cached.status());
-  auto shared_graph = std::make_shared<const Graph>(std::move(cached).ValueOrDie());
+  auto shared_graph =
+      std::make_shared<const Graph>(std::move(cached).ValueOrDie());
 
-  EvoParams p = params;
   GLY_ASSIGN_OR_RETURN(
       auto outputs,
-      driver.RunJob(inputs, driver.config.work_dir + "/evo-out",
-                    [shared_graph, p] {
-                      return std::make_unique<EvoMapper>(shared_graph, p);
-                    },
-                    [] { return std::make_unique<EvoReducer>(); }));
+      RunJob(fires, config_.work_dir + "/evo-out",
+             [shared_graph, params] {
+               return std::make_unique<EvoMapper>(shared_graph, params);
+             },
+             [] { return std::make_unique<EvoReducer>(); }));
 
   AlgorithmOutput out;
-  for (const std::string& path : outputs) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      auto m = DecodeMessage(r.value);
-      if (m.ok()) {
-        out.new_edges.Add(static_cast<VertexId>(r.key),
-                          static_cast<VertexId>(m->payload));
-      }
+  GLY_RETURN_NOT_OK(ForEachRecord(outputs, [&](const Record& r) {
+    auto m = DecodeMessage(r.value);
+    if (m.ok()) {
+      out.new_edges.Add(static_cast<VertexId>(r.key),
+                        static_cast<VertexId>(m->payload));
     }
-  }
-  out.new_edges.EnsureVertices(graph.num_vertices() + params.num_new_vertices);
+    return Status::OK();
+  }));
+  out.new_edges.EnsureVertices(graph_.num_vertices() + params.num_new_vertices);
   return out;
+}
+
+Result<AlgorithmOutput> Driver::Run(AlgorithmKind kind,
+                                    const AlgorithmParams& params) {
+  switch (kind) {
+    case AlgorithmKind::kBfs:
+      return RunVertexValues(BfsProgram(params.bfs, config_.max_iterations));
+    case AlgorithmKind::kConn:
+      return RunVertexValues(ConnProgram(config_.max_iterations));
+    case AlgorithmKind::kCd:
+      return RunVertexValues(CdProgram(params.cd));
+    case AlgorithmKind::kPr:
+      return RunPr(params.pr);
+    case AlgorithmKind::kStats:
+      return RunStats();
+    case AlgorithmKind::kEvo:
+      return RunEvo(params.evo);
+  }
+  return Status::Internal("unreached");
 }
 
 }  // namespace
@@ -850,38 +695,20 @@ Result<AlgorithmOutput> RunAlgorithm(const PlatformConfig& config,
     run_config.job.cancel = params.cancel;
   }
   Driver driver(run_config, graph);
-  Result<AlgorithmOutput> result = Status::Internal("unreached");
-  switch (kind) {
-    case AlgorithmKind::kBfs:
-      result = RunBfsChain(driver, params.bfs);
-      break;
-    case AlgorithmKind::kConn:
-      result = RunConnChain(driver);
-      break;
-    case AlgorithmKind::kCd:
-      result = RunCdChain(driver, params.cd);
-      break;
-    case AlgorithmKind::kStats:
-      result = RunStatsChain(driver);
-      break;
-    case AlgorithmKind::kEvo:
-      result = RunEvoChain(driver, params.evo);
-      break;
-    case AlgorithmKind::kPr:
-      result = RunPrChain(driver, params.pr);
-      break;
+  Result<AlgorithmOutput> result = driver.Run(kind, params);
+  // Remove iteration state (keeps disk usage bounded across bench sweeps).
+  // A failed run keeps it only under map-stage checkpointing: the retry
+  // restores its manifests and spill runs.
+  if (result.ok() || !config.job.checkpoint_map_stage) {
+    fs::remove_all(config.work_dir, ec);
   }
   if (!result.ok()) return result.status();
   AlgorithmOutput out = std::move(result).ValueOrDie();
-  out.traversed_edges =
-      driver.traversed_total + driver.counters.Get("traversed");
+  out.traversed_edges = driver.traversed();
   if (out.traversed_edges == 0) {
     out.traversed_edges = graph.num_adjacency_entries();
   }
-  if (stats_out != nullptr) *stats_out = driver.chain;
-
-  // Remove iteration state (keeps disk usage bounded across bench sweeps).
-  fs::remove_all(config.work_dir, ec);
+  if (stats_out != nullptr) *stats_out = driver.chain();
   return out;
 }
 

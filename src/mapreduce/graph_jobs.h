@@ -14,6 +14,11 @@
 // processing and thus does not crash even when processing the largest
 // workload").
 //
+// BFS, CONN, CD, PR and STATS' clustering-coefficient job are each one
+// vertex program (graph_jobs.cc) run by the same mapper, reducer and
+// combiner; they differ only in the message a vertex sends, how messages
+// fold, and how the reducer updates the vertex.
+//
 // EVO uses the Hadoop distributed-cache idiom: the immutable graph is
 // shipped to every mapper as a side file, fires are the mapped records.
 
@@ -39,8 +44,6 @@ struct ChainStats {
   uint64_t total_spill_bytes = 0;
   uint64_t total_shuffle_bytes = 0;
   uint64_t total_output_bytes = 0;
-  uint64_t total_input_records = 0;
-  double total_seconds = 0.0;
   /// Jobs whose map phase was skipped by restoring a spill manifest (see
   /// JobConfig::checkpoint_map_stage).
   uint32_t map_stages_recovered = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <queue>
 #include <thread>
 
@@ -31,11 +32,6 @@ uint64_t Counters::Get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = values_.find(name);
   return it == values_.end() ? 0 : it->second;
-}
-
-std::map<std::string, uint64_t> Counters::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return values_;
 }
 
 void Counters::Reset() {
@@ -104,12 +100,12 @@ class SpillBuffer {
   std::vector<std::string> run_paths_;
 };
 
-// Emitter routing to per-reducer spill buffers by key hash.
+// Emitter routing to per-reducer spill buffers by key hash; counts the map
+// task's output records into its stats.
 class PartitionedEmitter : public Emitter {
  public:
-  PartitionedEmitter(std::vector<SpillBuffer>* buffers, JobStats* stats,
-                     std::atomic<uint64_t>* emitted)
-      : buffers_(buffers), stats_(stats), emitted_(emitted) {}
+  PartitionedEmitter(std::vector<SpillBuffer>* buffers, JobStats* stats)
+      : buffers_(buffers), stats_(stats) {}
 
   void Emit(uint64_t key, const std::string& value) override {
     uint64_t h = (key + 1) * 0x9E3779B97F4A7C15ULL;
@@ -119,7 +115,7 @@ class PartitionedEmitter : public Emitter {
       // Spill failures surface when runs are collected; remember the first.
       if (error_.ok()) error_ = s;
     }
-    emitted_->fetch_add(1, std::memory_order_relaxed);
+    ++stats_->map_output_records;
   }
 
   const Status& error() const { return error_; }
@@ -127,7 +123,6 @@ class PartitionedEmitter : public Emitter {
  private:
   std::vector<SpillBuffer>* buffers_;
   JobStats* stats_;
-  std::atomic<uint64_t>* emitted_;
   Status error_;
 };
 
@@ -171,7 +166,6 @@ void SpillBuffer::RunCombiner(JobStats* stats) {
 struct MergeSource {
   std::unique_ptr<RecordFileReader> reader;
   Record current;
-  bool done = false;
 };
 
 // ------------------------------------------- map-stage checkpoint manifest
@@ -273,16 +267,288 @@ bool TryRestoreMapManifest(const std::string& path,
   auto stats_raw = reader->Section("stats");
   if (!stats_raw.ok()) return false;
   CheckpointDecoder stat_dec(*stats_raw);
-  if (!stat_dec.GetU64(&stats->input_records) ||
-      !stat_dec.GetU64(&stats->map_output_records) ||
-      !stat_dec.GetU64(&stats->combined_records) ||
-      !stat_dec.GetU64(&stats->spill_bytes) ||
-      !stat_dec.GetU32(&stats->spill_files) ||
-      !stat_dec.GetDouble(&stats->map_seconds)) {
+  JobStats map_stats;
+  if (!stat_dec.GetU64(&map_stats.input_records) ||
+      !stat_dec.GetU64(&map_stats.map_output_records) ||
+      !stat_dec.GetU64(&map_stats.combined_records) ||
+      !stat_dec.GetU64(&map_stats.spill_bytes) ||
+      !stat_dec.GetU32(&map_stats.spill_files) ||
+      !stat_dec.GetDouble(&map_stats.map_seconds)) {
     return false;
   }
   *runs = std::move(restored);
+  *stats = map_stats;
   return true;
+}
+
+// Waits for every task before acting on failures: queued tasks reference
+// the submitting frame, so returning on the first failed future would leave
+// still-running tasks with dangling captures. Returns the first error.
+Status WaitAll(std::vector<std::future<Status>>& tasks) {
+  Status first = Status::OK();
+  for (auto& task : tasks) {
+    Status s = task.get();
+    if (first.ok()) first = std::move(s);
+  }
+  return first;
+}
+
+// One call of Job::Run. The phases are methods over the state they share:
+// Map (restore the map stage from its manifest, or run the map tasks and
+// record one), ShuffleReduce (one reduce task per part file) and Cleanup.
+class JobRun {
+ public:
+  JobRun(const JobConfig& config, const MapperFactory& mapper_factory,
+         const ReducerFactory& reducer_factory,
+         const ReducerFactory& combiner_factory,
+         const std::vector<std::string>& inputs, const std::string& output_dir,
+         ThreadPool* pool, Counters* counters)
+      : config_(config),
+        mapper_factory_(mapper_factory),
+        reducer_factory_(reducer_factory),
+        combiner_factory_(combiner_factory),
+        inputs_(inputs),
+        output_dir_(output_dir),
+        pool_(pool),
+        counters_(counters),
+        mappers_(std::max(1u, config.num_mappers)),
+        reducers_(std::max(1u, config.num_reducers)),
+        // Checkpointed spill runs live under the output directory rather
+        // than the shared scratch, so chained jobs can't clobber them and a
+        // re-run of this job finds them where the manifest says.
+        manifest_path_(output_dir + "/" + kMapManifestName),
+        spill_dir_(config.checkpoint_map_stage ? output_dir + "/.map-runs"
+                                               : config.scratch_dir),
+        runs_(static_cast<size_t>(mappers_) * reducers_),
+        outputs_(reducers_) {}
+
+  Status Map();
+  Status ShuffleReduce();
+  // Removes the spill runs; the job completed, so the manifest (if any) is
+  // obsolete.
+  void Cleanup();
+
+  const JobStats& stats() const { return stats_; }
+  std::vector<std::string> TakeOutputs() { return std::move(outputs_); }
+
+ private:
+  // The spill runs mapper `m` wrote for reducer `r`.
+  std::vector<std::string>& RunsOf(uint32_t m, uint32_t r) {
+    return runs_[static_cast<size_t>(m) * reducers_ + r];
+  }
+  Status MapTask(uint32_t m, const std::vector<std::string>& split,
+                 JobStats* stats);
+  Status ReduceTask(uint32_t r, JobStats* stats);
+
+  const JobConfig& config_;
+  const MapperFactory& mapper_factory_;
+  const ReducerFactory& reducer_factory_;
+  const ReducerFactory& combiner_factory_;
+  const std::vector<std::string>& inputs_;
+  const std::string& output_dir_;
+  ThreadPool* pool_;
+  Counters* counters_;
+  const uint32_t mappers_;
+  const uint32_t reducers_;
+  const std::string manifest_path_;
+  const std::string spill_dir_;
+  std::vector<std::vector<std::string>> runs_;  // [mapper * reducers + r]
+  std::vector<std::string> outputs_;
+  JobStats stats_;
+};
+
+Status JobRun::Map() {
+  std::string fingerprint;
+  if (config_.checkpoint_map_stage) {
+    std::error_code ec;
+    fs::create_directories(spill_dir_, ec);
+    fingerprint = ManifestFingerprint(config_, inputs_);
+    if (TryRestoreMapManifest(manifest_path_, fingerprint, runs_.size(),
+                              &runs_, &stats_)) {
+      stats_.map_stage_recovered = true;
+      metrics::AddCounter("mapreduce.map_stages_recovered");
+      return Status::OK();
+    }
+  }
+  Stopwatch watch;
+  trace::TraceSpan span("mapreduce.map", "mapreduce");
+  perf::SpanCounters span_counters(&span);
+  span.SetAttribute("mappers", uint64_t{mappers_});
+  // Split inputs across mappers round-robin by file; files are the natural
+  // split unit since the driver writes one part per previous reducer.
+  std::vector<std::vector<std::string>> splits(mappers_);
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    splits[i % mappers_].push_back(inputs_[i]);
+  }
+  // Per-task stats, merged afterwards to avoid locking.
+  std::vector<JobStats> task_stats(mappers_);
+  std::vector<std::future<Status>> tasks;
+  for (uint32_t m = 0; m < mappers_; ++m) {
+    tasks.push_back(pool_->Submit(
+        [this, m, &splits, &task_stats] {
+          return MapTask(m, splits[m], &task_stats[m]);
+        }));
+  }
+  GLY_RETURN_NOT_OK(WaitAll(tasks));
+  stats_.map_seconds = watch.ElapsedSeconds();
+  for (const JobStats& ts : task_stats) {
+    stats_.input_records += ts.input_records;
+    stats_.map_output_records += ts.map_output_records;
+    stats_.spill_bytes += ts.spill_bytes;
+    stats_.spill_files += ts.spill_files;
+    stats_.combined_records += ts.combined_records;
+  }
+  span.SetAttribute("input_records", stats_.input_records);
+  span.SetAttribute("spill_bytes", stats_.spill_bytes);
+  metrics::AddCounter("mapreduce.spill_bytes", stats_.spill_bytes);
+
+  if (config_.checkpoint_map_stage) {
+    // Best-effort: a failed manifest write only means a future re-run pays
+    // the map phase again.
+    Status manifest =
+        WriteMapManifest(manifest_path_, fingerprint, runs_, stats_);
+    if (!manifest.ok()) {
+      GLY_LOG_WARN << "mapreduce: map manifest write failed: "
+                   << manifest.ToString();
+    }
+  }
+  return Status::OK();
+}
+
+Status JobRun::MapTask(uint32_t m, const std::vector<std::string>& split,
+                       JobStats* stats) {
+  // Injected task attempt failure (the Hadoop "task attempt died" mode);
+  // the whole job fails, as it would with task retries off.
+  GLY_FAULT_POINT("mapreduce.map.task");
+  GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+  auto mapper = mapper_factory_();
+  std::unique_ptr<Reducer> combiner =
+      combiner_factory_ ? combiner_factory_() : nullptr;
+  std::vector<SpillBuffer> buffers;
+  buffers.reserve(reducers_);
+  for (uint32_t r = 0; r < reducers_; ++r) {
+    buffers.emplace_back(spill_dir_ + StringPrintf("/map-%05u-r-%05u", m, r),
+                         config_.sort_buffer_bytes, combiner.get(), counters_);
+  }
+  PartitionedEmitter emitter(&buffers, stats);
+  uint64_t records_since_poll = 0;
+  for (const std::string& path : split) {
+    GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+    GLY_ASSIGN_OR_RETURN(RecordFileReader reader, RecordFileReader::Open(path));
+    Record record;
+    for (;;) {
+      GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
+      if (!more) break;
+      if (++records_since_poll >= 4096) {
+        records_since_poll = 0;
+        GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+      }
+      ++stats->input_records;
+      mapper->Map(record, &emitter, counters_);
+    }
+  }
+  GLY_RETURN_NOT_OK(emitter.error());
+  for (uint32_t r = 0; r < reducers_; ++r) {
+    GLY_RETURN_NOT_OK(buffers[r].Spill(stats));
+    RunsOf(m, r) = buffers[r].run_paths();
+  }
+  if (config_.cancel != nullptr) config_.cancel->Heartbeat();
+  return Status::OK();
+}
+
+Status JobRun::ShuffleReduce() {
+  trace::TraceSpan span("mapreduce.shuffle_reduce", "mapreduce");
+  perf::SpanCounters span_counters(&span);
+  span.SetAttribute("reducers", uint64_t{reducers_});
+  std::vector<JobStats> task_stats(reducers_);
+  std::vector<std::future<Status>> tasks;
+  for (uint32_t r = 0; r < reducers_; ++r) {
+    tasks.push_back(pool_->Submit(
+        [this, r, &task_stats] { return ReduceTask(r, &task_stats[r]); }));
+  }
+  GLY_RETURN_NOT_OK(WaitAll(tasks));
+  for (const JobStats& ts : task_stats) {
+    stats_.shuffle_bytes += ts.shuffle_bytes;
+    stats_.output_bytes += ts.output_bytes;
+  }
+  span.SetAttribute("shuffle_bytes", stats_.shuffle_bytes);
+  metrics::AddCounter("mapreduce.shuffle_bytes", stats_.shuffle_bytes);
+  return Status::OK();
+}
+
+Status JobRun::ReduceTask(uint32_t r, JobStats* stats) {
+  GLY_FAULT_POINT("mapreduce.reduce.task");
+  GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+  // Gather this reducer's run files from every mapper.
+  std::vector<MergeSource> sources;
+  for (uint32_t m = 0; m < mappers_; ++m) {
+    for (const std::string& path : RunsOf(m, r)) {
+      MergeSource src;
+      GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
+                           RecordFileReader::Open(path));
+      src.reader = std::make_unique<RecordFileReader>(std::move(reader));
+      GLY_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.current));
+      if (more) sources.push_back(std::move(src));
+    }
+  }
+  // K-way merge by key.
+  auto cmp = [&sources](size_t a, size_t b) {
+    return sources[a].current.key > sources[b].current.key;
+  };
+  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
+  for (size_t i = 0; i < sources.size(); ++i) heap.push(i);
+
+  auto reducer = reducer_factory_();
+  std::string out_path = output_dir_ + StringPrintf("/part-%05u", r);
+  GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
+                       RecordFileWriter::Open(out_path));
+  VectorEmitter out;
+  uint64_t current_key = 0;
+  std::vector<std::string> group;
+  auto flush_group = [&]() -> Status {
+    if (group.empty()) return Status::OK();
+    GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+    reducer->Reduce(current_key, group, &out, counters_);
+    for (const Record& rec : out.records()) {
+      GLY_RETURN_NOT_OK(writer.Append(rec));
+    }
+    out.records().clear();
+    group.clear();
+    return Status::OK();
+  };
+  while (!heap.empty()) {
+    size_t i = heap.top();
+    heap.pop();
+    Record& rec = sources[i].current;
+    stats->shuffle_bytes +=
+        sizeof(uint64_t) + sizeof(uint32_t) + rec.value.size();
+    if (!group.empty() && rec.key != current_key) {
+      GLY_RETURN_NOT_OK(flush_group());
+    }
+    current_key = rec.key;
+    group.push_back(std::move(rec.value));
+    GLY_ASSIGN_OR_RETURN(bool more, sources[i].reader->Next(&rec));
+    if (more) heap.push(i);
+  }
+  GLY_RETURN_NOT_OK(flush_group());
+  GLY_RETURN_NOT_OK(writer.Close());
+  stats->output_bytes = writer.bytes_written();
+  outputs_[r] = out_path;
+  if (config_.cancel != nullptr) config_.cancel->Heartbeat();
+  return Status::OK();
+}
+
+void JobRun::Cleanup() {
+  std::error_code ec;
+  if (config_.checkpoint_map_stage) {
+    fs::remove(manifest_path_, ec);
+    fs::remove(manifest_path_ + ".tmp", ec);
+    fs::remove_all(spill_dir_, ec);
+    return;
+  }
+  for (const auto& runs : runs_) {
+    for (const std::string& path : runs) fs::remove(path, ec);
+  }
 }
 
 }  // namespace
@@ -304,249 +570,23 @@ Result<std::vector<std::string>> Job::Run(
   fs::create_directories(config_.scratch_dir, ec);
   fs::create_directories(output_dir, ec);
 
-  JobStats stats;
   trace::TraceSpan job_span("mapreduce.job", "mapreduce");
   perf::SpanCounters job_counters(&job_span);
   metrics::AddCounter("mapreduce.jobs");
   GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-  const uint32_t mappers = std::max(1u, config_.num_mappers);
-  const uint32_t reducers = std::max(1u, config_.num_reducers);
-
   // Simulated job submission + scheduling latency.
   if (config_.job_startup_s > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(config_.job_startup_s));
   }
 
-  // Map-stage checkpoint locations. Checkpointed spill runs live under the
-  // output directory rather than the shared scratch, so chained jobs can't
-  // clobber them and a re-run of this job finds them where the manifest
-  // says.
-  const std::string manifest_path =
-      output_dir + "/" + kMapManifestName;
-  const std::string spill_dir = config_.checkpoint_map_stage
-                                    ? output_dir + "/.map-runs"
-                                    : config_.scratch_dir;
-  std::string fingerprint;
-  if (config_.checkpoint_map_stage) {
-    fs::create_directories(spill_dir, ec);
-    fingerprint = ManifestFingerprint(config_, input_paths);
-  }
-
-  // ------------------------------------------------------------- map phase
-  std::vector<std::vector<std::string>> mapper_runs(
-      static_cast<size_t>(mappers) * reducers);
-  const bool map_recovered =
-      config_.checkpoint_map_stage &&
-      TryRestoreMapManifest(manifest_path, fingerprint, mapper_runs.size(),
-                            &mapper_runs, &stats);
-  stats.map_stage_recovered = map_recovered;
-  if (map_recovered) metrics::AddCounter("mapreduce.map_stages_recovered");
-  if (!map_recovered) {
-    Stopwatch map_watch;
-    trace::TraceSpan map_span("mapreduce.map", "mapreduce");
-    perf::SpanCounters map_counters(&map_span);
-    map_span.SetAttribute("mappers", uint64_t{mappers});
-    // Split inputs across mappers round-robin by file; files are the
-    // natural split unit since the driver writes one part per previous
-    // reducer.
-    std::vector<std::vector<std::string>> splits(mappers);
-    for (size_t i = 0; i < input_paths.size(); ++i) {
-      splits[i % mappers].push_back(input_paths[i]);
-    }
-
-    // Per-mapper stats merged afterwards to avoid locking.
-    std::vector<JobStats> mapper_stats(mappers);
-    std::atomic<uint64_t> input_records{0};
-    std::atomic<uint64_t> map_output{0};
-
-    std::vector<std::future<Status>> map_tasks;
-    for (uint32_t m = 0; m < mappers; ++m) {
-      map_tasks.push_back(pool->Submit([&, m]() -> Status {
-        // Injected task attempt failure (the Hadoop "task attempt died"
-        // mode); the whole job fails, as it would with task retries off.
-        GLY_FAULT_POINT("mapreduce.map.task");
-        GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-        auto mapper = mapper_factory_();
-        std::unique_ptr<Reducer> combiner =
-            combiner_factory_ ? combiner_factory_() : nullptr;
-        std::vector<SpillBuffer> buffers;
-        buffers.reserve(reducers);
-        for (uint32_t r = 0; r < reducers; ++r) {
-          buffers.emplace_back(
-              spill_dir + StringPrintf("/map-%05u-r-%05u", m, r),
-              config_.sort_buffer_bytes, combiner.get(), counters);
-        }
-        PartitionedEmitter emitter(&buffers, &mapper_stats[m], &map_output);
-        uint64_t records_since_poll = 0;
-        for (const std::string& path : splits[m]) {
-          GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-          GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
-                               RecordFileReader::Open(path));
-          Record record;
-          for (;;) {
-            GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
-            if (!more) break;
-            if (++records_since_poll >= 4096) {
-              records_since_poll = 0;
-              GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-            }
-            input_records.fetch_add(1, std::memory_order_relaxed);
-            mapper->Map(record, &emitter, counters);
-          }
-        }
-        GLY_RETURN_NOT_OK(emitter.error());
-        for (uint32_t r = 0; r < reducers; ++r) {
-          GLY_RETURN_NOT_OK(buffers[r].Spill(&mapper_stats[m]));
-          mapper_runs[static_cast<size_t>(m) * reducers + r] =
-              buffers[r].run_paths();
-        }
-        if (config_.cancel != nullptr) config_.cancel->Heartbeat();
-        return Status::OK();
-      }));
-    }
-    // Drain every task before acting on failures: queued lambdas reference
-    // this frame's locals (and this Job), so an early return on the first
-    // failed future would leave still-running tasks with dangling captures.
-    Status map_status = Status::OK();
-    for (auto& t : map_tasks) {
-      Status s = t.get();
-      if (map_status.ok()) map_status = std::move(s);
-    }
-    GLY_RETURN_NOT_OK(map_status);
-    stats.map_seconds = map_watch.ElapsedSeconds();
-    stats.input_records = input_records.load();
-    stats.map_output_records = map_output.load();
-    for (const JobStats& ms : mapper_stats) {
-      stats.spill_bytes += ms.spill_bytes;
-      stats.spill_files += ms.spill_files;
-      stats.combined_records += ms.combined_records;
-    }
-    map_span.SetAttribute("input_records", stats.input_records);
-    map_span.SetAttribute("spill_bytes", stats.spill_bytes);
-    metrics::AddCounter("mapreduce.spill_bytes", stats.spill_bytes);
-
-    if (config_.checkpoint_map_stage) {
-      // Best-effort: a failed manifest write only means a future re-run
-      // pays the map phase again.
-      Status manifest =
-          WriteMapManifest(manifest_path, fingerprint, mapper_runs, stats);
-      if (!manifest.ok()) {
-        GLY_LOG_WARN << "mapreduce: map manifest write failed: "
-                     << manifest.ToString();
-      }
-    }
-  }
-
-  // -------------------------------------------------- shuffle+reduce phase
-  Stopwatch reduce_watch;
-  std::vector<std::string> output_paths(reducers);
-  std::vector<JobStats> reducer_stats(reducers);
-  {
-  trace::TraceSpan reduce_span("mapreduce.shuffle_reduce", "mapreduce");
-  perf::SpanCounters reduce_counters(&reduce_span);
-  reduce_span.SetAttribute("reducers", uint64_t{reducers});
-  std::vector<std::future<Status>> reduce_tasks;
-  for (uint32_t r = 0; r < reducers; ++r) {
-    reduce_tasks.push_back(pool->Submit([&, r]() -> Status {
-      GLY_FAULT_POINT("mapreduce.reduce.task");
-      GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-      // Gather this reducer's run files from every mapper.
-      std::vector<MergeSource> sources;
-      for (uint32_t m = 0; m < mappers; ++m) {
-        for (const std::string& path :
-             mapper_runs[static_cast<size_t>(m) * reducers + r]) {
-          MergeSource src;
-          GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
-                               RecordFileReader::Open(path));
-          src.reader = std::make_unique<RecordFileReader>(std::move(reader));
-          GLY_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.current));
-          src.done = !more;
-          if (!src.done) sources.push_back(std::move(src));
-        }
-      }
-      // K-way merge by key.
-      auto cmp = [&sources](size_t a, size_t b) {
-        return sources[a].current.key > sources[b].current.key;
-      };
-      std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
-      for (size_t i = 0; i < sources.size(); ++i) heap.push(i);
-
-      auto reducer = reducer_factory_();
-      std::string out_path =
-          output_dir + StringPrintf("/part-%05u", r);
-      GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
-                           RecordFileWriter::Open(out_path));
-      VectorEmitter out_emitter;
-
-      uint64_t current_key = 0;
-      std::vector<std::string> group;
-      auto flush_group = [&]() -> Status {
-        if (group.empty()) return Status::OK();
-        GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-        reducer->Reduce(current_key, group, &out_emitter, counters);
-        for (const Record& rec : out_emitter.records()) {
-          GLY_RETURN_NOT_OK(writer.Append(rec));
-          ++reducer_stats[r].reduce_output_records;
-        }
-        out_emitter.records().clear();
-        group.clear();
-        return Status::OK();
-      };
-
-      while (!heap.empty()) {
-        size_t i = heap.top();
-        heap.pop();
-        Record& rec = sources[i].current;
-        reducer_stats[r].shuffle_bytes +=
-            sizeof(uint64_t) + sizeof(uint32_t) + rec.value.size();
-        if (!group.empty() && rec.key != current_key) {
-          GLY_RETURN_NOT_OK(flush_group());
-        }
-        current_key = rec.key;
-        group.push_back(std::move(rec.value));
-        GLY_ASSIGN_OR_RETURN(bool more, sources[i].reader->Next(&rec));
-        if (more) heap.push(i);
-      }
-      GLY_RETURN_NOT_OK(flush_group());
-      GLY_RETURN_NOT_OK(writer.Close());
-      reducer_stats[r].output_bytes = writer.bytes_written();
-      output_paths[r] = out_path;
-      if (config_.cancel != nullptr) config_.cancel->Heartbeat();
-      return Status::OK();
-    }));
-  }
-  Status reduce_status = Status::OK();
-  for (auto& t : reduce_tasks) {
-    Status s = t.get();
-    if (reduce_status.ok()) reduce_status = std::move(s);
-  }
-  GLY_RETURN_NOT_OK(reduce_status);
-  stats.shuffle_reduce_seconds = reduce_watch.ElapsedSeconds();
-  for (const JobStats& rs : reducer_stats) {
-    stats.shuffle_bytes += rs.shuffle_bytes;
-    stats.output_bytes += rs.output_bytes;
-    stats.reduce_output_records += rs.reduce_output_records;
-  }
-  reduce_span.SetAttribute("shuffle_bytes", stats.shuffle_bytes);
-  metrics::AddCounter("mapreduce.shuffle_bytes", stats.shuffle_bytes);
-  }  // mapreduce.shuffle_reduce span
-
-  // Clean spills; the job completed, so the manifest (if any) is obsolete.
-  if (config_.checkpoint_map_stage) {
-    fs::remove(manifest_path, ec);
-    fs::remove(manifest_path + ".tmp", ec);
-    fs::remove_all(spill_dir, ec);
-  } else {
-    for (const auto& runs : mapper_runs) {
-      for (const std::string& path : runs) {
-        fs::remove(path, ec);
-      }
-    }
-  }
-
-  if (stats_out != nullptr) *stats_out = stats;
-  return output_paths;
+  JobRun run(config_, mapper_factory_, reducer_factory_, combiner_factory_,
+             input_paths, output_dir, pool, counters);
+  GLY_RETURN_NOT_OK(run.Map());
+  GLY_RETURN_NOT_OK(run.ShuffleReduce());
+  run.Cleanup();
+  if (stats_out != nullptr) *stats_out = run.stats();
+  return run.TakeOutputs();
 }
 
 }  // namespace gly::mapreduce

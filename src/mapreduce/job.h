@@ -23,7 +23,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,7 +43,6 @@ class Counters {
  public:
   void Increment(const std::string& name, uint64_t delta = 1);
   uint64_t Get(const std::string& name) const;
-  std::map<std::string, uint64_t> Snapshot() const;
   void Reset();
 
  private:
@@ -86,10 +84,6 @@ struct JobConfig {
   /// Scratch directory for spills and shuffle files (required).
   std::string scratch_dir;
 
-  /// Optional disk throttle (MiB/s per job, 0 = disabled). Left 0 by
-  /// default: the real file I/O is the authentic cost.
-  double disk_mib_per_s = 0.0;
-
   /// Simulated per-job startup latency (seconds): Hadoop's job submission,
   /// scheduling, and task-container spawning overhead, paid by every job in
   /// an iterative chain. A large part of why "MapReduce can be two orders
@@ -119,12 +113,10 @@ struct JobStats {
   uint64_t input_records = 0;
   uint64_t map_output_records = 0;
   uint64_t combined_records = 0;   // records after combiner
-  uint64_t reduce_output_records = 0;
   uint64_t spill_bytes = 0;        // bytes written to run files
   uint64_t shuffle_bytes = 0;      // bytes read back during merge
   uint64_t output_bytes = 0;
   double map_seconds = 0.0;
-  double shuffle_reduce_seconds = 0.0;
   uint32_t spill_files = 0;
   /// True when the map phase was skipped by restoring a spill manifest
   /// left by a crashed prior run (map-phase fields reflect the original

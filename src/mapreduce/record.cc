@@ -21,7 +21,6 @@ Status RecordFileWriter::Append(uint64_t key, const std::string& value) {
   out_.write(value.data(), len);
   if (!out_) return Status::IOError("write failed: " + path_);
   bytes_ += sizeof(key) + sizeof(len) + len;
-  ++records_;
   return Status::OK();
 }
 
@@ -58,7 +57,6 @@ Result<bool> RecordFileReader::Next(Record* out) {
       return Status::IOError("truncated record value in " + path_);
     }
   }
-  bytes_ += sizeof(key) + sizeof(len) + len;
   return true;
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,68 +26,6 @@ struct Record {
   }
 };
 
-/// Appends primitive values to a byte-string (little-endian).
-class ValueWriter {
- public:
-  explicit ValueWriter(std::string* out) : out_(out) {}
-
-  void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
-  void PutBytes(const void* data, size_t len) {
-    PutU32(static_cast<uint32_t>(len));
-    PutRaw(data, len);
-  }
-
- private:
-  void PutRaw(const void* data, size_t len) {
-    out_->append(reinterpret_cast<const char*>(data), len);
-  }
-  std::string* out_;
-};
-
-/// Reads primitive values back out of a byte-string.
-class ValueReader {
- public:
-  explicit ValueReader(const std::string& data) : data_(data) {}
-
-  bool AtEnd() const { return pos_ >= data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Result<uint32_t> GetU32() { return Get<uint32_t>(); }
-  Result<uint64_t> GetU64() { return Get<uint64_t>(); }
-  Result<int64_t> GetI64() { return Get<int64_t>(); }
-  Result<double> GetDouble() { return Get<double>(); }
-
-  /// Reads a length-prefixed byte span (points into the backing string).
-  Result<std::string_view> GetBytes() {
-    auto len = GetU32();
-    if (!len.ok()) return len.status();
-    if (pos_ + *len > data_.size()) {
-      return Status::InvalidArgument("value truncated");
-    }
-    std::string_view out(data_.data() + pos_, *len);
-    pos_ += *len;
-    return out;
-  }
-
- private:
-  template <typename T>
-  Result<T> Get() {
-    if (pos_ + sizeof(T) > data_.size()) {
-      return Status::InvalidArgument("value truncated");
-    }
-    T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
 /// Sequential writer of record files.
 class RecordFileWriter {
  public:
@@ -102,7 +39,6 @@ class RecordFileWriter {
   Status Close();
 
   uint64_t bytes_written() const { return bytes_; }
-  uint64_t records_written() const { return records_; }
 
  private:
   explicit RecordFileWriter(std::ofstream out, std::string path)
@@ -110,7 +46,6 @@ class RecordFileWriter {
   std::ofstream out_;
   std::string path_;
   uint64_t bytes_ = 0;
-  uint64_t records_ = 0;
 };
 
 /// Sequential reader of record files.
@@ -121,14 +56,11 @@ class RecordFileReader {
   /// Reads the next record; returns false at EOF.
   Result<bool> Next(Record* out);
 
-  uint64_t bytes_read() const { return bytes_; }
-
  private:
   explicit RecordFileReader(std::ifstream in, std::string path)
       : in_(std::move(in)), path_(std::move(path)) {}
   std::ifstream in_;
   std::string path_;
-  uint64_t bytes_ = 0;
 };
 
 /// Reads an entire record file into memory (tests, small outputs).

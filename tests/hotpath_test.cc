@@ -16,8 +16,11 @@
 // The rows were produced by the heap paths (EngineConfig::num_threads and
 // ContextConfig::num_partitions as in each row, everything else default)
 // before they were deleted; the graphdb rows by the per-record page-cache
-// lookups that page cursors replaced. A mismatch prints the actual row in
-// table syntax; regenerate a row only for a deliberate change of results.
+// lookups that page cursors replaced; the MapReduce rows by the per-
+// algorithm mapper, reducer and combiner classes that one vertex-program
+// shape replaced (spill, shuffle and output byte counts included). A
+// mismatch prints the actual row in table syntax; regenerate a row only for
+// a deliberate change of results.
 
 #include <gtest/gtest.h>
 
@@ -43,6 +46,7 @@
 #include "graphdb/page_cache.h"
 #include "graphdb/store.h"
 #include "harness/validator.h"
+#include "mapreduce/graph_jobs.h"
 #include "pregel/algorithms.h"
 
 namespace gly {
@@ -384,6 +388,90 @@ TEST(DataflowHotpathParity, CancellationStopsPooledRuns) {
   canceller.join();
   EXPECT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsTimeout()) << out.status().ToString();
+}
+
+// --------------------------------------------------------------- MapReduce
+
+// One frozen MapReduce chain: the output checksum plus the chain's job
+// count and disk volumes. Equal byte counts mean every job spilled,
+// shuffled and wrote back the same records: the per-iteration rewrite of
+// the whole graph state that sets MapReduce's Figure 4 runtimes. PR, STATS
+// and EVO checksums differ between 1 and 3 workers: floats fold in merge
+// order, and EVO's new edges are read back in part-file order.
+struct MapReduceRow {
+  AlgorithmKind kind;
+  uint32_t workers;
+  uint32_t checksum;
+  uint64_t traversed_edges;
+  uint32_t jobs_run;
+  uint64_t spill_bytes;
+  uint64_t shuffle_bytes;
+  uint64_t output_bytes;
+  bool operator==(const MapReduceRow&) const = default;
+};
+
+std::string ToString(const MapReduceRow& r) {
+  char buf[200];
+  std::snprintf(buf, sizeof(buf),
+                "{%s, %u, 0x%08xu, %lluu, %u, %lluu, %lluu, %lluu}",
+                KindEnum(r.kind).c_str(), r.workers, r.checksum,
+                static_cast<unsigned long long>(r.traversed_edges),
+                r.jobs_run, static_cast<unsigned long long>(r.spill_bytes),
+                static_cast<unsigned long long>(r.shuffle_bytes),
+                static_cast<unsigned long long>(r.output_bytes));
+  return buf;
+}
+
+constexpr MapReduceRow kMapReduceGolden[] = {
+    {AlgorithmKind::kBfs, 1, 0xd7882d3du, 9740u, 4, 352056u, 352056u, 244640u},
+    {AlgorithmKind::kBfs, 3, 0xd7882d3du, 9740u, 4, 339470u, 339470u, 244640u},
+    {AlgorithmKind::kConn, 1, 0x284d4c20u, 28035u, 4, 501870u, 501870u,
+     244640u},
+    {AlgorithmKind::kConn, 3, 0x284d4c20u, 28035u, 4, 414783u, 414783u,
+     244640u},
+    {AlgorithmKind::kPr, 1, 0x79117549u, 77920u, 8, 1184352u, 1184352u,
+     489280u},
+    {AlgorithmKind::kPr, 3, 0xf3da9479u, 77920u, 8, 900993u, 900993u, 489280u},
+    {AlgorithmKind::kCd, 1, 0x284d4c20u, 58440u, 6, 2061720u, 2061720u,
+     366960u},
+    {AlgorithmKind::kCd, 3, 0x284d4c20u, 58440u, 6, 2061720u, 2061720u,
+     366960u},
+    {AlgorithmKind::kStats, 1, 0x7cd40f4fu, 9740u, 2, 1182865u, 1182865u,
+     61189u},
+    {AlgorithmKind::kStats, 3, 0x14c54d65u, 9740u, 2, 1182923u, 1182923u,
+     61189u},
+    {AlgorithmKind::kEvo, 1, 0xd48838d0u, 22u, 1, 638u, 638u, 638u},
+    {AlgorithmKind::kEvo, 3, 0x7851d192u, 22u, 1, 638u, 638u, 638u},
+};
+
+TEST(MapReduceHotpathParity, ChainsMatchFrozenRows) {
+  AlgorithmParams params = TestParams();
+  params.evo.num_new_vertices = 16;
+  for (const MapReduceRow& golden : kMapReduceGolden) {
+    auto dir = TempDir::Create("gly-hotpath-mr");
+    ASSERT_TRUE(dir.ok());
+    // A 64 KiB sort buffer spills several runs per (mapper, reducer) pair,
+    // so every spill also runs the combiner.
+    mapreduce::PlatformConfig config;
+    config.job.num_mappers = golden.workers;
+    config.job.num_reducers = golden.workers;
+    config.job.sort_buffer_bytes = 64 << 10;
+    config.job.scratch_dir = dir->path() + "/scratch";
+    config.work_dir = dir->path() + "/work";
+    mapreduce::ChainStats stats;
+    auto out = mapreduce::RunAlgorithm(config, TestGraph(), golden.kind,
+                                       params, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const MapReduceRow actual{golden.kind,
+                              golden.workers,
+                              harness::OutputChecksum(*out),
+                              out->traversed_edges,
+                              stats.jobs_run,
+                              stats.total_spill_bytes,
+                              stats.total_shuffle_bytes,
+                              stats.total_output_bytes};
+    EXPECT_EQ(actual, golden) << "actual row: " << ToString(actual);
+  }
 }
 
 // ----------------------------------------------------------------- Graphdb

@@ -1,10 +1,11 @@
-// Tests for the MapReduce engine: record files, serialization, job
-// execution (spill/shuffle/combine), counters, and the algorithm chains.
+// Tests for the MapReduce engine: record files, job execution
+// (spill/shuffle/combine), counters, and the algorithm chains.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/temp_dir.h"
@@ -45,30 +46,6 @@ TEST(RecordFileTest, DetectsTruncation) {
   std::filesystem::resize_file(dir->File("t.bin"), 14);  // cut into value
   auto read = ReadAllRecords(dir->File("t.bin"));
   EXPECT_FALSE(read.ok());
-}
-
-TEST(ValueCodecTest, RoundTripsPrimitives) {
-  std::string buf;
-  ValueWriter w(&buf);
-  w.PutU32(7);
-  w.PutI64(-9);
-  w.PutDouble(2.5);
-  w.PutBytes("abc", 3);
-  ValueReader r(buf);
-  EXPECT_EQ(*r.GetU32(), 7u);
-  EXPECT_EQ(*r.GetI64(), -9);
-  EXPECT_DOUBLE_EQ(*r.GetDouble(), 2.5);
-  EXPECT_EQ(*r.GetBytes(), "abc");
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(ValueCodecTest, DetectsTruncation) {
-  std::string buf;
-  ValueWriter w(&buf);
-  w.PutU64(1);
-  buf.resize(4);
-  ValueReader r(buf);
-  EXPECT_FALSE(r.GetU64().ok());
 }
 
 // ------------------------------------------------------------------- jobs
@@ -307,6 +284,32 @@ TEST(MapReduceAlgorithmsTest, EvoMatchesReference) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(
       harness::ValidateOutput(g, AlgorithmKind::kEvo, params, *out).ok());
+}
+
+TEST(MapReduceAlgorithmsTest, FailedRunRemovesItsWorkDir) {
+  // A crashed reduce task fails the chain after the initial state and the
+  // first iteration's map runs are on disk. Without map-stage checkpoints
+  // nothing can reuse them, so the failed run removes its work dir; with
+  // them, the retry needs the manifest and runs, so the dir stays.
+  Graph g = RandomUndirected(100, 250, 28);
+  AlgorithmParams params;
+  params.bfs.source = 1;
+  for (bool checkpoint : {false, true}) {
+    auto dir = TempDir::Create("gly-mr");
+    ASSERT_TRUE(dir.ok());
+    PlatformConfig config = MakePlatformConfig(*dir);
+    config.job.checkpoint_map_stage = checkpoint;
+    fault::FaultPlan plan(/*seed=*/28);
+    plan.Add({.site = "mapreduce.reduce.task",
+              .kind = fault::FaultKind::kCrash,
+              .max_triggers = 1});
+    fault::ScopedFaultPlan active(&plan);
+    auto out = RunAlgorithm(config, g, AlgorithmKind::kBfs, params);
+    ASSERT_FALSE(out.ok());
+    EXPECT_TRUE(out.status().IsInternal()) << out.status().ToString();
+    EXPECT_EQ(std::filesystem::exists(config.work_dir), checkpoint)
+        << "checkpoint_map_stage = " << checkpoint;
+  }
 }
 
 TEST(MapReduceAlgorithmsTest, RequiresWorkDir) {
