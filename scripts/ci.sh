@@ -24,7 +24,10 @@
 #                    cancellation, the graph store (graphdb_test's page
 #                    cache, WAL torn-tail and recovery cases), the
 #                    MapReduce job engine (mapreduce_test's spill, combine
-#                    and k-way merge cases), the cross-engine
+#                    and k-way merge cases), the Output Validator
+#                    (validator_fuzz_test's perturbation sweep, its NaN
+#                    and inf cases, and the reference certificates and
+#                    their mutations), the cross-engine
 #                    kernel-conformance suites, and the golden hot-path
 #                    pins (recycled arenas, pooled partitions, striped
 #                    page cache, page cursors and their failure/
@@ -45,9 +48,13 @@
 #                    sweep ride the robustness label), the graph store
 #                    and the MapReduce job engine (graphdb_test and
 #                    mapreduce_test, also on the robustness label), the
+#                    validator and reference certificates
+#                    (validator_fuzz_test, robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
-#                    differential run, admission control, shared journal
-#                    writer), and the golden hot-path pins (one Pregel
+#                    differential run, each of which must compute every
+#                    expected output once while cells of a pair wait on
+#                    it, admission control, shared journal writer), and
+#                    the golden hot-path pins (one Pregel
 #                    compute task per worker on up to 8 threads, the
 #                    8-thread page-cache hammer, 8 threads walking chains
 #                    through page cursors) under the race detector, where

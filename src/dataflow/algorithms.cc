@@ -240,7 +240,8 @@ Result<AlgorithmOutput> RunCd(Context* ctx, const Graph& graph,
           [hop](uint64_t, const CdFlowValue& old, const Msg* m)
               -> std::pair<CdFlowValue, bool> {
             if (m == nullptr || m->empty()) return {old, true};
-            LabelScore adopted = CdAdoptLabel(*m, hop);
+            Msg incoming = *m;  // the rule reorders its argument
+            LabelScore adopted = CdAdoptLabel(incoming, hop);
             return {CdFlowValue{adopted.label, adopted.score}, true};
           }));
   AlgorithmOutput out;

@@ -92,6 +92,7 @@ Result<AlgorithmOutput> RunCd(GraphStore* store, bool undirected,
   std::vector<int64_t> new_labels(n);
   std::vector<double> new_scores(n);
   std::vector<VertexId> nbrs;
+  std::vector<LabelScore> incoming;
   uint64_t expanded = 0;
   for (uint32_t iter = 0; iter < params.max_iterations; ++iter) {
     for (VertexId v = 0; v < n; ++v) {
@@ -103,8 +104,7 @@ Result<AlgorithmOutput> RunCd(GraphStore* store, bool undirected,
         new_scores[v] = scores[v];
         continue;
       }
-      std::vector<LabelScore> incoming;
-      incoming.reserve(nbrs.size());
+      incoming.clear();
       for (VertexId w : nbrs) {
         incoming.push_back(LabelScore{labels[w], scores[w]});
       }

@@ -1,6 +1,7 @@
 #include "harness/core.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -219,19 +220,35 @@ struct GroupState {
   double load_seconds = 0.0;
 };
 
-/// One scheduler item: a matrix cell, pointing at its group and its slot
-/// in the (matrix-ordered) result vector.
+/// The expected output of one (dataset, algorithm) pair, shared by the
+/// pair's cells on every platform. The first cell that validates computes
+/// and certifies it under `once`; concurrent cells of the pair wait for
+/// that run. Every scheduled cell of the pair holds a claim until its
+/// attempts end, and the last claim frees the output.
+struct ExpectedOutput {
+  std::once_flag once;
+  AlgorithmOutput output;
+  Status certificate;
+  std::atomic<size_t> claims{0};
+};
+
+/// One scheduler item: a matrix cell, pointing at its group, its
+/// (dataset, algorithm) pair and its slot in the (matrix-ordered) result
+/// vector.
 struct CellRef {
   size_t slot = 0;
   size_t group = 0;
+  size_t pair = 0;
   AlgorithmKind algorithm = AlgorithmKind::kStats;
 };
 
-/// One cell in flight: its group (its own while the cell runs), its
-/// child tracer (null when tracing is off), and the result it fills in.
+/// One cell in flight: its group (its own while the cell runs), its pair's
+/// expected output, its child tracer (null when tracing is off), and the
+/// result it fills in.
 struct CellRun {
   GroupState& group;
   AlgorithmKind algorithm;
+  ExpectedOutput& expected;
   std::shared_ptr<trace::Tracer> tracer;
   BenchmarkResult result;
 };
@@ -390,7 +407,8 @@ class BenchmarkRun {
   // Builds the matrix in registration order — the scheduler claims items in
   // this order, so jobs = 1 is exactly the old serial execution. Cells
   // resumed from the journal are emitted up front and never scheduled; a
-  // dataset whose cells all resumed is never loaded at all.
+  // dataset whose cells all resumed is never loaded at all, and a pair
+  // whose cells all resumed never computes its expected output.
   void BuildMatrix() {
     constexpr size_t kNoGroup = static_cast<size_t>(-1);
     slots_.resize(spec_.platforms.size() * spec_.datasets.size() *
@@ -398,9 +416,11 @@ class BenchmarkRun {
     size_t slot = 0;
     const bool stopped_before_start = Cancelled(spec_.stop);
     for (const std::string& platform_name : spec_.platforms) {
-      for (const DatasetSpec& dataset : spec_.datasets) {
+      for (size_t d = 0; d < spec_.datasets.size(); ++d) {
+        const DatasetSpec& dataset = spec_.datasets[d];
         size_t group_id = kNoGroup;
-        for (AlgorithmKind algorithm : spec_.algorithms) {
+        for (size_t a = 0; a < spec_.algorithms.size(); ++a) {
+          const AlgorithmKind algorithm = spec_.algorithms[a];
           const size_t cell_slot = slot++;
           const std::string key =
               CellKey(platform_name, dataset.name, algorithm);
@@ -418,7 +438,9 @@ class BenchmarkRun {
           // Item ids are assigned densely in AddItem order, so cells_[item]
           // is this cell by construction.
           scheduler_.AddItem(group_id, key);
-          cells_.push_back({cell_slot, group_id, algorithm});
+          const size_t pair = d * spec_.algorithms.size() + a;
+          ++expected_[pair].claims;
+          cells_.push_back({cell_slot, group_id, pair, algorithm});
         }
       }
     }
@@ -510,7 +532,8 @@ class BenchmarkRun {
   // scheduler guarantees no concurrent cell shares the group state.
   void RunCell(size_t item_id) {
     const CellRef& ref = cells_[item_id];
-    CellRun cell{groups_[ref.group], ref.algorithm, nullptr, {}};
+    CellRun cell{groups_[ref.group], ref.algorithm, expected_[ref.pair],
+                 nullptr, {}};
     BenchmarkResult& result = cell.result;
     result.platform = cell.group.platform_name;
     result.graph = cell.group.dataset->name;
@@ -537,6 +560,11 @@ class BenchmarkRun {
       metrics::AddCounter("harness.cells");
       result.status = Refusal(cell.group, cell.algorithm);
       if (result.status.ok()) RunAttempts(cell);
+      // Succeeded, failed or refused, the cell is done with its pair's
+      // expected output; the pair's last claim frees it.
+      if (cell.expected.claims.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        cell.expected.output = AlgorithmOutput{};
+      }
     }
     if (cell.tracer != nullptr) {
       // Close the override first so nothing this thread does below lands in
@@ -741,7 +769,8 @@ class BenchmarkRun {
   // original vertex ids: reordered outputs are mapped back before both the
   // checksum and the validation, so a reordered run and a plain run that
   // computed the same answer fingerprint identically and validate against
-  // the same reference output, on the original graph.
+  // the same reference output, on the original graph. A reference output
+  // that fails its certificate fails every cell of the pair.
   void RecordAnswer(CellRun& cell, const AlgorithmOutput& output) {
     BenchmarkResult& result = cell.result;
     const DatasetSpec& dataset = *cell.group.dataset;
@@ -763,15 +792,33 @@ class BenchmarkRun {
     prof::ScopedProfilePhase validate_phase("harness.validate");
     trace::TraceSpan validate_span("harness.validate", "harness");
     perf::SpanCounters validate_counters(&validate_span);
-    const Graph& expected_on =
-        dataset.original != nullptr ? *dataset.original : *dataset.graph;
+    const ExpectedOutput& expected = Expected(cell);
     result.validation =
-        ValidateOutput(expected_on, cell.algorithm, dataset.params, *answer);
+        expected.certificate.ok()
+            ? ValidateAgainst(expected.output, *answer, cell.algorithm)
+            : expected.certificate;
     if (!result.validation.ok()) {
       GLY_LOG_ERROR << result.platform << "/" << result.graph << "/"
                     << AlgorithmKindName(cell.algorithm)
                     << " validation: " << result.validation.ToString();
     }
+  }
+
+  // The pair's expected output: the first cell to ask runs the reference on
+  // the original graph and certifies it; the pair's other cells, on any
+  // platform, wait for that run and share it.
+  const ExpectedOutput& Expected(CellRun& cell) {
+    ExpectedOutput& expected = cell.expected;
+    std::call_once(expected.once, [&] {
+      const DatasetSpec& dataset = *cell.group.dataset;
+      const Graph& graph =
+          dataset.original != nullptr ? *dataset.original : *dataset.graph;
+      expected.output = ref::Run(graph, cell.algorithm, dataset.params);
+      expected.certificate = CertifyReference(graph, cell.algorithm,
+                                              dataset.params, expected.output);
+      metrics::AddCounter("harness.reference_runs");
+    });
+    return expected;
   }
 
   // Per-cell sample attribution (jobs == 1 only): samples still queued from
@@ -932,6 +979,11 @@ class BenchmarkRun {
       .stop = spec_.stop}};
   std::vector<GroupState> groups_;
   std::vector<CellRef> cells_;
+  // One entry per (dataset, algorithm), dataset-major; BuildMatrix counts
+  // the claims, and the table's shape never changes.
+  std::vector<ExpectedOutput> expected_ =
+      std::vector<ExpectedOutput>(spec_.datasets.size() *
+                                  spec_.algorithms.size());
   std::vector<std::optional<BenchmarkResult>> slots_;
   std::mutex emit_mu_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/crc32.h"
 #include "common/string_util.h"
@@ -41,6 +42,17 @@ Status CompareVertexValues(const std::vector<int64_t>& expected,
   return Status::OK();
 }
 
+/// True when `actual` is within `tolerance` of `expected`, relative to the
+/// larger magnitude (at least `floor`). Fails closed: a NaN makes the
+/// quotient NaN, which compares false, and a non-finite answer never
+/// matches.
+bool WithinRelative(double expected, double actual, double floor,
+                    double tolerance) {
+  if (!std::isfinite(actual)) return false;
+  double scale = std::max({std::abs(expected), std::abs(actual), floor});
+  return std::abs(expected - actual) / scale <= tolerance;
+}
+
 Status CompareVertexScores(const std::vector<double>& expected,
                            const std::vector<double>& actual,
                            double tolerance) {
@@ -50,9 +62,7 @@ Status CompareVertexScores(const std::vector<double>& expected,
         actual.size()));
   }
   for (size_t i = 0; i < expected.size(); ++i) {
-    double scale = std::max({std::abs(expected[i]), std::abs(actual[i]),
-                             1e-300});
-    if (std::abs(expected[i] - actual[i]) / scale > tolerance) {
+    if (!WithinRelative(expected[i], actual[i], 1e-300, tolerance)) {
       return Status::ValidationFailed(StringPrintf(
           "PR score mismatch at vertex %zu (expected %.12g, got %.12g)", i,
           expected[i], actual[i]));
@@ -110,8 +120,7 @@ Status ValidateAgainst(const AlgorithmOutput& expected,
       }
       double e = expected.stats.mean_local_clustering;
       double a = actual.stats.mean_local_clustering;
-      double scale = std::max({std::abs(e), std::abs(a), 1e-12});
-      if (std::abs(e - a) / scale > kStatsTolerance) {
+      if (!WithinRelative(e, a, 1e-12, kStatsTolerance)) {
         return Status::ValidationFailed(StringPrintf(
             "STATS mean LCC mismatch (expected %.9f, got %.9f)", e, a));
       }
@@ -126,6 +135,151 @@ Status ValidateOutput(const Graph& graph, AlgorithmKind kind,
                       const AlgorithmOutput& actual) {
   AlgorithmOutput expected = ref::Run(graph, kind, params);
   return ValidateAgainst(expected, actual, kind);
+}
+
+namespace {
+
+/// BFS: the source is the one vertex at 0; every out-edge of a reached
+/// vertex leads to a reached vertex at most one level deeper; every other
+/// reached vertex has an in-neighbor one level up. The first two bound each
+/// distance from above by the true one, the last from below, so together
+/// they force exact distances, on directed graphs too.
+Status CertifyBfs(const Graph& graph, VertexId source,
+                  const std::vector<int64_t>& dist) {
+  const VertexId n = graph.num_vertices();
+  if (dist.size() != n) {
+    return Status::ValidationFailed(
+        StringPrintf("%zu distances for %u vertices", dist.size(), n));
+  }
+  if (source < n && dist[source] != 0) {
+    return Status::ValidationFailed(
+        StringPrintf("source %u is at %lld, not 0", source,
+                     static_cast<long long>(dist[source])));
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    const int64_t d = dist[v];
+    if (d == kUnreachable) continue;
+    if (d < 0 || (d == 0 && v != source)) {
+      return Status::ValidationFailed(StringPrintf(
+          "vertex %u is at %lld", v, static_cast<long long>(d)));
+    }
+    for (VertexId w : graph.OutNeighbors(v)) {
+      if (dist[w] == kUnreachable || dist[w] > d + 1) {
+        return Status::ValidationFailed(StringPrintf(
+            "edge (%u, %u) leads from distance %lld to %lld", v, w,
+            static_cast<long long>(d), static_cast<long long>(dist[w])));
+      }
+    }
+    if (v == source) continue;
+    auto parents =
+        graph.undirected() ? graph.OutNeighbors(v) : graph.InNeighbors(v);
+    if (std::none_of(parents.begin(), parents.end(),
+                     [&](VertexId u) { return dist[u] == d - 1; })) {
+      return Status::ValidationFailed(StringPrintf(
+          "vertex %u at distance %lld has no in-neighbor one level up", v,
+          static_cast<long long>(d)));
+    }
+  }
+  return Status::OK();
+}
+
+/// Number of (weakly) connected components, by union-find over the edges.
+uint64_t CountComponents(const Graph& graph) {
+  const VertexId n = graph.num_vertices();
+  std::vector<VertexId> parent(n);
+  std::iota(parent.begin(), parent.end(), VertexId{0});
+  auto find = [&parent](VertexId v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];  // path halving
+      v = parent[v];
+    }
+    return v;
+  };
+  uint64_t components = n;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId w : graph.OutNeighbors(u)) {
+      const VertexId a = find(u);
+      const VertexId b = find(w);
+      if (a == b) continue;
+      parent[std::max(a, b)] = std::min(a, b);
+      --components;
+    }
+  }
+  return components;
+}
+
+/// CONN: labels are equal across every edge, each at most its vertex and a
+/// fixed point (so each class is labeled by its smallest member), and there
+/// are as many classes as components (so no two components share one).
+Status CertifyConn(const Graph& graph, const std::vector<int64_t>& label) {
+  const VertexId n = graph.num_vertices();
+  if (label.size() != n) {
+    return Status::ValidationFailed(
+        StringPrintf("%zu labels for %u vertices", label.size(), n));
+  }
+  uint64_t classes = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const int64_t l = label[v];
+    if (l < 0 || l > static_cast<int64_t>(v) || label[l] != l) {
+      return Status::ValidationFailed(StringPrintf(
+          "vertex %u has label %lld, not the smallest id of its class", v,
+          static_cast<long long>(l)));
+    }
+    if (l == static_cast<int64_t>(v)) ++classes;
+    for (VertexId w : graph.OutNeighbors(v)) {
+      if (label[w] != l) {
+        return Status::ValidationFailed(StringPrintf(
+            "edge (%u, %u) joins labels %lld and %lld", v, w,
+            static_cast<long long>(l), static_cast<long long>(label[w])));
+      }
+    }
+  }
+  const uint64_t components = CountComponents(graph);
+  if (classes != components) {
+    return Status::ValidationFailed(StringPrintf(
+        "%llu labels for %llu components",
+        static_cast<unsigned long long>(classes),
+        static_cast<unsigned long long>(components)));
+  }
+  return Status::OK();
+}
+
+Status CertifyStats(const Graph& graph, const StatsResult& stats) {
+  if (stats.num_vertices != graph.num_vertices() ||
+      stats.num_edges != graph.num_edges()) {
+    return Status::ValidationFailed(StringPrintf(
+        "%llu vertices and %llu edges for a graph of %u and %llu",
+        static_cast<unsigned long long>(stats.num_vertices),
+        static_cast<unsigned long long>(stats.num_edges),
+        graph.num_vertices(),
+        static_cast<unsigned long long>(graph.num_edges())));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CertifyReference(const Graph& graph, AlgorithmKind kind,
+                        const AlgorithmParams& params,
+                        const AlgorithmOutput& expected) {
+  Status status;
+  switch (kind) {
+    case AlgorithmKind::kBfs:
+      status = CertifyBfs(graph, params.bfs.source, expected.vertex_values);
+      break;
+    case AlgorithmKind::kConn:
+      status = CertifyConn(graph, expected.vertex_values);
+      break;
+    case AlgorithmKind::kStats:
+      status = CertifyStats(graph, expected.stats);
+      break;
+    case AlgorithmKind::kCd:
+    case AlgorithmKind::kEvo:
+    case AlgorithmKind::kPr:
+      break;
+  }
+  return status.WithPrefix("reference " + AlgorithmKindName(kind) +
+                           " output fails its certificate");
 }
 
 bool RelabelingInvariant(AlgorithmKind kind) {

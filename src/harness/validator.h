@@ -4,7 +4,9 @@
 // Every platform output is compared against the reference implementation:
 // exact per-vertex equality for BFS/CONN/CD, exact edge-set equality for
 // EVO, numeric tolerance for STATS (floating-point summation order differs
-// across platforms).
+// across platforms). Tolerance checks fail closed: a non-finite answer never
+// passes. The reference output itself is checked by a certificate that does
+// not use the reference: BFS, CONN and STATS have one.
 
 #pragma once
 
@@ -19,10 +21,20 @@ Status ValidateOutput(const Graph& graph, AlgorithmKind kind,
                       const AlgorithmParams& params,
                       const AlgorithmOutput& actual);
 
-/// Validates against a precomputed expected output (used when the reference
-/// run is amortized across platforms).
+/// Validates against a precomputed expected output. The harness computes
+/// each (dataset, algorithm)'s reference output once, certifies it, and
+/// validates every platform's cell of that pair with this.
 Status ValidateAgainst(const AlgorithmOutput& expected,
                        const AlgorithmOutput& actual, AlgorithmKind kind);
+
+/// Checks a reference output against `graph` without running the
+/// reference: a certificate of BFS distances from `params.bfs.source`
+/// (exact, directed graphs included), of CONN labels (smallest id per
+/// component) and of STATS' vertex and edge counts. PR, CD and EVO have no
+/// certificate and pass. ValidationFailed names the reference output.
+Status CertifyReference(const Graph& graph, AlgorithmKind kind,
+                        const AlgorithmParams& params,
+                        const AlgorithmOutput& expected);
 
 /// True when `kind`'s output is invariant under vertex relabeling (the
 /// reorder-permutation contract): STATS, BFS, CONN, and PR qualify; CD and

@@ -1,8 +1,8 @@
 #include "ref/algorithms.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
-#include <map>
 #include <numeric>
 
 #include "analysis/metrics.h"
@@ -149,31 +149,37 @@ std::vector<VertexId> ForestFireBurnWithFetch(
   return burned;
 }
 
-LabelScore CdAdoptLabel(const std::vector<LabelScore>& neighbor_labels,
+LabelScore CdAdoptLabel(std::span<LabelScore> neighbor_labels,
                         double hop_attenuation) {
-  // Aggregate neighbor scores per label; adopt the label with the maximum
-  // score sum (ties -> smaller label). The adopted label's new score is the
-  // maximum contributing score minus the attenuation.
-  std::map<int64_t, double> sums;
-  std::map<int64_t, double> max_score;
-  for (const LabelScore& ls : neighbor_labels) {
-    sums[ls.label] += ls.score;
-    auto it = max_score.find(ls.label);
-    if (it == max_score.end() || ls.score > it->second) {
-      max_score[ls.label] = ls.score;
-    }
-  }
+  // Adopt the label with the maximum neighbor score sum (ties -> smaller
+  // label); its new score is its maximum contributing score minus the
+  // attenuation. The stable sort keeps each label's scores in input order,
+  // so every sum is accumulated in the order a per-label map would add it,
+  // and the runs of equal labels come in ascending label order.
+  std::stable_sort(neighbor_labels.begin(), neighbor_labels.end(),
+                   [](const LabelScore& a, const LabelScore& b) {
+                     return a.label < b.label;
+                   });
   int64_t best_label = 0;
   double best_sum = -1.0;
-  for (const auto& [label, sum] : sums) {
+  double best_max = 0.0;
+  for (size_t i = 0; i < neighbor_labels.size();) {
+    const int64_t label = neighbor_labels[i].label;
+    double sum = 0.0;
+    double max_score = neighbor_labels[i].score;
+    for (; i < neighbor_labels.size() && neighbor_labels[i].label == label;
+         ++i) {
+      sum += neighbor_labels[i].score;
+      max_score = std::max(max_score, neighbor_labels[i].score);
+    }
     if (sum > best_sum + 1e-12 ||
         (std::abs(sum - best_sum) <= 1e-12 && label < best_label)) {
       best_sum = sum;
       best_label = label;
+      best_max = max_score;
     }
   }
-  double score = std::max(0.0, max_score[best_label] - hop_attenuation);
-  return LabelScore{best_label, score};
+  return LabelScore{best_label, std::max(0.0, best_max - hop_attenuation)};
 }
 
 namespace ref {
@@ -319,6 +325,7 @@ AlgorithmOutput Cd(const Graph& graph, const CdParams& params) {
   uint64_t traversed = 0;
   std::vector<int64_t> new_labels(n);
   std::vector<double> new_scores(n);
+  std::vector<LabelScore> incoming;
   for (uint32_t iter = 0; iter < params.max_iterations; ++iter) {
     for (VertexId v = 0; v < n; ++v) {
       auto nbrs = graph.OutNeighbors(v);
@@ -327,8 +334,7 @@ AlgorithmOutput Cd(const Graph& graph, const CdParams& params) {
         new_scores[v] = scores[v];
         continue;
       }
-      std::vector<LabelScore> incoming;
-      incoming.reserve(nbrs.size());
+      incoming.clear();
       for (VertexId w : nbrs) {
         ++traversed;
         incoming.push_back(LabelScore{labels[w], scores[w]});

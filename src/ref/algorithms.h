@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -216,11 +217,13 @@ VertexId ForestFireAmbassador(const Graph& graph, const EvoParams& params,
 /// The label-propagation scoring rule shared by all CD implementations:
 /// given (label, score) of each neighbor, returns the adopted label and its
 /// new score. Exposed so platform implementations stay in lockstep.
+/// Reorders `neighbor_labels` (a stable sort by label) and allocates no
+/// per-label state; callers that need their list intact pass a copy.
 struct LabelScore {
   int64_t label;
   double score;
 };
-LabelScore CdAdoptLabel(const std::vector<LabelScore>& neighbor_labels,
+LabelScore CdAdoptLabel(std::span<LabelScore> neighbor_labels,
                         double hop_attenuation);
 
 }  // namespace gly

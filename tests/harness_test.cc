@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/temp_dir.h"
 #include "harness/core.h"
@@ -106,6 +108,23 @@ TEST(ValidatorTest, StatsToleranceAllowsSummationNoise) {
   out.stats.mean_local_clustering += 0.1;
   EXPECT_TRUE(ValidateOutput(g, AlgorithmKind::kStats, params, out)
                   .IsValidationFailed());
+}
+
+TEST(ValidatorTest, StatsRejectsNonFiniteLcc) {
+  // A relative-error test reads false for NaN, and for +-inf too (the scale
+  // becomes inf); the check must fail closed instead.
+  Graph g = RandomUndirected(50, 120, 55);
+  AlgorithmParams params;
+  const auto reference = ref::Run(g, AlgorithmKind::kStats, params);
+  for (double lcc : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    auto out = reference;
+    out.stats.mean_local_clustering = lcc;
+    EXPECT_TRUE(ValidateOutput(g, AlgorithmKind::kStats, params, out)
+                    .IsValidationFailed())
+        << lcc;
+  }
 }
 
 TEST(ValidatorTest, RejectsEvoEdgeDifference) {
@@ -256,11 +275,14 @@ TEST(BenchmarkCoreTest, ReorderedDatasetValidatesInOriginalIds) {
 
 TEST(BenchmarkCoreTest, ReorderedDatasetRefusesIdSeededAlgorithms) {
   // CD and EVO seed their dynamics with vertex ids: on a reordered dataset
-  // the cell must be *recorded* as InvalidArgument, not silently run.
+  // the cell must be *recorded* as InvalidArgument, not silently run. A
+  // refused cell still releases its claim on its pair's expected output,
+  // and releases no other pair's: the BFS cells of both platforms, which
+  // come after refused cells, validate against the one BFS reference run.
   Graph g = RandomUndirected(60, 150, 62);
   ReorderedGraph reordered = g.ReorderByDegree();
   RunSpec spec;
-  spec.platforms = {"reference"};
+  spec.platforms = {"reference", "giraph"};
   DatasetSpec dataset;
   dataset.name = "toy_reordered";
   dataset.graph = &reordered.graph;
@@ -271,13 +293,60 @@ TEST(BenchmarkCoreTest, ReorderedDatasetRefusesIdSeededAlgorithms) {
   spec.algorithms = {AlgorithmKind::kCd, AlgorithmKind::kEvo,
                      AlgorithmKind::kBfs};
   spec.monitor = false;
+  metrics::Registry registry;
+  spec.metrics = &registry;
   auto results = RunBenchmark(spec);
   ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 3u);
-  EXPECT_TRUE((*results)[0].status.IsInvalidArgument());
-  EXPECT_TRUE((*results)[1].status.IsInvalidArgument());
-  EXPECT_TRUE((*results)[2].status.ok());
-  EXPECT_TRUE((*results)[2].validation.ok());
+  ASSERT_EQ(results->size(), 6u);
+  for (size_t platform = 0; platform < 2; ++platform) {
+    const BenchmarkResult* row = &(*results)[3 * platform];
+    EXPECT_TRUE(row[0].status.IsInvalidArgument()) << row[0].platform;
+    EXPECT_TRUE(row[1].status.IsInvalidArgument()) << row[1].platform;
+    EXPECT_TRUE(row[0].validation.IsUntested()) << row[0].platform;
+    EXPECT_TRUE(row[2].status.ok()) << row[2].platform;
+    EXPECT_TRUE(row[2].validation.ok())
+        << row[2].platform << ": " << row[2].validation.ToString();
+  }
+  // The refused pairs never ran the reference; BFS ran it once.
+  EXPECT_EQ(registry.GetCounter("harness.reference_runs")->Value(), 1u);
+}
+
+TEST(BenchmarkCoreTest, ReferenceRunsOncePerPairAndNotForResumedPairs) {
+  // The expected output of a (dataset, algorithm) is computed once for all
+  // platforms; a pair whose cells all resumed from the journal computes
+  // none.
+  Graph g = RandomUndirected(80, 200, 64);
+  auto dir = TempDir::Create("gly-expected");
+  ASSERT_TRUE(dir.ok());
+  RunSpec spec;
+  spec.platforms = {"reference", "giraph", "graphx"};
+  spec.datasets.push_back({"toy", &g, {}});
+  spec.algorithms = {AlgorithmKind::kBfs};
+  spec.monitor = false;
+  spec.journal_path = dir->File("journal.jsonl");
+  metrics::Registry first;
+  spec.metrics = &first;
+  auto results = RunBenchmark(spec);
+  ASSERT_TRUE(results.ok());
+  for (const BenchmarkResult& r : *results) {
+    EXPECT_TRUE(r.validation.ok()) << r.platform;
+  }
+  EXPECT_EQ(first.GetCounter("harness.reference_runs")->Value(), 1u);
+
+  // Resume with CONN added: every BFS cell is journaled, so only CONN runs
+  // the reference.
+  spec.algorithms = {AlgorithmKind::kBfs, AlgorithmKind::kConn};
+  spec.resume = true;
+  metrics::Registry resumed;
+  spec.metrics = &resumed;
+  results = RunBenchmark(spec);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 6u);
+  for (const BenchmarkResult& r : *results) {
+    EXPECT_EQ(r.resumed, r.algorithm == AlgorithmKind::kBfs) << r.platform;
+    EXPECT_TRUE(r.validation.ok()) << r.platform;
+  }
+  EXPECT_EQ(resumed.GetCounter("harness.reference_runs")->Value(), 1u);
 }
 
 TEST(BenchmarkCoreTest, RejectsReorderedDatasetWithBrokenPermutation) {

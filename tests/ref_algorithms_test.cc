@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -261,6 +264,81 @@ TEST(CdAdoptLabelTest, TieBreaksToSmallerLabel) {
   std::vector<LabelScore> incoming = {{5, 1.0}, {3, 1.0}};
   LabelScore adopted = CdAdoptLabel(incoming, 0.0);
   EXPECT_EQ(adopted.label, 3);
+}
+
+/// The adoption rule as it was written with two per-label maps, kept here
+/// as the oracle the sorting rule must match bit for bit.
+LabelScore MapCdAdoptLabel(const std::vector<LabelScore>& neighbor_labels,
+                           double hop_attenuation) {
+  std::map<int64_t, double> sums;
+  std::map<int64_t, double> max_score;
+  for (const LabelScore& ls : neighbor_labels) {
+    sums[ls.label] += ls.score;
+    auto it = max_score.find(ls.label);
+    if (it == max_score.end() || ls.score > it->second) {
+      max_score[ls.label] = ls.score;
+    }
+  }
+  int64_t best_label = 0;
+  double best_sum = -1.0;
+  for (const auto& [label, sum] : sums) {
+    if (sum > best_sum + 1e-12 ||
+        (std::abs(sum - best_sum) <= 1e-12 && label < best_label)) {
+      best_sum = sum;
+      best_label = label;
+    }
+  }
+  double score = std::max(0.0, max_score[best_label] - hop_attenuation);
+  return LabelScore{best_label, score};
+}
+
+/// A seeded neighbor list of `degree` entries. Labels come from a small
+/// range so that they collide. Scores come from one of three pools: a few
+/// exact values whose sums tie bit for bit or within rounding (0.1 + 0.2
+/// against 0.3), one value jittered by multiples of 1e-13 (sums that differ
+/// but tie within the rule's 1e-12), or uniform doubles.
+std::vector<LabelScore> RandomNeighborList(Rng& rng, size_t degree) {
+  static constexpr double kExact[] = {1.0, 0.95, 0.9, 0.5, 0.3,
+                                      0.2, 0.1, 0.05, 0.0};
+  static constexpr uint64_t kLabelRanges[] = {1, 2, 3, 8, 32, 1000};
+  const uint64_t label_range = kLabelRanges[rng.NextBounded(6)];
+  const int64_t label_base = static_cast<int64_t>(rng.NextBounded(1000000));
+  const uint64_t pool = rng.NextBounded(3);
+  std::vector<LabelScore> list(degree);
+  for (LabelScore& ls : list) {
+    ls.label = label_base + static_cast<int64_t>(rng.NextBounded(label_range));
+    if (pool == 0) {
+      ls.score = kExact[rng.NextBounded(std::size(kExact))];
+    } else if (pool == 1) {
+      ls.score = 0.5 + static_cast<double>(rng.NextInRange(-5, 5)) * 1e-13;
+    } else {
+      ls.score = rng.NextDouble();
+    }
+  }
+  return list;
+}
+
+TEST(CdAdoptLabelTest, MatchesTheMapRuleBitForBit) {
+  // 10,000 lists, degrees log-uniform over 0..5,000 (both ends forced).
+  Rng rng(0xCDCD);
+  for (int i = 0; i < 10000; ++i) {
+    const size_t degree =
+        i == 0   ? 0
+        : i == 1 ? 5000
+                 : static_cast<size_t>(
+                       std::exp(rng.NextDouble() * std::log(5001.0))) -
+                       1;
+    const std::vector<LabelScore> list = RandomNeighborList(rng, degree);
+    const double hop = i % 2 == 0 ? 0.05 : 0.0;
+    const LabelScore want = MapCdAdoptLabel(list, hop);
+    std::vector<LabelScore> sorted = list;
+    const LabelScore got = CdAdoptLabel(sorted, hop);
+    ASSERT_EQ(got.label, want.label) << "list " << i << ", degree " << degree;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.score),
+              std::bit_cast<uint64_t>(want.score))
+        << "list " << i << ", degree " << degree << ": " << got.score
+        << " vs " << want.score;
+  }
 }
 
 // -------------------------------------------------------------------- EVO

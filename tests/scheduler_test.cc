@@ -13,7 +13,9 @@
 //    scale-12 R-MAT graph, run at jobs=1 and jobs=4, must produce
 //    equivalent journals — same cells, statuses, validation outcomes,
 //    traversed-edge counts, and output checksums — and the jobs=4 run must
-//    have actually overlapped cells (max_in_flight >= 2).
+//    have actually overlapped cells (max_in_flight >= 2). Both runs compute
+//    each algorithm's reference output exactly once, however many cells
+//    of a pair validate concurrently.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/temp_dir.h"
 #include "datagen/rmat.h"
@@ -341,6 +344,8 @@ TEST(SchedulerDifferentialTest, ConcurrentJournalEquivalentToSerial) {
   serial.validate = true;
   serial.jobs = 1;
   serial.journal_path = tmp->File("serial.jsonl");
+  metrics::Registry serial_metrics;
+  serial.metrics = &serial_metrics;
   auto serial_results = RunBenchmark(serial);
   ASSERT_TRUE(serial_results.ok());
 
@@ -354,6 +359,8 @@ TEST(SchedulerDifferentialTest, ConcurrentJournalEquivalentToSerial) {
   SchedulerStats stats;
   concurrent.scheduler_stats = &stats;
   concurrent.journal_path = tmp->File("jobs4.jsonl");
+  metrics::Registry concurrent_metrics;
+  concurrent.metrics = &concurrent_metrics;
   auto concurrent_results = RunBenchmark(concurrent);
   ASSERT_TRUE(concurrent_results.ok());
 
@@ -380,6 +387,11 @@ TEST(SchedulerDifferentialTest, ConcurrentJournalEquivalentToSerial) {
   EXPECT_EQ(stats.items, 12u);
   EXPECT_GE(stats.max_in_flight, 2u);
   EXPECT_GE(stats.graph_cache_hits, 8u);  // 3 algorithms share each load
+
+  // One reference run per (dataset, algorithm), for all four platforms.
+  EXPECT_EQ(serial_metrics.GetCounter("harness.reference_runs")->Value(), 3u);
+  EXPECT_EQ(concurrent_metrics.GetCounter("harness.reference_runs")->Value(),
+            3u);
 }
 
 TEST(SchedulerDifferentialTest, ConcurrentMatrixIsNotSlowerThanSerial) {
