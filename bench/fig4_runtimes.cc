@@ -27,11 +27,11 @@
 
 namespace {
 
-// Traversal-kernel duel: each optimized kernel races the naive/classic
-// variant it replaced on one Graph500 graph at `--kernel-scale`. These
-// records are the bench_compare.py regression-gate baseline
-// (BENCH_kernels.json); the dir-opt-vs-naive pair is also the ISSUE
-// acceptance check (>= 2x at scale >= 18).
+// Traversal-kernel duel on one Graph500 graph at `--kernel-scale`: the
+// reference BFS, Pregel's BFS with and without its dense-frontier
+// delivery, the dataflow direction-optimizing BFS, and the CONN and PR
+// reference kernels. These records are the bench_compare.py
+// regression-gate baseline (BENCH_kernels.json).
 void RunKernelDuel(const gly::bench::BenchOptions& opts,
                    gly::bench::JsonEmitter* emitter) {
   using namespace gly;
@@ -45,8 +45,7 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
   const double build_s = build_watch.ElapsedSeconds();
   // The graph is built once and shared by every kernel below: the build
   // cost is attributed to the first record that uses it, and 0.0 to the
-  // rest (previously the same build_seconds was duplicated into all eight
-  // records, overstating total build time 8x).
+  // rest.
   double build_unattributed = build_s;
   auto take_build = [&build_unattributed] {
     const double b = build_unattributed;
@@ -67,11 +66,7 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
   std::printf("  bfs source: vertex %u (degree %zu)\n", source,
               g.OutNeighbors(source).size());
 
-  BfsParams naive_params;
-  naive_params.source = source;
-  naive_params.strategy = BfsStrategy::kTopDown;
-  BfsParams diropt_params;  // default: direction-optimizing
-  diropt_params.source = source;
+  const BfsParams bfs_params{source};
 
   auto add = [&](gly::bench::KernelRecord rec) {
     std::printf("  %-22s median %8.4fs  p95 %8.4fs  %10.0f kTEPS\n",
@@ -80,23 +75,10 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
     emitter->Add(std::move(rec));
   };
 
-  // Reference kernels: same thread count (one), so the duel isolates the
-  // direction optimization itself.
-  gly::bench::KernelRecord naive_rec =
-      bench::MeasureKernel("bfs_ref_naive", graph_name, scale, opts.repeats,
+  add(bench::MeasureKernel("bfs_ref_naive", graph_name, scale, opts.repeats,
                            take_build(), g.num_edges(), [&] {
-                             return ref::Bfs(g, naive_params).traversed_edges;
-                           });
-  gly::bench::KernelRecord diropt_rec =
-      bench::MeasureKernel("bfs_ref_diropt", graph_name, scale, opts.repeats,
-                           take_build(), g.num_edges(), [&] {
-                             return ref::BfsDirOpt(g, diropt_params)
-                                 .traversed_edges;
-                           });
-  const double naive_median = naive_rec.median_seconds;
-  const double diropt_median = diropt_rec.median_seconds;
-  add(std::move(naive_rec));
-  add(std::move(diropt_rec));
+                             return ref::Bfs(g, bfs_params).traversed_edges;
+                           }));
 
   // Pregel: classic sparse inboxes vs the dense-frontier fast path.
   pregel::EngineConfig classic;
@@ -107,46 +89,35 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
   add(bench::MeasureKernel("bfs_pregel_classic", graph_name, scale,
                            opts.repeats, take_build(), g.num_edges(), [&] {
                              auto out = pregel::RunBfs(pregel::Engine(classic),
-                                                       g, diropt_params);
+                                                       g, bfs_params);
                              out.status().Check();
                              return out->traversed_edges;
                            }));
   add(bench::MeasureKernel("bfs_pregel_dense", graph_name, scale, opts.repeats,
                            take_build(), g.num_edges(), [&] {
                              auto out = pregel::RunBfs(pregel::Engine(fast), g,
-                                                       diropt_params);
+                                                       bfs_params);
                              out.status().Check();
                              return out->traversed_edges;
                            }));
 
-  // Dataflow: the legacy Pregel-by-joins plan vs the direction-optimizing
-  // frontier kernel.
+  // Dataflow: the direction-optimizing BFS.
   dataflow::ContextConfig ctx;
   ctx.num_partitions = 8;
-  AlgorithmParams joins_params;
-  joins_params.bfs = naive_params;  // top_down routes to the joins plan
-  AlgorithmParams dataflow_diropt;
-  dataflow_diropt.bfs = diropt_params;
-  add(bench::MeasureKernel(
-      "bfs_dataflow_joins", graph_name, scale, opts.repeats, take_build(),
-      g.num_edges(), [&] {
-        auto out =
-            dataflow::RunAlgorithm(ctx, g, AlgorithmKind::kBfs, joins_params);
-        out.status().Check();
-        return out->traversed_edges;
-      }));
+  AlgorithmParams dataflow_params;
+  dataflow_params.bfs = bfs_params;
   add(bench::MeasureKernel(
       "bfs_dataflow_diropt", graph_name, scale, opts.repeats, take_build(),
       g.num_edges(), [&] {
         auto out = dataflow::RunAlgorithm(ctx, g, AlgorithmKind::kBfs,
-                                          dataflow_diropt);
+                                          dataflow_params);
         out.status().Check();
         return out->traversed_edges;
       }));
 
-  // Non-BFS reference kernels keep the gate's coverage wider than the
-  // tentpole: a regression in CSR iteration or the frontier module shows
-  // up here even if both BFS duel entries shift together.
+  // Non-BFS reference kernels keep the gate's coverage wider than BFS: a
+  // regression in CSR iteration shows up here even if every BFS record
+  // shifts together.
   add(bench::MeasureKernel("conn_ref", graph_name, scale, opts.repeats,
                            take_build(), g.num_edges(),
                            [&] { return ref::Conn(g).traversed_edges; }));
@@ -155,12 +126,6 @@ void RunKernelDuel(const gly::bench::BenchOptions& opts,
                            take_build(), g.num_edges(), [&] {
                              return ref::Pr(g, pr_params).traversed_edges;
                            }));
-
-  if (diropt_median > 0.0) {
-    std::printf("\n  dir-opt speedup over naive top-down: %.2fx "
-                "(acceptance: >= 2x at scale >= 18)\n\n",
-                naive_median / diropt_median);
-  }
 }
 
 }  // namespace

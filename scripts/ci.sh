@@ -11,10 +11,14 @@
 #                    phases, RunBenchmark into its open, load, cell and
 #                    close phases, and mapreduce::Job::Run into its map,
 #                    shuffle+reduce and cleanup phases.
-#   2. asan        — GLY_SANITIZE=address build running the `ingest`,
+#   2. asan        — GLY_SANITIZE=address build (ASan plus UBSan; any
+#                    UBSan report aborts the test) running the `ingest`,
 #                    `robustness`, `conformance`, and `hotpath` CTest
 #                    labels: the one text parser that reads every
-#                    untrusted edge file, the one JSON reader
+#                    untrusted edge file (and robustness_test's seeded
+#                    byte mutations of a text edge file, read inline and
+#                    on a 4-thread pool, a binary edge file and a vertex
+#                    file), the one JSON reader
 #                    (common/json) that reads every journal, metrics,
 #                    trace and profile artifact (json_test's RFC 8259
 #                    cases, and robustness_test's seeded byte mutations of
@@ -76,7 +80,9 @@
 #                    trace_analyze / results_query outputs must all
 #                    validate, and whose results.jsonl results_query
 #                    must read back with --summary and --failures.
-#   5. bench-smoke — fig4_runtimes kernel duel, the ext_etl_times
+#   5. bench-smoke — fig4_runtimes kernel records (the reference,
+#                    Pregel sparse/dense and dataflow BFS, and the CONN
+#                    and PR reference kernels), the ext_etl_times
 #                    parse/build duel, and the engines_hotpath engine-level
 #                    bench (pooled hot paths, scale ${ENGINE_BENCH_SCALE}),
 #                    each gated by scripts/bench_compare.py against its
@@ -131,7 +137,7 @@ echo "==> [1/6] tier-1: longest function (every module's maxfn <= 150)"
     }
   }'
 
-echo "==> [2/6] asan: configure + build (${ASAN_DIR}, GLY_SANITIZE=address)"
+echo "==> [2/6] asan: configure + build (${ASAN_DIR}, GLY_SANITIZE=address: ASan + UBSan)"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLY_SANITIZE=address
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
@@ -197,7 +203,7 @@ python3 scripts/validate_trace.py "${PROFILE_DIR}/profile-offline.json"
 "${TIER1_DIR}/tools/results_query" "${PROFILE_DIR}/report/results.jsonl" \
     --failures
 
-echo "==> [5/6] bench-smoke: kernel duel at scale ${BENCH_SCALE} vs baseline"
+echo "==> [5/6] bench-smoke: kernel records at scale ${BENCH_SCALE} vs baseline"
 "${TIER1_DIR}/bench/fig4_runtimes" --kernels-only \
     --kernel-scale "${BENCH_SCALE}" --repeats "${BENCH_REPEATS}" \
     --json "${TIER1_DIR}/bench_kernels_current.json"

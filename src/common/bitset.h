@@ -1,12 +1,11 @@
 // AtomicBitset: a fixed-size dense bitmap whose bits can be set
 // concurrently from many threads.
 //
-// The traversal kernels use it for the visited set and for dense frontier
-// representations (graph/frontier.h): `TestAndSet` is a single
-// `fetch_or`, so parallel BFS expansions discover each vertex exactly
-// once without locks. Reads during a concurrent write phase are relaxed —
-// callers separate "fill" and "scan" phases with their own barriers (a
-// thread-pool join is one).
+// The dataflow BFS uses it for its visited set: `TestAndSet` is a single
+// `fetch_or`, so parallel top-down expansions discover each vertex
+// exactly once without locks. Reads during a concurrent write phase are
+// relaxed — callers separate "fill" and "scan" phases with their own
+// barriers (a thread-pool join is one).
 
 #pragma once
 
@@ -14,40 +13,20 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <utility>
 
 namespace gly {
 
 class AtomicBitset {
  public:
-  AtomicBitset() = default;
-
   explicit AtomicBitset(size_t num_bits)
-      : num_bits_(num_bits),
-        num_words_((num_bits + 63) / 64),
+      : num_words_((num_bits + 63) / 64),
         words_(num_words_ ? new std::atomic<uint64_t>[num_words_] : nullptr) {
     Reset();
   }
 
-  AtomicBitset(AtomicBitset&& other) noexcept
-      : num_bits_(std::exchange(other.num_bits_, 0)),
-        num_words_(std::exchange(other.num_words_, 0)),
-        words_(std::move(other.words_)) {}
-
-  AtomicBitset& operator=(AtomicBitset&& other) noexcept {
-    num_bits_ = std::exchange(other.num_bits_, 0);
-    num_words_ = std::exchange(other.num_words_, 0);
-    words_ = std::move(other.words_);
-    return *this;
-  }
-
   AtomicBitset(const AtomicBitset&) = delete;
   AtomicBitset& operator=(const AtomicBitset&) = delete;
-
-  size_t size() const { return num_bits_; }
-  size_t num_words() const { return num_words_; }
 
   bool Test(size_t i) const {
     return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
@@ -81,25 +60,7 @@ class AtomicBitset {
     return count;
   }
 
-  uint64_t word(size_t w) const {
-    return words_[w].load(std::memory_order_relaxed);
-  }
-
-  /// Calls `fn(i)` for every set bit, in ascending order.
-  template <typename Fn>
-  void ForEachSet(Fn&& fn) const {
-    for (size_t w = 0; w < num_words_; ++w) {
-      uint64_t bits = words_[w].load(std::memory_order_relaxed);
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        fn(w * 64 + static_cast<size_t>(b));
-        bits &= bits - 1;
-      }
-    }
-  }
-
  private:
-  size_t num_bits_ = 0;
   size_t num_words_ = 0;
   std::unique_ptr<std::atomic<uint64_t>[]> words_;
 };

@@ -13,58 +13,16 @@ namespace {
 
 // ------------------------------------------------------------------- BFS
 
-struct BfsValue {
-  int64_t dist = kUnreachable;
-  bool changed = false;
-};
-
-// Naive path: the GraphX Pregel operator — every level joins the full
-// vertex dataset (the platform's cost signature). Selected by
-// `bfs.strategy = top_down`, which fig4's `bfs_dataflow_joins` record
-// needs; the frontier kernel below is the default.
-Result<AlgorithmOutput> RunBfsPregelJoins(Context* ctx, const Graph& graph,
-                                          const BfsParams& params) {
-  GLY_ASSIGN_OR_RETURN(
-      auto pg, PropertyGraph<BfsValue>::FromGraph(
-                   ctx, graph, [&params](VertexId v) {
-                     return BfsValue{v == params.source ? 0 : kUnreachable,
-                                     v == params.source};
-                   }));
-  GLY_ASSIGN_OR_RETURN(
-      PregelJoinStats pstats,
-      pg.template Pregel<int64_t>(
-          /*max_iterations=*/graph.num_vertices() + 1,
-          [](const BfsValue& src, VertexId, VertexId) -> std::optional<int64_t> {
-            if (src.changed) return src.dist + 1;
-            return std::nullopt;
-          },
-          [](const int64_t& a, const int64_t& b) { return std::min(a, b); },
-          [](uint64_t, const BfsValue& old, const int64_t* m)
-              -> std::pair<BfsValue, bool> {
-            if (m != nullptr && *m < old.dist) {
-              return {BfsValue{*m, true}, true};
-            }
-            return {BfsValue{old.dist, false}, false};
-          }));
-  AlgorithmOutput out;
-  out.vertex_values.assign(graph.num_vertices(), kUnreachable);
-  for (const auto& [k, v] : pg.vertices().Collect()) {
-    out.vertex_values[k] = v.dist;
-  }
-  out.traversed_edges = pstats.messages;
-  return out;
-}
-
-// Direction-optimizing path (GraphX's aggregateMessages with a chosen edge
+// Direction-optimizing BFS (GraphX's aggregateMessages with a chosen edge
 // direction): each level materializes the frontier as a dataset and
 // expands it top-down (FlatMap over frontier vertices) or bottom-up
 // (FlatMap over undiscovered vertices probing potential parents),
-// switched by the shared alpha/beta policy. The distance array and the
+// switched by BfsDirectionPolicy (fixed alpha/beta). The distance array and the
 // visited bitmap are driver-side broadcast state; every per-level
 // collection still funnels through Materialize, so the engine's memory
 // budget and JVM-churn cost model keep applying.
-Result<AlgorithmOutput> RunBfsDirOpt(Context* ctx, const Graph& graph,
-                                     const BfsParams& params) {
+Result<AlgorithmOutput> RunBfs(Context* ctx, const Graph& graph,
+                               const BfsParams& params) {
   AlgorithmOutput out;
   const VertexId n = graph.num_vertices();
   out.vertex_values.assign(n, kUnreachable);
@@ -75,7 +33,7 @@ Result<AlgorithmOutput> RunBfsDirOpt(Context* ctx, const Graph& graph,
   out.vertex_values[params.source] = 0;
   std::vector<VertexId> frontier{params.source};
 
-  BfsDirectionPolicy policy(params, n);
+  BfsDirectionPolicy policy(n);
   uint64_t frontier_degree = graph.OutDegree(params.source);
   uint64_t unexplored_degree =
       graph.num_adjacency_entries() - frontier_degree;
@@ -149,14 +107,6 @@ Result<AlgorithmOutput> RunBfsDirOpt(Context* ctx, const Graph& graph,
   }
   out.traversed_edges = traversed.load();
   return out;
-}
-
-Result<AlgorithmOutput> RunBfs(Context* ctx, const Graph& graph,
-                               const BfsParams& params) {
-  if (params.strategy == BfsStrategy::kTopDown) {
-    return RunBfsPregelJoins(ctx, graph, params);
-  }
-  return RunBfsDirOpt(ctx, graph, params);
 }
 
 // ------------------------------------------------------------------ CONN

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -181,7 +182,11 @@ class Context {
       : config_(config),
         budget_(config.memory_budget_bytes),
         pool_(config.num_threads != 0 ? config.num_threads
-                                      : HardwareThreads()) {}
+                                      : HardwareThreads()) {
+    // At least one partition, as pregel::Engine and mapreduce::Job keep at
+    // least one worker: PartitionOf reduces a hash modulo this count.
+    config_.num_partitions = std::max(1u, config_.num_partitions);
+  }
 
   const ContextConfig& config() const { return config_; }
   const ContextStats& stats() const {

@@ -17,7 +17,7 @@ Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
   }
   TraversalStats stats;
   std::vector<uint8_t> seen(store->node_count(), 0);
-  // Frontier of (node, depth); front-pop for BFS, back-pop for DFS.
+  // The frontier of (node, depth); front-pop for BFS, back-pop for DFS.
   std::deque<std::pair<VertexId, uint32_t>> frontier;
   frontier.emplace_back(seed, 0);
   seen[seed] = 1;

@@ -88,7 +88,7 @@ Result<Graph> BuildGraph(const std::string& name, const Config& scope,
 }
 
 // Shared algorithm parameters.
-Result<AlgorithmParams> ReadAlgorithmParams(const Config& config) {
+AlgorithmParams ReadAlgorithmParams(const Config& config) {
   AlgorithmParams params;
   params.cd.max_iterations =
       static_cast<uint32_t>(config.GetUintOr("cd.max_iterations", 10));
@@ -97,13 +97,25 @@ Result<AlgorithmParams> ReadAlgorithmParams(const Config& config) {
       static_cast<uint32_t>(config.GetUintOr("evo.new_vertices", 16));
   params.evo.p_forward = config.GetDoubleOr("evo.p_forward", 0.3);
   params.evo.seed = config.GetUintOr("evo.seed", 99);
-  auto strategy =
-      ParseBfsStrategy(config.GetStringOr("bfs.strategy", "diropt"));
-  if (!strategy.ok()) return strategy.status().WithPrefix("bfs.strategy");
-  params.bfs.strategy = *strategy;
-  params.bfs.alpha = config.GetDoubleOr("bfs.alpha", params.bfs.alpha);
-  params.bfs.beta = config.GetDoubleOr("bfs.beta", params.bfs.beta);
   return params;
+}
+
+// `graph.<name>.bfs_source` (default 0): when set it must parse and name a
+// vertex of the built graph. Otherwise a wrapped id would run a BFS from
+// another vertex, and an out-of-range one a BFS that reaches nothing, and
+// both would validate.
+Result<VertexId> ReadBfsSource(const Config& scope, const std::string& name,
+                               VertexId num_vertices) {
+  if (!scope.Has("bfs_source")) return VertexId{0};
+  const std::string key = "graph." + name + ".bfs_source";
+  Result<uint64_t> source = scope.GetUint("bfs_source");
+  if (!source.ok()) return source.status().WithPrefix(key);
+  if (*source >= num_vertices) {
+    return Status::InvalidArgument(StringPrintf(
+        "%s: %llu is not a vertex of a %u-vertex graph", key.c_str(),
+        (unsigned long long)*source, num_vertices));
+  }
+  return static_cast<VertexId>(*source);
 }
 
 // Profiling (DESIGN.md §14): profile.mode = off | counters | sampler |
@@ -178,8 +190,7 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
     return Status::InvalidArgument("'graphs' lists no datasets");
   }
 
-  GLY_ASSIGN_OR_RETURN(AlgorithmParams base_params,
-                       ReadAlgorithmParams(config));
+  const AlgorithmParams base_params = ReadAlgorithmParams(config);
 
   // ETL parallelism: etl.threads = 1 parses and builds on the calling
   // thread with no pool; N > 1 uses an N-thread pool; 0 = hardware
@@ -255,8 +266,9 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
       dataset.graph = &storage.graph;
     }
     dataset.params = base_params;
-    dataset.params.bfs.source =
-        static_cast<VertexId>(scope.GetUintOr("bfs_source", 0));
+    GLY_ASSIGN_OR_RETURN(
+        dataset.params.bfs.source,
+        ReadBfsSource(scope, graph_names[i], storage.graph.num_vertices()));
     spec.datasets.push_back(dataset);
   }
 

@@ -24,7 +24,7 @@ struct BfsProgram : VertexProgram<int64_t, int64_t> {
     if (best < ctx.value()) {
       ctx.value() = best;
       ctx.SendToNeighbors(best + 1);
-      // Frontier-size aggregator: newly discovered vertices this superstep.
+      // Aggregates the frontier size: vertices newly discovered this superstep.
       ctx.AggregateValue("frontier", 1.0);
     }
     ctx.VoteToHalt();

@@ -7,7 +7,6 @@
 
 #include "analysis/metrics.h"
 #include "common/string_util.h"
-#include "graph/frontier.h"
 
 namespace gly {
 
@@ -34,51 +33,21 @@ std::string AlgorithmKindName(AlgorithmKind kind) {
   return "?";
 }
 
-Result<BfsStrategy> ParseBfsStrategy(const std::string& name) {
-  std::string lower = ToLower(name);
-  if (lower == "top_down") return BfsStrategy::kTopDown;
-  if (lower == "bottom_up") return BfsStrategy::kBottomUp;
-  if (lower == "diropt") return BfsStrategy::kDirectionOptimizing;
-  return Status::InvalidArgument("unknown BFS strategy: '" + name + "'");
-}
-
-std::string BfsStrategyName(BfsStrategy strategy) {
-  switch (strategy) {
-    case BfsStrategy::kTopDown: return "top_down";
-    case BfsStrategy::kBottomUp: return "bottom_up";
-    case BfsStrategy::kDirectionOptimizing: return "diropt";
-  }
-  return "?";
-}
-
-BfsDirectionPolicy::BfsDirectionPolicy(const BfsParams& params,
-                                       uint64_t num_vertices)
-    : strategy_(params.strategy),
-      alpha_(params.alpha > 0 ? params.alpha : 1e-9),
-      beta_(params.beta > 0 ? params.beta : 1e-9),
-      num_vertices_(num_vertices),
-      bottom_up_(params.strategy == BfsStrategy::kBottomUp) {}
-
 bool BfsDirectionPolicy::UseBottomUp(uint64_t frontier_vertices,
                                      uint64_t frontier_degree,
                                      uint64_t unexplored_degree) {
-  switch (strategy_) {
-    case BfsStrategy::kTopDown: return false;
-    case BfsStrategy::kBottomUp: return true;
-    case BfsStrategy::kDirectionOptimizing: break;
-  }
   if (!bottom_up_) {
     // Growing phase: switch when a top-down step would probe more than
-    // 1/alpha of the edges still reachable from undiscovered vertices.
+    // 1/kAlpha of the edges still reachable from undiscovered vertices.
     if (static_cast<double>(frontier_degree) >
-        static_cast<double>(unexplored_degree) / alpha_) {
+        static_cast<double>(unexplored_degree) / kAlpha) {
       bottom_up_ = true;
     }
   } else {
     // Shrinking phase: a small frontier makes scanning all unvisited
     // vertices wasteful again.
     if (static_cast<double>(frontier_vertices) <
-        static_cast<double>(num_vertices_) / beta_) {
+        static_cast<double>(num_vertices_) / kBeta) {
       bottom_up_ = false;
     }
   }
@@ -213,73 +182,6 @@ AlgorithmOutput Bfs(const Graph& graph, const BfsParams& params) {
         queue.push_back(w);
       }
     }
-  }
-  out.traversed_edges = traversed;
-  return out;
-}
-
-AlgorithmOutput BfsDirOpt(const Graph& graph, const BfsParams& params) {
-  AlgorithmOutput out;
-  const VertexId n = graph.num_vertices();
-  out.vertex_values.assign(n, kUnreachable);
-  if (params.source >= n) return out;
-
-  AtomicBitset visited(n);
-  Frontier frontier(n);
-  frontier.Add(params.source);
-  visited.Set(params.source);
-  out.vertex_values[params.source] = 0;
-
-  BfsDirectionPolicy policy(params, n);
-  uint64_t frontier_degree = graph.OutDegree(params.source);
-  uint64_t unexplored_degree =
-      graph.num_adjacency_entries() - frontier_degree;
-  uint64_t traversed = 0;
-  int64_t depth = 0;
-  while (!frontier.empty()) {
-    const bool bottom_up = policy.UseBottomUp(frontier.size(),
-                                              frontier_degree,
-                                              unexplored_degree);
-    Frontier next(n, frontier.dense_threshold());
-    uint64_t next_degree = 0;
-    if (!bottom_up) {
-      // Top-down: expand every frontier vertex's out-edges.
-      frontier.ForEach([&](VertexId v) {
-        for (VertexId w : graph.OutNeighbors(v)) {
-          ++traversed;
-          if (visited.TestAndSet(w)) {
-            out.vertex_values[w] = depth + 1;
-            next.Add(w);
-            next_degree += graph.OutDegree(w);
-          }
-        }
-      });
-    } else {
-      // Bottom-up: every undiscovered vertex searches its potential
-      // parents (in-neighbors; the full neighborhood when undirected) for
-      // one at the current depth, stopping at the first hit — the saved
-      // probes on high-degree frontiers are the kernel's payoff.
-      next.Densify();
-      for (VertexId v = 0; v < n; ++v) {
-        if (visited.Test(v)) continue;
-        auto parents = graph.undirected() ? graph.OutNeighbors(v)
-                                          : graph.InNeighbors(v);
-        for (VertexId u : parents) {
-          ++traversed;
-          if (out.vertex_values[u] == depth) {
-            visited.Set(v);
-            out.vertex_values[v] = depth + 1;
-            next.Add(v);
-            next_degree += graph.OutDegree(v);
-            break;
-          }
-        }
-      }
-    }
-    unexplored_degree -= next_degree;
-    frontier_degree = next_degree;
-    frontier.swap(next);
-    ++depth;
   }
   out.traversed_edges = traversed;
   return out;

@@ -71,38 +71,24 @@ struct PrParams {
   double damping = 0.85;
 };
 
-/// Traversal kernel selection for BFS implementations that support the
-/// direction-optimizing kernel (Beamer et al., SC'12). The reference
-/// validator always uses the naive queue BFS; platforms honour this knob.
-enum class BfsStrategy {
-  kTopDown,               ///< classic frontier-expansion only (dataflow:
-                          ///< the joins plan fig4's `bfs_dataflow_joins`
-                          ///< record needs)
-  kBottomUp,              ///< parent-search from unvisited vertices only
-  kDirectionOptimizing,   ///< alpha/beta-switched hybrid (the default)
-};
-
-/// Parses "top_down" | "bottom_up" | "diropt".
-Result<BfsStrategy> ParseBfsStrategy(const std::string& name);
-std::string BfsStrategyName(BfsStrategy strategy);
-
 /// BFS parameters.
 struct BfsParams {
   VertexId source = 0;
-  BfsStrategy strategy = BfsStrategy::kDirectionOptimizing;
-  /// GAP-style switch heuristics: go bottom-up when the frontier's edge
-  /// count exceeds 1/alpha of the unexplored edge count; return top-down
-  /// when the frontier shrinks below 1/beta of the vertices.
-  double alpha = 15.0;
-  double beta = 18.0;
 };
 
-/// Shared direction chooser for the direction-optimizing BFS kernels.
-/// Stateful: remembers the current direction so the alpha and beta
+/// Direction chooser for the direction-optimizing BFS (Beamer et al.,
+/// SC'12) with GAP's fixed switch thresholds: go bottom-up when the
+/// frontier's edge count exceeds 1/kAlpha of the unexplored edge count;
+/// return top-down when the frontier shrinks below 1/kBeta of the
+/// vertices. Stateful: remembers the current direction so the two
 /// thresholds act as hysteresis, exactly as in the GAP reference.
 class BfsDirectionPolicy {
  public:
-  BfsDirectionPolicy(const BfsParams& params, uint64_t num_vertices);
+  static constexpr double kAlpha = 15.0;
+  static constexpr double kBeta = 18.0;
+
+  explicit BfsDirectionPolicy(uint64_t num_vertices)
+      : num_vertices_(num_vertices) {}
 
   /// Decides the direction for the next level. `frontier_vertices` is the
   /// frontier's cardinality, `frontier_degree` the sum of its out-degrees
@@ -112,9 +98,6 @@ class BfsDirectionPolicy {
                    uint64_t unexplored_degree);
 
  private:
-  BfsStrategy strategy_;
-  double alpha_;
-  double beta_;
   uint64_t num_vertices_;
   bool bottom_up_ = false;
 };
@@ -177,13 +160,6 @@ namespace ref {
 AlgorithmOutput Stats(const Graph& graph);
 AlgorithmOutput Bfs(const Graph& graph, const BfsParams& params);
 
-/// Direction-optimizing BFS over the frontier module (common/bitset.h +
-/// graph/frontier.h): top-down expansion while the frontier is small,
-/// bottom-up parent search once it covers enough edges, per
-/// params.strategy/alpha/beta. Produces exactly the levels of Bfs();
-/// traversed_edges counts the edges actually examined, which is what the
-/// direction optimization reduces.
-AlgorithmOutput BfsDirOpt(const Graph& graph, const BfsParams& params);
 AlgorithmOutput Conn(const Graph& graph);
 AlgorithmOutput Cd(const Graph& graph, const CdParams& params);
 AlgorithmOutput Evo(const Graph& graph, const EvoParams& params);

@@ -201,14 +201,14 @@ INSTANTIATE_TEST_SUITE_P(RmatSeeds, DifferentialSweepTest,
                          });
 
 // ------------------------------------------------------------------------
-// Kernel conformance: the direction-optimizing and dense-frontier fast
-// paths must be invisible in every output. Each engine runs BFS, CONN,
-// and PR on R-MAT graphs at scales 8/12/14 plus a social-datagen graph,
-// once with the optimized kernels enabled (the defaults) and once with
-// every optimization forced off, and is compared per-vertex against the
-// reference implementation — exactly for the integer-valued kernels,
-// within a tight tolerance for PageRank, whose summation order
-// legitimately differs across engines.
+// Kernel conformance: each engine's own kernels must be invisible in every
+// output. Each engine runs BFS, CONN, and PR on R-MAT graphs at scales
+// 8/12/14 plus a social-datagen graph with its defaults (`_opt`), and
+// giraph runs them once more with `dense_frontier_threshold = 0`, its
+// sparse reference delivery (`_classic`). Every run is compared
+// per-vertex against the reference implementation — exactly for the
+// integer-valued kernels, within a tight tolerance for PageRank, whose
+// summation order legitimately differs across engines.
 
 enum class KernelGraph { kRmat8, kRmat12, kRmat14, kSocial };
 
@@ -276,8 +276,6 @@ TEST_P(KernelConformanceTest, MatchesReferencePerVertex) {
 
   AlgorithmParams params;
   params.bfs.source = MaxDegreeVertex(graph);
-  params.bfs.strategy =
-      optimized ? BfsStrategy::kDirectionOptimizing : BfsStrategy::kTopDown;
   params.pr = PrParams{10, 0.85};
 
   Config config;
@@ -315,16 +313,27 @@ std::string KernelParamName(
          KernelGraphName(which) + (optimized ? "_opt" : "_classic");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, KernelConformanceTest,
-    ::testing::Combine(
-        ::testing::Values("giraph", "graphx", "mapreduce", "neo4j"),
-        ::testing::Values(AlgorithmKind::kBfs, AlgorithmKind::kConn,
-                          AlgorithmKind::kPr),
-        ::testing::Values(KernelGraph::kRmat8, KernelGraph::kRmat12,
-                          KernelGraph::kRmat14, KernelGraph::kSocial),
-        ::testing::Bool()),
-    KernelParamName);
+// Only giraph reads dense_frontier_threshold, so only giraph has a
+// `_classic` configuration to run.
+std::vector<KernelParam> KernelParams() {
+  std::vector<KernelParam> params;
+  for (const char* platform : {"giraph", "graphx", "mapreduce", "neo4j"}) {
+    for (AlgorithmKind algorithm :
+         {AlgorithmKind::kBfs, AlgorithmKind::kConn, AlgorithmKind::kPr}) {
+      for (KernelGraph which : {KernelGraph::kRmat8, KernelGraph::kRmat12,
+                                KernelGraph::kRmat14, KernelGraph::kSocial}) {
+        params.emplace_back(platform, algorithm, which, true);
+        if (std::string(platform) == "giraph") {
+          params.emplace_back(platform, algorithm, which, false);
+        }
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, KernelConformanceTest,
+                         ::testing::ValuesIn(KernelParams()), KernelParamName);
 
 // ------------------------------------------------------------------------
 // Reorder conformance: every engine, run on the degree-reordered graph with
@@ -411,8 +420,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The column-store engine exposes reachability (not per-vertex levels), so
 // its conformance check compares the transitive count against the set of
-// vertices the direction-optimizing BFS reaches — tying the §3.4 operator
-// and the new traversal kernel to the same ground truth.
+// vertices the reference BFS reaches — the ground truth every engine's
+// BFS is validated against.
 class ColumnstoreReachabilityTest
     : public ::testing::TestWithParam<KernelGraph> {};
 
@@ -431,7 +440,7 @@ TEST_P(ColumnstoreReachabilityTest, TransitiveCountMatchesDirOptBfs) {
 
   BfsParams params;
   params.source = source;
-  AlgorithmOutput levels = ref::BfsDirOpt(graph, params);
+  AlgorithmOutput levels = ref::Bfs(graph, params);
   uint64_t reachable = 0;
   for (int64_t d : levels.vertex_values) {
     if (d != kUnreachable && d > 0) ++reachable;

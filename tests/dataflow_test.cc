@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "dataflow/algorithms.h"
@@ -20,6 +22,13 @@ ContextConfig SmallContext() {
   config.num_partitions = 4;
   config.num_threads = 4;
   return config;
+}
+
+Graph MakeUndirected(std::initializer_list<std::pair<VertexId, VertexId>> es,
+                     VertexId n = 0) {
+  EdgeList edges(n);
+  for (auto [a, b] : es) edges.Add(a, b);
+  return GraphBuilder::Undirected(edges).ValueOrDie();
 }
 
 Graph RandomUndirected(VertexId n, size_t m, uint64_t seed) {
@@ -157,35 +166,102 @@ TEST(DatasetTest, ObjectOverheadFactorCharged) {
 
 // -------------------------------------------------------------- algorithms
 
+// Dataflow's BFS is the one direction-optimizing kernel; every input must
+// give ref::Bfs's levels. The four shapes (path, islands, a 500-leaf star,
+// a random graph) and the three sources of the 300-vertex graph each take
+// at least one bottom-up level.
 TEST(DataflowAlgorithmsTest, BfsMatchesReference) {
-  Graph g = RandomUndirected(200, 600, 31);
+  std::vector<std::pair<Graph, VertexId>> inputs;
+  inputs.emplace_back(RandomUndirected(200, 600, 31), 1);
+  for (VertexId source : {VertexId{0}, VertexId{42}, VertexId{299}}) {
+    inputs.emplace_back(RandomUndirected(300, 1200, 35), source);
+  }
+  inputs.emplace_back(MakeUndirected({{0, 1}, {1, 2}, {2, 3}}), 0);  // path
+  inputs.emplace_back(MakeUndirected({{0, 1}, {2, 3}}, /*n=*/6), 0);
+  EdgeList star;
+  for (VertexId v = 1; v <= 500; ++v) star.Add(0, v);
+  inputs.emplace_back(GraphBuilder::Undirected(star).ValueOrDie(), 0);
+  EdgeList random(400);
+  Rng rng(17);
+  for (int i = 0; i < 1500; ++i) {
+    VertexId a = static_cast<VertexId>(rng.NextBounded(400));
+    VertexId b = static_cast<VertexId>(rng.NextBounded(400));
+    if (a != b) random.Add(a, b);
+  }
+  inputs.emplace_back(GraphBuilder::Undirected(random).ValueOrDie(), 0);
+
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const auto& [g, source] = inputs[i];
+    AlgorithmParams params;
+    params.bfs.source = source;
+    auto out = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, params);
+    ASSERT_TRUE(out.ok()) << "input " << i;
+    EXPECT_EQ(out->vertex_values, ref::Bfs(g, params.bfs).vertex_values)
+        << "input " << i;
+    EXPECT_GT(out->traversed_edges, 0u) << "input " << i;
+    EXPECT_TRUE(
+        harness::ValidateOutput(g, AlgorithmKind::kBfs, params, *out).ok())
+        << "input " << i;
+  }
+}
+
+TEST(DataflowAlgorithmsTest, DirectedBottomUpProbesInNeighbors) {
+  // On a directed 4-cycle the first level already goes bottom-up (the
+  // source's one out-edge is more than 1/alpha of the 3 unexplored ones),
+  // so each level is found through in-neighbors.
+  EdgeList edges;
+  edges.Add(0, 1);
+  edges.Add(1, 2);
+  edges.Add(2, 3);
+  edges.Add(3, 0);
+  Graph g = GraphBuilder::Directed(edges).ValueOrDie();
   AlgorithmParams params;
   params.bfs.source = 1;
   auto out = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, params);
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(
-      harness::ValidateOutput(g, AlgorithmKind::kBfs, params, *out).ok());
+  EXPECT_EQ(out->vertex_values, ref::Bfs(g, params.bfs).vertex_values);
 }
 
-TEST(DataflowAlgorithmsTest, BfsDirOptMatchesJoinsPlan) {
-  // The frontier-based direction-optimizing plan and the legacy
-  // Pregel-by-joins plan must emit identical levels and traversal counts
-  // that both satisfy the validator, from several sources.
-  Graph g = RandomUndirected(300, 1200, 35);
-  for (VertexId source : {VertexId{0}, VertexId{42}, VertexId{299}}) {
-    AlgorithmParams joins;
-    joins.bfs.source = source;
-    joins.bfs.strategy = BfsStrategy::kTopDown;  // routes to the joins plan
-    AlgorithmParams diropt;
-    diropt.bfs.source = source;
-    diropt.bfs.strategy = BfsStrategy::kDirectionOptimizing;
-    auto a = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, joins);
-    auto b = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, diropt);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->vertex_values, b->vertex_values) << "source " << source;
-    EXPECT_TRUE(
-        harness::ValidateOutput(g, AlgorithmKind::kBfs, diropt, *b).ok());
+TEST(DataflowAlgorithmsTest, SourceOutOfRangeYieldsAllUnreachable) {
+  Graph g = MakeUndirected({{0, 1}});
+  AlgorithmParams params;
+  params.bfs.source = 99;
+  auto out = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, params);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->vertex_values.size(), 2u);
+  for (int64_t v : out->vertex_values) EXPECT_EQ(v, kUnreachable);
+}
+
+TEST(DataflowAlgorithmsTest, BottomUpExaminesFewerEdgesOnHubFlood) {
+  // The kernel's payoff: on a hub flood the bottom-up level stops at each
+  // leaf's first parent (the hub) instead of expanding every edge, which
+  // the queue BFS of the reference does.
+  EdgeList edges;
+  for (VertexId v = 1; v <= 2000; ++v) edges.Add(0, v);
+  for (VertexId v = 1; v < 2000; ++v) edges.Add(v, v + 1);  // leaf ring
+  Graph g = GraphBuilder::Undirected(edges).ValueOrDie();
+  AlgorithmParams params;
+  auto out = RunAlgorithm(SmallContext(), g, AlgorithmKind::kBfs, params);
+  ASSERT_TRUE(out.ok());
+  AlgorithmOutput naive = ref::Bfs(g, params.bfs);
+  EXPECT_EQ(out->vertex_values, naive.vertex_values);
+  EXPECT_EQ(out->traversed_edges, 2000u);
+  EXPECT_EQ(naive.traversed_edges, 7998u);
+}
+
+// A zero partition count runs as one partition instead of dividing by
+// zero when records are hashed to partitions.
+TEST(DataflowAlgorithmsTest, ZeroPartitionsRunAsOne) {
+  Graph g = RandomUndirected(200, 600, 38);
+  ContextConfig config = SmallContext();
+  config.num_partitions = 0;
+  AlgorithmParams params;
+  params.bfs.source = 3;
+  for (AlgorithmKind kind : {AlgorithmKind::kBfs, AlgorithmKind::kConn}) {
+    auto out = RunAlgorithm(config, g, kind, params);
+    ASSERT_TRUE(out.ok()) << AlgorithmKindName(kind);
+    EXPECT_EQ(out->vertex_values, ref::Run(g, kind, params).vertex_values)
+        << AlgorithmKindName(kind);
   }
 }
 

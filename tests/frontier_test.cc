@@ -1,28 +1,38 @@
-// Frontier + AtomicBitset unit tests: sparse↔dense round-tripping, the
-// auto-densify threshold, concurrent fills, and the Graph::Validate
-// regression cases the traversal kernels rely on (empty graphs,
-// max-vertex-id gaps, star graphs that force the dense representation).
+// AtomicBitset unit tests (the dataflow BFS's visited set) and the graph
+// shapes the direction-optimizing BFS must survive: a star that forces a
+// bottom-up level, and the Graph::Validate regression cases (empty graphs,
+// long isolated tails, self-loops). Dataflow's BFS runs against ref::Bfs.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
-#include "graph/frontier.h"
+#include "dataflow/algorithms.h"
 #include "graph/graph.h"
 #include "ref/algorithms.h"
 
 namespace gly {
 namespace {
 
+AlgorithmOutput DataflowBfs(const Graph& graph, VertexId source) {
+  dataflow::ContextConfig config;
+  config.num_partitions = 4;
+  config.num_threads = 4;
+  AlgorithmParams params;
+  params.bfs.source = source;
+  auto out = dataflow::RunAlgorithm(config, graph, AlgorithmKind::kBfs, params);
+  out.status().Check();
+  return std::move(out).ValueOrDie();
+}
+
 // ------------------------------------------------------------ AtomicBitset
 
 TEST(AtomicBitsetTest, SetTestAndCount) {
   AtomicBitset bits(130);  // spans three words, last one partial
-  EXPECT_EQ(bits.size(), 130u);
   EXPECT_EQ(bits.Count(), 0u);
   bits.Set(0);
   bits.Set(63);
@@ -48,15 +58,6 @@ TEST(AtomicBitsetTest, TestAndSetReportsTheWinner) {
   EXPECT_EQ(bits.Count(), 1u);
 }
 
-TEST(AtomicBitsetTest, ForEachSetVisitsAscending) {
-  AtomicBitset bits(200);
-  const std::vector<size_t> expected = {3, 64, 65, 127, 128, 199};
-  for (size_t i : expected) bits.Set(i);
-  std::vector<size_t> seen;
-  bits.ForEachSet([&seen](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, expected);
-}
-
 TEST(AtomicBitsetTest, ConcurrentTestAndSetElectsOneWinnerPerBit) {
   constexpr size_t kBits = 4096;
   constexpr int kThreads = 8;
@@ -75,163 +76,11 @@ TEST(AtomicBitsetTest, ConcurrentTestAndSetElectsOneWinnerPerBit) {
   EXPECT_EQ(std::accumulate(wins.begin(), wins.end(), uint64_t{0}), kBits);
 }
 
-TEST(AtomicBitsetTest, MoveTransfersOwnership) {
-  AtomicBitset a(100);
-  a.Set(42);
-  AtomicBitset b(std::move(a));
-  EXPECT_EQ(b.size(), 100u);
-  EXPECT_TRUE(b.Test(42));
-  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): spec'd state
-}
-
-// ---------------------------------------------------------------- Frontier
-
-TEST(FrontierTest, StartsEmptyAndSparse) {
-  Frontier f(100);
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_EQ(f.rep(), Frontier::Rep::kSparse);
-  EXPECT_FALSE(f.Contains(0));
-}
-
-TEST(FrontierTest, ZeroVertexFrontierIsUsable) {
-  Frontier f(0);
-  EXPECT_TRUE(f.empty());
-  f.Densify();
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  EXPECT_TRUE(f.ToSortedVertices().empty());
-  f.Sparsify();
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(FrontierTest, SparseKeepsInsertionOrderDenseSortsAscending) {
-  Frontier f(64, /*dense_threshold=*/32);
-  const std::vector<VertexId> inserted = {9, 3, 27, 1};
-  for (VertexId v : inserted) f.Add(v);
-  EXPECT_EQ(f.sparse_vertices(), inserted);
-  f.Densify();
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  EXPECT_EQ(f.size(), 4u);
-  const std::vector<VertexId> sorted = {1, 3, 9, 27};
-  EXPECT_EQ(f.ToSortedVertices(), sorted);
-  f.Sparsify();
-  EXPECT_EQ(f.sparse_vertices(), sorted);  // Sparsify emits ascending order
-}
-
-TEST(FrontierTest, RoundTripPreservesSetExactly) {
-  constexpr VertexId kN = 1000;
-  Frontier f(kN, /*dense_threshold=*/kN);  // stays sparse until told
-  std::vector<VertexId> members;
-  for (VertexId v = 0; v < kN; v += 7) members.push_back(v);
-  for (VertexId v : members) f.Add(v);
-  for (int round = 0; round < 3; ++round) {
-    f.Densify();
-    f.Sparsify();
-  }
-  EXPECT_EQ(f.ToSortedVertices(), members);
-  EXPECT_EQ(f.size(), members.size());
-  for (VertexId v = 0; v < kN; ++v) {
-    EXPECT_EQ(f.Contains(v), v % 7 == 0) << v;
-  }
-}
-
-TEST(FrontierTest, AddDensifiesPastThreshold) {
-  Frontier f(256, /*dense_threshold=*/8);
-  for (VertexId v = 0; v < 8; ++v) f.Add(v);
-  EXPECT_EQ(f.rep(), Frontier::Rep::kSparse);
-  f.Add(8);  // ninth member crosses the threshold
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  EXPECT_EQ(f.size(), 9u);
-  for (VertexId v = 0; v <= 8; ++v) EXPECT_TRUE(f.Contains(v));
-  EXPECT_FALSE(f.Contains(9));
-}
-
-TEST(FrontierTest, DefaultThresholdIsDenseFractionOfVertices) {
-  Frontier f(1600);
-  EXPECT_EQ(f.dense_threshold(),
-            static_cast<uint64_t>(1600 * Frontier::kDefaultDenseFraction));
-}
-
-TEST(FrontierTest, MaxVertexIdGapsSurviveRoundTrip) {
-  // Only the extreme ids are members — the dense bitmap's first and last
-  // bits, with a gap covering every word in between.
-  constexpr VertexId kN = 10000;
-  Frontier f(kN, /*dense_threshold=*/1);
-  f.Add(0);
-  f.Add(kN - 1);  // Add densifies here
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  f.Sparsify();
-  const std::vector<VertexId> expected = {0, kN - 1};
-  EXPECT_EQ(f.sparse_vertices(), expected);
-  EXPECT_TRUE(f.Contains(0));
-  EXPECT_TRUE(f.Contains(kN - 1));
-  EXPECT_FALSE(f.Contains(kN / 2));
-}
-
-TEST(FrontierTest, AddConcurrentDeduplicatesAcrossThreads) {
-  constexpr VertexId kN = 2048;
-  Frontier f(kN);
-  f.Densify();
-  constexpr int kThreads = 8;
-  std::vector<uint64_t> added(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&f, &added, t] {
-      for (VertexId v = 0; v < kN; ++v) {
-        if (f.AddConcurrent(v)) ++added[t];
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(f.size(), kN);
-  EXPECT_EQ(std::accumulate(added.begin(), added.end(), uint64_t{0}), kN);
-  std::vector<VertexId> all(kN);
-  std::iota(all.begin(), all.end(), 0);
-  EXPECT_EQ(f.ToSortedVertices(), all);
-}
-
-TEST(FrontierTest, RecountDenseAfterDirectBitmapWrites) {
-  Frontier f(128);
-  f.Densify();
-  // Simulate a parallel fill that wrote the bitmap directly.
-  const_cast<AtomicBitset&>(f.bits()).Set(5);
-  const_cast<AtomicBitset&>(f.bits()).Set(77);
-  f.RecountDense();
-  EXPECT_EQ(f.size(), 2u);
-}
-
-TEST(FrontierTest, ClearRevertsToEmptySparse) {
-  Frontier f(64, /*dense_threshold=*/2);
-  f.Add(1);
-  f.Add(2);
-  f.Add(3);
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  f.Clear();
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.rep(), Frontier::Rep::kSparse);
-  f.Add(9);
-  EXPECT_EQ(f.size(), 1u);
-  EXPECT_TRUE(f.Contains(9));
-}
-
-TEST(FrontierTest, SwapExchangesContents) {
-  Frontier a(64, 100);
-  Frontier b(64, 100);
-  a.Add(1);
-  b.Add(2);
-  b.Add(3);
-  a.swap(b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_TRUE(a.Contains(2));
-  EXPECT_TRUE(b.Contains(1));
-}
-
 // ----------------------------------------- star graphs and Graph::Validate
 
-// A star's first BFS level is (n-1)/n of the graph — one level guaranteed
-// to cross any sensible dense threshold. The dir-opt kernel must agree
-// with the naive queue BFS on it in every strategy.
+// A star's first BFS level is (n-1)/n of the graph, far past 1/alpha of
+// the unexplored edges, so the level runs bottom-up: each leaf stops at
+// its one parent, half the probes of the queue BFS.
 TEST(FrontierTest, StarGraphForcesDenseAndKernelsAgree) {
   constexpr VertexId kLeaves = 4096;
   EdgeList edges;
@@ -239,23 +88,11 @@ TEST(FrontierTest, StarGraphForcesDenseAndKernelsAgree) {
   Graph star = GraphBuilder::Undirected(edges).ValueOrDie();
   ASSERT_TRUE(star.Validate().ok());
 
-  // The frontier the hub's expansion produces densifies automatically.
-  Frontier f(star.num_vertices());
-  for (VertexId v = 1; v <= kLeaves; ++v) f.Add(v);
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  EXPECT_EQ(f.size(), kLeaves);
-
-  BfsParams params;
-  params.source = 0;
-  AlgorithmOutput naive = ref::Bfs(star, params);
-  for (BfsStrategy strategy :
-       {BfsStrategy::kTopDown, BfsStrategy::kBottomUp,
-        BfsStrategy::kDirectionOptimizing}) {
-    params.strategy = strategy;
-    AlgorithmOutput out = ref::BfsDirOpt(star, params);
-    EXPECT_EQ(out.vertex_values, naive.vertex_values)
-        << BfsStrategyName(strategy);
-  }
+  AlgorithmOutput naive = ref::Bfs(star, BfsParams{0});
+  AlgorithmOutput out = DataflowBfs(star, 0);
+  EXPECT_EQ(out.vertex_values, naive.vertex_values);
+  EXPECT_EQ(out.traversed_edges, kLeaves);
+  EXPECT_EQ(naive.traversed_edges, 2 * kLeaves);
 }
 
 TEST(GraphValidateTest, EmptyGraphValidates) {
@@ -263,10 +100,8 @@ TEST(GraphValidateTest, EmptyGraphValidates) {
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_TRUE(g.Validate().ok());
   // Traversals over the empty graph are total no-ops, not crashes.
-  Frontier f(g.num_vertices());
-  EXPECT_TRUE(f.empty());
-  AlgorithmOutput out = ref::BfsDirOpt(g, BfsParams{});
-  EXPECT_TRUE(out.vertex_values.empty());
+  EXPECT_TRUE(DataflowBfs(g, 0).vertex_values.empty());
+  EXPECT_TRUE(ref::Bfs(g, BfsParams{}).vertex_values.empty());
 }
 
 TEST(GraphValidateTest, TrailingIsolatedVerticesValidate) {
@@ -278,7 +113,8 @@ TEST(GraphValidateTest, TrailingIsolatedVerticesValidate) {
   Graph g = GraphBuilder::Undirected(edges).ValueOrDie();
   ASSERT_EQ(g.num_vertices(), 5000u);
   EXPECT_TRUE(g.Validate().ok());
-  AlgorithmOutput out = ref::BfsDirOpt(g, BfsParams{0});
+  AlgorithmOutput out = DataflowBfs(g, 0);
+  EXPECT_EQ(out.vertex_values, ref::Bfs(g, BfsParams{0}).vertex_values);
   EXPECT_EQ(out.vertex_values[2], 2);
   for (VertexId v = 3; v < 5000; ++v) {
     ASSERT_EQ(out.vertex_values[v], kUnreachable) << v;
@@ -293,7 +129,7 @@ TEST(GraphValidateTest, SelfLoopGraphValidatesAndTraverses) {
   Graph g = GraphBuilder::Undirected(edges).ValueOrDie();
   EXPECT_TRUE(g.Validate().ok());
   AlgorithmOutput naive = ref::Bfs(g, BfsParams{0});
-  AlgorithmOutput diropt = ref::BfsDirOpt(g, BfsParams{0});
+  AlgorithmOutput diropt = DataflowBfs(g, 0);
   EXPECT_EQ(diropt.vertex_values, naive.vertex_values);
   EXPECT_EQ(diropt.vertex_values[1], 1);
   EXPECT_EQ(diropt.vertex_values[2], kUnreachable);

@@ -314,14 +314,13 @@ INSTANTIATE_TEST_SUITE_P(Windows, DatagenWindowSweep,
                            return "w" + std::to_string(info.param);
                          });
 
-// -------------------------------------------- BFS strategy/alpha/beta sweep
+// ------------------------------------------------------ BFS adversary sweep
 //
-// The direction-optimizing kernel must produce the naive queue BFS's exact
-// levels for EVERY point of the (strategy, alpha, beta) grid — including
-// the degenerate corners (alpha/beta near zero or huge, which pin the
-// kernel to always-top-down or always-bottom-up) — on graphs engineered to
-// stress the switch: isolated vertices, self-loops (dropped by the
-// builder), and a giant hub whose first expansion floods the frontier.
+// The dataflow engine's direction-optimizing BFS (GAP's alpha = 15,
+// beta = 18) must produce the naive queue BFS's exact levels on graphs
+// engineered to stress the switch: isolated vertices, self-loops (dropped
+// by the builder), two components, and a giant hub whose first expansion
+// floods the frontier.
 
 enum class BfsAdversary { kGiantHub, kIsolated, kSelfLoops, kTwoComponents };
 
@@ -390,19 +389,10 @@ const Graph& AdversaryGraph(BfsAdversary which) {
   return giant_hub;
 }
 
-struct BfsGridPoint {
-  BfsStrategy strategy;
-  double alpha;
-  double beta;
-  const char* name;
-};
-
-class BfsStrategySweep
-    : public ::testing::TestWithParam<std::tuple<BfsAdversary, BfsGridPoint>> {
-};
+class BfsStrategySweep : public ::testing::TestWithParam<BfsAdversary> {};
 
 TEST_P(BfsStrategySweep, DirOptMatchesNaiveBfsEverywhere) {
-  const auto& [adversary, point] = GetParam();
+  const BfsAdversary adversary = GetParam();
   const Graph& graph = AdversaryGraph(adversary);
 
   // Sweep sources: the (likely hub) vertex 0, a mid-id vertex, and the
@@ -410,60 +400,24 @@ TEST_P(BfsStrategySweep, DirOptMatchesNaiveBfsEverywhere) {
   const std::vector<VertexId> sources = {
       0, graph.num_vertices() / 2, graph.num_vertices() - 1};
   for (VertexId source : sources) {
-    BfsParams params;
-    params.source = source;
-    params.strategy = point.strategy;
-    params.alpha = point.alpha;
-    params.beta = point.beta;
     AlgorithmOutput expected = ref::Bfs(graph, BfsParams{source});
-    AlgorithmOutput got = ref::BfsDirOpt(graph, params);
-    ASSERT_EQ(got.vertex_values, expected.vertex_values)
-        << AdversaryName(adversary) << " " << point.name << " src " << source;
-
-    // The dataflow engine routes through the same frontier kernel; its
-    // grid behaviour must be identical.
     dataflow::ContextConfig ctx;
     ctx.num_partitions = 4;
-    AlgorithmParams engine_params;
-    engine_params.bfs = params;
-    auto engine_out =
-        dataflow::RunAlgorithm(ctx, graph, AlgorithmKind::kBfs, engine_params);
-    ASSERT_TRUE(engine_out.ok());
-    ASSERT_EQ(engine_out->vertex_values, expected.vertex_values)
-        << "dataflow " << AdversaryName(adversary) << " " << point.name
-        << " src " << source;
+    AlgorithmParams params;
+    params.bfs.source = source;
+    auto out = dataflow::RunAlgorithm(ctx, graph, AlgorithmKind::kBfs, params);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->vertex_values, expected.vertex_values)
+        << AdversaryName(adversary) << " src " << source;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, BfsStrategySweep,
-    ::testing::Combine(
-        ::testing::Values(BfsAdversary::kGiantHub, BfsAdversary::kIsolated,
-                          BfsAdversary::kSelfLoops,
-                          BfsAdversary::kTwoComponents),
-        ::testing::Values(
-            BfsGridPoint{BfsStrategy::kTopDown, 15.0, 18.0, "topdown"},
-            BfsGridPoint{BfsStrategy::kBottomUp, 15.0, 18.0, "bottomup"},
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 15.0, 18.0,
-                         "diropt_default"},
-            // alpha tiny: the frontier never looks big enough -> top-down.
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 1e-6, 18.0,
-                         "diropt_alpha_tiny"},
-            // alpha huge: switches bottom-up on the first level.
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 1e9, 18.0,
-                         "diropt_alpha_huge"},
-            // beta tiny: snaps back top-down immediately after switching.
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 1e9, 1e-6,
-                         "diropt_beta_tiny"},
-            // beta huge: once bottom-up, stays bottom-up to the end.
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 1e9, 1e9,
-                         "diropt_beta_huge"},
-            BfsGridPoint{BfsStrategy::kDirectionOptimizing, 1.0, 1.0,
-                         "diropt_ones"})),
-    [](const ::testing::TestParamInfo<std::tuple<BfsAdversary, BfsGridPoint>>&
-           info) {
-      return AdversaryName(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param).name;
+    ::testing::Values(BfsAdversary::kGiantHub, BfsAdversary::kIsolated,
+                      BfsAdversary::kSelfLoops, BfsAdversary::kTwoComponents),
+    [](const ::testing::TestParamInfo<BfsAdversary>& info) {
+      return AdversaryName(info.param) + "_diropt_default";
     });
 
 }  // namespace

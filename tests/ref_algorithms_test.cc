@@ -66,25 +66,10 @@ TEST(RefBfsTest, SourceOutOfRangeYieldsAllUnreachable) {
   for (int64_t v : out.vertex_values) EXPECT_EQ(v, kUnreachable);
 }
 
-// ------------------------------------------------------- BFS (dir-opt)
-
-TEST(BfsStrategyTest, ParseAndNameRoundTrip) {
-  EXPECT_EQ(*ParseBfsStrategy("top_down"), BfsStrategy::kTopDown);
-  EXPECT_EQ(*ParseBfsStrategy("bottom_up"), BfsStrategy::kBottomUp);
-  EXPECT_EQ(*ParseBfsStrategy("diropt"), BfsStrategy::kDirectionOptimizing);
-  EXPECT_FALSE(ParseBfsStrategy("beamer").ok());
-  for (BfsStrategy s : {BfsStrategy::kTopDown, BfsStrategy::kBottomUp,
-                        BfsStrategy::kDirectionOptimizing}) {
-    EXPECT_EQ(*ParseBfsStrategy(BfsStrategyName(s)), s);
-  }
-}
+// ------------------------------------------------- BFS direction policy
 
 TEST(BfsDirectionPolicyTest, HysteresisSwitchesAndSnapsBack) {
-  BfsParams params;
-  params.strategy = BfsStrategy::kDirectionOptimizing;
-  params.alpha = 10.0;
-  params.beta = 10.0;
-  BfsDirectionPolicy policy(params, /*num_vertices=*/1000);
+  BfsDirectionPolicy policy(/*num_vertices=*/1000);
   // Small frontier relative to unexplored edges: stay top-down.
   EXPECT_FALSE(policy.UseBottomUp(10, 50, 10000));
   // Frontier degree crosses unexplored/alpha: switch bottom-up.
@@ -93,95 +78,15 @@ TEST(BfsDirectionPolicyTest, HysteresisSwitchesAndSnapsBack) {
   EXPECT_TRUE(policy.UseBottomUp(500, 100, 8000));
   // Frontier shrinks below n/beta vertices: snap back top-down.
   EXPECT_FALSE(policy.UseBottomUp(50, 100, 8000));
-}
 
-TEST(BfsDirectionPolicyTest, FixedStrategiesNeverSwitch) {
-  BfsParams top;
-  top.strategy = BfsStrategy::kTopDown;
-  BfsDirectionPolicy top_policy(top, 1000);
-  EXPECT_FALSE(top_policy.UseBottomUp(999, 100000, 1));
-  BfsParams bottom;
-  bottom.strategy = BfsStrategy::kBottomUp;
-  BfsDirectionPolicy bottom_policy(bottom, 1000);
-  EXPECT_TRUE(bottom_policy.UseBottomUp(1, 1, 100000));
-}
-
-TEST(RefBfsDirOptTest, MatchesNaiveOnVariedShapes) {
-  const std::vector<Graph> graphs = [] {
-    std::vector<Graph> out;
-    out.push_back(MakeUndirected({{0, 1}, {1, 2}, {2, 3}}));       // path
-    out.push_back(MakeUndirected({{0, 1}, {2, 3}}, /*n=*/6));      // islands
-    EdgeList star;
-    for (VertexId v = 1; v <= 500; ++v) star.Add(0, v);
-    out.push_back(GraphBuilder::Undirected(star).ValueOrDie());
-    EdgeList random(400);
-    Rng rng(17);
-    for (int i = 0; i < 1500; ++i) {
-      VertexId a = static_cast<VertexId>(rng.NextBounded(400));
-      VertexId b = static_cast<VertexId>(rng.NextBounded(400));
-      if (a != b) random.Add(a, b);
-    }
-    out.push_back(GraphBuilder::Undirected(random).ValueOrDie());
-    return out;
-  }();
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    auto expected = ref::Bfs(g, BfsParams{0});
-    for (BfsStrategy strategy : {BfsStrategy::kTopDown, BfsStrategy::kBottomUp,
-                                 BfsStrategy::kDirectionOptimizing}) {
-      BfsParams params;
-      params.strategy = strategy;
-      auto got = ref::BfsDirOpt(g, params);
-      EXPECT_EQ(got.vertex_values, expected.vertex_values)
-          << "graph " << i << " " << BfsStrategyName(strategy);
-      EXPECT_GT(got.traversed_edges, 0u);
-    }
-  }
-}
-
-TEST(RefBfsDirOptTest, DirectedBottomUpProbesInNeighbors) {
-  EdgeList edges;
-  edges.Add(0, 1);
-  edges.Add(1, 2);
-  edges.Add(2, 3);
-  edges.Add(3, 0);  // directed cycle
-  Graph g = GraphBuilder::Directed(edges).ValueOrDie();
-  auto expected = ref::Bfs(g, BfsParams{1});
-  for (BfsStrategy strategy : {BfsStrategy::kTopDown, BfsStrategy::kBottomUp,
-                               BfsStrategy::kDirectionOptimizing}) {
-    BfsParams params;
-    params.source = 1;
-    params.strategy = strategy;
-    auto got = ref::BfsDirOpt(g, params);
-    EXPECT_EQ(got.vertex_values, expected.vertex_values)
-        << BfsStrategyName(strategy);
-  }
-}
-
-TEST(RefBfsDirOptTest, SourceOutOfRangeYieldsAllUnreachable) {
-  Graph g = MakeUndirected({{0, 1}});
-  BfsParams params;
-  params.source = 99;
-  auto out = ref::BfsDirOpt(g, params);
-  for (int64_t v : out.vertex_values) EXPECT_EQ(v, kUnreachable);
-}
-
-TEST(RefBfsDirOptTest, BottomUpExaminesFewerEdgesOnHubFlood) {
-  // The kernel's payoff: on a hub flood the bottom-up phase stops at the
-  // first discovered parent instead of expanding every frontier edge.
-  EdgeList edges;
-  for (VertexId v = 1; v <= 2000; ++v) edges.Add(0, v);
-  for (VertexId v = 1; v < 2000; ++v) edges.Add(v, v + 1);  // leaf ring
-  Graph g = GraphBuilder::Undirected(edges).ValueOrDie();
-  BfsParams top_down;
-  top_down.strategy = BfsStrategy::kTopDown;
-  BfsParams diropt;
-  diropt.strategy = BfsStrategy::kDirectionOptimizing;
-  diropt.alpha = 100.0;  // eager switch: the hub flood qualifies
-  auto naive = ref::BfsDirOpt(g, top_down);
-  auto hybrid = ref::BfsDirOpt(g, diropt);
-  EXPECT_EQ(hybrid.vertex_values, naive.vertex_values);
-  EXPECT_LT(hybrid.traversed_edges, naive.traversed_edges);
+  // GAP's thresholds exactly. alpha = 15: 1000 frontier edges against
+  // 15000 unexplored is not yet past 1/alpha, 1001 is. beta = 18: 100 of
+  // 1800 vertices is not below n/beta, 99 is.
+  BfsDirectionPolicy edge(/*num_vertices=*/1800);
+  EXPECT_FALSE(edge.UseBottomUp(1, 1000, 15000));
+  EXPECT_TRUE(edge.UseBottomUp(1, 1001, 15000));
+  EXPECT_TRUE(edge.UseBottomUp(100, 0, 0));
+  EXPECT_FALSE(edge.UseBottomUp(99, 0, 0));
 }
 
 // ------------------------------------------------------------------- CONN

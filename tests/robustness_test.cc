@@ -13,6 +13,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,8 +24,10 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/temp_dir.h"
+#include "common/threadpool.h"
 #include "common/trace.h"
 #include "common/trace_analysis.h"
+#include "graph/io.h"
 #include "harness/core.h"
 #include "harness/report.h"
 #include "harness/validator.h"
@@ -869,6 +872,33 @@ TEST(ArtifactReaderTest, DeepNestingIsAnErrorInEveryReader) {
   }
 }
 
+// Seeded byte mutation `i` of a non-empty `original`: by i % 4 it flips a
+// bit, inserts a byte (half the time one of `alphabet`), deletes a byte or
+// truncates, at `*pos`.
+std::string MutateBytes(const std::string& original, int i, Rng& rng,
+                        std::string_view alphabet, size_t* pos) {
+  std::string mutant = original;
+  *pos = rng.Next() % mutant.size();
+  switch (i % 4) {
+    case 0:
+      mutant[*pos] = static_cast<char>(mutant[*pos] ^ (1 << (rng.Next() % 8)));
+      break;
+    case 1:
+      mutant.insert(*pos, 1,
+                    rng.Next() % 2 == 0
+                        ? alphabet[rng.Next() % alphabet.size()]
+                        : static_cast<char>(rng.Next() % 256));
+      break;
+    case 2:
+      mutant.erase(*pos, 1);
+      break;
+    case 3:
+      mutant.resize(*pos);
+      break;
+  }
+  return mutant;
+}
+
 // Seeded byte mutations (flip, insert, delete, truncate) of every committed
 // sample, run through its reader: each mutant yields a value or an error,
 // never a crash or a hang. A truncation that cuts into a record must be an
@@ -883,26 +913,9 @@ TEST(ArtifactReaderTest, ByteMutationsYieldAValueOrAnError) {
     Rng rng(0x5EED);
     size_t accepted = 0;
     for (int i = 0; i < kMutantsPerReader; ++i) {
-      std::string mutant = original;
-      size_t pos = rng.Next() % mutant.size();
-      switch (i % 4) {
-        case 0:
-          mutant[pos] =
-              static_cast<char>(mutant[pos] ^ (1 << (rng.Next() % 8)));
-          break;
-        case 1:
-          mutant.insert(pos, 1,
-                        rng.Next() % 2 == 0
-                            ? kInteresting[rng.Next() % kInteresting.size()]
-                            : static_cast<char>(rng.Next() % 256));
-          break;
-        case 2:
-          mutant.erase(pos, 1);
-          break;
-        case 3:
-          mutant.resize(pos);
-          break;
-      }
+      size_t pos = 0;
+      const std::string mutant =
+          MutateBytes(original, i, rng, kInteresting, &pos);
       Status status = reader.read(mutant);
       if (status.ok()) ++accepted;
       if (i % 4 != 3 || pos == 0) continue;
@@ -915,6 +928,112 @@ TEST(ArtifactReaderTest, ByteMutationsYieldAValueOrAnError) {
     // The sweep reaches past the first byte: some mutants still decode.
     EXPECT_GT(accepted, 0u) << reader.fixture;
   }
+}
+
+// ------------------------------------------------- ETL parsers, untrusted
+
+// The parser sweep's corpus: a seeded 300-vertex, 2000-edge list written
+// as a text edge file, a vertex file and a binary edge file.
+struct EtlCorpus {
+  TempDir dir = TempDir::Create("gly-etl-mutants").ValueOrDie();
+  std::string text = dir.File("corpus.e");
+  std::string vertices = dir.File("corpus.v");
+  std::string binary = dir.File("corpus.bin");
+
+  EtlCorpus() {
+    EdgeList edges(300);
+    Rng rng(0xE71);
+    while (edges.num_edges() < 2000) {
+      edges.Add(static_cast<VertexId>(rng.NextBounded(300)),
+                static_cast<VertexId>(rng.NextBounded(300)));
+    }
+    WriteEdgeListText(edges, text).Check();
+    WriteVertexFile(edges, vertices).Check();
+    WriteEdgeListBinary(edges, binary).Check();
+  }
+};
+
+// Writes 400 seeded mutants of the file at `original_path` to
+// `mutant_path`, one at a time, and calls `read(i)` on each; returns how
+// many mutants `read` accepted.
+size_t SweepFileMutants(const std::string& original_path,
+                        std::string_view alphabet,
+                        const std::string& mutant_path,
+                        const std::function<bool(int)>& read) {
+  std::ifstream in(original_path, std::ios::binary);
+  const std::string original(std::istreambuf_iterator<char>(in), {});
+  EXPECT_FALSE(original.empty()) << original_path;
+  if (original.empty()) return 0;
+  Rng rng(0x5EED);
+  size_t accepted = 0;
+  for (int i = 0; i < 400; ++i) {
+    size_t pos = 0;
+    const std::string mutant = MutateBytes(original, i, rng, alphabet, &pos);
+    std::ofstream(mutant_path, std::ios::binary | std::ios::trunc) << mutant;
+    if (read(i)) ++accepted;
+  }
+  return accepted;
+}
+
+bool BoundCoversEveryId(const EdgeList& edges) {
+  for (const Edge& e : edges.edges()) {
+    if (e.src >= edges.num_vertices() || e.dst >= edges.num_vertices()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr std::string_view kEdgeTextAlphabet = "0123456789 \t\r\n#-+x";
+
+// DESIGN §8's parity promise under hostile input: inline and on a 4-thread
+// pool, a mutated edge file reads back as the same edges or fails with the
+// same error, and an accepted list's vertex bound covers every id.
+TEST(EtlParserTest, TextMutantsReadAlikeInlineAndPooled) {
+  EtlCorpus corpus;
+  ThreadPool pool(4);
+  EtlOptions pooled;
+  pooled.pool = &pool;
+  const std::string path = corpus.dir.File("mutant.e");
+  const size_t accepted = SweepFileMutants(
+      corpus.text, kEdgeTextAlphabet, path, [&](int i) {
+        Result<EdgeList> alone = ReadEdgeListText(path);
+        Result<EdgeList> split = ReadEdgeListText(path, {}, pooled);
+        EXPECT_EQ(alone.status().ToString(), split.status().ToString())
+            << "mutant " << i;
+        if (!alone.ok() || !split.ok()) return false;
+        EXPECT_TRUE(alone->edges() == split->edges()) << "mutant " << i;
+        EXPECT_EQ(alone->num_vertices(), split->num_vertices())
+            << "mutant " << i;
+        EXPECT_TRUE(BoundCoversEveryId(*alone)) << "mutant " << i;
+        return true;
+      });
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(EtlParserTest, BinaryMutantsYieldAValueOrAnError) {
+  EtlCorpus corpus;
+  const std::string path = corpus.dir.File("mutant.bin");
+  const size_t accepted = SweepFileMutants(
+      corpus.binary, std::string_view("\0\x01\x7f\x80\xff", 5), path,
+      [&](int i) {
+        Result<EdgeList> edges = ReadEdgeListBinary(path);
+        if (!edges.ok()) return false;
+        EXPECT_TRUE(BoundCoversEveryId(*edges)) << "mutant " << i;
+        return true;
+      });
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(EtlParserTest, VertexFileMutantsYieldAValueOrAnError) {
+  EtlCorpus corpus;
+  const std::string path = corpus.dir.File("mutant.v");
+  const size_t accepted =
+      SweepFileMutants(corpus.vertices, kEdgeTextAlphabet, path, [&](int) {
+        EdgeList edges;
+        return ApplyVertexFile(path, &edges).ok();
+      });
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -179,6 +179,33 @@ TEST(RunConfigTest, RejectsUnknownReorderValue) {
   EXPECT_TRUE(RunFromConfig(config).status().IsInvalidArgument());
 }
 
+// A set bfs_source must parse and name a vertex: a wrapped or
+// out-of-range id would otherwise run (and validate) a BFS from another
+// vertex or from none.
+TEST(RunConfigTest, BfsSourceMustBeAVertexOfTheGraph) {
+  Config config = *Config::Parse(
+      "graphs = g\n"
+      "graph.g.source = rmat\n"
+      "graph.g.scale = 6\n"
+      "graph.g.edge_factor = 4\n"
+      "platforms = reference\n"
+      "algorithms = bfs\n"
+      "monitor = false\n");
+  for (const char* bad : {"64", "4294967297", "abc"}) {
+    config.Set("graph.g.bfs_source", bad);
+    Status status = RunFromConfig(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad << ": " << status.ToString();
+    EXPECT_NE(status.message().find("graph.g.bfs_source"), std::string::npos)
+        << status.ToString();
+  }
+  config.Set("graph.g.bfs_source", "63");
+  auto out = RunFromConfig(config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->results.size(), 1u);
+  EXPECT_TRUE(out->results[0].status.ok());
+  EXPECT_TRUE(out->results[0].validation.ok());
+}
+
 TEST(RunConfigTest, BfsSourcePerGraph) {
   Config config = BaseConfig();
   config.SetInt("graph.tiny.bfs_source", 42);
