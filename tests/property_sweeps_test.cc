@@ -389,10 +389,14 @@ const Graph& AdversaryGraph(BfsAdversary which) {
   return giant_hub;
 }
 
-class BfsStrategySweep : public ::testing::TestWithParam<BfsAdversary> {};
+// The parameter stays a tuple: ctest names each case with its printed
+// GetParam(), and the tuple keeps those names as they were when the sweep
+// also spanned a strategy/alpha/beta grid.
+class BfsStrategySweep
+    : public ::testing::TestWithParam<std::tuple<BfsAdversary>> {};
 
 TEST_P(BfsStrategySweep, DirOptMatchesNaiveBfsEverywhere) {
-  const BfsAdversary adversary = GetParam();
+  const BfsAdversary adversary = std::get<0>(GetParam());
   const Graph& graph = AdversaryGraph(adversary);
 
   // Sweep sources: the (likely hub) vertex 0, a mid-id vertex, and the
@@ -414,10 +418,11 @@ TEST_P(BfsStrategySweep, DirOptMatchesNaiveBfsEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, BfsStrategySweep,
-    ::testing::Values(BfsAdversary::kGiantHub, BfsAdversary::kIsolated,
-                      BfsAdversary::kSelfLoops, BfsAdversary::kTwoComponents),
-    [](const ::testing::TestParamInfo<BfsAdversary>& info) {
-      return AdversaryName(info.param) + "_diropt_default";
+    ::testing::Combine(::testing::Values(
+        BfsAdversary::kGiantHub, BfsAdversary::kIsolated,
+        BfsAdversary::kSelfLoops, BfsAdversary::kTwoComponents)),
+    [](const ::testing::TestParamInfo<std::tuple<BfsAdversary>>& info) {
+      return AdversaryName(std::get<0>(info.param)) + "_diropt_default";
     });
 
 }  // namespace
