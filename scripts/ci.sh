@@ -28,7 +28,10 @@
 #                    cancellation, the graph store (graphdb_test's page
 #                    cache, WAL torn-tail and recovery cases), the
 #                    MapReduce job engine (mapreduce_test's spill, combine
-#                    and k-way merge cases), the Output Validator
+#                    and k-way merge cases), the dataflow engine
+#                    (dataflow_test's shuffles and ReduceByKey fold
+#                    contract), the column store (columnstore_test's
+#                    codecs and TransitiveCount), the Output Validator
 #                    (validator_fuzz_test's perturbation sweep, its NaN
 #                    and inf cases, and the reference certificates and
 #                    their mutations), the cross-engine
@@ -49,9 +52,12 @@
 #                    watchdog/grace-join paths (harness watchdog vs attempt
 #                    thread, token polls from every engine), the
 #                    artifact readers (json_test and the byte-mutation
-#                    sweep ride the robustness label), the graph store
-#                    and the MapReduce job engine (graphdb_test and
-#                    mapreduce_test, also on the robustness label), the
+#                    sweep ride the robustness label), the graph store,
+#                    the MapReduce job engine, the dataflow engine and the
+#                    column store (graphdb_test, mapreduce_test,
+#                    dataflow_test and columnstore_test, whose
+#                    TransitiveCount threads share one column's decode
+#                    count, all on the robustness label), the
 #                    validator and reference certificates
 #                    (validator_fuzz_test, robustness label), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4

@@ -134,7 +134,7 @@ uint64_t Column::DecodeBlockContaining(uint64_t row,
   const uint64_t block_idx = row / kBlockSize;
   const BlockMeta& meta = blocks_[block_idx];
   out->resize(meta.count);
-  ++decodes_;
+  decodes_.n.fetch_add(1, std::memory_order_relaxed);
   switch (meta.encoding) {
     case Encoding::kRle:
       std::fill(out->begin(), out->end(), meta.base);

@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -65,7 +66,9 @@ class Column {
   uint32_t Get(uint64_t row) const;
 
   /// Total block decodes performed (profiling; mutable counter).
-  uint64_t block_decodes() const { return decodes_; }
+  uint64_t block_decodes() const {
+    return decodes_.n.load(std::memory_order_relaxed);
+  }
 
   /// Per-encoding block counts, indexed by Encoding.
   const std::vector<uint32_t>& encoding_histogram() const {
@@ -88,7 +91,21 @@ class Column {
   std::vector<BlockMeta> blocks_;
   std::vector<uint64_t> data_;
   std::vector<uint32_t> encoding_counts_ = std::vector<uint32_t>(4, 0);
-  mutable uint64_t decodes_ = 0;
+  // Partition threads of TransitiveCount decode blocks of one column
+  // concurrently, so the count is a relaxed atomic; moving a column
+  // carries it along.
+  struct DecodeCount {
+    std::atomic<uint64_t> n{0};
+    DecodeCount() = default;
+    DecodeCount(DecodeCount&& other) noexcept
+        : n(other.n.load(std::memory_order_relaxed)) {}
+    DecodeCount& operator=(DecodeCount&& other) noexcept {
+      n.store(other.n.load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+      return *this;
+    }
+  };
+  mutable DecodeCount decodes_;
 };
 
 }  // namespace gly::columnstore

@@ -182,10 +182,9 @@ Result<AlgorithmOutput> RunCd(Context* ctx, const Graph& graph,
               -> std::optional<Msg> {
             return Msg{LabelScore{src.label, src.score}};
           },
-          [](const Msg& a, const Msg& b) {
-            Msg merged = a;
-            merged.insert(merged.end(), b.begin(), b.end());
-            return merged;
+          [](Msg a, const Msg& b) {
+            a.insert(a.end(), b.begin(), b.end());
+            return a;
           },
           [hop](uint64_t, const CdFlowValue& old, const Msg* m)
               -> std::pair<CdFlowValue, bool> {
@@ -270,10 +269,9 @@ Result<AlgorithmOutput> RunStatsAlgorithm(Context* ctx, const Graph& graph) {
             if (src.adjacency.size() < 2) return std::nullopt;
             return Msg{src.adjacency};
           },
-          [](const Msg& a, const Msg& b) {
-            Msg merged = a;
-            merged.insert(merged.end(), b.begin(), b.end());
-            return merged;
+          [](Msg a, const Msg& b) {
+            a.insert(a.end(), b.begin(), b.end());
+            return a;
           },
           [](uint64_t, const LccValue& old, const Msg* m)
               -> std::pair<LccValue, bool> {

@@ -64,7 +64,9 @@ class PropertyGraph {
   ///
   /// * `send(src_value, src, dst)` returns an optional message (M) routed
   ///   to dst — evaluated for every edge whose source is in the active set;
-  /// * `combine(a, b)` merges messages to the same destination;
+  /// * `combine(a, b)` merges messages to the same destination; `a` comes
+  ///   as an rvalue (Context::ReduceByKey's fold contract), so a list
+  ///   combiner takes it by value and appends `b`;
   /// * `apply(v, old_value, msg_or_null)` produces the new vertex value and
   ///   flags whether the vertex is active next round.
   // send/combine/apply stay template parameters (not std::function): the

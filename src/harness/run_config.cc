@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -118,6 +119,47 @@ Result<VertexId> ReadBfsSource(const Config& scope, const std::string& name,
   return static_cast<VertexId>(*source);
 }
 
+// Supervision keys (deadlines, retries, scheduler slots and budget): an
+// unset key keeps RunSpec's default, but a set one must parse. A silent
+// fallback would turn `timeout_s = 0.005s` into a run with no deadline.
+Status ReadSetDouble(const Config& config, const std::string& key,
+                     double* value) {
+  if (!config.Has(key)) return Status::OK();
+  Result<double> parsed = config.GetDouble(key);
+  if (!parsed.ok()) return parsed.status().WithPrefix(key);
+  *value = *parsed;
+  return Status::OK();
+}
+
+template <typename T>
+Status ReadSetUint(const Config& config, const std::string& key, T* value) {
+  if (!config.Has(key)) return Status::OK();
+  Result<uint64_t> parsed = config.GetUint(key);
+  if (!parsed.ok()) return parsed.status().WithPrefix(key);
+  if (*parsed > std::numeric_limits<T>::max()) {
+    return Status::InvalidArgument(
+        StringPrintf("%s: %llu is out of range", key.c_str(),
+                     (unsigned long long)*parsed));
+  }
+  *value = static_cast<T>(*parsed);
+  return Status::OK();
+}
+
+Status ReadSupervision(const Config& config, RunSpec* spec) {
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "timeout_s", &spec->cell_timeout_s));
+  GLY_RETURN_NOT_OK(
+      ReadSetDouble(config, "stall_timeout_s", &spec->stall_timeout_s));
+  GLY_RETURN_NOT_OK(
+      ReadSetDouble(config, "cancel_grace_s", &spec->cancel_grace_s));
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "max_attempts", &spec->max_attempts));
+  GLY_RETURN_NOT_OK(
+      ReadSetDouble(config, "retry_backoff_s", &spec->retry_backoff_s));
+  // Concurrent scheduling (DESIGN.md §12).
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "harness.jobs", &spec->jobs));
+  return ReadSetUint(config, "harness.memory_budget_mb",
+                     &spec->sched_memory_budget_mb);
+}
+
 // Profiling (DESIGN.md §14): profile.mode = off | counters | sampler |
 // full. Profile artifacts land next to the trace exports, so a profiled
 // run needs a trace directory; `*trace_dir` defaults to one under
@@ -230,6 +272,8 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
 
   std::vector<std::unique_ptr<DatasetStorage>> graphs;
   RunSpec spec;
+  // Checked before any graph is built, so a malformed key fails fast.
+  GLY_RETURN_NOT_OK(ReadSupervision(config, &spec));
   {
     trace::TraceSpan etl_span("harness.etl", "harness");
     for (const std::string& name : graph_names) {
@@ -298,19 +342,7 @@ Result<ConfigRunOutput> RunFromConfig(const Config& config,
   spec.validate = config.GetBoolOr("validate", true);
   spec.monitor = config.GetBoolOr("monitor", true);
 
-  // ------------------------------------------------ robustness policy
-  spec.cell_timeout_s = config.GetDoubleOr("timeout_s", 0.0);
-  spec.stall_timeout_s = config.GetDoubleOr("stall_timeout_s", 0.0);
-  spec.cancel_grace_s = config.GetDoubleOr("cancel_grace_s", 5.0);
-  spec.max_attempts =
-      static_cast<uint32_t>(config.GetUintOr("max_attempts", 1));
-  spec.retry_backoff_s = config.GetDoubleOr("retry_backoff_s", 0.0);
   spec.stop = stop;
-
-  // ------------------------------------------- concurrent scheduling (§12)
-  spec.jobs = static_cast<uint32_t>(config.GetUintOr("harness.jobs", 1));
-  spec.sched_memory_budget_mb =
-      config.GetUintOr("harness.memory_budget_mb", 0);
 
   // Resumable matrices: journal per-cell completion under the report dir
   // (or an explicit `journal` path); `resume = true` reuses finished cells.

@@ -43,7 +43,9 @@
 //   validate = true
 //   monitor = true
 //
-//   # robustness (see DESIGN.md, "Recovery model" and §11)
+//   # robustness (see DESIGN.md, "Recovery model" and §11); a set
+//   # supervision key (these five and the two harness.* keys below) must
+//   # parse, or RunFromConfig returns InvalidArgument naming it
 //   timeout_s = 60                    # per-cell wall clock (0 = none)
 //   stall_timeout_s = 10              # cancel when the progress heartbeat
 //                                     # stops advancing (0 = off)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <utility>
 #include <vector>
@@ -94,6 +95,58 @@ TEST(DatasetTest, ReduceByKeySums) {
   int total = 0;
   for (const auto& [k, v] : collected) total += v;
   EXPECT_EQ(total, 100);
+}
+
+// A value that counts its own copies; moves are free.
+struct CopyCounted {
+  static inline std::atomic<uint64_t> copies{0};
+  int value = 0;
+  CopyCounted() = default;
+  explicit CopyCounted(int v) : value(v) {}
+  CopyCounted(const CopyCounted& other) : value(other.value) {
+    copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& other) {
+    value = other.value;
+    copies.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+// The fold contract: the accumulator reaches the combiner as an rvalue, so
+// an appending combiner folds a key's n one-element values with O(n)
+// copies, not the n^2/2 of copying the accumulator on every fold. Key 7
+// takes the flat-accumulator fold; key 2^40 is beyond its domain cap and
+// takes the hash-map fallback, whose copy-out adds one copy per element.
+TEST(DatasetTest, ReduceByKeyFoldsListsInLinearCopies) {
+  using List = std::vector<CopyCounted>;
+  constexpr int kValues = 2000;
+  for (const auto& [key, copies_per_value] :
+       {std::pair<uint64_t, uint64_t>{7, 2}, {uint64_t{1} << 40, 3}}) {
+    Context ctx(SmallContext());
+    std::vector<std::pair<uint64_t, List>> data;
+    for (int i = 0; i < kValues; ++i) {
+      data.emplace_back(key, List{});
+      data.back().second.emplace_back(i);
+    }
+    auto ds = ctx.ParallelizeByKey(std::move(data));
+    ASSERT_TRUE(ds.ok());
+    CopyCounted::copies = 0;
+    // One copy per value in the shuffle, one as the fold appends it.
+    auto reduced = ctx.ReduceByKey(*ds, [](List a, const List& b) {
+      a.insert(a.end(), b.begin(), b.end());
+      return a;
+    });
+    ASSERT_TRUE(reduced.ok());
+    EXPECT_LE(CopyCounted::copies.load(), copies_per_value * kValues)
+        << "key " << key;
+    ASSERT_EQ(reduced->Count(), 1u);
+    const List folded = reduced->Collect()[0].second;
+    ASSERT_EQ(folded.size(), static_cast<size_t>(kValues));
+    for (int i = 0; i < kValues; ++i) EXPECT_EQ(folded[i].value, i);
+  }
 }
 
 TEST(DatasetTest, LeftJoinFindsMatches) {

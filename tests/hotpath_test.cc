@@ -294,8 +294,11 @@ TEST(PregelHotpathParity, CancellationPollsWithinAWorkersVertexList) {
 
 // ---------------------------------------------------------------- Dataflow
 
-// One frozen dataflow run. PR's checksum differs by partition count: the
-// per-vertex sums fold in partition order, which the partition count sets.
+// One frozen dataflow run. PR's and STATS' checksums differ by partition
+// count: per-vertex sums and the clustering mean fold in partition order,
+// which the partition count sets. `peak_memory_bytes` is the memory
+// budget's peak (ContextStats::peak_memory_bytes): it moves if a dataset
+// is released earlier or later, which can move the Figure 4 failure shape.
 struct DataflowRow {
   AlgorithmKind kind;
   uint32_t partitions;
@@ -303,32 +306,40 @@ struct DataflowRow {
   uint64_t traversed_edges;
   uint64_t datasets_materialized;
   uint64_t shuffle_bytes;
+  uint64_t peak_memory_bytes;
   bool operator==(const DataflowRow&) const = default;
 };
 
 std::string ToString(const DataflowRow& r) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "{%s, %u, 0x%08xu, %lluu, %lluu, %lluu}",
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "{%s, %u, 0x%08xu, %lluu, %lluu, %lluu, %lluu}",
                 KindEnum(r.kind).c_str(), r.partitions, r.checksum,
                 static_cast<unsigned long long>(r.traversed_edges),
                 static_cast<unsigned long long>(r.datasets_materialized),
-                static_cast<unsigned long long>(r.shuffle_bytes));
+                static_cast<unsigned long long>(r.shuffle_bytes),
+                static_cast<unsigned long long>(r.peak_memory_bytes));
   return buf;
 }
 
+// The peak column and the STATS rows were frozen from the copying list
+// combiners that the move fold replaced.
 constexpr DataflowRow kDataflowGolden[] = {
-    {AlgorithmKind::kBfs, 1, 0xd7882d3du, 3189u, 8u, 0u},
-    {AlgorithmKind::kBfs, 2, 0xd7882d3du, 3189u, 8u, 0u},
-    {AlgorithmKind::kBfs, 8, 0xd7882d3du, 3189u, 8u, 0u},
-    {AlgorithmKind::kConn, 1, 0x284d4c20u, 2171u, 27u, 0u},
-    {AlgorithmKind::kConn, 2, 0x284d4c20u, 2171u, 27u, 228304u},
-    {AlgorithmKind::kConn, 8, 0x284d4c20u, 2171u, 27u, 397584u},
-    {AlgorithmKind::kPr, 1, 0xc50b1a93u, 4800u, 42u, 0u},
-    {AlgorithmKind::kPr, 2, 0x2bb19a4au, 4800u, 42u, 634880u},
-    {AlgorithmKind::kPr, 8, 0x585996c9u, 4800u, 42u, 1104896u},
-    {AlgorithmKind::kCd, 1, 0x284d4c20u, 3600u, 32u, 0u},
-    {AlgorithmKind::kCd, 2, 0x284d4c20u, 3600u, 32u, 952320u},
-    {AlgorithmKind::kCd, 8, 0x284d4c20u, 3600u, 32u, 1657344u},
+    {AlgorithmKind::kBfs, 1, 0xd7882d3du, 3189u, 8u, 0u, 7824u},
+    {AlgorithmKind::kBfs, 2, 0xd7882d3du, 3189u, 8u, 0u, 7824u},
+    {AlgorithmKind::kBfs, 8, 0xd7882d3du, 3189u, 8u, 0u, 7824u},
+    {AlgorithmKind::kConn, 1, 0x284d4c20u, 2171u, 27u, 0u, 985408u},
+    {AlgorithmKind::kConn, 2, 0x284d4c20u, 2171u, 27u, 228304u, 985408u},
+    {AlgorithmKind::kConn, 8, 0x284d4c20u, 2171u, 27u, 397584u, 985408u},
+    {AlgorithmKind::kPr, 1, 0xc50b1a93u, 4800u, 42u, 0u, 1040640u},
+    {AlgorithmKind::kPr, 2, 0x2bb19a4au, 4800u, 42u, 634880u, 1040640u},
+    {AlgorithmKind::kPr, 8, 0x585996c9u, 4800u, 42u, 1104896u, 1040640u},
+    {AlgorithmKind::kCd, 1, 0x284d4c20u, 3600u, 32u, 0u, 1683200u},
+    {AlgorithmKind::kCd, 2, 0x284d4c20u, 3600u, 32u, 952320u, 1683200u},
+    {AlgorithmKind::kCd, 8, 0x284d4c20u, 3600u, 32u, 1657344u, 1683200u},
+    {AlgorithmKind::kStats, 1, 0x7cd40f4fu, 9740u, 7u, 0u, 1644800u},
+    {AlgorithmKind::kStats, 2, 0x5b24cea9u, 9740u, 7u, 158720u, 1644800u},
+    {AlgorithmKind::kStats, 8, 0x9d206242u, 9740u, 7u, 276224u, 1644800u},
 };
 
 TEST(DataflowHotpathParity, PooledMatchesLegacyAcrossPartitionCounts) {
@@ -345,7 +356,8 @@ TEST(DataflowHotpathParity, PooledMatchesLegacyAcrossPartitionCounts) {
                              harness::OutputChecksum(*out),
                              out->traversed_edges,
                              stats.datasets_materialized,
-                             stats.shuffle_bytes};
+                             stats.shuffle_bytes,
+                             stats.peak_memory_bytes};
     EXPECT_EQ(actual, golden) << "actual row: " << ToString(actual);
   }
 }

@@ -206,6 +206,33 @@ TEST(RunConfigTest, BfsSourceMustBeAVertexOfTheGraph) {
   EXPECT_TRUE(out->results[0].validation.ok());
 }
 
+// A set supervision key must parse: a fallback to the default would run
+// `timeout_s = 0.005s` with no deadline at all.
+TEST(RunConfigTest, SupervisionKeysMustParse) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"timeout_s", "0.005s"},       {"stall_timeout_s", "1m"},
+      {"cancel_grace_s", "five"},    {"max_attempts", "-1"},
+      {"retry_backoff_s", ""},       {"harness.jobs", "four"},
+      {"harness.memory_budget_mb", "1.5"},
+      {"max_attempts", "4294967296"},
+  };
+  for (const auto& [key, value] : bad) {
+    Config config = BaseConfig();
+    config.Set(key, value);
+    Status status = RunFromConfig(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << key << " = " << value << ": " << status.ToString();
+    EXPECT_NE(status.message().find(key), std::string::npos)
+        << status.ToString();
+  }
+  Config config = BaseConfig();
+  config.Set("timeout_s", "0.005");
+  config.Set("harness.jobs", "2");
+  auto out = RunFromConfig(config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->results.size(), 2u);
+}
+
 TEST(RunConfigTest, BfsSourcePerGraph) {
   Config config = BaseConfig();
   config.SetInt("graph.tiny.bfs_source", 42);
