@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -41,15 +42,50 @@ void Counters::Reset() {
 
 namespace {
 
-// Collects map output for one (mapper, reducer) pair; sorts and spills runs.
+// One sorted run: a byte range of its map task's output file.
+struct RunSegment {
+  std::string path;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+// A map task's output file. As in Hadoop, where a map task writes one
+// output file that holds every partition, each spill of each (mapper,
+// reducer) pair is appended to it as a run and found again by its segment.
+// A job so creates one spill file per map task rather than one per run:
+// creating files costs the filesystem journal far more than appending.
+class MapOutputFile {
+ public:
+  explicit MapOutputFile(std::string path) : path_(std::move(path)) {}
+
+  // Appends `records` as one run; the file is created by the first run.
+  Result<RunSegment> AppendRun(const std::vector<Record>& records) {
+    if (!writer_) {
+      GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
+                           RecordFileWriter::Open(path_));
+      writer_.emplace(std::move(writer));
+    }
+    RunSegment run{path_, writer_->bytes_written(), 0};
+    for (const Record& r : records) GLY_RETURN_NOT_OK(writer_->Append(r));
+    run.length = writer_->bytes_written() - run.offset;
+    return run;
+  }
+
+  // Must be called before any run is read.
+  Status Close() { return writer_ ? writer_->Close() : Status::OK(); }
+
+ private:
+  std::string path_;
+  std::optional<RecordFileWriter> writer_;
+};
+
+// Collects map output for one (mapper, reducer) pair; sorts and spills runs
+// into the map task's output file.
 class SpillBuffer {
  public:
-  SpillBuffer(std::string path_prefix, uint64_t limit, Reducer* combiner,
+  SpillBuffer(MapOutputFile* file, uint64_t limit, Reducer* combiner,
               Counters* counters)
-      : path_prefix_(std::move(path_prefix)),
-        limit_(limit),
-        combiner_(combiner),
-        counters_(counters) {}
+      : file_(file), limit_(limit), combiner_(combiner), counters_(counters) {}
 
   Status Add(uint64_t key, const std::string& value, JobStats* stats) {
     bytes_ += sizeof(uint64_t) + sizeof(uint32_t) + value.size();
@@ -66,38 +102,31 @@ class SpillBuffer {
                        return a.key < b.key;
                      });
     if (combiner_ != nullptr) RunCombiner(stats);
-    std::string path = path_prefix_ + "." + std::to_string(spill_count_++);
-    GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
-                         RecordFileWriter::Open(path));
-    for (const Record& r : records_) {
-      GLY_RETURN_NOT_OK(writer.Append(r));
-    }
-    GLY_RETURN_NOT_OK(writer.Close());
+    GLY_ASSIGN_OR_RETURN(RunSegment run, file_->AppendRun(records_));
     if (stats != nullptr) {
-      stats->spill_bytes += writer.bytes_written();
+      stats->spill_bytes += run.length;
       ++stats->spill_files;
     }
-    run_paths_.push_back(path);
+    runs_.push_back(std::move(run));
     records_.clear();
     bytes_ = 0;
     return Status::OK();
   }
 
-  const std::vector<std::string>& run_paths() const { return run_paths_; }
+  const std::vector<RunSegment>& runs() const { return runs_; }
 
  private:
   // Folds sorted `records_` through the combiner, replacing each key group
   // with the combiner's output (map-side combine, as Hadoop does at spill).
   void RunCombiner(JobStats* stats);
 
-  std::string path_prefix_;
+  MapOutputFile* file_;
   uint64_t limit_;
   Reducer* combiner_;
   Counters* counters_;
   uint64_t bytes_ = 0;
-  uint32_t spill_count_ = 0;
   std::vector<Record> records_;
-  std::vector<std::string> run_paths_;
+  std::vector<RunSegment> runs_;
 };
 
 // Emitter routing to per-reducer spill buffers by key hash; counts the map
@@ -211,7 +240,7 @@ std::string ManifestFingerprint(const JobConfig& config,
 }
 
 Status WriteMapManifest(const std::string& path, const std::string& fingerprint,
-                        const std::vector<std::vector<std::string>>& runs,
+                        const std::vector<std::vector<RunSegment>>& runs,
                         const JobStats& stats) {
   CheckpointWriter writer;
   *writer.AddSection("fingerprint") = fingerprint;
@@ -219,7 +248,11 @@ Status WriteMapManifest(const std::string& path, const std::string& fingerprint,
   run_enc.PutU64(runs.size());
   for (const auto& slot : runs) {
     run_enc.PutU64(slot.size());
-    for (const std::string& p : slot) run_enc.PutString(p);
+    for (const RunSegment& run : slot) {
+      run_enc.PutString(run.path);
+      run_enc.PutU64(run.offset);
+      run_enc.PutU64(run.length);
+    }
   }
   CheckpointEncoder stat_enc(writer.AddSection("stats"));
   stat_enc.PutU64(stats.input_records);
@@ -232,11 +265,11 @@ Status WriteMapManifest(const std::string& path, const std::string& fingerprint,
 }
 
 // True when a valid same-job manifest was restored into `runs`/`stats` and
-// every referenced run file still exists on disk.
+// every referenced run still lies within its file on disk.
 bool TryRestoreMapManifest(const std::string& path,
                            const std::string& fingerprint,
                            size_t expected_slots,
-                           std::vector<std::vector<std::string>>* runs,
+                           std::vector<std::vector<RunSegment>>* runs,
                            JobStats* stats) {
   auto reader = CheckpointReader::Load(path);
   if (!reader.ok()) return false;
@@ -248,19 +281,25 @@ bool TryRestoreMapManifest(const std::string& path,
   CheckpointDecoder run_dec(*runs_raw);
   uint64_t slots = 0;
   if (!run_dec.GetU64(&slots) || slots != expected_slots) return false;
-  std::vector<std::vector<std::string>> restored(slots);
+  std::vector<std::vector<RunSegment>> restored(slots);
   for (uint64_t i = 0; i < slots; ++i) {
     uint64_t count = 0;
     if (!run_dec.GetU64(&count) || count > run_dec.remaining()) return false;
     restored[i].resize(count);
-    for (uint64_t j = 0; j < count; ++j) {
-      if (!run_dec.GetString(&restored[i][j])) return false;
+    for (RunSegment& run : restored[i]) {
+      if (!run_dec.GetString(&run.path) || !run_dec.GetU64(&run.offset) ||
+          !run_dec.GetU64(&run.length)) {
+        return false;
+      }
     }
   }
   std::error_code ec;
   for (const auto& slot : restored) {
-    for (const std::string& p : slot) {
-      if (!fs::exists(p, ec) || ec) return false;
+    for (const RunSegment& run : slot) {
+      const uint64_t size = fs::file_size(run.path, ec);
+      if (ec || run.offset > size || run.length > size - run.offset) {
+        return false;
+      }
     }
   }
 
@@ -333,8 +372,12 @@ class JobRun {
 
  private:
   // The spill runs mapper `m` wrote for reducer `r`.
-  std::vector<std::string>& RunsOf(uint32_t m, uint32_t r) {
+  std::vector<RunSegment>& RunsOf(uint32_t m, uint32_t r) {
     return runs_[static_cast<size_t>(m) * reducers_ + r];
+  }
+  // The one file that holds every run of map task `m`.
+  std::string MapOutputPath(uint32_t m) const {
+    return spill_dir_ + StringPrintf("/map-%05u.out", m);
   }
   Status MapTask(uint32_t m, const std::vector<std::string>& split,
                  JobStats* stats);
@@ -352,7 +395,7 @@ class JobRun {
   const uint32_t reducers_;
   const std::string manifest_path_;
   const std::string spill_dir_;
-  std::vector<std::vector<std::string>> runs_;  // [mapper * reducers + r]
+  std::vector<std::vector<RunSegment>> runs_;  // [mapper * reducers + r]
   std::vector<std::string> outputs_;
   JobStats stats_;
 };
@@ -424,11 +467,12 @@ Status JobRun::MapTask(uint32_t m, const std::vector<std::string>& split,
   auto mapper = mapper_factory_();
   std::unique_ptr<Reducer> combiner =
       combiner_factory_ ? combiner_factory_() : nullptr;
+  MapOutputFile file(MapOutputPath(m));
   std::vector<SpillBuffer> buffers;
   buffers.reserve(reducers_);
   for (uint32_t r = 0; r < reducers_; ++r) {
-    buffers.emplace_back(spill_dir_ + StringPrintf("/map-%05u-r-%05u", m, r),
-                         config_.sort_buffer_bytes, combiner.get(), counters_);
+    buffers.emplace_back(&file, config_.sort_buffer_bytes, combiner.get(),
+                         counters_);
   }
   PartitionedEmitter emitter(&buffers, stats);
   uint64_t records_since_poll = 0;
@@ -450,8 +494,9 @@ Status JobRun::MapTask(uint32_t m, const std::vector<std::string>& split,
   GLY_RETURN_NOT_OK(emitter.error());
   for (uint32_t r = 0; r < reducers_; ++r) {
     GLY_RETURN_NOT_OK(buffers[r].Spill(stats));
-    RunsOf(m, r) = buffers[r].run_paths();
+    RunsOf(m, r) = buffers[r].runs();
   }
+  GLY_RETURN_NOT_OK(file.Close());
   if (config_.cancel != nullptr) config_.cancel->Heartbeat();
   return Status::OK();
 }
@@ -479,13 +524,14 @@ Status JobRun::ShuffleReduce() {
 Status JobRun::ReduceTask(uint32_t r, JobStats* stats) {
   GLY_FAULT_POINT("mapreduce.reduce.task");
   GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-  // Gather this reducer's run files from every mapper.
+  // Gather this reducer's runs from every mapper.
   std::vector<MergeSource> sources;
   for (uint32_t m = 0; m < mappers_; ++m) {
-    for (const std::string& path : RunsOf(m, r)) {
+    for (const RunSegment& run : RunsOf(m, r)) {
       MergeSource src;
-      GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
-                           RecordFileReader::Open(path));
+      GLY_ASSIGN_OR_RETURN(
+          RecordFileReader reader,
+          RecordFileReader::Open(run.path, run.offset, run.length));
       src.reader = std::make_unique<RecordFileReader>(std::move(reader));
       GLY_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.current));
       if (more) sources.push_back(std::move(src));
@@ -546,9 +592,7 @@ void JobRun::Cleanup() {
     fs::remove_all(spill_dir_, ec);
     return;
   }
-  for (const auto& runs : runs_) {
-    for (const std::string& path : runs) fs::remove(path, ec);
-  }
+  for (uint32_t m = 0; m < mappers_; ++m) fs::remove(MapOutputPath(m), ec);
 }
 
 }  // namespace

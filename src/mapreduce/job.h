@@ -6,10 +6,11 @@
 //
 //   map     — mappers (parallel) consume input splits and emit (key, value)
 //             pairs into per-reducer sort buffers; when a buffer exceeds
-//             `sort_buffer_bytes` it is sorted and spilled to a run file
-//             (optionally combined first);
-//   shuffle — each reducer k-way-merges the sorted run files addressed to
-//             it (real file reads);
+//             `sort_buffer_bytes` it is sorted (optionally combined) and
+//             spilled as a run, appended to the map task's one output
+//             file, as Hadoop's map output file holds every partition;
+//   shuffle — each reducer k-way-merges the sorted runs addressed to it
+//             (real file reads);
 //   reduce  — grouped (key, [values]) pairs are reduced and the output is
 //             written to part files, which become the next job's input.
 //
@@ -113,11 +114,11 @@ struct JobStats {
   uint64_t input_records = 0;
   uint64_t map_output_records = 0;
   uint64_t combined_records = 0;   // records after combiner
-  uint64_t spill_bytes = 0;        // bytes written to run files
+  uint64_t spill_bytes = 0;        // bytes written as sorted runs
   uint64_t shuffle_bytes = 0;      // bytes read back during merge
   uint64_t output_bytes = 0;
   double map_seconds = 0.0;
-  uint32_t spill_files = 0;
+  uint32_t spill_files = 0;        // sorted runs (segments of map outputs)
   /// True when the map phase was skipped by restoring a spill manifest
   /// left by a crashed prior run (map-phase fields reflect the original
   /// execution).

@@ -1,5 +1,7 @@
 #include "mapreduce/record.h"
 
+#include <limits>
+
 #include "common/macros.h"
 
 namespace gly::mapreduce {
@@ -34,13 +36,28 @@ Status RecordFileWriter::Close() {
 Result<RecordFileReader> RecordFileReader::Open(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
-  return RecordFileReader(std::move(in), path);
+  return RecordFileReader(std::move(in), path,
+                          std::numeric_limits<uint64_t>::max());
+}
+
+Result<RecordFileReader> RecordFileReader::Open(const std::string& path,
+                                                uint64_t offset,
+                                                uint64_t length) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  in.seekg(static_cast<std::streamoff>(offset));
+  if (!in) return Status::IOError("cannot seek in " + path);
+  return RecordFileReader(std::move(in), path, length);
 }
 
 Result<bool> RecordFileReader::Next(Record* out) {
+  if (remaining_ == 0) return false;
   uint64_t key;
   in_.read(reinterpret_cast<char*>(&key), sizeof(key));
-  if (in_.eof() && in_.gcount() == 0) return false;
+  if (in_.eof() && in_.gcount() == 0) {
+    if (remaining_ == std::numeric_limits<uint64_t>::max()) return false;
+    return Status::IOError("truncated run in " + path_);
+  }
   if (!in_ || in_.gcount() != sizeof(key)) {
     return Status::IOError("truncated record key in " + path_);
   }
@@ -56,6 +73,13 @@ Result<bool> RecordFileReader::Next(Record* out) {
     if (!in_ || in_.gcount() != static_cast<std::streamsize>(len)) {
       return Status::IOError("truncated record value in " + path_);
     }
+  }
+  if (remaining_ != std::numeric_limits<uint64_t>::max()) {
+    const uint64_t size = sizeof(key) + sizeof(len) + len;
+    if (size > remaining_) {
+      return Status::IOError("record crosses the end of a run in " + path_);
+    }
+    remaining_ -= size;
   }
   return true;
 }

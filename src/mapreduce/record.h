@@ -53,14 +53,22 @@ class RecordFileReader {
  public:
   static Result<RecordFileReader> Open(const std::string& path);
 
-  /// Reads the next record; returns false at EOF.
+  /// Opens the `length` bytes of `path` that start at `offset`: one run
+  /// among several that a writer appended to the same file.
+  static Result<RecordFileReader> Open(const std::string& path,
+                                       uint64_t offset, uint64_t length);
+
+  /// Reads the next record; returns false at EOF or at the end of the
+  /// opened range.
   Result<bool> Next(Record* out);
 
  private:
-  explicit RecordFileReader(std::ifstream in, std::string path)
-      : in_(std::move(in)), path_(std::move(path)) {}
+  explicit RecordFileReader(std::ifstream in, std::string path,
+                            uint64_t remaining)
+      : in_(std::move(in)), path_(std::move(path)), remaining_(remaining) {}
   std::ifstream in_;
   std::string path_;
+  uint64_t remaining_;  ///< bytes left in the range; UINT64_MAX: to EOF
 };
 
 /// Reads an entire record file into memory (tests, small outputs).

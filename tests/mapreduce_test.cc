@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/fault_injection.h"
@@ -46,6 +47,50 @@ TEST(RecordFileTest, DetectsTruncation) {
   std::filesystem::resize_file(dir->File("t.bin"), 14);  // cut into value
   auto read = ReadAllRecords(dir->File("t.bin"));
   EXPECT_FALSE(read.ok());
+}
+
+TEST(RecordFileTest, ReadsOneRunOfASharedFile) {
+  auto dir = TempDir::Create("gly-mr");
+  ASSERT_TRUE(dir.ok());
+  // Three runs appended to one file, as a map task's spills are.
+  auto writer = RecordFileWriter::Open(dir->File("map.out"));
+  ASSERT_TRUE(writer.ok());
+  const std::vector<Record> first = {{1, "a"}, {5, "bb"}};
+  const std::vector<Record> second = {{2, "ccc"}, {3, ""}, {9, "d"}};
+  const std::vector<Record> third = {{4, "e"}};
+  uint64_t offsets[4] = {0, 0, 0, 0};
+  int run = 0;
+  for (const auto* records : {&first, &second, &third}) {
+    for (const Record& r : *records) ASSERT_TRUE(writer->Append(r).ok());
+    offsets[++run] = writer->bytes_written();
+  }
+  ASSERT_TRUE(writer->Close().ok());
+
+  auto reader = RecordFileReader::Open(dir->File("map.out"), offsets[1],
+                                       offsets[2] - offsets[1]);
+  ASSERT_TRUE(reader.ok());
+  std::vector<Record> read;
+  Record r;
+  for (;;) {
+    auto more = reader->Next(&r);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    read.push_back(r);
+  }
+  EXPECT_EQ(read, second);
+
+  // A range that ends inside a record is an error, not a short run.
+  auto cut = RecordFileReader::Open(dir->File("map.out"), offsets[0],
+                                    offsets[1] - 1);
+  ASSERT_TRUE(cut.ok());
+  ASSERT_TRUE(cut->Next(&r).ok());
+  EXPECT_FALSE(cut->Next(&r).ok());
+  // So is a range that runs past the end of the file.
+  auto past = RecordFileReader::Open(dir->File("map.out"), offsets[2],
+                                     offsets[3] - offsets[2] + 12);
+  ASSERT_TRUE(past.ok());
+  ASSERT_TRUE(past->Next(&r).ok());
+  EXPECT_FALSE(past->Next(&r).ok());
 }
 
 // ------------------------------------------------------------------- jobs
@@ -139,6 +184,45 @@ TEST(JobTest, SmallSortBufferForcesMultipleSpills) {
   uint64_t total = 0;
   for (const Record& r : *records) total += *ParseUint64(r.value);
   EXPECT_EQ(total, 2000u);
+}
+
+TEST(JobTest, MapTaskSpillsEveryRunIntoOneFile) {
+  auto dir = TempDir::Create("gly-mr");
+  ASSERT_TRUE(dir.ok());
+  std::vector<Record> input;
+  for (uint64_t i = 0; i < 2000; ++i) input.push_back({i, std::string(100, 'v')});
+  ASSERT_TRUE(WriteAllRecords(input, dir->File("in-0.bin")).ok());
+  ASSERT_TRUE(WriteAllRecords(input, dir->File("in-1.bin")).ok());
+
+  // Map-stage checkpointing keeps the spills under the output directory,
+  // and a crashed reduce task keeps them there after the job fails.
+  JobConfig config;
+  config.num_mappers = 2;
+  config.num_reducers = 3;
+  config.sort_buffer_bytes = 4096;  // many runs per (mapper, reducer) pair
+  config.scratch_dir = dir->File("scratch");
+  config.checkpoint_map_stage = true;
+  Job job(config, [] { return std::make_unique<ModMapper>(); },
+          [] { return std::make_unique<SumReducer>(); });
+  fault::FaultPlan plan(/*seed=*/7);
+  plan.Add({.site = "mapreduce.reduce.task",
+            .kind = fault::FaultKind::kCrash});
+  ThreadPool pool(2);
+  Counters counters;
+  {
+    fault::ScopedFaultPlan active(&plan);
+    auto outputs = job.Run({dir->File("in-0.bin"), dir->File("in-1.bin")},
+                           dir->File("out"), &pool, &counters);
+    ASSERT_FALSE(outputs.ok());
+  }
+  std::vector<std::string> spill_files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir->File("out/.map-runs"))) {
+    spill_files.push_back(entry.path().filename().string());
+  }
+  std::sort(spill_files.begin(), spill_files.end());
+  EXPECT_EQ(spill_files,
+            (std::vector<std::string>{"map-00000.out", "map-00001.out"}));
 }
 
 TEST(JobTest, CombinerShrinksSpills) {
