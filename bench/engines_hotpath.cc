@@ -1,9 +1,10 @@
-// Engine-level hot-path bench: BFS / PageRank / CONN on the Pregel,
+// Engine-level hot-path bench: BFS / PageRank / CONN / CD on the Pregel,
 // dataflow, and graphdb engines with the pooled memory paths enabled
 // (their defaults). Where fig4_runtimes races kernel variants against each
 // other, this bench gates the *engines* end to end: a regression in the
-// arena pools, the radix shuffle, or the sharded page cache moves these
-// medians even when the kernel duel's variants shift together.
+// arena pools, the radix shuffle, the sharded page cache, or the per-edge
+// CD message (a heap allocation per message on the dataflow engine) moves
+// these medians even when the kernel duel's variants shift together.
 //
 // The committed baseline is BENCH_engines.json (scale 14); ci.sh's
 // bench-smoke stage re-runs this binary and diffs it with
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   if (opts.kernel_scale == 18) opts.kernel_scale = 14;  // bench default
   bench::JsonEmitter emitter("engines_hotpath");
   bench::Banner("engines_hotpath",
-                "engine medians with pooled hot paths (BFS/PR/CONN)",
+                "engine medians with pooled hot paths (BFS/PR/CONN/CD)",
                 "choke-point analysis (§2.1): excessive messages/data "
                 "movement dominate graph-processing runtimes");
 
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
   AlgorithmParams params;
   params.bfs.source = source;
   params.pr = PrParams{/*iterations=*/10, /*damping=*/0.85};
+  params.cd = CdParams{/*max_iterations=*/10, /*hop_attenuation=*/0.05};
 
   auto add = [&](bench::KernelRecord rec) {
     std::printf("  %-16s median %8.4fs  p95 %8.4fs  %10.0f input kTEPS\n",
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
   };
 
   const AlgorithmKind kinds[] = {AlgorithmKind::kBfs, AlgorithmKind::kPr,
-                                 AlgorithmKind::kConn};
+                                 AlgorithmKind::kConn, AlgorithmKind::kCd};
 
   // Pregel engine, pooled outboxes on (the default).
   pregel::EngineConfig engine_config;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,5 +68,24 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Reads an optional unsigned key into `*value`: an unset key leaves
+/// `*value` as it is, but a set one must parse and fit in T, or the
+/// InvalidArgument names `scope` + `key`. `scope` is the prefix a Scoped
+/// config dropped ("graphx."), so the error names the key as written.
+template <typename T>
+Status ReadSetUint(const Config& config, const std::string& key, T* value,
+                   const std::string& scope = "") {
+  if (!config.Has(key)) return Status::OK();
+  Result<uint64_t> parsed = config.GetUint(key);
+  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
+  if (*parsed > std::numeric_limits<T>::max()) {
+    return Status::InvalidArgument(scope + key + ": " +
+                                   std::to_string(*parsed) +
+                                   " is out of range");
+  }
+  *value = static_cast<T>(*parsed);
+  return Status::OK();
+}
 
 }  // namespace gly

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 
 #include "common/bitset.h"
 #include "dataflow/graph.h"
@@ -167,7 +169,7 @@ struct CdFlowValue {
 
 Result<AlgorithmOutput> RunCd(Context* ctx, const Graph& graph,
                               const CdParams& params) {
-  using Msg = std::vector<LabelScore>;
+  using Msg = LabelScoreList;
   GLY_ASSIGN_OR_RETURN(
       auto pg, PropertyGraph<CdFlowValue>::FromGraph(
                    ctx, graph, [](VertexId v) {
@@ -183,13 +185,15 @@ Result<AlgorithmOutput> RunCd(Context* ctx, const Graph& graph,
             return Msg{LabelScore{src.label, src.score}};
           },
           [](Msg a, const Msg& b) {
-            a.insert(a.end(), b.begin(), b.end());
+            a.Append(b);
             return a;
           },
           [hop](uint64_t, const CdFlowValue& old, const Msg* m)
               -> std::pair<CdFlowValue, bool> {
             if (m == nullptr || m->empty()) return {old, true};
-            Msg incoming = *m;  // the rule reorders its argument
+            // The rule reorders its argument: hand it this thread's copy.
+            thread_local std::vector<LabelScore> incoming;
+            incoming.assign(m->begin(), m->end());
             LabelScore adopted = CdAdoptLabel(incoming, hop);
             return {CdFlowValue{adopted.label, adopted.score}, true};
           }));
@@ -343,6 +347,20 @@ Result<AlgorithmOutput> RunEvo(Context* ctx, const Graph& graph,
 }
 
 }  // namespace
+
+void LabelScoreList::Grow(uint64_t min_capacity) {
+  constexpr uint64_t kMaxCapacity = std::numeric_limits<uint32_t>::max();
+  if (min_capacity > kMaxCapacity) {
+    throw std::length_error("LabelScoreList: more than 2^32 - 1 pairs");
+  }
+  const uint64_t capacity =
+      std::min(std::max(min_capacity, 2 * uint64_t{capacity_}), kMaxCapacity);
+  LabelScore* fresh = std::allocator<LabelScore>().allocate(capacity);
+  std::copy(begin(), end(), fresh);
+  Free();
+  heap_ = fresh;
+  capacity_ = static_cast<uint32_t>(capacity);
+}
 
 Result<AlgorithmOutput> RunAlgorithm(const ContextConfig& config,
                                      const Graph& graph, AlgorithmKind kind,

@@ -327,7 +327,8 @@ class Context {
           auto [it, inserted] = acc.try_emplace(kv.first, kv.second);
           if (!inserted) it->second = fn(std::move(it->second), kv.second);
         }
-        dst.assign(acc.begin(), acc.end());
+        dst.reserve(acc.size());
+        for (auto& [key, value] : acc) dst.emplace_back(key, std::move(value));
       }
     });
     return Materialize(std::move(partitions));

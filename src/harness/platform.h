@@ -59,7 +59,8 @@ std::vector<std::string> RegisteredPlatforms();
 
 /// Instantiates a platform by name.
 ///
-/// Common config keys (all optional):
+/// Common config keys (all optional; a set one must parse and fit, or
+/// InvalidArgument names it as `<name>.<key>`):
 ///   memory_budget_mb  — per-platform memory budget (0 = unlimited)
 ///   workers           — logical workers / partitions
 ///   threads           — executor threads

@@ -1,5 +1,6 @@
 // Platform adapters binding the four substrates to the harness interface.
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -25,11 +26,24 @@ struct CommonOptions {
   uint32_t threads = 0;
 };
 
-Result<CommonOptions> ReadCommon(const Config& config) {
+// An unset common key keeps its default, but a set one must parse and fit:
+// a silent fallback would turn `graphx.memory_budget_mb = 1MB` into a run
+// with no budget, and erase Figure 4's GraphX failures.
+Result<CommonOptions> ReadCommon(const std::string& name,
+                                 const Config& config) {
+  const std::string scope = name + ".";
   CommonOptions opts;
-  opts.memory_budget_bytes = config.GetUintOr("memory_budget_mb", 0) << 20;
-  opts.workers = static_cast<uint32_t>(config.GetUintOr("workers", 8));
-  opts.threads = static_cast<uint32_t>(config.GetUintOr("threads", 0));
+  uint64_t budget_mb = 0;
+  GLY_RETURN_NOT_OK(
+      ReadSetUint(config, "memory_budget_mb", &budget_mb, scope));
+  if (budget_mb > std::numeric_limits<uint64_t>::max() >> 20) {
+    return Status::InvalidArgument(StringPrintf(
+        "%smemory_budget_mb: %llu MiB is out of range", scope.c_str(),
+        (unsigned long long)budget_mb));
+  }
+  opts.memory_budget_bytes = budget_mb << 20;
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "workers", &opts.workers, scope));
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "threads", &opts.threads, scope));
   return opts;
 }
 
@@ -314,7 +328,7 @@ std::vector<std::string> RegisteredPlatforms() {
 
 Result<std::unique_ptr<Platform>> MakePlatform(const std::string& name,
                                                const Config& config) {
-  GLY_ASSIGN_OR_RETURN(CommonOptions opts, ReadCommon(config));
+  GLY_ASSIGN_OR_RETURN(CommonOptions opts, ReadCommon(name, config));
   std::string lower = ToLower(name);
   if (lower == "giraph") {
     std::optional<TempDir> ckpt_dir;

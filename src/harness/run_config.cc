@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 
@@ -128,20 +127,6 @@ Status ReadSetDouble(const Config& config, const std::string& key,
   Result<double> parsed = config.GetDouble(key);
   if (!parsed.ok()) return parsed.status().WithPrefix(key);
   *value = *parsed;
-  return Status::OK();
-}
-
-template <typename T>
-Status ReadSetUint(const Config& config, const std::string& key, T* value) {
-  if (!config.Has(key)) return Status::OK();
-  Result<uint64_t> parsed = config.GetUint(key);
-  if (!parsed.ok()) return parsed.status().WithPrefix(key);
-  if (*parsed > std::numeric_limits<T>::max()) {
-    return Status::InvalidArgument(
-        StringPrintf("%s: %llu is out of range", key.c_str(),
-                     (unsigned long long)*parsed));
-  }
-  *value = static_cast<T>(*parsed);
   return Status::OK();
 }
 

@@ -20,7 +20,9 @@
 //   # graph.mine.source = file
 //   # graph.mine.path = /data/mine.e      # .e text or .bin binary
 //
-//   # platforms (any registered name; keys pass through to the adapter)
+//   # platforms (any registered name; keys pass through to the adapter;
+//   # a set memory_budget_mb, workers or threads must parse, or
+//   # RunFromConfig returns InvalidArgument naming it)
 //   platforms = giraph, neo4j
 //   giraph.workers = 8
 //   neo4j.memory_budget_mb = 256

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -119,12 +120,12 @@ struct CopyCounted {
 // an appending combiner folds a key's n one-element values with O(n)
 // copies, not the n^2/2 of copying the accumulator on every fold. Key 7
 // takes the flat-accumulator fold; key 2^40 is beyond its domain cap and
-// takes the hash-map fallback, whose copy-out adds one copy per element.
+// takes the hash-map fallback, which moves its folded values out.
 TEST(DatasetTest, ReduceByKeyFoldsListsInLinearCopies) {
   using List = std::vector<CopyCounted>;
   constexpr int kValues = 2000;
   for (const auto& [key, copies_per_value] :
-       {std::pair<uint64_t, uint64_t>{7, 2}, {uint64_t{1} << 40, 3}}) {
+       {std::pair<uint64_t, uint64_t>{7, 2}, {uint64_t{1} << 40, 2}}) {
     Context ctx(SmallContext());
     std::vector<std::pair<uint64_t, List>> data;
     for (int i = 0; i < kValues; ++i) {
@@ -215,6 +216,161 @@ TEST(DatasetTest, ObjectOverheadFactorCharged) {
   auto ds = ctx.Parallelize(std::vector<int>(1000, 7));
   ASSERT_TRUE(ds.ok());
   EXPECT_GE(ctx.budget().used(), 3u * 1000u * sizeof(int));
+}
+
+// ------------------------------------------------------------ CD messages
+
+// A LabelScoreList or std::vector<LabelScore> as comparable pairs.
+template <typename List>
+std::vector<std::pair<int64_t, double>> Pairs(const List& list) {
+  std::vector<std::pair<int64_t, double>> out;
+  for (const LabelScore& pair : list) out.emplace_back(pair.label, pair.score);
+  return out;
+}
+
+LabelScoreList ListOf(int64_t first, int64_t count) {
+  LabelScoreList list;
+  for (int64_t i = first; i < first + count; ++i) {
+    list.Append(LabelScoreList(LabelScore{i, 0.5 * static_cast<double>(i)}));
+  }
+  return list;
+}
+
+bool StoredInside(const LabelScoreList& list) {
+  const auto* self = reinterpret_cast<const char*>(&list);
+  const auto* data = reinterpret_cast<const char*>(list.begin());
+  return data >= self && data < self + sizeof(LabelScoreList);
+}
+
+TEST(LabelScoreListTest, CopyMoveAndSelfAssignment) {
+  const LabelScoreList one(LabelScore{4, 0.25});
+  const LabelScoreList many = ListOf(10, 5);
+  const auto one_pairs = Pairs(one);
+  const auto many_pairs = Pairs(many);
+
+  LabelScoreList copy_one(one);
+  LabelScoreList copy_many(many);
+  EXPECT_EQ(Pairs(copy_one), one_pairs);
+  EXPECT_EQ(Pairs(copy_many), many_pairs);
+  EXPECT_NE(copy_many.begin(), many.begin());
+
+  // Copy-assignment across storage kinds, both ways.
+  copy_one = many;
+  copy_many = one;
+  EXPECT_EQ(Pairs(copy_one), many_pairs);
+  EXPECT_EQ(Pairs(copy_many), one_pairs);
+
+  // Moves hand the heap storage over and leave the source empty.
+  LabelScoreList source = ListOf(10, 5);
+  const LabelScore* storage = source.begin();
+  LabelScoreList moved(std::move(source));
+  EXPECT_EQ(moved.begin(), storage);
+  EXPECT_EQ(Pairs(moved), many_pairs);
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  source = one;  // a moved-from list is reusable
+  EXPECT_EQ(Pairs(source), one_pairs);
+  moved = std::move(source);  // frees the heap storage it held
+  EXPECT_EQ(Pairs(moved), one_pairs);
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+
+  // Self-assignment keeps the contents, inline or on the heap.
+  LabelScoreList self_one(one);
+  LabelScoreList self_many(many);
+  LabelScoreList& alias_one = self_one;
+  LabelScoreList& alias_many = self_many;
+  self_one = alias_one;
+  self_many = alias_many;
+  EXPECT_EQ(Pairs(self_one), one_pairs);
+  EXPECT_EQ(Pairs(self_many), many_pairs);
+  self_one = std::move(alias_one);
+  self_many = std::move(alias_many);
+  EXPECT_EQ(Pairs(self_one), one_pairs);
+  EXPECT_EQ(Pairs(self_many), many_pairs);
+}
+
+TEST(LabelScoreListTest, AppendKeepsOrderAcrossInlineAndHeap) {
+  LabelScoreList list;
+  list.Append(LabelScoreList());
+  EXPECT_TRUE(list.empty());
+  std::vector<LabelScore> expected;
+  for (int64_t i = 0; i < 100; ++i) {
+    const LabelScore pair{i * 7 % 13, static_cast<double>(i)};
+    list.Append(LabelScoreList(pair));  // i == 1 leaves the inline slot
+    expected.push_back(pair);
+    ASSERT_EQ(Pairs(list), Pairs(expected)) << "after " << i + 1;
+  }
+  // Heap to heap, and a list appended to itself.
+  const LabelScoreList tail = ListOf(500, 40);
+  list.Append(tail);
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(Pairs(list), Pairs(expected));
+  list.Append(list);
+  const std::vector<LabelScore> once = expected;
+  expected.insert(expected.end(), once.begin(), once.end());
+  EXPECT_EQ(Pairs(list), Pairs(expected));
+}
+
+TEST(LabelScoreListTest, OneElementListLivesInline) {
+  static_assert(sizeof(LabelScoreList) == sizeof(std::vector<LabelScore>));
+  const LabelScoreList sent(LabelScore{3, 1.0});
+  EXPECT_TRUE(StoredInside(sent));
+  const LabelScoreList copied(sent);
+  EXPECT_TRUE(StoredInside(copied));
+  LabelScoreList assigned;
+  assigned = sent;
+  EXPECT_TRUE(StoredInside(assigned));
+  LabelScoreList moved(LabelScoreList(LabelScore{5, 2.0}));
+  EXPECT_TRUE(StoredInside(moved));
+  EXPECT_FALSE(StoredInside(ListOf(0, 2)));
+}
+
+// CD's combiner over LabelScoreList folds to the same sequences as over
+// std::vector<LabelScore>, on the flat fold (keys 0..9) and on the hash
+// fallback (keys offset by 2^40). Key k receives k + 1 messages, so key 0
+// keeps its single message inline.
+TEST(LabelScoreListTest, ReduceByKeyMatchesVectorLists) {
+  for (const uint64_t offset : {uint64_t{0}, uint64_t{1} << 40}) {
+    Context ctx(SmallContext());
+    std::vector<std::pair<uint64_t, LabelScoreList>> lists;
+    std::vector<std::pair<uint64_t, std::vector<LabelScore>>> vectors;
+    int64_t label = 0;
+    for (uint64_t round = 0; round < 10; ++round) {
+      for (uint64_t k = round; k < 10; ++k) {
+        const LabelScore pair{label, 0.25 * static_cast<double>(label)};
+        ++label;
+        lists.emplace_back(offset + k, LabelScoreList(pair));
+        vectors.emplace_back(offset + k, std::vector<LabelScore>{pair});
+      }
+    }
+    auto list_ds = ctx.ParallelizeByKey(std::move(lists));
+    auto vector_ds = ctx.ParallelizeByKey(std::move(vectors));
+    ASSERT_TRUE(list_ds.ok());
+    ASSERT_TRUE(vector_ds.ok());
+    auto folded_lists = ctx.ReduceByKey(
+        *list_ds, [](LabelScoreList a, const LabelScoreList& b) {
+          a.Append(b);
+          return a;
+        });
+    auto folded_vectors = ctx.ReduceByKey(
+        *vector_ds,
+        [](std::vector<LabelScore> a, const std::vector<LabelScore>& b) {
+          a.insert(a.end(), b.begin(), b.end());
+          return a;
+        });
+    ASSERT_TRUE(folded_lists.ok());
+    ASSERT_TRUE(folded_vectors.ok());
+    std::map<uint64_t, std::vector<std::pair<int64_t, double>>> from_lists;
+    std::map<uint64_t, std::vector<std::pair<int64_t, double>>> from_vectors;
+    for (const auto& [k, v] : folded_lists->Collect()) {
+      from_lists[k] = Pairs(v);
+    }
+    for (const auto& [k, v] : folded_vectors->Collect()) {
+      from_vectors[k] = Pairs(v);
+    }
+    ASSERT_EQ(from_lists.size(), 10u) << "offset " << offset;
+    EXPECT_EQ(from_lists, from_vectors) << "offset " << offset;
+    EXPECT_EQ(from_lists[offset + 9].size(), 10u);
+  }
 }
 
 // -------------------------------------------------------------- algorithms

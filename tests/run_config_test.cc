@@ -233,6 +233,52 @@ TEST(RunConfigTest, SupervisionKeysMustParse) {
   EXPECT_EQ(out->results.size(), 2u);
 }
 
+// The common platform keys: an unset key keeps its default, but a set one
+// must parse and fit, or the open phase's platform probe fails the run and
+// names the scoped key. A silent fallback ran `graphx.memory_budget_mb =
+// 1MB` with no budget at all.
+TEST(RunConfigTest, PlatformKeysMustParse) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"graphx.memory_budget_mb", "1MB"},
+      {"graphx.memory_budget_mb", "17592186044416"},  // 2^44 MiB
+      {"graphx.workers", "4294967296"},
+      {"graphx.threads", "two"},
+      {"reference.workers", "-1"},
+  };
+  for (const auto& [key, value] : bad) {
+    Config config = BaseConfig();
+    config.Set("platforms", "reference, graphx");
+    config.Set(key, value);
+    Status status = RunFromConfig(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << key << " = " << value << ": " << status.ToString();
+    EXPECT_NE(status.message().find(key), std::string::npos)
+        << status.ToString();
+  }
+  // A budget that parses is enforced: 1 MiB fails GraphX CD on R-MAT 10,
+  // while the unset keys of the reference platform keep their defaults.
+  Config config = *Config::Parse(
+      "graphs = r\n"
+      "graph.r.source = rmat\n"
+      "graph.r.scale = 10\n"
+      "platforms = reference, graphx\n"
+      "algorithms = cd\n"
+      "graphx.memory_budget_mb = 1\n"
+      "graphx.workers = 2\n"
+      "graphx.threads = 1\n"
+      "monitor = false\n");
+  auto out = RunFromConfig(config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->results.size(), 2u);
+  for (const auto& r : out->results) {
+    if (r.platform == "graphx") {
+      EXPECT_TRUE(r.status.IsResourceExhausted()) << r.status.ToString();
+    } else {
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+  }
+}
+
 TEST(RunConfigTest, BfsSourcePerGraph) {
   Config config = BaseConfig();
   config.SetInt("graph.tiny.bfs_source", 42);
