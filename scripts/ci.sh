@@ -26,7 +26,8 @@
 #                    all four decoders), fault-injection,
 #                    checkpoint/recovery, WAL/resume,
 #                    cancellation, the graph store (graphdb_test's page
-#                    cache, WAL torn-tail and recovery cases), the
+#                    cache, WAL torn-tail and recovery cases, and the
+#                    lock-free read stress test), the
 #                    MapReduce job engine (mapreduce_test's spill, combine
 #                    and k-way merge cases), the dataflow engine
 #                    (dataflow_test's shuffles and ReduceByKey fold
@@ -38,9 +39,10 @@
 #                    kernel-conformance suites, and the golden hot-path
 #                    pins (recycled arenas, pooled partitions, striped
 #                    page cache, page cursors and their failure/
-#                    cancellation paths, and the 1- and 3-worker
-#                    MapReduce chains) — the paths most valuable to run
-#                    under a sanitizer.
+#                    cancellation paths, the graph database's 1-, 2- and
+#                    4-worker thread differential, and the 1- and
+#                    3-worker MapReduce chains) — the paths most valuable
+#                    to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
 #                    `observability`, `robustness`, `scheduler`, and
 #                    `hotpath` CTest labels: the ETL pipeline (chunked
@@ -67,8 +69,13 @@
 #                    the golden hot-path pins (one Pregel
 #                    compute task per worker on up to 8 threads, the
 #                    8-thread page-cache hammer, 8 threads walking chains
-#                    through page cursors) under the race detector, where
-#                    their bugs would actually show.
+#                    through page cursors, and the graph database's
+#                    thread differential: PR, CD, STATS and EVO on 1, 2
+#                    and 4 workers against the golden rows), and
+#                    graphdb_test's lock-free read stress test (4 readers
+#                    copying frames without a lock while misses evict and
+#                    refill them, robustness label) under the race
+#                    detector, where their bugs would actually show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the
 #                    golden-trace, metrics round-trip, monitor, profiler,
 #                    and 4-engine trace-artifact suites), then cross-checks
@@ -157,7 +164,7 @@ cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLY_SANITIZE=thread
 cmake --build "${TSAN_DIR}" -j "${JOBS}"
 
-echo "==> [3/6] tsan: ingest + observability + robustness + scheduler + golden hot-path pins (race detector)"
+echo "==> [3/6] tsan: ingest + observability + robustness + scheduler + golden hot-path pins (race detector; incl. the page-cache lock-free read stress test and the graphdb thread differential)"
 ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" \
       -L 'ingest|observability|robustness|scheduler|hotpath'
 

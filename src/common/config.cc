@@ -157,4 +157,22 @@ std::string Config::ToString() const {
   return out;
 }
 
+Status ReadSetDouble(const Config& config, const std::string& key,
+                     double* value, const std::string& scope) {
+  if (!config.Has(key)) return Status::OK();
+  Result<double> parsed = config.GetDouble(key);
+  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
+  *value = *parsed;
+  return Status::OK();
+}
+
+Status ReadSetBool(const Config& config, const std::string& key, bool* value,
+                   const std::string& scope) {
+  if (!config.Has(key)) return Status::OK();
+  Result<bool> parsed = config.GetBool(key);
+  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
+  *value = *parsed;
+  return Status::OK();
+}
+
 }  // namespace gly

@@ -88,4 +88,11 @@ Status ReadSetUint(const Config& config, const std::string& key, T* value,
   return Status::OK();
 }
 
+/// ReadSetUint's twins for a double and a bool key: an unset key leaves
+/// `*value` as it is, a set one must parse.
+Status ReadSetDouble(const Config& config, const std::string& key,
+                     double* value, const std::string& scope = "");
+Status ReadSetBool(const Config& config, const std::string& key, bool* value,
+                   const std::string& scope = "");
+
 }  // namespace gly

@@ -174,18 +174,20 @@ Status GraphStore::BulkImport(const EdgeList& edges,
   return Checkpoint();
 }
 
-Status GraphStore::CollectNeighbors(VertexId node, bool outgoing_only,
-                                    std::vector<VertexId>* out) {
+Status GraphStore::CollectNeighbors(VertexId node, Direction direction,
+                                    PageCache::Cursor& cursor,
+                                    std::vector<VertexId>* out) const {
   out->clear();
   if (node >= node_count_) {
     return Status::InvalidArgument("node out of range");
   }
-  // One cursor walks the node record and the whole chain: consecutive
+  // The cursor walks the node record and the whole chain: consecutive
   // records on one page cost one cache lookup.
-  PageCache::Cursor cursor(*cache_);
   NodeRecord node_rec;
   GLY_RETURN_NOT_OK(cursor.Read(nodes_file_, uint64_t{node} * kNodeRecordSize,
                                 &node_rec, sizeof(node_rec)));
+  const bool outgoing = direction != Direction::kIncoming;
+  const bool incoming = direction != Direction::kOutgoing;
   uint64_t rel = node_rec.first_rel;
   while (rel != kNilRecord) {
     RelRecord rec;
@@ -194,12 +196,13 @@ Status GraphStore::CollectNeighbors(VertexId node, bool outgoing_only,
     if (rec.in_use == 0) {
       return Status::NotFound("relationship " + std::to_string(rel));
     }
-    // Choose the next pointer by which endpoint this node is.
+    // Choose the next pointer by which endpoint this node is. A self-loop
+    // is on the src chain only, and is both an out- and an in-edge.
     if (rec.src == node) {
-      out->push_back(rec.dst);
+      if (outgoing || rec.dst == node) out->push_back(rec.dst);
       rel = rec.src_next;
     } else if (rec.dst == node) {
-      if (!outgoing_only) out->push_back(rec.src);
+      if (incoming) out->push_back(rec.src);
       rel = rec.dst_next;
     } else {
       return Status::Internal("relationship chain corruption at rel " +
@@ -207,6 +210,14 @@ Status GraphStore::CollectNeighbors(VertexId node, bool outgoing_only,
     }
   }
   return Status::OK();
+}
+
+Status GraphStore::CollectNeighbors(VertexId node, bool outgoing_only,
+                                    std::vector<VertexId>* out) {
+  PageCache::Cursor cursor = ReadCursor();
+  return CollectNeighbors(
+      node, outgoing_only ? Direction::kOutgoing : Direction::kBoth, cursor,
+      out);
 }
 
 // ------------------------------------------------------------ transactions

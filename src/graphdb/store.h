@@ -16,8 +16,9 @@
 //
 // All access goes through the PageCache. The two record-streaming paths —
 // BulkImport writing records in id order and CollectNeighbors walking a
-// chain — each hold one PageCache::Cursor, so consecutive records on a page
-// cost one cache lookup; every other access is a one-shot Read/Write.
+// chain — go through one PageCache::Cursor, so consecutive records on a
+// page cost one cache lookup, and chain walks read resident pages without
+// a lock; every other access is a one-shot Read/Write.
 // Mutations go through Transactions whose commits are WAL-journaled (see
 // wal.h); Recover() replays the log.
 
@@ -47,6 +48,9 @@ struct StoreConfig {
   uint64_t page_cache_bytes = 64ULL << 20;
 };
 
+/// Which of a node's relationships a chain walk follows.
+enum class Direction { kOutgoing, kIncoming, kBoth };
+
 /// The embedded graph database.
 class GraphStore {
  public:
@@ -64,10 +68,20 @@ class GraphStore {
   /// Live relationships (created minus deleted).
   uint64_t relationship_count() const { return rel_count_ - rel_deleted_; }
 
-  /// Collects all neighbors of `node` in chain order (newest relationship
-  /// first; `outgoing_only` filters direction) by walking its chain
-  /// through one page cursor. Threads may call it concurrently while no
-  /// transaction commits.
+  /// A page cursor for one thread's chain walks. Reusing it across walks
+  /// adds its hits to cache_stats() once, when it is destroyed.
+  PageCache::Cursor ReadCursor() const { return PageCache::Cursor(*cache_); }
+
+  /// Collects the neighbors of `node` across the relationships `direction`
+  /// selects, in chain order (newest relationship first), by walking its
+  /// chain through `cursor`. Threads may call it concurrently, each with
+  /// its own cursor, while no transaction commits.
+  Status CollectNeighbors(VertexId node, Direction direction,
+                          PageCache::Cursor& cursor,
+                          std::vector<VertexId>* out) const;
+
+  /// As above through a cursor of its own: outgoing relationships when
+  /// `outgoing_only`, else both directions.
   Status CollectNeighbors(VertexId node, bool outgoing_only,
                           std::vector<VertexId>* out);
 

@@ -22,6 +22,9 @@ Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
   frontier.emplace_back(seed, 0);
   seen[seed] = 1;
   std::vector<VertexId> neighbors;
+  const Direction direction =
+      expand == Expand::kOutgoing ? Direction::kOutgoing : Direction::kBoth;
+  PageCache::Cursor cursor = store->ReadCursor();
   while (!frontier.empty()) {
     auto [node, depth] = order == TraversalOrder::kBreadthFirst
                              ? frontier.front()
@@ -34,8 +37,8 @@ Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
     ++stats.nodes_visited;
     stats.max_depth = std::max(stats.max_depth, depth);
     if (!visit(node, depth)) continue;  // pruned
-    GLY_RETURN_NOT_OK(store->CollectNeighbors(
-        node, expand == Expand::kOutgoing, &neighbors));
+    GLY_RETURN_NOT_OK(
+        store->CollectNeighbors(node, direction, cursor, &neighbors));
     stats.relationships_expanded += neighbors.size();
     for (VertexId w : neighbors) {
       if (!seen[w]) {

@@ -21,57 +21,80 @@ namespace {
 
 // Shared config plumbing.
 struct CommonOptions {
+  std::string scope;  ///< "<platform>.", the prefix errors name keys with
   uint64_t memory_budget_bytes = 0;
   uint32_t workers = 8;
   uint32_t threads = 0;
 };
 
-// An unset common key keeps its default, but a set one must parse and fit:
-// a silent fallback would turn `graphx.memory_budget_mb = 1MB` into a run
-// with no budget, and erase Figure 4's GraphX failures.
+// A set `<scope>key` in MiB, as bytes; a size whose `<< 20` overflows is
+// out of range.
+Status ReadSetMib(const Config& config, const std::string& key,
+                  uint64_t* bytes, const std::string& scope) {
+  uint64_t mib = *bytes >> 20;
+  GLY_RETURN_NOT_OK(ReadSetUint(config, key, &mib, scope));
+  if (mib > std::numeric_limits<uint64_t>::max() >> 20) {
+    return Status::InvalidArgument(StringPrintf(
+        "%s%s: %llu MiB is out of range", scope.c_str(), key.c_str(),
+        (unsigned long long)mib));
+  }
+  *bytes = mib << 20;
+  return Status::OK();
+}
+
+// Every platform key is read this way: an unset key keeps its default, but
+// a set one must parse and fit. A silent fallback would turn
+// `graphx.memory_budget_mb = 1MB` into a run with no budget, and erase
+// Figure 4's GraphX failures.
 Result<CommonOptions> ReadCommon(const std::string& name,
                                  const Config& config) {
-  const std::string scope = name + ".";
   CommonOptions opts;
-  uint64_t budget_mb = 0;
+  opts.scope = name + ".";
+  GLY_RETURN_NOT_OK(ReadSetMib(config, "memory_budget_mb",
+                               &opts.memory_budget_bytes, opts.scope));
   GLY_RETURN_NOT_OK(
-      ReadSetUint(config, "memory_budget_mb", &budget_mb, scope));
-  if (budget_mb > std::numeric_limits<uint64_t>::max() >> 20) {
-    return Status::InvalidArgument(StringPrintf(
-        "%smemory_budget_mb: %llu MiB is out of range", scope.c_str(),
-        (unsigned long long)budget_mb));
-  }
-  opts.memory_budget_bytes = budget_mb << 20;
-  GLY_RETURN_NOT_OK(ReadSetUint(config, "workers", &opts.workers, scope));
-  GLY_RETURN_NOT_OK(ReadSetUint(config, "threads", &opts.threads, scope));
+      ReadSetUint(config, "workers", &opts.workers, opts.scope));
+  GLY_RETURN_NOT_OK(
+      ReadSetUint(config, "threads", &opts.threads, opts.scope));
   return opts;
 }
 
 // ----------------------------------------------------------------- Giraph
 
+Result<pregel::EngineConfig> ReadGiraph(const CommonOptions& opts,
+                                        const Config& config) {
+  const std::string& scope = opts.scope;
+  pregel::EngineConfig engine;
+  engine.num_workers = opts.workers;
+  engine.num_threads = opts.threads;
+  engine.memory_budget_bytes = opts.memory_budget_bytes;
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "network_mib_per_s",
+                                  &engine.network_mib_per_s, scope));
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "barrier_latency_s",
+                                  &engine.barrier_latency_s, scope));
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "checkpoint_interval",
+                                &engine.checkpoint.interval, scope));
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "checkpoint_max_recoveries",
+                                &engine.checkpoint.max_recoveries, scope));
+  engine.checkpoint.directory = config.GetStringOr("checkpoint_dir", "");
+  // Traversal-kernel knob: 0 disables the dense-frontier fast path (the
+  // pre-optimization engine that fig4's bfs_pregel_classic record
+  // measures).
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "dense_frontier_threshold",
+                                  &engine.dense_frontier_threshold, scope));
+  return engine;
+}
+
 class GiraphLikePlatform final : public Platform {
  public:
-  GiraphLikePlatform(const CommonOptions& opts, const Config& config,
+  // `checkpoint_dir`, when set, is a directory the platform owns, for a
+  // checkpointing run whose config names none.
+  GiraphLikePlatform(pregel::EngineConfig engine,
                      std::optional<TempDir> checkpoint_dir)
       : checkpoint_dir_(std::move(checkpoint_dir)) {
-    pregel::EngineConfig engine;
-    engine.num_workers = opts.workers;
-    engine.num_threads = opts.threads;
-    engine.memory_budget_bytes = opts.memory_budget_bytes;
-    engine.network_mib_per_s = config.GetDoubleOr("network_mib_per_s", 0.0);
-    engine.barrier_latency_s = config.GetDoubleOr("barrier_latency_s", 0.0);
-    engine.checkpoint.interval =
-        static_cast<uint32_t>(config.GetUintOr("checkpoint_interval", 0));
-    engine.checkpoint.directory = config.GetStringOr(
-        "checkpoint_dir",
-        checkpoint_dir_.has_value() ? checkpoint_dir_->path() : "");
-    engine.checkpoint.max_recoveries = static_cast<uint32_t>(
-        config.GetUintOr("checkpoint_max_recoveries", 3));
-    // Traversal-kernel knob: 0 disables the dense-frontier fast path (the
-    // pre-optimization engine that fig4's bfs_pregel_classic record
-    // measures).
-    engine.dense_frontier_threshold = config.GetDoubleOr(
-        "dense_frontier_threshold", engine.dense_frontier_threshold);
+    if (checkpoint_dir_.has_value()) {
+      engine.checkpoint.directory = checkpoint_dir_->path();
+    }
     engine_ = std::make_unique<pregel::Engine>(engine);
   }
 
@@ -116,18 +139,26 @@ class GiraphLikePlatform final : public Platform {
 
 // ----------------------------------------------------------------- GraphX
 
+Result<dataflow::ContextConfig> ReadGraphX(const CommonOptions& opts,
+                                           const Config& config) {
+  const std::string& scope = opts.scope;
+  dataflow::ContextConfig context;
+  context.num_partitions = opts.workers;
+  context.num_threads = opts.threads;
+  context.memory_budget_bytes = opts.memory_budget_bytes;
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "object_overhead_factor",
+                                  &context.object_overhead_factor, scope));
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "shuffle_mib_per_s",
+                                  &context.shuffle_mib_per_s, scope));
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "materialize_mib_per_s",
+                                  &context.materialize_mib_per_s, scope));
+  return context;
+}
+
 class GraphXLikePlatform final : public Platform {
  public:
-  explicit GraphXLikePlatform(const CommonOptions& opts, const Config& config) {
-    context_.num_partitions = opts.workers;
-    context_.num_threads = opts.threads;
-    context_.memory_budget_bytes = opts.memory_budget_bytes;
-    context_.object_overhead_factor =
-        config.GetDoubleOr("object_overhead_factor", 2.0);
-    context_.shuffle_mib_per_s = config.GetDoubleOr("shuffle_mib_per_s", 0.0);
-    context_.materialize_mib_per_s =
-        config.GetDoubleOr("materialize_mib_per_s", 0.0);
-  }
+  explicit GraphXLikePlatform(const dataflow::ContextConfig& context)
+      : context_(context) {}
 
   Status LoadGraph(const Graph& graph, const std::string&) override {
     graph_ = &graph;
@@ -162,20 +193,28 @@ class GraphXLikePlatform final : public Platform {
 
 // -------------------------------------------------------------- MapReduce
 
+Result<mapreduce::PlatformConfig> ReadMapReduce(const CommonOptions& opts,
+                                                const Config& config) {
+  const std::string& scope = opts.scope;
+  mapreduce::PlatformConfig platform;
+  platform.job.num_mappers = opts.workers;
+  platform.job.num_reducers = opts.workers;
+  GLY_RETURN_NOT_OK(ReadSetMib(config, "sort_buffer_mb",
+                               &platform.job.sort_buffer_bytes, scope));
+  GLY_RETURN_NOT_OK(ReadSetDouble(config, "job_startup_s",
+                                  &platform.job.job_startup_s, scope));
+  GLY_RETURN_NOT_OK(ReadSetBool(config, "checkpointing",
+                                &platform.job.checkpoint_map_stage, scope));
+  GLY_RETURN_NOT_OK(ReadSetUint(config, "max_iterations",
+                                &platform.max_iterations, scope));
+  return platform;
+}
+
 class MapReducePlatform final : public Platform {
  public:
-  MapReducePlatform(const CommonOptions& opts, const Config& config,
-                    TempDir scratch)
-      : scratch_(std::move(scratch)) {
-    config_.job.num_mappers = opts.workers;
-    config_.job.num_reducers = opts.workers;
-    config_.job.sort_buffer_bytes =
-        config.GetUintOr("sort_buffer_mb", 8) << 20;
+  MapReducePlatform(const mapreduce::PlatformConfig& config, TempDir scratch)
+      : scratch_(std::move(scratch)), config_(config) {
     config_.job.scratch_dir = scratch_.path() + "/spills";
-    config_.job.job_startup_s = config.GetDoubleOr("job_startup_s", 0.0);
-    config_.job.checkpoint_map_stage = config.GetBoolOr("checkpointing", false);
-    config_.max_iterations =
-        static_cast<uint32_t>(config.GetUintOr("max_iterations", 1000));
   }
 
   Status LoadGraph(const Graph& graph, const std::string& graph_name) override {
@@ -228,15 +267,14 @@ class MapReducePlatform final : public Platform {
 
 class Neo4jLikePlatform final : public Platform {
  public:
-  Neo4jLikePlatform(const CommonOptions& opts, const Config& config,
-                    TempDir scratch)
-      : scratch_(std::move(scratch)) {
-    memory_budget_bytes_ = opts.memory_budget_bytes;
-    page_cache_bytes_ = config.GetUintOr(
-        "page_cache_mb",
-        opts.memory_budget_bytes != 0 ? (opts.memory_budget_bytes >> 20) : 256)
-        << 20;
-  }
+  // The page cache is the memory budget, or 256 MiB without one.
+  Neo4jLikePlatform(const CommonOptions& opts, TempDir scratch)
+      : scratch_(std::move(scratch)),
+        memory_budget_bytes_(opts.memory_budget_bytes),
+        page_cache_bytes_(opts.memory_budget_bytes != 0
+                              ? opts.memory_budget_bytes
+                              : uint64_t{256} << 20),
+        threads_(opts.threads) {}
 
   Status LoadGraph(const Graph& graph, const std::string& graph_name) override {
     graphdb::StoreConfig store_config;
@@ -261,7 +299,7 @@ class Neo4jLikePlatform final : public Platform {
         AlgorithmOutput out,
         graphdb::RunAlgorithmOnStore(store_.get(), undirected_,
                                      memory_budget_bytes_, kind, params,
-                                     &stats));
+                                     &stats, threads_));
     metrics_.clear();
     metrics_["rels_expanded"] = std::to_string(stats.relationships_expanded);
     metrics_["cache_hits"] = std::to_string(stats.cache.hits);
@@ -277,6 +315,7 @@ class Neo4jLikePlatform final : public Platform {
   TempDir scratch_;
   uint64_t memory_budget_bytes_;
   uint64_t page_cache_bytes_;
+  uint32_t threads_;
   std::unique_ptr<graphdb::GraphStore> store_;
   const CancelToken* load_cancel_ = nullptr;
   bool undirected_ = true;
@@ -331,27 +370,32 @@ Result<std::unique_ptr<Platform>> MakePlatform(const std::string& name,
   GLY_ASSIGN_OR_RETURN(CommonOptions opts, ReadCommon(name, config));
   std::string lower = ToLower(name);
   if (lower == "giraph") {
+    GLY_ASSIGN_OR_RETURN(pregel::EngineConfig engine,
+                         ReadGiraph(opts, config));
     std::optional<TempDir> ckpt_dir;
-    if (config.GetUintOr("checkpoint_interval", 0) > 0 &&
-        config.GetStringOr("checkpoint_dir", "").empty()) {
+    if (engine.checkpoint.interval > 0 &&
+        engine.checkpoint.directory.empty()) {
       GLY_ASSIGN_OR_RETURN(TempDir dir, TempDir::Create("gly-pregel-ckpt"));
       ckpt_dir = std::move(dir);
     }
-    return {std::make_unique<GiraphLikePlatform>(opts, config,
+    return {std::make_unique<GiraphLikePlatform>(std::move(engine),
                                                  std::move(ckpt_dir))};
   }
   if (lower == "graphx") {
-    return {std::make_unique<GraphXLikePlatform>(opts, config)};
+    GLY_ASSIGN_OR_RETURN(dataflow::ContextConfig context,
+                         ReadGraphX(opts, config));
+    return {std::make_unique<GraphXLikePlatform>(context)};
   }
   if (lower == "mapreduce") {
+    GLY_ASSIGN_OR_RETURN(mapreduce::PlatformConfig platform,
+                         ReadMapReduce(opts, config));
     GLY_ASSIGN_OR_RETURN(TempDir scratch, TempDir::Create("gly-mr"));
-    return {std::make_unique<MapReducePlatform>(opts, config,
+    return {std::make_unique<MapReducePlatform>(platform,
                                                 std::move(scratch))};
   }
   if (lower == "neo4j") {
     GLY_ASSIGN_OR_RETURN(TempDir scratch, TempDir::Create("gly-neo4j"));
-    return {std::make_unique<Neo4jLikePlatform>(opts, config,
-                                                std::move(scratch))};
+    return {std::make_unique<Neo4jLikePlatform>(opts, std::move(scratch))};
   }
   if (lower == "reference") {
     return {std::make_unique<ReferencePlatform>(opts)};

@@ -121,15 +121,6 @@ Result<VertexId> ReadBfsSource(const Config& scope, const std::string& name,
 // Supervision keys (deadlines, retries, scheduler slots and budget): an
 // unset key keeps RunSpec's default, but a set one must parse. A silent
 // fallback would turn `timeout_s = 0.005s` into a run with no deadline.
-Status ReadSetDouble(const Config& config, const std::string& key,
-                     double* value) {
-  if (!config.Has(key)) return Status::OK();
-  Result<double> parsed = config.GetDouble(key);
-  if (!parsed.ok()) return parsed.status().WithPrefix(key);
-  *value = *parsed;
-  return Status::OK();
-}
-
 Status ReadSupervision(const Config& config, RunSpec* spec) {
   GLY_RETURN_NOT_OK(ReadSetDouble(config, "timeout_s", &spec->cell_timeout_s));
   GLY_RETURN_NOT_OK(

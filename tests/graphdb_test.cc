@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "common/fault_injection.h"
 
@@ -119,6 +122,68 @@ TEST(PageCacheTest, HitRateImprovesOnRepeatedAccess) {
   }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 99u);
+}
+
+TEST(PageCacheTest, LockFreeReadsNeverSeeAnotherPagesBytes) {
+  // A 4-frame cache over a 64-page file in which every 8-byte word of page
+  // p holds p. Reader threads read single words, 4-word records and whole
+  // pages through their own cursors, mostly from a hot set larger than the
+  // cache, so their misses keep evicting and refilling frames under the
+  // others' lock-free copies. A copy that overlapped a refill must fail its
+  // sequence check and be settled under the lock: every word read must be
+  // its own page's stamp, and every read one hit or one miss.
+  constexpr uint64_t kPages = 64;
+  constexpr uint64_t kWords = kPageSize / sizeof(uint64_t);
+  auto dir = TempDir::Create("gly-db");
+  ASSERT_TRUE(dir.ok());
+  PageCache cache(4 * kPageSize, /*shards=*/2);
+  auto file = cache.OpenFile(dir->File("stamps.db"));
+  ASSERT_TRUE(file.ok());
+  std::vector<uint64_t> stamps(kWords);
+  for (uint64_t p = 0; p < kPages; ++p) {
+    std::fill(stamps.begin(), stamps.end(), p);
+    ASSERT_TRUE(
+        cache.Write(*file, p * kPageSize, stamps.data(), kPageSize).ok());
+  }
+  ASSERT_TRUE(cache.Flush().ok());
+  const PageCacheStats before = cache.stats();
+  constexpr uint32_t kThreads = 4;
+  constexpr int kReads = 20000;
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> failed{0};
+  std::atomic<uint64_t> accesses{0};
+  std::vector<std::thread> readers;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      PageCache::Cursor cursor(cache);
+      std::vector<uint64_t> got(kWords);
+      for (int i = 0; i < kReads; ++i) {
+        const uint64_t p = rng.NextBounded(8) == 0 ? rng.NextBounded(kPages)
+                                                   : rng.NextBounded(6);
+        const size_t n = i % 3 == 0 ? 1 : i % 3 == 1 ? 4 : kWords;
+        const uint64_t w = rng.NextBounded(kWords - n + 1);
+        if (!cursor.Read(*file, p * kPageSize + w * sizeof(uint64_t),
+                         got.data(), n * sizeof(uint64_t))
+                 .ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        accesses.fetch_add(1);
+        for (size_t k = 0; k < n; ++k) {
+          if (got[k] != p) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  const PageCacheStats after = cache.stats();
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+            accesses.load());
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_GT(after.evictions, before.evictions);
 }
 
 // --------------------------------------------------------------------- WAL

@@ -620,6 +620,55 @@ TEST(GraphdbHotpathParity, CursorsMatchPerRecordLookups) {
   }
 }
 
+TEST(GraphdbHotpathParity, ThreadCountsMatchTheGoldenRows) {
+  // PR, CD, STATS and EVO split their vertex loops across workers; on a
+  // store-sized cache every thread count must reproduce the golden row:
+  // the output, the traversed edges and every cache counter.
+  const Graph g = TestGraph();
+  for (const GraphdbRow& golden : kGraphdbGolden) {
+    if (golden.cache_kib != 65536) continue;
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      auto dir = TempDir::Create("gly-hotpath-db");
+      ASSERT_TRUE(dir.ok());
+      auto store = ImportedStore(*dir, golden.cache_kib << 10);
+      GraphdbRow actual{golden.kind, golden.cache_kib, 0, 0,
+                        CountsOf(store->cache_stats()), {}};
+      auto out = graphdb::RunAlgorithmOnStore(
+          store.get(), g.undirected(), /*memory_budget_bytes=*/0, golden.kind,
+          TestParams(), /*stats_out=*/nullptr, threads);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      actual.checksum = harness::OutputChecksum(*out);
+      actual.traversed_edges = out->traversed_edges;
+      actual.after_run = CountsOf(store->cache_stats());
+      EXPECT_EQ(actual, golden)
+          << threads << " threads, actual row: " << ToString(actual);
+    }
+  }
+}
+
+TEST(GraphdbHotpathParity, FailedReadOnFourThreadsIsAStatus) {
+  // A read failure in one worker of a threaded vertex loop comes back as
+  // the run's Status, and the other workers stop without a second fault.
+  for (AlgorithmKind kind : {AlgorithmKind::kPr, AlgorithmKind::kCd,
+                             AlgorithmKind::kStats, AlgorithmKind::kEvo}) {
+    auto dir = TempDir::Create("gly-hotpath-db");
+    ASSERT_TRUE(dir.ok());
+    auto store = ImportedStore(*dir, kSmallCache);
+    fault::FaultPlan plan(/*seed=*/1);
+    plan.Add({.site = "graphdb.pagecache.read",
+              .kind = fault::FaultKind::kCrash,
+              .max_triggers = 1});
+    fault::ScopedFaultPlan active(&plan);
+    auto out = graphdb::RunAlgorithmOnStore(
+        store.get(), /*undirected=*/true, /*memory_budget_bytes=*/0, kind,
+        TestParams(), /*stats_out=*/nullptr, /*num_threads=*/4);
+    ASSERT_FALSE(out.ok()) << KindEnum(kind);
+    EXPECT_TRUE(out.status().IsInternal()) << out.status().ToString();
+    EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u)
+        << KindEnum(kind);
+  }
+}
+
 TEST(GraphdbHotpathParity, FailedReadDuringEvoIsAStatus) {
   // EVO's burn reads neighbourhoods through a callback; a read failure
   // inside it must come back as the run's Status (a failed cell), not
@@ -716,7 +765,7 @@ TEST(PageCursorHotpath, FailedSeekHoldsNoLock) {
   uint64_t value = 0;
   ASSERT_TRUE(
       cursor.Read(*file, 3 * graphdb::kPageSize, &value, sizeof(value)).ok());
-  EXPECT_TRUE(cursor.holds_page());
+  EXPECT_FALSE(cursor.holds_page());  // a read copies and holds no lock
   {
     fault::FaultPlan plan(/*seed=*/3);
     plan.Add({.site = "graphdb.pagecache.read",
@@ -740,6 +789,38 @@ TEST(PageCursorHotpath, FailedSeekHoldsNoLock) {
   ASSERT_TRUE(
       cursor.Read(*file, graphdb::kPageSize, &value, sizeof(value)).ok());
   EXPECT_EQ(value, 7u);
+}
+
+TEST(PageCursorHotpath, FailedWriteSeekReleasesTheHeldPage) {
+  // A write holds its page's shard lock; a write to another page of the
+  // same shard that fails must let that lock go.
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  graphdb::PageCache cache(2 * graphdb::kPageSize, /*shards=*/1);
+  auto file = cache.OpenFile(dir->File("cursor.db"));
+  ASSERT_TRUE(file.ok());
+  graphdb::PageCache::Cursor cursor(cache);
+  const uint64_t value = 42;
+  ASSERT_TRUE(cursor.Write(*file, 0, &value, sizeof(value)).ok());
+  EXPECT_TRUE(cursor.holds_page());
+  {
+    fault::FaultPlan plan(/*seed=*/3);
+    plan.Add({.site = "graphdb.pagecache.read",
+              .kind = fault::FaultKind::kCrash,
+              .max_triggers = 1});
+    fault::ScopedFaultPlan active(&plan);
+    const Status s =
+        cursor.Write(*file, graphdb::kPageSize, &value, sizeof(value));
+    EXPECT_TRUE(s.IsInternal()) << s.ToString();
+    EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.read"), 1u);
+  }
+  EXPECT_FALSE(cursor.holds_page());
+  MustFinish("Read and Flush after a failed write Seek", [&] {
+    uint64_t page0 = 0;
+    EXPECT_TRUE(cache.Read(*file, 0, &page0, sizeof(page0)).ok());
+    EXPECT_EQ(page0, 42u);
+    EXPECT_TRUE(cache.Flush().ok());
+  });
 }
 
 TEST(PageCursorHotpath, StoreRecoversFromAFailedChainWalk) {

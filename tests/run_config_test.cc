@@ -279,6 +279,59 @@ TEST(RunConfigTest, PlatformKeysMustParse) {
   }
 }
 
+TEST(RunConfigTest, PlatformTuningKeysMustParse) {
+  // Each platform-specific key, malformed or out of range: the run fails
+  // before any cell starts and names the key as written.
+  const std::pair<const char*, const char*> bad[] = {
+      {"giraph.network_mib_per_s", "fast"},
+      {"giraph.barrier_latency_s", "1ms"},
+      {"giraph.checkpoint_interval", "4294967296"},  // 2^32
+      {"giraph.checkpoint_max_recoveries", "three"},
+      {"giraph.dense_frontier_threshold", "5%"},
+      {"graphx.object_overhead_factor", "0.5x"},
+      {"graphx.shuffle_mib_per_s", "1e"},
+      {"graphx.materialize_mib_per_s", "-"},
+      {"mapreduce.sort_buffer_mb", "8MB"},
+      {"mapreduce.sort_buffer_mb", "17592186044416"},  // 2^44: << 20 wraps
+      {"mapreduce.job_startup_s", "0.1s"},
+      {"mapreduce.max_iterations", "-5"},
+      {"mapreduce.checkpointing", "maybe"},
+  };
+  for (const auto& [key, value] : bad) {
+    Config config = BaseConfig();
+    config.Set("platforms", "reference, giraph, graphx, mapreduce");
+    config.Set(key, value);
+    Status status = RunFromConfig(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << key << " = " << value << ": " << status.ToString();
+    EXPECT_NE(status.message().find(key), std::string::npos)
+        << status.ToString();
+  }
+  // A factor that parses is the one used: at 0.5 GraphX CD fits a 1 MiB
+  // budget on R-MAT 10 (at the default 2.0 it does not, as
+  // PlatformKeysMustParse shows).
+  Config config = *Config::Parse(
+      "graphs = r\n"
+      "graph.r.source = rmat\n"
+      "graph.r.scale = 10\n"
+      "platforms = graphx, mapreduce\n"
+      "algorithms = cd\n"
+      "graphx.memory_budget_mb = 1\n"
+      "graphx.object_overhead_factor = 0.5\n"
+      "graphx.workers = 2\n"
+      "graphx.threads = 1\n"
+      "mapreduce.sort_buffer_mb = 1\n"
+      "mapreduce.checkpointing = off\n"
+      "monitor = false\n");
+  auto out = RunFromConfig(config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->results.size(), 2u);
+  for (const auto& r : out->results) {
+    EXPECT_TRUE(r.status.ok()) << r.platform << ": " << r.status.ToString();
+    EXPECT_TRUE(r.validation.ok()) << r.platform;
+  }
+}
+
 TEST(RunConfigTest, BfsSourcePerGraph) {
   Config config = BaseConfig();
   config.SetInt("graph.tiny.bfs_source", 42);
