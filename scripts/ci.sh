@@ -96,7 +96,9 @@
 #   5. bench-smoke — fig4_runtimes kernel records (the reference,
 #                    Pregel sparse/dense and dataflow BFS, and the CONN
 #                    and PR reference kernels), the ext_etl_times
-#                    parse/build duel, and the engines_hotpath engine-level
+#                    parse/build duel (scale ${ETL_BENCH_SCALE}, where each
+#                    record takes over 10x the comparator's 10 ms floor),
+#                    and the engines_hotpath engine-level
 #                    bench (pooled hot paths, scale ${ENGINE_BENCH_SCALE}),
 #                    each gated by scripts/bench_compare.py against its
 #                    committed baseline (BENCH_kernels.json / BENCH_etl.json
@@ -130,6 +132,7 @@ TSAN_DIR="${TSAN_DIR:-build-ci-tsan}"
 BENCH_SCALE="${BENCH_SCALE:-12}"
 BENCH_REPEATS="${BENCH_REPEATS:-3}"
 ENGINE_BENCH_SCALE="${ENGINE_BENCH_SCALE:-14}"
+ETL_BENCH_SCALE=18
 ETL_THREADS="${ETL_THREADS:-4}"
 
 echo "==> [1/6] tier-1: configure + build (${TIER1_DIR})"
@@ -223,9 +226,9 @@ echo "==> [5/6] bench-smoke: kernel records at scale ${BENCH_SCALE} vs baseline"
 python3 scripts/bench_compare.py BENCH_kernels.json \
     "${TIER1_DIR}/bench_kernels_current.json"
 
-echo "==> [5/6] bench-smoke: ETL duel at scale ${BENCH_SCALE}, ${ETL_THREADS} threads"
+echo "==> [5/6] bench-smoke: ETL duel at scale ${ETL_BENCH_SCALE}, ${ETL_THREADS} threads"
 "${TIER1_DIR}/bench/ext_etl_times" --kernels-only \
-    --kernel-scale "${BENCH_SCALE}" --repeats "${BENCH_REPEATS}" \
+    --kernel-scale "${ETL_BENCH_SCALE}" --repeats "${BENCH_REPEATS}" \
     --threads "${ETL_THREADS}" \
     --json "${TIER1_DIR}/bench_etl_current.json"
 python3 scripts/bench_compare.py BENCH_etl.json \

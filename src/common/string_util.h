@@ -14,9 +14,6 @@ namespace gly {
 /// Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Splits `s` on any run of whitespace, dropping empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
 /// Removes leading and trailing whitespace.
 std::string_view Trim(std::string_view s);
 

@@ -1,9 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <numeric>
 
 #include "common/macros.h"
@@ -15,19 +13,23 @@ namespace gly {
 
 namespace {
 
-// Chunk sizes for the parallel build: small enough to balance skewed rows,
-// large enough that per-chunk dispatch cost stays invisible.
-constexpr size_t kEdgeGrain = 4096;
+// Input edges a CSR build block reads between two polls of the cancel
+// token.
+constexpr size_t kPollEdges = 4096;
+// Rows per chunk of the row passes (sort, dedup, compaction): small enough
+// to balance skewed rows, large enough that per-chunk dispatch cost stays
+// invisible.
 constexpr size_t kRowGrain = 1024;
 
 // ------------------------------------------------------------ CSR build
 //
 // Counting + scatter + a per-row sort (the GAP builder design): count each
-// row's degree, prefix-sum the counts into offsets, scatter every edge into
-// its row, then sort each row. The scatter places a row's multiset of
-// targets in arbitrary order and the per-row sort restores ascending order,
-// so the offsets and target arrays are the same at any thread count and
-// without a pool.
+// row's degree, prefix-sum the counts into offsets, scatter every entry
+// into its row, then sort each row. The count and the scatter cut the rows
+// into one block per pool thread; each block's task reads every entry but
+// writes only its own rows, with plain loads and stores, in input order.
+// So no row's entries depend on the thread count, and the per-row sort
+// leaves the arrays the same at any thread count and without a pool.
 
 // Runs `fn(begin, end)` over [0, n): in `grain` chunks across `pool`, or as
 // one range on the calling thread when there is none. A cancelled token
@@ -74,51 +76,91 @@ void ParallelPrefixSum(std::vector<EdgeIndex>* offsets, ThreadPool* pool) {
   });
 }
 
-// Builds one CSR side from `edges` with atomic degree counting, prefix
-// sum, scatter, and a deterministic per-row sort. With `mirror`, every edge
-// also contributes its reverse (the undirected build); `drop_self_loops`
-// skips src == dst edges entirely.
+// Runs `fn(lo, hi)` for every non-empty block of rows
+// [bounds[b], bounds[b + 1]), one task per block across `pool`, or in order
+// on the caller.
+void ForEachBlock(const std::vector<size_t>& bounds, ThreadPool* pool,
+                  const CancelToken* cancel,
+                  const std::function<void(size_t, size_t)>& fn) {
+  ForRange(pool, bounds.size() - 1, 1, [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      if (bounds[b] < bounds[b + 1]) fn(bounds[b], bounds[b + 1]);
+    }
+  }, cancel);
+}
+
+// Fills `offsets` (n + 1 of them) and `targets` with the adjacency entries
+// that `for_each_entry(visit)` yields as `visit(row, value)`: count, prefix
+// sum, scatter. Both passes cut the rows into one block per pool thread
+// (one without a pool); each block reads every entry and writes only its
+// own rows, so a row holds its entries in the order they were yielded. The
+// count cuts equal id ranges; the scatter, whose cost follows the entries,
+// cuts blocks of about equal entry counts by binary search on the offsets
+// (a row larger than a block's share leaves the blocks beside it empty).
+// More blocks than threads would only add reads of the input.
+// `for_each_entry` polls `cancel` every kPollEdges input edges and stops
+// once it is set.
+template <typename ForEachEntry>
+void CountAndScatter(size_t n, ThreadPool* pool, const CancelToken* cancel,
+                     const ForEachEntry& for_each_entry,
+                     std::vector<EdgeIndex>* offsets,
+                     std::vector<VertexId>* targets) {
+  const size_t blocks = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<size_t> bounds(blocks + 1, n);
+  for (size_t b = 0; b < blocks; ++b) bounds[b] = n / blocks * b;
+  offsets->assign(n + 1, 0);
+  ForEachBlock(bounds, pool, cancel, [&](size_t lo, size_t hi) {
+    EdgeIndex* count = offsets->data() + 1;
+    for_each_entry([&](VertexId row, VertexId) {
+      if (row - lo < hi - lo) ++count[row];
+    });
+  });
+  ParallelPrefixSum(offsets, pool);
+  targets->resize(offsets->back());
+
+  const EdgeIndex share = offsets->back() / blocks;
+  for (size_t b = 1; b < blocks; ++b) {
+    bounds[b] = static_cast<size_t>(
+        std::lower_bound(offsets->begin(), offsets->end(), share * b) -
+        offsets->begin());
+  }
+  std::vector<EdgeIndex> cursor(n);
+  ForEachBlock(bounds, pool, cancel, [&](size_t lo, size_t hi) {
+    if ((*offsets)[lo] == (*offsets)[hi]) return;
+    std::copy(offsets->begin() + static_cast<ptrdiff_t>(lo),
+              offsets->begin() + static_cast<ptrdiff_t>(hi),
+              cursor.begin() + static_cast<ptrdiff_t>(lo));
+    VertexId* out = targets->data();
+    for_each_entry([&](VertexId row, VertexId value) {
+      if (row - lo < hi - lo) out[cursor[row]++] = value;
+    });
+  });
+}
+
+// Builds one CSR side from `edges`: count, prefix sum, block scatter and a
+// per-row sort. With `mirror`, every edge also contributes its reverse (the
+// undirected build); `drop_self_loops` skips src == dst edges entirely.
 void BuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
                bool by_src, bool mirror, bool drop_self_loops, ThreadPool* pool,
                const CancelToken* cancel, std::vector<EdgeIndex>* offsets,
                std::vector<VertexId>* targets) {
-  const size_t n = num_vertices;
-  std::unique_ptr<std::atomic<EdgeIndex>[]> cursor(
-      new std::atomic<EdgeIndex>[n]());
-  ForRange(pool, edges.size(), kEdgeGrain, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Edge& e = edges[i];
-      if (drop_self_loops && e.src == e.dst) continue;
-      cursor[by_src ? e.src : e.dst].fetch_add(1, std::memory_order_relaxed);
-      if (mirror) {
-        cursor[by_src ? e.dst : e.src].fetch_add(1,
-                                                 std::memory_order_relaxed);
+  auto for_each_entry = [&](auto&& visit) {
+    for (size_t begin = 0; begin < edges.size(); begin += kPollEdges) {
+      if (Cancelled(cancel)) return;
+      const size_t end = std::min(edges.size(), begin + kPollEdges);
+      for (size_t i = begin; i < end; ++i) {
+        const Edge& e = edges[i];
+        if (drop_self_loops && e.src == e.dst) continue;
+        const VertexId row = by_src ? e.src : e.dst;
+        const VertexId value = by_src ? e.dst : e.src;
+        visit(row, value);
+        if (mirror) visit(value, row);
       }
     }
-  }, cancel);
-  offsets->assign(n + 1, 0);
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
-      (*offsets)[v + 1] = cursor[v].exchange(0, std::memory_order_relaxed);
-    }
-  });
-  ParallelPrefixSum(offsets, pool);
-  targets->resize(offsets->back());
-  ForRange(pool, edges.size(), kEdgeGrain, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Edge& e = edges[i];
-      if (drop_self_loops && e.src == e.dst) continue;
-      VertexId k = by_src ? e.src : e.dst;
-      VertexId value = by_src ? e.dst : e.src;
-      (*targets)[(*offsets)[k] +
-                 cursor[k].fetch_add(1, std::memory_order_relaxed)] = value;
-      if (mirror) {
-        (*targets)[(*offsets)[value] +
-                   cursor[value].fetch_add(1, std::memory_order_relaxed)] = k;
-      }
-    }
-  }, cancel);
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
+  };
+  CountAndScatter(num_vertices, pool, cancel, for_each_entry, offsets,
+                  targets);
+  ForRange(pool, num_vertices, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
       std::sort(targets->begin() + static_cast<ptrdiff_t>((*offsets)[v]),
                 targets->begin() + static_cast<ptrdiff_t>((*offsets)[v + 1]));
@@ -127,7 +169,8 @@ void BuildSide(const std::vector<Edge>& edges, VertexId num_vertices,
 }
 
 // Per-row duplicate removal + compaction (rows must be sorted): duplicates
-// of a (key, value) pair are adjacent within their sorted row.
+// of a (key, value) pair are adjacent within their sorted row. When no row
+// lost an entry the arrays are already compact and are left as they are.
 void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
                ThreadPool* pool, const CancelToken* cancel) {
   const size_t n = offsets->size() - 1;
@@ -144,6 +187,7 @@ void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
     }
   }, cancel);
   ParallelPrefixSum(&unique_offsets, pool);
+  if (unique_offsets.back() == offsets->back()) return;
   std::vector<VertexId> compacted(unique_offsets.back());
   ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
     for (size_t v = begin; v < end; ++v) {
@@ -158,47 +202,27 @@ void DedupRows(std::vector<EdgeIndex>* offsets, std::vector<VertexId>* targets,
 }
 
 // Builds the in-CSR from a finished out-CSR (used by the deduped directed
-// build, whose surviving edge set exists only in CSR form).
+// build, whose surviving edge set exists only in CSR form). The out-rows
+// are read in ascending order, so every in-row comes out sorted.
 void BuildInFromOut(const std::vector<EdgeIndex>& out_offsets,
                     const std::vector<VertexId>& out_targets,
                     ThreadPool* pool, const CancelToken* cancel,
                     std::vector<EdgeIndex>* in_offsets,
                     std::vector<VertexId>* in_targets) {
   const size_t n = out_offsets.size() - 1;
-  std::unique_ptr<std::atomic<EdgeIndex>[]> cursor(
-      new std::atomic<EdgeIndex>[n]());
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
+  auto for_each_entry = [&](auto&& visit) {
+    EdgeIndex next_poll = 0;
+    for (size_t v = 0; v < n; ++v) {
+      if (out_offsets[v] >= next_poll) {
+        if (Cancelled(cancel)) return;
+        next_poll = out_offsets[v] + kPollEdges;
+      }
       for (EdgeIndex r = out_offsets[v]; r < out_offsets[v + 1]; ++r) {
-        cursor[out_targets[r]].fetch_add(1, std::memory_order_relaxed);
+        visit(out_targets[r], static_cast<VertexId>(v));
       }
     }
-  }, cancel);
-  in_offsets->assign(n + 1, 0);
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
-      (*in_offsets)[v + 1] = cursor[v].exchange(0, std::memory_order_relaxed);
-    }
-  });
-  ParallelPrefixSum(in_offsets, pool);
-  in_targets->resize(in_offsets->back());
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
-      for (EdgeIndex r = out_offsets[v]; r < out_offsets[v + 1]; ++r) {
-        VertexId w = out_targets[r];
-        (*in_targets)[(*in_offsets)[w] +
-                      cursor[w].fetch_add(1, std::memory_order_relaxed)] =
-            static_cast<VertexId>(v);
-      }
-    }
-  });
-  ForRange(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
-      std::sort(
-          in_targets->begin() + static_cast<ptrdiff_t>((*in_offsets)[v]),
-          in_targets->begin() + static_cast<ptrdiff_t>((*in_offsets)[v + 1]));
-    }
-  });
+  };
+  CountAndScatter(n, pool, cancel, for_each_entry, in_offsets, in_targets);
 }
 
 }  // namespace

@@ -116,11 +116,14 @@ struct ReorderedGraph {
 std::vector<VertexId> DegreeDescendingOrder(const Graph& graph);
 
 /// CSR construction policy. The build counts row degrees, prefix-sums them
-/// into offsets, scatters every edge into its row and sorts each row; with
-/// a `pool` those passes run chunked across it, without one they run on the
-/// calling thread. The offsets and target arrays are the same either way
-/// and at any thread count (the etl parity suite pins them against frozen
-/// rows), so the pool is purely a performance choice.
+/// into offsets, scatters every edge into its row and sorts each row. With
+/// a `pool` the count and the scatter run one row block per pool thread
+/// (each block reads every edge and writes only its own rows, with plain
+/// stores) and the row passes run chunked across it; without one they run
+/// on the calling thread as a single block. The offsets and target arrays
+/// are the same either way and at any thread count (the etl parity suite
+/// pins them against frozen rows), so the pool is purely a performance
+/// choice.
 struct CsrBuildOptions {
   bool dedup = true;           ///< Directed only: drop self-loops + dups
   ThreadPool* pool = nullptr;  ///< null = build inline on the caller

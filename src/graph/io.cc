@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -24,40 +25,86 @@ uint64_t IdLimit(const EdgeListParseOptions& options) {
   return std::min<uint64_t>(options.max_vertex_id, kInvalidVertex - 1);
 }
 
-/// Parses one text edge line (getline semantics: no trailing newline).
-/// On success sets `*keep` (false for comments, blanks, and dropped
+/// Whitespace as `std::isspace` reads it in the "C" locale (and `Trim`
+/// strips it): space, \t, \n, \v, \f and \r.
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// An InvalidArgument naming `path`'s line `line_no`. Concatenated, not
+/// formatted, so a detail that quotes input bytes keeps them all.
+Status LineError(const std::string& path, size_t line_no,
+                 std::string_view detail) {
+  std::string message = path;
+  message += ':';
+  message += std::to_string(line_no);
+  message += ": ";
+  message += detail;
+  return Status::InvalidArgument(std::move(message));
+}
+
+/// Converts all of `token` with `std::from_chars`; on a non-numeric token,
+/// trailing garbage (a second id on a `.v` line, say) or uint64 overflow,
+/// `ParseUint64`'s message behind the line prefix.
+Status ParseId(std::string_view token, const std::string& path,
+               size_t line_no, uint64_t* value) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  if (ec == std::errc() && ptr == end) return Status::OK();
+  std::string detail = "cannot parse uint64: '";
+  detail += token;
+  detail += '\'';
+  return LineError(path, line_no, detail);
+}
+
+/// Parses one text edge line (no trailing newline) in place: the first two
+/// whitespace-separated fields are `src dst`, later fields are ignored. On
+/// success sets `*keep` (false for comments, blanks, and dropped
 /// self-loops) and `*edge` when kept. Every error carries a `path:line:`
 /// prefix naming the offending line.
-Status ParseEdgeLine(std::string_view raw, const std::string& path,
+Status ParseEdgeLine(std::string_view line, const std::string& path,
                      size_t line_no, const EdgeListParseOptions& options,
                      uint64_t id_limit, bool* keep, Edge* edge) {
   *keep = false;
-  std::string_view sv = Trim(raw);
-  if (sv.empty() || sv[0] == '#') return Status::OK();
-  auto fields = SplitWhitespace(sv);
-  if (fields.size() < 2) {
-    return Status::InvalidArgument(
-        StringPrintf("%s:%zu: expected 'src dst'", path.c_str(), line_no));
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (p < end && IsSpace(*p)) ++p;
+  if (p == end || *p == '#') return Status::OK();
+  std::string_view fields[2];
+  for (std::string_view& field : fields) {
+    while (p < end && IsSpace(*p)) ++p;
+    const char* start = p;
+    while (p < end && !IsSpace(*p)) ++p;
+    if (p == start) return LineError(path, line_no, "expected 'src dst'");
+    field = std::string_view(start, static_cast<size_t>(p - start));
   }
-  // Prefix parse failures (non-numeric tokens, uint64 overflow, trailing
-  // garbage) with the offending location.
-  auto src_parsed = ParseUint64(fields[0]);
-  auto dst_parsed = ParseUint64(fields[1]);
-  if (!src_parsed.ok() || !dst_parsed.ok()) {
-    const Status& bad =
-        src_parsed.ok() ? dst_parsed.status() : src_parsed.status();
-    return bad.WithPrefix(StringPrintf("%s:%zu", path.c_str(), line_no));
-  }
-  uint64_t src = src_parsed.ValueOrDie();
-  uint64_t dst = dst_parsed.ValueOrDie();
+  uint64_t src = 0;
+  uint64_t dst = 0;
+  GLY_RETURN_NOT_OK(ParseId(fields[0], path, line_no, &src));
+  GLY_RETURN_NOT_OK(ParseId(fields[1], path, line_no, &dst));
   if (src > id_limit || dst > id_limit) {
-    return Status::InvalidArgument(StringPrintf(
-        "%s:%zu: vertex id %llu exceeds limit %llu", path.c_str(), line_no,
-        (unsigned long long)std::max(src, dst), (unsigned long long)id_limit));
+    return LineError(path, line_no,
+                     "vertex id " + std::to_string(std::max(src, dst)) +
+                         " exceeds limit " + std::to_string(id_limit));
   }
   if (options.drop_self_loops && src == dst) return Status::OK();
   *keep = true;
   *edge = Edge{static_cast<VertexId>(src), static_cast<VertexId>(dst)};
+  return Status::OK();
+}
+
+/// Reads the whole file at `path` into `*buffer`. A short read (disk error
+/// mid-file) is an IOError, never silently truncated input.
+Status ReadWholeFile(const std::string& path, std::string* buffer) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_size = in.tellg();
+  if (file_size < 0) return Status::IOError("read failed: " + path);
+  buffer->resize(static_cast<size_t>(file_size));
+  in.seekg(0);
+  in.read(buffer->data(), file_size);
+  if (in.bad() || in.gcount() != file_size) {
+    return Status::IOError("read failed: " + path);
+  }
   return Status::OK();
 }
 
@@ -96,21 +143,9 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   ThreadPool* pool = etl.pool;
 
   // Whole-file slurp: chunk boundaries need random access to land on
-  // newlines. A short read (disk error mid-file) is an IOError, never a
-  // silently truncated graph.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff file_size = in.tellg();
-  if (file_size < 0) return Status::IOError("read failed: " + path);
+  // newlines.
   std::string buffer;
-  buffer.resize(static_cast<size_t>(file_size));
-  in.seekg(0);
-  in.read(buffer.data(), file_size);
-  if (in.bad() || in.gcount() != file_size) {
-    return Status::IOError("read failed: " + path);
-  }
-  in.close();
+  GLY_RETURN_NOT_OK(ReadWholeFile(path, &buffer));
   const std::string_view text(buffer);
 
   // Chunk boundaries: several chunks per pool thread (one without a pool),
@@ -135,14 +170,9 @@ Result<EdgeList> ReadEdgeListText(const std::string& path,
   // knows the 1-based line number it starts at for its error messages.
   std::vector<size_t> start_line(num_chunks, 0);
   ForEachChunk(pool, num_chunks - 1, [&](size_t c) {
-    size_t newlines = 0;
-    for (size_t pos = bounds[c]; pos < bounds[c + 1];) {
-      size_t nl = text.find('\n', pos);
-      if (nl == std::string_view::npos || nl >= bounds[c + 1]) break;
-      ++newlines;
-      pos = nl + 1;
-    }
-    start_line[c + 1] = newlines;
+    start_line[c + 1] = static_cast<size_t>(
+        std::count(text.begin() + static_cast<ptrdiff_t>(bounds[c]),
+                   text.begin() + static_cast<ptrdiff_t>(bounds[c + 1]), '\n'));
   });
   start_line[0] = 1;
   for (size_t c = 1; c < num_chunks; ++c) start_line[c] += start_line[c - 1];
@@ -281,24 +311,23 @@ Status WriteVertexFile(const EdgeList& edges, const std::string& path) {
 }
 
 Status ApplyVertexFile(const std::string& path, EdgeList* edges) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string line;
+  std::string buffer;
+  GLY_RETURN_NOT_OK(ReadWholeFile(path, &buffer));
+  const std::string_view text(buffer);
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view id = Trim(text.substr(pos, nl - pos));
+    pos = nl + 1;
     ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '#') continue;
-    GLY_ASSIGN_OR_RETURN(uint64_t v, ParseUint64(sv));
+    if (id.empty() || id[0] == '#') continue;
+    uint64_t v = 0;
+    GLY_RETURN_NOT_OK(ParseId(id, path, line_no, &v));
     if (v >= kInvalidVertex) {
-      return Status::InvalidArgument(
-          StringPrintf("%s:%zu: vertex id too large", path.c_str(), line_no));
+      return LineError(path, line_no, "vertex id too large");
     }
     edges->EnsureVertices(static_cast<VertexId>(v) + 1);
   }
-  // EOF and a failed read are different things: a mid-file error must
-  // surface, never silently drop the rest of the ids.
-  if (in.bad()) return Status::IOError("read failed: " + path);
   return Status::OK();
 }
 

@@ -68,7 +68,8 @@ Status WriteVertexFile(const EdgeList& edges, const std::string& path);
 
 /// Reads a ".v" vertex file and raises `edges`' vertex bound to cover every
 /// listed id, so vertices that appear only in the vertex file (isolated
-/// vertices) are part of the graph.
+/// vertices) are part of the graph. One id per line; blank and '#' lines
+/// are skipped, and errors carry the edge parser's `file:line:` prefix.
 Status ApplyVertexFile(const std::string& path, EdgeList* edges);
 
 /// Loads a Graphalytics dataset: `<prefix>.e` (required) plus

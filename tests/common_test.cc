@@ -432,13 +432,6 @@ TEST(StringUtilTest, Split) {
   EXPECT_EQ(parts[2], "");
 }
 
-TEST(StringUtilTest, SplitWhitespace) {
-  auto parts = SplitWhitespace("  a \t b\nc  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
 TEST(StringUtilTest, TrimAndStartsWith) {
   EXPECT_EQ(Trim("  x  "), "x");
   EXPECT_EQ(Trim(""), "");

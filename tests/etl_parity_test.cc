@@ -4,8 +4,9 @@
 // same order, same vertex bound, same CSR arrays, and (for malformed input)
 // the same `file:line:`-prefixed error message — with no pool (the inline
 // path) and on 1-, 2- and 8-thread pools. This suite sweeps R-MAT graphs at
-// scales 8/12/14, a social-datagen graph, and every parse policy. Labeled
-// `ingest`: ci.sh also runs it under ASan and TSan.
+// scales 8/12/14, a social-datagen graph, and every parse policy, and builds
+// degenerate CSR row-block cuts on 1 to 8 threads against the inline build.
+// Labeled `ingest`: ci.sh also runs it under ASan and TSan.
 //
 // The golden rows were produced by the serial paths (ReadEdgeListText with
 // no pool, GraphBuilder's sort-based build) on exactly these inputs. A
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -445,6 +447,30 @@ TEST(ParseErrorParityTest, EarliestErrorLineWinsAcrossChunks) {
   }
 }
 
+// A `.v` error names its file and line, as every `.e` error does.
+TEST(ParseErrorParityTest, VertexFileMessagesNameTheLine) {
+  auto dir = TempDir::Create("etl_parity");
+  ASSERT_TRUE(dir.ok());
+  struct Case {
+    std::string text;
+    std::string message_suffix;
+  };
+  const std::vector<Case> cases = {
+      {"0\n1\nxyz\n3\n", ":3: cannot parse uint64: 'xyz'"},
+      {"0\n# ids\n\n 7 8 \n", ":4: cannot parse uint64: '7 8'"},
+      {"0\n4294967295", ":2: vertex id too large"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const std::string path = dir->File("err" + std::to_string(i) + ".v");
+    std::ofstream(path) << cases[i].text;
+    EdgeList edges;
+    Status s = ApplyVertexFile(path, &edges);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(s.message(), path + cases[i].message_suffix);
+  }
+}
+
 // ------------------------------------------------------------ build parity
 
 using BuildParityParam = std::tuple<ParityGraph, size_t>;
@@ -475,6 +501,120 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BuildParityParam>& info) {
       return ParityGraphName(std::get<0>(info.param)) + "_" +
              PoolName(std::get<1>(info.param));
+    });
+
+// ------------------------------------------------------- block-cut edges
+
+// Graphs where the CSR build's row blocks degenerate. The star's hub holds
+// most of the directed out-entries and about half of the undirected ones,
+// so the blocks around it are empty; 0 and 1 vertices leave fewer rows
+// than blocks; trailing isolated vertices make blocks of empty rows;
+// repeated edges and self-loops send the deduped directed build through
+// its in-side scatter from the out-CSR.
+enum class CutGraph { kStar, kEmpty, kOneVertex, kTrailingIsolated,
+                      kDirectedDuplicates };
+
+EdgeList CutEdges(CutGraph which) {
+  EdgeList edges;
+  switch (which) {
+    case CutGraph::kStar:
+      for (VertexId v = 0; v < 1000; ++v) {
+        if (v != 600) edges.Add(600, v);
+      }
+      for (VertexId v = 0; v < 20; ++v) edges.Add(v, v + 1);
+      break;
+    case CutGraph::kEmpty:
+      break;
+    case CutGraph::kOneVertex:
+      edges.Add(0, 0);
+      edges.Add(0, 0);
+      break;
+    case CutGraph::kTrailingIsolated:
+      edges = EdgeList(5000);
+      for (VertexId v = 0; v < 300; ++v) edges.Add(v % 64, (v * 7 + 3) % 64);
+      break;
+    case CutGraph::kDirectedDuplicates:
+      for (VertexId v = 0; v < 2000; ++v) {
+        const VertexId src = (v * 13) % 300;
+        const VertexId dst = (v * 29 + 1) % 300;
+        edges.Add(src, dst);
+        if (v % 3 == 0) edges.Add(src, dst);
+        if (v % 7 == 0) edges.Add(src, src);
+      }
+      break;
+  }
+  return edges;
+}
+
+std::string CutGraphName(CutGraph which) {
+  switch (which) {
+    case CutGraph::kStar: return "star";
+    case CutGraph::kEmpty: return "empty";
+    case CutGraph::kOneVertex: return "one_vertex";
+    case CutGraph::kTrailingIsolated: return "trailing_isolated";
+    case CutGraph::kDirectedDuplicates: return "directed_duplicates";
+  }
+  return "?";
+}
+
+// Row for row, both sides: equal rows mean equal offsets and targets.
+void ExpectSameArrays(const Graph& actual, const Graph& expected) {
+  ASSERT_EQ(actual.num_vertices(), expected.num_vertices());
+  EXPECT_EQ(actual.num_edges(), expected.num_edges());
+  EXPECT_EQ(actual.num_adjacency_entries(), expected.num_adjacency_entries());
+  for (VertexId v = 0; v < expected.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(actual.OutNeighbors(v),
+                                   expected.OutNeighbors(v)))
+        << "out-row " << v;
+    EXPECT_TRUE(std::ranges::equal(actual.InNeighbors(v),
+                                   expected.InNeighbors(v)))
+        << "in-row " << v;
+  }
+}
+
+// A directed graph's in-rows are its out-rows transposed, each ascending.
+void ExpectInRowsTransposeOutRows(const Graph& g) {
+  std::vector<std::vector<VertexId>> in_rows(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (VertexId w : g.OutNeighbors(v)) in_rows[w].push_back(v);
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(g.InNeighbors(v), in_rows[v]))
+        << "in-row " << v;
+  }
+}
+
+class BlockCutTest : public ::testing::TestWithParam<CutGraph> {};
+
+TEST_P(BlockCutTest, PooledBuildsMatchTheInlineBuild) {
+  const EdgeList edges = CutEdges(GetParam());
+  for (BuildKind kind : {BuildKind::kUndirected, BuildKind::kDirectedDedup,
+                         BuildKind::kDirectedRaw}) {
+    SCOPED_TRACE(KindEnum(kind));
+    auto inline_build = Build(edges, kind, nullptr);
+    ASSERT_TRUE(inline_build.ok()) << inline_build.status().ToString();
+    ASSERT_TRUE(inline_build->Validate().ok());
+    EXPECT_EQ(inline_build->num_vertices(), edges.num_vertices());
+    if (kind != BuildKind::kUndirected) {
+      ExpectInRowsTransposeOutRows(*inline_build);
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(PoolName(threads));
+      MaybePool pool(threads);
+      auto pooled = Build(edges, kind, pool.get());
+      ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+      ExpectSameArrays(*pooled, *inline_build);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Degenerate, BlockCutTest,
+    ::testing::Values(CutGraph::kStar, CutGraph::kEmpty, CutGraph::kOneVertex,
+                      CutGraph::kTrailingIsolated,
+                      CutGraph::kDirectedDuplicates),
+    [](const ::testing::TestParamInfo<CutGraph>& info) {
+      return CutGraphName(info.param);
     });
 
 // --------------------------------------------- end-to-end pipeline parity

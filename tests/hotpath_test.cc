@@ -572,8 +572,12 @@ std::string ToString(const GraphdbRow& r) {
   return buf;
 }
 
-// 64 KiB rows run under eviction pressure; 65536 KiB is StoreConfig's
-// default cache, which holds the whole store.
+// 64 KiB rows run under eviction pressure in 8 one-frame shards, where a
+// miss always evicts the shard's one frame. 160 KiB rows run 20 frames
+// over the store's 23 pages, in 8 shards of 2 or 3 frames: in a 3-frame
+// shard the clock's second-chance bit, which every hit sets, decides which
+// frame a miss evicts (2 frames always lose the one under the hand).
+// 65536 KiB is StoreConfig's default cache, which holds the whole store.
 constexpr GraphdbRow kGraphdbGolden[] = {
     {AlgorithmKind::kBfs, 64u, 0xd7882d3du, 9740u,
      {5448u, 24u, 16u, 23u}, {12463u, 3349u, 3341u, 23u}},
@@ -587,6 +591,18 @@ constexpr GraphdbRow kGraphdbGolden[] = {
      {5448u, 24u, 16u, 23u}, {183573u, 51783u, 51775u, 23u}},
     {AlgorithmKind::kEvo, 64u, 0xd48838d0u, 72u,
      {5448u, 24u, 16u, 23u}, {5495u, 54u, 46u, 23u}},
+    {AlgorithmKind::kBfs, 160u, 0xd7882d3du, 9740u,
+     {5448u, 24u, 4u, 23u}, {15376u, 436u, 416u, 23u}},
+    {AlgorithmKind::kConn, 160u, 0x284d4c20u, 9740u,
+     {5448u, 24u, 4u, 23u}, {15370u, 442u, 422u, 23u}},
+    {AlgorithmKind::kPr, 160u, 0xc50b1a93u, 77920u,
+     {5448u, 24u, 4u, 23u}, {96654u, 1878u, 1858u, 23u}},
+    {AlgorithmKind::kCd, 160u, 0x284d4c20u, 58440u,
+     {5448u, 24u, 4u, 23u}, {66252u, 1260u, 1240u, 23u}},
+    {AlgorithmKind::kStats, 160u, 0x7cd40f4fu, 219544u,
+     {5448u, 24u, 4u, 23u}, {229925u, 5431u, 5411u, 23u}},
+    {AlgorithmKind::kEvo, 160u, 0xd48838d0u, 72u,
+     {5448u, 24u, 4u, 23u}, {5520u, 29u, 9u, 23u}},
     {AlgorithmKind::kBfs, 65536u, 0xd7882d3du, 9740u,
      {5449u, 23u, 0u, 23u}, {15789u, 23u, 0u, 23u}},
     {AlgorithmKind::kConn, 65536u, 0x284d4c20u, 9740u,
