@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\nexpected shape: in-memory platforms adopt the graph "
                 "near-instantly; MapReduce pays the dataset upload; the graph "
-                "database pays record construction + WAL/page flushes, "
+                "database pays record construction + page flushes, "
                 "growing with graph size.\n");
   }
   if (!opts.json_path.empty() && !emitter.WriteTo(opts.json_path)) return 1;

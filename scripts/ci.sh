@@ -10,7 +10,12 @@
 #                    listed, so Engine::Run stays split into its superstep
 #                    phases, RunBenchmark into its open, load, cell and
 #                    close phases, and mapreduce::Job::Run into its map,
-#                    shuffle+reduce and cleanup phases.
+#                    shuffle+reduce and cleanup phases. Last, the link
+#                    probe (scripts/link_probe.sh, DESIGN.md §15): an -O0
+#                    --gc-sections build of every tool, bench, example and
+#                    gly_bench must link every non-inline src/ function,
+#                    except the test seams scripts/link_probe_allowlist.txt
+#                    names with a reason.
 #   2. asan        — GLY_SANITIZE=address build (ASan plus UBSan; any
 #                    UBSan report aborts the test) running the `ingest`,
 #                    `robustness`, `conformance`, and `hotpath` CTest
@@ -24,10 +29,10 @@
 #                    cases, and robustness_test's seeded byte mutations of
 #                    the committed samples and 10^6-deep documents through
 #                    all four decoders), fault-injection,
-#                    checkpoint/recovery, WAL/resume,
+#                    checkpoint/recovery, journal resume,
 #                    cancellation, the graph store (graphdb_test's page
-#                    cache, WAL torn-tail and recovery cases, and the
-#                    lock-free read stress test), the
+#                    cache, bulk import, reopen and traversal-cancel
+#                    cases, and the lock-free read stress test), the
 #                    MapReduce job engine (mapreduce_test's spill, combine
 #                    and k-way merge cases), the dataflow engine
 #                    (dataflow_test's shuffles and ReduceByKey fold
@@ -120,7 +125,8 @@
 #
 # Build directories are separate from the developer's `build/` so a CI run
 # never clobbers an interactive configuration. Override with TIER1_DIR /
-# ASAN_DIR / TSAN_DIR; JOBS controls parallelism (default: nproc).
+# ASAN_DIR / TSAN_DIR; JOBS controls parallelism (default: nproc). The link
+# probe always builds in build-probe/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -152,6 +158,9 @@ echo "==> [1/6] tier-1: longest function (every module's maxfn <= 150)"
       print "all 11 modules must be listed, each with maxfn <= 150"; exit 1
     }
   }'
+
+echo "==> [1/6] tier-1: link probe (no src/ function outside the allowlist is unlinked)"
+scripts/link_probe.sh
 
 echo "==> [2/6] asan: configure + build (${ASAN_DIR}, GLY_SANITIZE=address: ASan + UBSan)"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -179,10 +179,4 @@ void Column::ReadRange(uint64_t begin, uint64_t end,
   }
 }
 
-uint32_t Column::Get(uint64_t row) const {
-  std::vector<uint32_t> block;
-  uint64_t start = DecodeBlockContaining(row, &block);
-  return block[row - start];
-}
-
 }  // namespace gly::columnstore

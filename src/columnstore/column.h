@@ -62,9 +62,6 @@ class Column {
   /// Reads rows [begin, end) into `out` (block-at-a-time decode).
   void ReadRange(uint64_t begin, uint64_t end, std::vector<uint32_t>* out) const;
 
-  /// Random access to a single row (decodes its block).
-  uint32_t Get(uint64_t row) const;
-
   /// Total block decodes performed (profiling; mutable counter).
   uint64_t block_decodes() const {
     return decodes_.n.load(std::memory_order_relaxed);

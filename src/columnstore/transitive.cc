@@ -38,17 +38,6 @@ bool VertexHashSet::Insert(uint32_t v) {
   }
 }
 
-bool VertexHashSet::Contains(uint32_t v) const {
-  size_t mask = slots_.size() - 1;
-  size_t i = static_cast<size_t>(Hash(v) >> 33) & mask;
-  for (;;) {
-    ++probes_;
-    if (slots_[i] == kEmpty) return false;
-    if (slots_[i] == v) return true;
-    i = (i + 1) & mask;
-  }
-}
-
 namespace {
 
 uint32_t PartitionOf(uint32_t v, uint32_t parts) {

@@ -58,7 +58,6 @@ class VertexHashSet {
   /// Inserts `v`; returns true if newly inserted.
   bool Insert(uint32_t v);
 
-  bool Contains(uint32_t v) const;
   size_t size() const { return size_; }
   uint64_t probes() const { return probes_; }
 
@@ -70,7 +69,7 @@ class VertexHashSet {
 
   std::vector<uint32_t> slots_;  // kEmpty == empty
   size_t size_ = 0;
-  mutable uint64_t probes_ = 0;
+  uint64_t probes_ = 0;
   static constexpr uint32_t kEmpty = ~0u;
 };
 

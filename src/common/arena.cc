@@ -15,9 +15,4 @@ void PoolGroupStats::Sub(uint64_t bytes) {
   held_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
-void PoolGroupStats::ResetPeak() {
-  peak_.store(held_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-}
-
 }  // namespace gly::arena

@@ -36,15 +36,13 @@
 namespace gly::arena {
 
 /// Atomic held/peak byte accounting for a group of pools (one engine run).
-/// Add/Sub are thread-safe; peak() is a monotonic high-water mark until
-/// ResetPeak().
+/// Add/Sub are thread-safe; peak() is a monotonic high-water mark.
 class PoolGroupStats {
  public:
   void Add(uint64_t bytes);
   void Sub(uint64_t bytes);
   uint64_t held() const { return held_.load(std::memory_order_relaxed); }
   uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
-  void ResetPeak();
 
  private:
   std::atomic<uint64_t> held_{0};

@@ -1,7 +1,5 @@
 #include "common/cancellation.h"
 
-#include <limits>
-
 namespace gly {
 
 const char* CancelReasonName(CancelReason reason) {
@@ -58,13 +56,6 @@ Deadline Deadline::After(double seconds) {
 bool Deadline::expired() const {
   if (never_) return false;
   return std::chrono::steady_clock::now() >= at_;
-}
-
-double Deadline::remaining_seconds() const {
-  if (never_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(at_ -
-                                       std::chrono::steady_clock::now())
-      .count();
 }
 
 }  // namespace gly

@@ -146,8 +146,6 @@ class Deadline {
 
   bool never() const { return never_; }
   bool expired() const;
-  /// Seconds until expiry (negative once expired; +inf for Never()).
-  double remaining_seconds() const;
 
  private:
   Deadline() = default;

@@ -76,11 +76,6 @@ Result<std::string> Config::GetString(const std::string& key) const {
   return it->second;
 }
 
-Result<int64_t> Config::GetInt(const std::string& key) const {
-  GLY_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  return ParseInt64(s);
-}
-
 Result<uint64_t> Config::GetUint(const std::string& key) const {
   GLY_ASSIGN_OR_RETURN(std::string s, GetString(key));
   return ParseUint64(s);
@@ -106,10 +101,6 @@ Result<bool> Config::GetBool(const std::string& key) const {
 std::string Config::GetStringOr(const std::string& key, std::string def) const {
   auto r = GetString(key);
   return r.ok() ? r.ValueOrDie() : std::move(def);
-}
-int64_t Config::GetIntOr(const std::string& key, int64_t def) const {
-  auto r = GetInt(key);
-  return r.ok() ? r.ValueOrDie() : def;
 }
 uint64_t Config::GetUintOr(const std::string& key, uint64_t def) const {
   auto r = GetUint(key);
@@ -140,10 +131,6 @@ Config Config::Scoped(const std::string& prefix) const {
     out.values_[key.substr(full.size())] = values_.at(key);
   }
   return out;
-}
-
-void Config::MergeFrom(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
 }
 
 std::string Config::ToString() const {

@@ -38,7 +38,6 @@ class Config {
 
   /// Typed getters; fail with NotFound / InvalidArgument.
   Result<std::string> GetString(const std::string& key) const;
-  Result<int64_t> GetInt(const std::string& key) const;
   Result<uint64_t> GetUint(const std::string& key) const;
   Result<double> GetDouble(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;
@@ -46,7 +45,6 @@ class Config {
   /// Getters with defaults; never fail (a malformed value also yields the
   /// default).
   std::string GetStringOr(const std::string& key, std::string def) const;
-  int64_t GetIntOr(const std::string& key, int64_t def) const;
   uint64_t GetUintOr(const std::string& key, uint64_t def) const;
   double GetDoubleOr(const std::string& key, double def) const;
   bool GetBoolOr(const std::string& key, bool def) const;
@@ -56,9 +54,6 @@ class Config {
 
   /// Returns a Config containing every `prefix.rest` key re-keyed to `rest`.
   Config Scoped(const std::string& prefix) const;
-
-  /// Merges `other` into this config; `other` wins on conflicts.
-  void MergeFrom(const Config& other);
 
   /// Serializes back to properties text (sorted by key).
   std::string ToString() const;

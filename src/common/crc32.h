@@ -1,5 +1,5 @@
-// CRC32C (Castagnoli) checksum, shared by the graphdb WAL and the
-// checkpoint serialization module.
+// CRC32C (Castagnoli) checksum, shared by checkpoint serialization, the
+// MapReduce spill files and the validator's output checksums.
 
 #pragma once
 

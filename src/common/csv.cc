@@ -29,10 +29,6 @@ CsvWriter& CsvWriter::Field(const std::string& value) {
   pending_.push_back(value);
   return *this;
 }
-CsvWriter& CsvWriter::Field(int64_t value) {
-  pending_.push_back(std::to_string(value));
-  return *this;
-}
 CsvWriter& CsvWriter::Field(uint64_t value) {
   pending_.push_back(std::to_string(value));
   return *this;
@@ -45,36 +41,6 @@ CsvWriter& CsvWriter::Field(double value) {
 void CsvWriter::EndRow() {
   WriteRow(pending_);
   pending_.clear();
-}
-
-std::vector<std::string> ParseCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';  // doubled quote inside a quoted field
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  fields.push_back(std::move(field));
-  return fields;
 }
 
 }  // namespace gly

@@ -22,7 +22,6 @@ class CsvWriter {
 
   /// Convenience builder-style row API.
   CsvWriter& Field(const std::string& value);
-  CsvWriter& Field(int64_t value);
   CsvWriter& Field(uint64_t value);
   CsvWriter& Field(double value);
   /// Terminates the row started with Field() calls.
@@ -37,12 +36,5 @@ class CsvWriter {
   std::vector<std::string> pending_;
   size_t rows_ = 0;
 };
-
-/// Parses one CSV record into fields, undoing CsvWriter's quoting (RFC
-/// 4180: quoted fields may contain commas, doubled quotes, and newlines).
-/// `line` must be a complete record — when a quoted field contains a
-/// newline the caller must join physical lines until the quotes balance.
-/// Exact inverse of CsvWriter::WriteRow for any field content.
-std::vector<std::string> ParseCsvLine(const std::string& line);
 
 }  // namespace gly

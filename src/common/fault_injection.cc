@@ -49,17 +49,6 @@ bool SiteMatches(const std::string& pattern, const std::string& site) {
 
 }  // namespace
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kIOError: return "io-error";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kStall: return "stall";
-    case FaultKind::kDrop: return "drop";
-  }
-  return "unknown";
-}
-
 void FaultPlan::Add(FaultSpec spec) {
   auto rule = std::make_unique<Rule>();
   rule->spec = std::move(spec);

@@ -47,8 +47,6 @@ enum class FaultKind {
   kDrop,     ///< GLY_FAULT_DROP sites report the message as lost
 };
 
-std::string_view FaultKindName(FaultKind kind);
-
 /// One injection rule. Rules are matched in the order they were added; the
 /// first rule that matches the site *and* decides to trigger wins.
 struct FaultSpec {

@@ -1,22 +1,11 @@
 #include "common/histogram.h"
 
-#include "common/string_util.h"
-
 namespace gly {
 
 void Histogram::Add(uint64_t value, uint64_t count) {
   counts_[value] += count;
   total_ += count;
   sum_ += static_cast<double>(value) * static_cast<double>(count);
-  sum_sq_ += static_cast<double>(value) * static_cast<double>(value) *
-             static_cast<double>(count);
-}
-
-void Histogram::Merge(const Histogram& other) {
-  for (const auto& [value, count] : other.counts_) counts_[value] += count;
-  total_ += other.total_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
 }
 
 uint64_t Histogram::CountOf(uint64_t value) const {
@@ -26,12 +15,6 @@ uint64_t Histogram::CountOf(uint64_t value) const {
 
 double Histogram::Mean() const {
   return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
-}
-
-double Histogram::Variance() const {
-  if (total_ == 0) return 0.0;
-  double mean = Mean();
-  return sum_sq_ / static_cast<double>(total_) - mean * mean;
 }
 
 uint64_t Histogram::Percentile(double p) const {
@@ -57,21 +40,6 @@ uint64_t Histogram::Max() const {
 
 std::vector<std::pair<uint64_t, uint64_t>> Histogram::Items() const {
   return {counts_.begin(), counts_.end()};
-}
-
-std::string Histogram::ToString(size_t max_rows) const {
-  std::string out;
-  size_t rows = 0;
-  for (const auto& [value, count] : counts_) {
-    if (max_rows != 0 && rows >= max_rows) {
-      out += StringPrintf("... (%zu more rows)\n", counts_.size() - rows);
-      break;
-    }
-    out += StringPrintf("%llu %llu\n", static_cast<unsigned long long>(value),
-                        static_cast<unsigned long long>(count));
-    ++rows;
-  }
-  return out;
 }
 
 }  // namespace gly

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace gly {
@@ -17,19 +16,11 @@ class Histogram {
  public:
   void Add(uint64_t value, uint64_t count = 1);
 
-  /// Folds all of `other`'s observations into this histogram; equivalent
-  /// to replaying other's Add() calls. Used to merge per-thread metric
-  /// histograms into a process-wide one.
-  void Merge(const Histogram& other);
-
   uint64_t total_count() const { return total_; }
   uint64_t CountOf(uint64_t value) const;
 
   /// Mean of all observations (0 when empty).
   double Mean() const;
-
-  /// Population variance (0 when empty).
-  double Variance() const;
 
   /// p in [0, 1]; returns the smallest value v such that at least p of the
   /// mass lies at values <= v. 0 when empty.
@@ -41,14 +32,10 @@ class Histogram {
   /// All (value, count) pairs in increasing value order.
   std::vector<std::pair<uint64_t, uint64_t>> Items() const;
 
-  /// Multi-line "value count" dump, optionally capped to `max_rows` rows.
-  std::string ToString(size_t max_rows = 0) const;
-
  private:
   std::map<uint64_t, uint64_t> counts_;
   uint64_t total_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
 };
 
 }  // namespace gly

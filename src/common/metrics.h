@@ -12,7 +12,7 @@
 // needs no plumbing.
 //
 // Naming convention (see DESIGN.md §10): dotted lowercase
-// `<component>.<subsystem>.<metric>`, e.g. `graphdb.wal.append_bytes`.
+// `<component>.<subsystem>.<metric>`, e.g. `dataflow.shuffle_bytes`.
 
 #pragma once
 
@@ -59,10 +59,6 @@ class HistogramMetric {
   void Observe(uint64_t value) {
     std::lock_guard<std::mutex> lock(mu_);
     histogram_.Add(value);
-  }
-  void MergeFrom(const Histogram& other) {
-    std::lock_guard<std::mutex> lock(mu_);
-    histogram_.Merge(other);
   }
   Histogram Snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -328,15 +328,9 @@ void FakeSampler::AddSample(std::vector<std::string> frames_root_first,
   pending_.push_back(std::move(sample));
 }
 
-void FakeSampler::SetDropped(uint64_t dropped) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dropped_ = dropped;
-}
-
-Status FakeSampler::Start(uint64_t interval_us) {
+Status FakeSampler::Start(uint64_t /*interval_us*/) {
   std::lock_guard<std::mutex> lock(mu_);
   started_ = true;
-  interval_us_ = interval_us;
   return Status::OK();
 }
 
@@ -365,11 +359,6 @@ uint64_t FakeSampler::dropped_samples() const {
 bool FakeSampler::started() const {
   std::lock_guard<std::mutex> lock(mu_);
   return started_;
-}
-
-uint64_t FakeSampler::interval_us() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return interval_us_;
 }
 
 // ---------------------------------------------------------------------------
@@ -448,10 +437,6 @@ void CpuProfiler::Stop() {
 }
 
 const char* CpuProfiler::mode() const { return sampler_->mode(); }
-
-uint64_t CpuProfiler::emitted_samples() const {
-  return sampler_->emitted_samples();
-}
 
 uint64_t CpuProfiler::dropped_samples() const {
   return sampler_->dropped_samples();

@@ -94,7 +94,6 @@ class FakeSampler final : public Sampler {
  public:
   void AddSample(std::vector<std::string> frames_root_first,
                  std::string phase = "", uint64_t count = 1);
-  void SetDropped(uint64_t dropped);
 
   Status Start(uint64_t interval_us) override;
   void Stop() override;
@@ -104,7 +103,6 @@ class FakeSampler final : public Sampler {
   const char* mode() const override { return "fake"; }
 
   bool started() const;
-  uint64_t interval_us() const;
 
  private:
   mutable std::mutex mu_;
@@ -112,7 +110,6 @@ class FakeSampler final : public Sampler {
   uint64_t emitted_ = 0;
   uint64_t dropped_ = 0;
   bool started_ = false;
-  uint64_t interval_us_ = 0;
 };
 
 /// Folded flamegraph profile: "frame;frame;frame" stack keys → sample
@@ -180,7 +177,6 @@ class CpuProfiler {
   bool running() const { return running_; }
   uint64_t interval_us() const { return options_.interval_us; }
   const char* mode() const;
-  uint64_t emitted_samples() const;
   uint64_t dropped_samples() const;
 
  private:

@@ -31,17 +31,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-Result<int64_t> ParseInt64(std::string_view s) {
-  s = Trim(s);
-  int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return Status::InvalidArgument("cannot parse int64: '" + std::string(s) +
-                                   "'");
-  }
-  return value;
-}
-
 Result<uint64_t> ParseUint64(std::string_view s) {
   s = Trim(s);
   uint64_t value = 0;

@@ -20,9 +20,6 @@ std::string_view Trim(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Parses a signed 64-bit integer; fails on trailing garbage.
-Result<int64_t> ParseInt64(std::string_view s);
-
 /// Parses an unsigned 64-bit integer; fails on trailing garbage.
 Result<uint64_t> ParseUint64(std::string_view s);
 

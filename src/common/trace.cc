@@ -312,8 +312,4 @@ Result<std::vector<TraceEvent>> ParseChromeTraceJson(std::string_view json) {
   return events;
 }
 
-void TraceSpan::SetAttribute(std::string_view key, double value) {
-  SetAttribute(key, StringPrintf("%.6f", value));
-}
-
 }  // namespace gly::trace

@@ -3,9 +3,9 @@
 // say *where* a run spent its time. This layer can: engines and the
 // harness open hierarchical spans (RAII TraceSpan) around their phases —
 // harness etl/load/run/validate, Pregel supersteps, MapReduce stages,
-// dataflow operators, WAL recovery — and the collected events export as
-// Chrome trace-event JSON (`chrome://tracing`, Perfetto), so a regressed
-// benchmark cell carries its own per-phase timeline.
+// dataflow operators, graph-database import — and the collected events
+// export as Chrome trace-event JSON (`chrome://tracing`, Perfetto), so a
+// regressed benchmark cell carries its own per-phase timeline.
 //
 // Activation mirrors common/fault_injection.h: a Tracer is installed
 // process-globally and scoped (ScopedTracer); with none installed a span
@@ -271,7 +271,6 @@ class TraceSpan {
   void SetAttribute(std::string_view key, uint64_t value) {
     SetAttribute(key, std::to_string(value));
   }
-  void SetAttribute(std::string_view key, double value);
 
   bool enabled() const { return tracer_ != nullptr; }
 

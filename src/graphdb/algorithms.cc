@@ -17,10 +17,6 @@ namespace gly::graphdb {
 
 namespace {
 
-// Cancellation poll batching: record-chain walks are cheap per step, so BFS
-// polls the token every this-many visits.
-constexpr uint64_t kCancelBatch = 1024;
-
 // Vertices a worker claims at a time in a vertex loop: small enough that a
 // block holding a hub does not leave the other workers idle.
 constexpr size_t kVertexBlock = 64;
@@ -129,20 +125,12 @@ Result<AlgorithmOutput> RunBfs(GraphStore* store, bool undirected,
   out.vertex_values.assign(store->node_count(), kUnreachable);
   if (params.source >= store->node_count()) return out;
   TraversalStats tstats;
-  // The visitor aborts the traversal (returns false) when cancelled; the
-  // poll after Traverse converts the partial walk into the token's Status.
-  uint64_t visits = 0;
   GLY_RETURN_NOT_OK(Traverse(
-      store, params.source, TraversalOrder::kBreadthFirst,
-      undirected ? Expand::kBoth : Expand::kOutgoing,
-      [&out, &visits, cancel](VertexId node, uint32_t depth) {
-        if (++visits % kCancelBatch == 0 && Cancelled(cancel)) return false;
+      store, params.source, NeighborhoodOf(undirected),
+      [&out](VertexId node, uint32_t depth) {
         out.vertex_values[node] = depth;
-        return true;
       },
-      &tstats));
-  GLY_RETURN_NOT_OK(CheckCancel(cancel));
-  if (cancel != nullptr) cancel->Heartbeat();
+      cancel, &tstats));
   out.traversed_edges = tstats.relationships_expanded;
   return out;
 }
@@ -150,23 +138,21 @@ Result<AlgorithmOutput> RunBfs(GraphStore* store, bool undirected,
 Result<AlgorithmOutput> RunConn(GraphStore* store,
                                 const CancelToken* cancel) {
   // Connectivity is over the undirected structure; the store's chains give
-  // both directions with Expand::kBoth.
+  // both directions with Direction::kBoth. Each component's walk polls the
+  // token before its first visit and every 1024 visits after it.
   AlgorithmOutput out;
   const VertexId n = static_cast<VertexId>(store->node_count());
   out.vertex_values.assign(n, -1);
   uint64_t expanded = 0;
   for (VertexId start = 0; start < n; ++start) {
     if (out.vertex_values[start] != -1) continue;
-    GLY_RETURN_NOT_OK(CheckCancel(cancel));
-    if (cancel != nullptr) cancel->Heartbeat();
     TraversalStats tstats;
     GLY_RETURN_NOT_OK(Traverse(
-        store, start, TraversalOrder::kBreadthFirst, Expand::kBoth,
+        store, start, Direction::kBoth,
         [&out, start](VertexId node, uint32_t) {
           out.vertex_values[node] = start;
-          return true;
         },
-        &tstats));
+        cancel, &tstats));
     expanded += tstats.relationships_expanded;
   }
   out.traversed_edges = expanded;
@@ -406,21 +392,6 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
                     static_cast<double>(stats.cache.shard_contention));
   if (stats_out != nullptr) *stats_out = stats;
   return result;
-}
-
-Result<AlgorithmOutput> RunAlgorithm(const DbPlatformConfig& config,
-                                     const Graph& graph, AlgorithmKind kind,
-                                     const AlgorithmParams& params,
-                                     DbRunStats* stats_out) {
-  StoreConfig store_config;
-  store_config.directory = config.store_dir;
-  store_config.page_cache_bytes = config.page_cache_bytes;
-  GLY_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                       GraphStore::Open(store_config));
-  GLY_RETURN_NOT_OK(store->BulkImport(graph.ToEdgeList(), params.cancel));
-  return RunAlgorithmOnStore(store.get(), graph.undirected(),
-                             config.memory_budget_bytes, kind, params,
-                             stats_out);
 }
 
 }  // namespace gly::graphdb

@@ -16,19 +16,10 @@
 
 #pragma once
 
-#include <string>
-
 #include "graphdb/store.h"
 #include "ref/algorithms.h"
 
 namespace gly::graphdb {
-
-/// Platform configuration.
-struct DbPlatformConfig {
-  std::string store_dir;                     ///< store location (required)
-  uint64_t page_cache_bytes = 256ULL << 20;  ///< cache sizing
-  uint64_t memory_budget_bytes = 0;          ///< 0 = unlimited
-};
 
 /// Per-run statistics.
 struct DbRunStats {
@@ -36,18 +27,11 @@ struct DbRunStats {
   PageCacheStats cache;
 };
 
-/// Imports `graph` into a fresh store under `config.store_dir` and runs
-/// `kind`. Fails with ResourceExhausted when the graph does not fit the
-/// memory budget.
-Result<AlgorithmOutput> RunAlgorithm(const DbPlatformConfig& config,
-                                     const Graph& graph, AlgorithmKind kind,
-                                     const AlgorithmParams& params,
-                                     DbRunStats* stats_out = nullptr);
-
-/// Variant reusing an already-imported store (the import cost is ETL,
-/// which the paper's runtime metric excludes). PR, CD, STATS and EVO run
-/// their vertex loops on `num_threads` workers (0 = all cores; 1 runs them
-/// on the caller). No transaction may commit during the run.
+/// Runs `kind` on a bulk-imported store (the import cost is ETL, which the
+/// paper's runtime metric excludes). Fails with ResourceExhausted when the
+/// store plus the algorithm state does not fit `memory_budget_bytes` (0 =
+/// unlimited). PR, CD, STATS and EVO run their vertex loops on
+/// `num_threads` workers (0 = all cores; 1 runs them on the caller).
 Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
                                             bool graph_is_undirected,
                                             uint64_t memory_budget_bytes,

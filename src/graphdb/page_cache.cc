@@ -471,13 +471,4 @@ PageCacheStats PageCache::stats() const {
   return out;
 }
 
-size_t PageCache::resident_pages() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lock = LockShard(shard);
-    total += shard.resident;
-  }
-  return total;
-}
-
 }  // namespace gly::graphdb

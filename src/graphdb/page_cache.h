@@ -15,9 +15,8 @@
 // seqlock). The shard's mutex is taken only for misses, eviction, writes
 // and Flush(), and for a read whose optimistic copy failed; a try_lock miss
 // is counted in `shard_contention` (surfaced as
-// `graphdb.pagecache.shard_contention`). WAL and checkpoint semantics are
-// unchanged: Flush() still writes back every dirty page and fsyncs before
-// the WAL truncates.
+// `graphdb.pagecache.shard_contention`). Flush() writes back every dirty
+// page and fsyncs every file; only the store's bulk import dirties pages.
 //
 // Every access goes through a PageCache::Cursor (Read and Write are
 // one-shot cursors) and counts exactly one hit or one miss.
@@ -50,9 +49,8 @@ struct PageCacheStats {
 
 /// Sharded clock page cache shared by all store files of one database.
 /// Readers copy resident pages without a lock and so never contend; misses
-/// lock only their own shard. The store's single-writer discipline (like
-/// the benchmarked embedded Neo4j) still serializes mutations above this
-/// layer.
+/// lock only their own shard. The store's one writer, its bulk import,
+/// runs before any reader.
 class PageCache {
  public:
   /// `capacity_bytes` is rounded down to whole pages (minimum 1 page, at
@@ -87,8 +85,6 @@ class PageCache {
   /// cursor's lock-free hits are added when it is destroyed.
   PageCacheStats stats() const;
   size_t capacity_pages() const { return capacity_pages_; }
-  /// Resident pages summed across shards.
-  size_t resident_pages() const;
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
 
  private:

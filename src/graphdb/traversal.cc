@@ -8,35 +8,37 @@
 
 namespace gly::graphdb {
 
-Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
-                Expand expand,
-                const std::function<bool(VertexId, uint32_t)>& visit,
-                TraversalStats* stats_out) {
+namespace {
+
+// Record-chain walks are cheap per step, so the token is polled every
+// this-many visits.
+constexpr uint64_t kCancelPoll = 1024;
+
+}  // namespace
+
+Status Traverse(GraphStore* store, VertexId seed, Direction direction,
+                const std::function<void(VertexId, uint32_t)>& visit,
+                const CancelToken* cancel, TraversalStats* stats_out) {
   if (seed >= store->node_count()) {
     return Status::InvalidArgument("seed node out of range");
   }
   TraversalStats stats;
   std::vector<uint8_t> seen(store->node_count(), 0);
-  // The frontier of (node, depth); front-pop for BFS, back-pop for DFS.
-  std::deque<std::pair<VertexId, uint32_t>> frontier;
+  std::deque<std::pair<VertexId, uint32_t>> frontier;  // (node, depth)
   frontier.emplace_back(seed, 0);
   seen[seed] = 1;
   std::vector<VertexId> neighbors;
-  const Direction direction =
-      expand == Expand::kOutgoing ? Direction::kOutgoing : Direction::kBoth;
   PageCache::Cursor cursor = store->ReadCursor();
   while (!frontier.empty()) {
-    auto [node, depth] = order == TraversalOrder::kBreadthFirst
-                             ? frontier.front()
-                             : frontier.back();
-    if (order == TraversalOrder::kBreadthFirst) {
-      frontier.pop_front();
-    } else {
-      frontier.pop_back();
+    if (stats.nodes_visited % kCancelPoll == 0) {
+      GLY_RETURN_NOT_OK(CheckCancel(cancel));
+      if (cancel != nullptr) cancel->Heartbeat();
     }
+    auto [node, depth] = frontier.front();
+    frontier.pop_front();
     ++stats.nodes_visited;
     stats.max_depth = std::max(stats.max_depth, depth);
-    if (!visit(node, depth)) continue;  // pruned
+    visit(node, depth);
     GLY_RETURN_NOT_OK(
         store->CollectNeighbors(node, direction, cursor, &neighbors));
     stats.relationships_expanded += neighbors.size();

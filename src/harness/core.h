@@ -184,8 +184,12 @@ struct RunSpec {
   /// validation, per-cell trace files, retry/backoff, stall detection,
   /// stop, resume) is equivalent to the serial run: per-cell
   /// `injected_faults` attribution is approximate (the plan's trigger
-  /// counter is process-global), and per-cell folded stacks from the
-  /// sampling profiler are reported run-wide only.
+  /// counter is process-global), per-cell folded stacks from the
+  /// sampling profiler are reported run-wide only, and a cell's
+  /// `peak_rss_bytes` and `cpu_seconds` include the cells running beside
+  /// it (SystemMonitor reads the process's /proc/self). At any `jobs`, a
+  /// cell's peak also includes memory the allocator kept from earlier
+  /// cells.
   uint32_t jobs = 1;
 
   /// Admission budget for concurrently loaded graphs, in MiB (0 = no

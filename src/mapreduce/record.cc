@@ -84,25 +84,4 @@ Result<bool> RecordFileReader::Next(Record* out) {
   return true;
 }
 
-Result<std::vector<Record>> ReadAllRecords(const std::string& path) {
-  GLY_ASSIGN_OR_RETURN(RecordFileReader reader, RecordFileReader::Open(path));
-  std::vector<Record> records;
-  Record r;
-  for (;;) {
-    GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&r));
-    if (!more) break;
-    records.push_back(r);
-  }
-  return records;
-}
-
-Status WriteAllRecords(const std::vector<Record>& records,
-                       const std::string& path) {
-  GLY_ASSIGN_OR_RETURN(RecordFileWriter writer, RecordFileWriter::Open(path));
-  for (const Record& r : records) {
-    GLY_RETURN_NOT_OK(writer.Append(r));
-  }
-  return writer.Close();
-}
-
 }  // namespace gly::mapreduce

@@ -71,11 +71,4 @@ class RecordFileReader {
   uint64_t remaining_;  ///< bytes left in the range; UINT64_MAX: to EOF
 };
 
-/// Reads an entire record file into memory (tests, small outputs).
-Result<std::vector<Record>> ReadAllRecords(const std::string& path);
-
-/// Writes `records` to `path`.
-Status WriteAllRecords(const std::vector<Record>& records,
-                       const std::string& path);
-
 }  // namespace gly::mapreduce

@@ -114,18 +114,15 @@ TEST(CancelTokenTest, FreeHelpersTreatNullAsUncancellable) {
 TEST(DeadlineTest, NeverDoesNotExpire) {
   Deadline never = Deadline::Never();
   EXPECT_FALSE(never.expired());
-  EXPECT_GT(never.remaining_seconds(), 1e6);
 }
 
 TEST(DeadlineTest, ExpiresAfterItsBudget) {
   Deadline deadline = Deadline::After(0.02);
   EXPECT_FALSE(deadline.expired());
-  EXPECT_GT(deadline.remaining_seconds(), 0.0);
   Stopwatch watch;
   while (!deadline.expired() && watch.ElapsedSeconds() < 5.0) {
   }
   EXPECT_TRUE(deadline.expired());
-  EXPECT_LE(deadline.remaining_seconds(), 0.0);
 }
 
 TEST(DeadlineTest, AlreadyExpiredWhenBudgetIsZero) {

@@ -50,9 +50,9 @@ TEST(ColumnTest, RoundTripsRandomData) {
   for (auto& v : values) v = static_cast<uint32_t>(rng.Next());
   Column col = Column::Encode(values);
   EXPECT_EQ(col.size(), values.size());
-  for (size_t i = 0; i < values.size(); i += 173) {
-    EXPECT_EQ(col.Get(i), values[i]);
-  }
+  std::vector<uint32_t> all;
+  col.ReadRange(0, col.size(), &all);
+  EXPECT_EQ(all, values);
   std::vector<uint32_t> range;
   col.ReadRange(100, 5000, &range);
   EXPECT_TRUE(std::equal(range.begin(), range.end(), values.begin() + 100));
@@ -63,7 +63,9 @@ TEST(ColumnTest, ConstantBlocksUseRle) {
   Column col = Column::Encode(values);
   EXPECT_GT(col.encoding_histogram()[static_cast<size_t>(Encoding::kRle)], 0u);
   EXPECT_LT(col.compressed_bytes(), col.raw_bytes() / 10);
-  EXPECT_EQ(col.Get(4321), 42u);
+  std::vector<uint32_t> row;
+  col.ReadRange(4321, 4322, &row);
+  EXPECT_EQ(row, (std::vector<uint32_t>{42}));
 }
 
 TEST(ColumnTest, SortedDataUsesDeltaAndCompresses) {
@@ -157,11 +159,11 @@ TEST(EdgeTableTest, CompressesRealisticEdges) {
 TEST(VertexHashSetTest, InsertAndContains) {
   VertexHashSet set(4);
   EXPECT_TRUE(set.Insert(10));
-  EXPECT_FALSE(set.Insert(10));
+  EXPECT_FALSE(set.Insert(10));  // already contained
   EXPECT_TRUE(set.Insert(20));
-  EXPECT_TRUE(set.Contains(10));
-  EXPECT_FALSE(set.Contains(30));
   EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.Insert(30));  // not contained before
+  EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(VertexHashSetTest, GrowsUnderLoad) {
@@ -173,7 +175,9 @@ TEST(VertexHashSetTest, GrowsUnderLoad) {
     EXPECT_EQ(set.Insert(v), reference.insert(v).second);
   }
   EXPECT_EQ(set.size(), reference.size());
-  for (uint32_t v : reference) EXPECT_TRUE(set.Contains(v));
+  // Every value survived the growths: inserting it again adds nothing.
+  for (uint32_t v : reference) EXPECT_FALSE(set.Insert(v));
+  EXPECT_EQ(set.size(), reference.size());
 }
 
 // -------------------------------------------------------------- transitive

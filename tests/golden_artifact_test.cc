@@ -29,6 +29,7 @@
 #include "common/temp_dir.h"
 #include "harness/report.h"
 #include "harness/run_config.h"
+#include "csv_reader.h"
 
 namespace gly::harness {
 namespace {

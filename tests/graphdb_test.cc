@@ -1,16 +1,12 @@
-// Tests for the graph database: page cache, WAL + crash recovery, record
-// store, transactions, properties, traversal, and the algorithms.
+// Tests for the graph database: page cache, record store (bulk import,
+// chain walks, reopening), traversal, and the algorithms.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 #include <vector>
-
-#include "common/fault_injection.h"
 
 #include "common/random.h"
 #include "common/temp_dir.h"
@@ -18,7 +14,6 @@
 #include "graphdb/page_cache.h"
 #include "graphdb/store.h"
 #include "graphdb/traversal.h"
-#include "graphdb/wal.h"
 #include "harness/validator.h"
 
 namespace gly::graphdb {
@@ -34,6 +29,37 @@ Graph RandomUndirected(VertexId n, size_t m, uint64_t seed) {
   }
   edges.DeduplicateAndDropLoops();
   return GraphBuilder::Undirected(edges).ValueOrDie();
+}
+
+// A fresh store under `dir`, bulk-imported from `edges`.
+std::unique_ptr<GraphStore> ImportedStore(
+    const TempDir& dir, const EdgeList& edges,
+    uint64_t page_cache_bytes = StoreConfig{}.page_cache_bytes) {
+  StoreConfig config;
+  config.directory = dir.File("store");
+  config.page_cache_bytes = page_cache_bytes;
+  auto store = GraphStore::Open(config);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  Status imported = (*store)->BulkImport(edges);
+  EXPECT_TRUE(imported.ok()) << imported.ToString();
+  return std::move(*store);
+}
+
+// `node`'s neighbors across `direction`, ascending.
+std::vector<VertexId> SortedNeighbors(const GraphStore& store, VertexId node,
+                                      Direction direction) {
+  PageCache::Cursor cursor = store.ReadCursor();
+  std::vector<VertexId> nbrs;
+  Status walked = store.CollectNeighbors(node, direction, cursor, &nbrs);
+  EXPECT_TRUE(walked.ok()) << walked.ToString();
+  std::sort(nbrs.begin(), nbrs.end());
+  return nbrs;
+}
+
+std::vector<VertexId> CsrNeighbors(const Graph& g, VertexId v) {
+  auto span = g.OutNeighbors(v);
+  return {span.begin(), span.end()};
 }
 
 // --------------------------------------------------------------- PageCache
@@ -90,8 +116,9 @@ TEST(PageCacheTest, EvictsAndWritesBackUnderPressure) {
       ASSERT_TRUE(
           cache.Write(*file, p * kPageSize, &value, sizeof(value)).ok());
     }
-    EXPECT_GT(cache.stats().evictions, 0u);
-    EXPECT_LE(cache.resident_pages(), 4u);
+    const PageCacheStats stats = cache.stats();
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_LE(stats.misses - stats.evictions, 4u);  // resident pages
     // Read everything back through the same (small) cache.
     for (uint64_t p = 0; p < 32; ++p) {
       uint64_t value = 0;
@@ -186,446 +213,65 @@ TEST(PageCacheTest, LockFreeReadsNeverSeeAnotherPagesBytes) {
   EXPECT_GT(after.evictions, before.evictions);
 }
 
-// --------------------------------------------------------------------- WAL
-
-TEST(WalTest, AppendAndReadAll) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  auto wal = Wal::Open(dir->File("wal.log"));
-  ASSERT_TRUE(wal.ok());
-  std::vector<WalChange> tx1 = {{0, 100, {'a', 'b'}}};
-  std::vector<WalChange> tx2 = {{1, 200, {'c'}}, {0, 300, {'d', 'e', 'f'}}};
-  ASSERT_TRUE(wal->Append(tx1).ok());
-  ASSERT_TRUE(wal->Append(tx2).ok());
-  auto entries = wal->ReadAll();
-  ASSERT_TRUE(entries.ok());
-  ASSERT_EQ(entries->size(), 2u);
-  EXPECT_EQ((*entries)[0][0].offset, 100u);
-  EXPECT_EQ((*entries)[1][1].bytes.size(), 3u);
-}
-
-TEST(WalTest, IgnoresTornTail) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  {
-    auto wal = Wal::Open(dir->File("wal.log"));
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(wal->Append({{0, 1, {'x'}}}).ok());
-    ASSERT_TRUE(wal->Append({{0, 2, {'y'}}}).ok());
-  }
-  // Corrupt the tail: truncate into the second entry.
-  auto size = std::filesystem::file_size(dir->File("wal.log"));
-  std::filesystem::resize_file(dir->File("wal.log"), size - 3);
-  auto wal = Wal::Open(dir->File("wal.log"));
-  ASSERT_TRUE(wal.ok());
-  auto entries = wal->ReadAll();
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries->size(), 1u);  // only the intact first entry
-}
-
-TEST(WalTest, TruncateEmptiesLog) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  auto wal = Wal::Open(dir->File("wal.log"));
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(wal->Append({{0, 1, {'x'}}}).ok());
-  ASSERT_TRUE(wal->Truncate().ok());
-  auto entries = wal->ReadAll();
-  ASSERT_TRUE(entries.ok());
-  EXPECT_TRUE(entries->empty());
-}
-
-TEST(WalTest, RecoverTruncatesTornTailSoNewAppendsStayVisible) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  std::string path = dir->File("wal.log");
-  {
-    auto wal = Wal::Open(path);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(wal->Append({{0, 1, {'x'}}}).ok());
-    ASSERT_TRUE(wal->Append({{0, 2, {'y'}}}).ok());
-  }
-  // Tear the second entry (a crash mid-append).
-  auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 3);
-
-  auto wal = Wal::Open(path);
-  ASSERT_TRUE(wal.ok());
-  auto recovery = wal->Recover();
-  ASSERT_TRUE(recovery.ok());
-  ASSERT_EQ(recovery->entries.size(), 1u);
-  EXPECT_GT(recovery->truncated_bytes, 0u);
-  // The torn bytes are physically gone, not just skipped.
-  EXPECT_EQ(std::filesystem::file_size(path), recovery->valid_bytes);
-
-  // This is why truncation matters: an append landing *behind* a merely
-  // ignored torn tail would be unreachable for every future reader.
-  ASSERT_TRUE(wal->Append({{0, 3, {'z'}}}).ok());
-  auto entries = wal->ReadAll();
-  ASSERT_TRUE(entries.ok());
-  ASSERT_EQ(entries->size(), 2u);
-  EXPECT_EQ((*entries)[1][0].offset, 3u);
-}
-
-TEST(WalTest, BogusFrameLengthIsATornTailNotAnAllocation) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  std::string path = dir->File("wal.log");
-  {
-    auto wal = Wal::Open(path);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(wal->Append({{0, 1, {'x'}}}).ok());
-  }
-  // Append a frame header claiming ~4 GB of payload: the scanner must
-  // treat it as torn (len exceeds the file) instead of allocating.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    uint32_t len = 0xF0000000u;
-    uint32_t crc = 0;
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    out << "junk";
-  }
-  auto wal = Wal::Open(path);
-  ASSERT_TRUE(wal.ok());
-  auto recovery = wal->Recover();
-  ASSERT_TRUE(recovery.ok());
-  EXPECT_EQ(recovery->entries.size(), 1u);
-  EXPECT_EQ(recovery->truncated_bytes, 12u);
-}
-
-#ifndef GLY_DISABLE_FAULT_POINTS
-
-TEST(WalTest, InjectedAppendFailureIsTransient) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  auto wal = Wal::Open(dir->File("wal.log"));
-  ASSERT_TRUE(wal.ok());
-  fault::FaultPlan plan(0xDB1);
-  plan.Add({.site = "graphdb.wal.append", .kind = fault::FaultKind::kIOError,
-            .max_triggers = 1});
-  {
-    fault::ScopedFaultPlan active(&plan);
-    EXPECT_FALSE(wal->Append({{0, 1, {'x'}}}).ok());
-    ASSERT_TRUE(wal->Append({{0, 2, {'y'}}}).ok());  // transient: next works
-  }
-  auto entries = wal->ReadAll();
-  ASSERT_TRUE(entries.ok());
-  ASSERT_EQ(entries->size(), 1u);  // the failed append left no frame behind
-  EXPECT_EQ((*entries)[0][0].offset, 2u);
-}
-
-#endif  // GLY_DISABLE_FAULT_POINTS
-
-TEST(Crc32cTest, DetectsCorruption) {
-  const char a[] = "hello";
-  const char b[] = "hellp";
-  EXPECT_NE(Crc32c(a, 5), Crc32c(b, 5));
-  EXPECT_EQ(Crc32c(a, 5), Crc32c(a, 5));
-}
-
 // ------------------------------------------------------------------- store
 
 TEST(GraphStoreTest, BulkImportAndNeighbors) {
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
   EdgeList edges;
   edges.Add(0, 1);
   edges.Add(0, 2);
   edges.Add(1, 2);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
-  EXPECT_EQ((*store)->node_count(), 3u);
-  EXPECT_EQ((*store)->relationship_count(), 3u);
-
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(0, false, &nbrs).ok());
-  std::sort(nbrs.begin(), nbrs.end());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{1, 2}));
-  ASSERT_TRUE((*store)->CollectNeighbors(2, true, &nbrs).ok());
-  EXPECT_TRUE(nbrs.empty());  // 2 has only incoming relationships
-  ASSERT_TRUE((*store)->CollectNeighbors(2, false, &nbrs).ok());
-  EXPECT_EQ(nbrs.size(), 2u);
+  auto store = ImportedStore(*dir, edges);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->node_count(), 3u);
+  EXPECT_EQ(store->relationship_count(), 3u);
+  EXPECT_EQ(SortedNeighbors(*store, 0, Direction::kBoth),
+            (std::vector<VertexId>{1, 2}));
+  // 2 has only incoming relationships.
+  EXPECT_TRUE(SortedNeighbors(*store, 2, Direction::kOutgoing).empty());
+  EXPECT_EQ(SortedNeighbors(*store, 2, Direction::kIncoming),
+            (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(SortedNeighbors(*store, 2, Direction::kBoth).size(), 2u);
 }
 
-TEST(GraphStoreTest, TransactionsCreateNodesAndRels) {
+TEST(GraphStoreTest, ReopenReadsBackImportedStore) {
+  // BulkImport's flush fsyncs every store file; a store reopened through a
+  // fresh cache must read the same counts and chains from disk.
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  auto tx = (*store)->Begin();
-  auto a = tx.CreateNode();
-  auto b = tx.CreateNode();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(tx.CreateRelationship(*a, *b).ok());
-  ASSERT_TRUE(tx.SetNodeProperty(*a, 7, 42).ok());
-  ASSERT_TRUE(tx.Commit().ok());
-
-  EXPECT_EQ((*store)->node_count(), 2u);
-  EXPECT_EQ((*store)->relationship_count(), 1u);
-  EXPECT_EQ(*(*store)->GetNodeProperty(*a, 7), 42);
-  EXPECT_TRUE((*store)->GetNodeProperty(*b, 7).status().IsNotFound());
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(*a, true, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{*b}));
-}
-
-TEST(GraphStoreTest, UncommittedTransactionIsInvisible) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
+  Graph g = RandomUndirected(400, 1600, 42);
   {
-    auto tx = (*store)->Begin();
-    ASSERT_TRUE(tx.CreateNode().ok());
-    // dropped without Commit
+    auto store = ImportedStore(*dir, g.ToEdgeList());
+    ASSERT_NE(store, nullptr);
   }
-  EXPECT_EQ((*store)->node_count(), 0u);
-}
-
-TEST(GraphStoreTest, PropertyUpdateInPlace) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
   StoreConfig config;
   config.directory = dir->File("store");
   auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  auto tx = (*store)->Begin();
-  auto node = tx.CreateNode();
-  ASSERT_TRUE(tx.SetNodeProperty(*node, 1, 10).ok());
-  ASSERT_TRUE(tx.SetNodeProperty(*node, 2, 20).ok());
-  ASSERT_TRUE(tx.SetNodeProperty(*node, 1, 11).ok());  // overwrite
-  ASSERT_TRUE(tx.Commit().ok());
-  EXPECT_EQ(*(*store)->GetNodeProperty(*node, 1), 11);
-  EXPECT_EQ(*(*store)->GetNodeProperty(*node, 2), 20);
-}
-
-TEST(GraphStoreTest, CommittedDataSurvivesReopenWithoutCheckpoint) {
-  // Crash-recovery: commit (WAL fsync) but never checkpoint; the page cache
-  // contents are lost with the process, and recovery must replay the WAL.
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  VertexId a = 0;
-  VertexId b = 0;
-  {
-    auto store = GraphStore::Open(config);
-    ASSERT_TRUE(store.ok());
-    auto tx = (*store)->Begin();
-    a = *tx.CreateNode();
-    b = *tx.CreateNode();
-    ASSERT_TRUE(tx.CreateRelationship(a, b).ok());
-    ASSERT_TRUE(tx.SetNodeProperty(a, 3, 99).ok());
-    ASSERT_TRUE(tx.Commit().ok());
-    // NO Checkpoint(); destructor flushes best-effort, but recovery must
-    // not depend on it — delete the store files' pages by reopening fresh.
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->node_count(), g.num_vertices());
+  EXPECT_EQ((*store)->relationship_count(), g.ToEdgeList().num_edges());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(SortedNeighbors(**store, v, Direction::kBoth), CsrNeighbors(g, v))
+        << "vertex " << v;
   }
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->node_count(), 2u);
-  EXPECT_EQ((*store)->relationship_count(), 1u);
-  EXPECT_EQ(*(*store)->GetNodeProperty(a, 3), 99);
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(a, true, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{b}));
-}
-
-#ifndef GLY_DISABLE_FAULT_POINTS
-
-TEST(GraphStoreTest, CrashDuringCheckpointWritebackIsRecoverable) {
-  // A checkpoint is flush-then-truncate; a crash inside the page-cache
-  // writeback aborts it *before* the WAL truncate. Reopening must replay
-  // the intact WAL and reproduce the committed state.
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  VertexId a = 0;
-  VertexId b = 0;
-  {
-    auto store = GraphStore::Open(config);
-    ASSERT_TRUE(store.ok());
-    auto tx = (*store)->Begin();
-    a = *tx.CreateNode();
-    b = *tx.CreateNode();
-    ASSERT_TRUE(tx.CreateRelationship(a, b).ok());
-    ASSERT_TRUE(tx.SetNodeProperty(a, 3, 99).ok());
-    ASSERT_TRUE(tx.Commit().ok());
-
-    fault::FaultPlan plan(0xDB2);
-    plan.Add({.site = "graphdb.pagecache.writeback",
-              .kind = fault::FaultKind::kCrash, .max_triggers = 1});
-    fault::ScopedFaultPlan active(&plan);
-    EXPECT_FALSE((*store)->Checkpoint().ok());
-    EXPECT_EQ(plan.TotalTriggered(), 1u);
-  }
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EXPECT_GT((*store)->wal_entries_recovered(), 0u);
-  EXPECT_EQ((*store)->node_count(), 2u);
-  EXPECT_EQ((*store)->relationship_count(), 1u);
-  EXPECT_EQ(*(*store)->GetNodeProperty(a, 3), 99);
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(a, true, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{b}));
-}
-
-#endif  // GLY_DISABLE_FAULT_POINTS
-
-TEST(GraphStoreTest, ReopenAfterTornWalTailSurfacesTruncationCounters) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  VertexId a = 0;
-  {
-    auto store = GraphStore::Open(config);
-    ASSERT_TRUE(store.ok());
-    auto tx = (*store)->Begin();
-    a = *tx.CreateNode();
-    ASSERT_TRUE(tx.SetNodeProperty(a, 1, 7).ok());
-    ASSERT_TRUE(tx.Commit().ok());
-    auto tx2 = (*store)->Begin();
-    ASSERT_TRUE(tx2.CreateNode().ok());
-    ASSERT_TRUE(tx2.Commit().ok());
-  }
-  // Tear into the last committed entry: that transaction is lost, but the
-  // store must reopen cleanly with everything before it.
-  std::string wal_path = config.directory + "/wal.log";
-  auto size = std::filesystem::file_size(wal_path);
-  std::filesystem::resize_file(wal_path, size - 2);
-
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EXPECT_GT((*store)->wal_bytes_truncated(), 0u);
-  EXPECT_EQ(*(*store)->GetNodeProperty(a, 1), 7);
+  // The loaded counts mark the store as imported.
+  EXPECT_TRUE((*store)->BulkImport(g.ToEdgeList()).IsInvalidArgument());
 }
 
 TEST(GraphStoreTest, WorksWithTinyPageCache) {
   // Store much larger than the cache: pure eviction traffic, still correct.
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  config.page_cache_bytes = 4 * kPageSize;
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
   Graph g = RandomUndirected(500, 2000, 41);
-  ASSERT_TRUE((*store)->BulkImport(g.ToEdgeList()).ok());
+  auto store = ImportedStore(*dir, g.ToEdgeList(), 4 * kPageSize);
+  ASSERT_NE(store, nullptr);
   // Spot-check neighborhoods against the CSR graph.
-  std::vector<VertexId> nbrs;
   for (VertexId v = 0; v < 500; v += 37) {
-    ASSERT_TRUE((*store)->CollectNeighbors(v, false, &nbrs).ok());
-    std::sort(nbrs.begin(), nbrs.end());
-    auto expected_span = g.OutNeighbors(v);
-    std::vector<VertexId> expected(expected_span.begin(), expected_span.end());
-    EXPECT_EQ(nbrs, expected) << "vertex " << v;
+    EXPECT_EQ(SortedNeighbors(*store, v, Direction::kBoth), CsrNeighbors(g, v))
+        << "vertex " << v;
   }
-  EXPECT_GT((*store)->cache_stats().evictions, 0u);
-}
-
-TEST(GraphStoreTest, DeleteRelationshipUnlinksBothChains) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  // Triangle 0-1, 0-2, 1-2; delete 0-2.
-  EdgeList edges;
-  edges.Add(0, 1);
-  edges.Add(0, 2);
-  edges.Add(1, 2);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
-  auto tx = (*store)->Begin();
-  ASSERT_TRUE(tx.DeleteRelationship(1).ok());  // bulk import id order
-  ASSERT_TRUE(tx.Commit().ok());
-  EXPECT_EQ((*store)->relationship_count(), 2u);
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(0, false, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{1}));
-  ASSERT_TRUE((*store)->CollectNeighbors(2, false, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{1}));
-}
-
-TEST(GraphStoreTest, DeleteRelationshipErrors) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EdgeList edges;
-  edges.Add(0, 1);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
-  {
-    auto tx = (*store)->Begin();
-    EXPECT_TRUE(tx.DeleteRelationship(99).IsNotFound());
-    ASSERT_TRUE(tx.DeleteRelationship(0).ok());
-    // Double delete within the same transaction is caught via shadow reads.
-    EXPECT_TRUE(tx.DeleteRelationship(0).IsNotFound());
-    ASSERT_TRUE(tx.Commit().ok());
-  }
-  auto tx = (*store)->Begin();
-  EXPECT_TRUE(tx.DeleteRelationship(0).IsNotFound());
-}
-
-TEST(GraphStoreTest, DeleteSurvivesRecovery) {
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  {
-    auto store = GraphStore::Open(config);
-    ASSERT_TRUE(store.ok());
-    EdgeList edges;
-    edges.Add(0, 1);
-    edges.Add(1, 2);
-    ASSERT_TRUE((*store)->BulkImport(edges).ok());
-    auto tx = (*store)->Begin();
-    ASSERT_TRUE(tx.DeleteRelationship(0).ok());
-    ASSERT_TRUE(tx.Commit().ok());
-    // No checkpoint: recovery must replay the deletion from the WAL.
-  }
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->relationship_count(), 1u);
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(0, false, &nbrs).ok());
-  EXPECT_TRUE(nbrs.empty());
-  ASSERT_TRUE((*store)->CollectNeighbors(1, false, &nbrs).ok());
-  EXPECT_EQ(nbrs, (std::vector<VertexId>{2}));
-}
-
-TEST(GraphStoreTest, DeleteMiddleOfLongChain) {
-  // Vertex 0 has many relationships; delete one from the middle of its
-  // chain and verify the walk-based unlink.
-  auto dir = TempDir::Create("gly-db");
-  ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EdgeList edges;
-  for (VertexId v = 1; v <= 10; ++v) edges.Add(0, v);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
-  auto tx = (*store)->Begin();
-  ASSERT_TRUE(tx.DeleteRelationship(4).ok());  // edge 0-5
-  ASSERT_TRUE(tx.Commit().ok());
-  std::vector<VertexId> nbrs;
-  ASSERT_TRUE((*store)->CollectNeighbors(0, false, &nbrs).ok());
-  std::sort(nbrs.begin(), nbrs.end());
-  EXPECT_EQ(nbrs.size(), 9u);
-  EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), 5u) == nbrs.end());
+  EXPECT_GT(store->cache_stats().evictions, 0u);
 }
 
 // --------------------------------------------------------------- traversal
@@ -633,70 +279,83 @@ TEST(GraphStoreTest, DeleteMiddleOfLongChain) {
 TEST(TraversalTest, BfsOrderDepths) {
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
   EdgeList edges;
   edges.Add(0, 1);
   edges.Add(1, 2);
   edges.Add(2, 3);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
+  auto store = ImportedStore(*dir, edges);
+  ASSERT_NE(store, nullptr);
   std::vector<uint32_t> depth(4, 99);
   TraversalStats stats;
-  ASSERT_TRUE(Traverse(store->get(), 0, TraversalOrder::kBreadthFirst,
-                       Expand::kBoth,
-                       [&depth](VertexId v, uint32_t d) {
-                         depth[v] = d;
-                         return true;
-                       },
-                       &stats)
+  ASSERT_TRUE(Traverse(
+                  store.get(), 0, Direction::kBoth,
+                  [&depth](VertexId v, uint32_t d) { depth[v] = d; },
+                  /*cancel=*/nullptr, &stats)
                   .ok());
   EXPECT_EQ(depth, (std::vector<uint32_t>{0, 1, 2, 3}));
   EXPECT_EQ(stats.nodes_visited, 4u);
   EXPECT_EQ(stats.max_depth, 3u);
+  // Outgoing only: 2 reaches 3, and nothing reaches back.
+  std::vector<VertexId> reached;
+  ASSERT_TRUE(Traverse(store.get(), 2, Direction::kOutgoing,
+                       [&reached](VertexId v, uint32_t) { reached.push_back(v); })
+                  .ok());
+  EXPECT_EQ(reached, (std::vector<VertexId>{2, 3}));
 }
 
-TEST(TraversalTest, PruningStopsExpansion) {
+TEST(TraversalTest, CancelStopsTheWalkWithinOnePollBatch) {
+  // A 20000-node path, all reachable from node 0. The visitor cancels the
+  // token at visit 5000; the walk must return the token's Status within
+  // the next 1024 visits, and must have heartbeat while it made progress.
+  constexpr VertexId kNodes = 20000;
+  constexpr uint64_t kCancelAt = 5000;
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EdgeList edges;
-  edges.Add(0, 1);
-  edges.Add(1, 2);
-  ASSERT_TRUE((*store)->BulkImport(edges).ok());
-  size_t visited = 0;
-  ASSERT_TRUE(Traverse(store->get(), 0, TraversalOrder::kBreadthFirst,
-                       Expand::kBoth,
-                       [&visited](VertexId, uint32_t d) {
-                         ++visited;
-                         return d < 1;  // prune below depth 1
-                       })
-                  .ok());
-  EXPECT_EQ(visited, 2u);  // 0 and 1; 2 never discovered
+  EdgeList edges(kNodes);
+  for (VertexId v = 0; v + 1 < kNodes; ++v) edges.Add(v, v + 1);
+  auto store = ImportedStore(*dir, edges);
+  ASSERT_NE(store, nullptr);
+  CancelToken token;
+  uint64_t visits = 0;
+  uint64_t heartbeats_at_cancel = 0;
+  const Status s = Traverse(
+      store.get(), 0, Direction::kBoth,
+      [&](VertexId, uint32_t) {
+        if (++visits == kCancelAt) {
+          heartbeats_at_cancel = token.heartbeats();
+          token.Cancel(CancelReason::kDeadline, "traversal deadline");
+        }
+      },
+      &token);
+  EXPECT_TRUE(s.IsTimeout()) << s.ToString();
+  EXPECT_GE(visits, kCancelAt);
+  EXPECT_LE(visits, kCancelAt + 1024);
+  EXPECT_GE(heartbeats_at_cancel, 4u);
 }
 
 TEST(TraversalTest, RejectsBadSeed) {
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  StoreConfig config;
-  config.directory = dir->File("store");
-  auto store = GraphStore::Open(config);
-  ASSERT_TRUE(store.ok());
-  EXPECT_FALSE(Traverse(store->get(), 5, TraversalOrder::kBreadthFirst,
-                        Expand::kBoth, [](VertexId, uint32_t) { return true; })
-                   .ok());
+  EdgeList edges;
+  edges.Add(0, 1);
+  auto store = ImportedStore(*dir, edges);
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(Traverse(store.get(), 5, Direction::kBoth,
+                       [](VertexId, uint32_t) {})
+                  .IsInvalidArgument());
 }
 
 // -------------------------------------------------------------- algorithms
 
-DbPlatformConfig DbConfig(const TempDir& dir) {
-  DbPlatformConfig config;
-  config.store_dir = dir.path() + "/store";
-  return config;
+// Imports `g` into a fresh store under `dir` and runs `kind` on it.
+Result<AlgorithmOutput> RunOnImportedStore(const TempDir& dir, const Graph& g,
+                                           AlgorithmKind kind,
+                                           const AlgorithmParams& params,
+                                           uint64_t memory_budget_bytes = 0) {
+  auto store = ImportedStore(dir, g.ToEdgeList());
+  if (store == nullptr) return Status::Internal("import failed");
+  return RunAlgorithmOnStore(store.get(), g.undirected(), memory_budget_bytes,
+                             kind, params);
 }
 
 TEST(GraphDbAlgorithmsTest, AllAlgorithmsMatchReference) {
@@ -710,7 +369,7 @@ TEST(GraphDbAlgorithmsTest, AllAlgorithmsMatchReference) {
         AlgorithmKind::kStats, AlgorithmKind::kEvo}) {
     auto dir = TempDir::Create("gly-db");
     ASSERT_TRUE(dir.ok());
-    auto out = RunAlgorithm(DbConfig(*dir), g, kind, params);
+    auto out = RunOnImportedStore(*dir, g, kind, params);
     ASSERT_TRUE(out.ok()) << AlgorithmKindName(kind) << ": "
                           << out.status().ToString();
     EXPECT_TRUE(harness::ValidateOutput(g, kind, params, *out).ok())
@@ -722,9 +381,8 @@ TEST(GraphDbAlgorithmsTest, FailsWhenGraphExceedsMemory) {
   Graph g = RandomUndirected(2000, 8000, 44);
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  DbPlatformConfig config = DbConfig(*dir);
-  config.memory_budget_bytes = 10 << 10;  // 10 KiB: store can't fit
-  auto out = RunAlgorithm(config, g, AlgorithmKind::kBfs, {});
+  // 10 KiB: the store can't fit.
+  auto out = RunOnImportedStore(*dir, g, AlgorithmKind::kBfs, {}, 10 << 10);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsResourceExhausted());
 }
@@ -742,7 +400,7 @@ TEST(GraphDbAlgorithmsTest, DirectedBfs) {
   params.bfs.source = 0;
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
-  auto out = RunAlgorithm(DbConfig(*dir), g, AlgorithmKind::kBfs, params);
+  auto out = RunOnImportedStore(*dir, g, AlgorithmKind::kBfs, params);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(
       harness::ValidateOutput(g, AlgorithmKind::kBfs, params, *out).ok());

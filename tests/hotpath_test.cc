@@ -728,7 +728,9 @@ void MustFinish(const char* what, const std::function<void()>& fn) {
 Result<std::vector<VertexId>> SortedNeighbors(graphdb::GraphStore& store,
                                               VertexId v) {
   std::vector<VertexId> nbrs;
-  GLY_RETURN_NOT_OK(store.CollectNeighbors(v, /*outgoing_only=*/false, &nbrs));
+  graphdb::PageCache::Cursor cursor = store.ReadCursor();
+  GLY_RETURN_NOT_OK(
+      store.CollectNeighbors(v, graphdb::Direction::kBoth, cursor, &nbrs));
   std::sort(nbrs.begin(), nbrs.end());
   return nbrs;
 }
@@ -897,6 +899,32 @@ TEST(PageCursorHotpath, CancelledImportLeavesNoShardLocked) {
   });
 }
 
+TEST(PageCursorHotpath, WritebackFaultDuringImportLeavesNoShardLocked) {
+  // The import's cache is far below the store, so its writes evict dirty
+  // frames; the first writeback fails once. BulkImport must return that
+  // IOError with no shard lock left held.
+  auto dir = TempDir::Create("gly-hotpath-cursor");
+  ASSERT_TRUE(dir.ok());
+  graphdb::StoreConfig config;
+  config.directory = dir->path() + "/store";
+  config.page_cache_bytes = kSmallCache;
+  auto store = graphdb::GraphStore::Open(config);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  fault::FaultPlan plan(/*seed=*/6);
+  plan.Add({.site = "graphdb.pagecache.writeback",
+            .kind = fault::FaultKind::kIOError,
+            .max_triggers = 1});
+  fault::ScopedFaultPlan active(&plan);
+  const Status s = (*store)->BulkImport(TestGraph().ToEdgeList());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.writeback"), 1u);
+  // stats() and the second flush lock every shard in turn.
+  MustFinish("stats and Checkpoint after a failed writeback", [&] {
+    EXPECT_GT((*store)->cache_stats().misses, 0u);
+    EXPECT_TRUE((*store)->Checkpoint().ok());
+  });
+}
+
 TEST(PageCacheHotpath, ConcurrentReadersSeeConsistentPages) {
   // 8 reader threads hammer a cache whose capacity (16 pages) is far below
   // the 64-page working set, so the clock sweep runs concurrently with the
@@ -947,7 +975,8 @@ TEST(PageCacheHotpath, ConcurrentReadersSeeConsistentPages) {
   const graphdb::PageCacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);  // working set really exceeded capacity
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_LE(cache.resident_pages(), cache.capacity_pages());
+  // Resident pages: every miss filled a frame, every eviction freed one.
+  EXPECT_LE(stats.misses - stats.evictions, cache.capacity_pages());
   // After the dust settles the file must hold every pattern byte-for-byte.
   ASSERT_TRUE(cache.Flush().ok());
   std::vector<char> want(graphdb::kPageSize);

@@ -14,6 +14,7 @@
 #include "mapreduce/graph_jobs.h"
 #include "mapreduce/job.h"
 #include "mapreduce/record.h"
+#include "record_files.h"
 
 namespace gly::mapreduce {
 namespace {
@@ -25,8 +26,8 @@ TEST(RecordFileTest, RoundTrip) {
   ASSERT_TRUE(dir.ok());
   std::vector<Record> records = {
       {1, "alpha"}, {2, ""}, {~0ULL, std::string(1000, 'x')}};
-  ASSERT_TRUE(WriteAllRecords(records, dir->File("r.bin")).ok());
-  auto read = ReadAllRecords(dir->File("r.bin"));
+  ASSERT_TRUE(WriteRecords(records, dir->File("r.bin")).ok());
+  auto read = ReadRecords(dir->File("r.bin"));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, records);
 }
@@ -34,8 +35,8 @@ TEST(RecordFileTest, RoundTrip) {
 TEST(RecordFileTest, EmptyFile) {
   auto dir = TempDir::Create("gly-mr");
   ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(WriteAllRecords({}, dir->File("empty.bin")).ok());
-  auto read = ReadAllRecords(dir->File("empty.bin"));
+  ASSERT_TRUE(WriteRecords({}, dir->File("empty.bin")).ok());
+  auto read = ReadRecords(dir->File("empty.bin"));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->empty());
 }
@@ -43,9 +44,9 @@ TEST(RecordFileTest, EmptyFile) {
 TEST(RecordFileTest, DetectsTruncation) {
   auto dir = TempDir::Create("gly-mr");
   ASSERT_TRUE(dir.ok());
-  ASSERT_TRUE(WriteAllRecords({{1, "hello world"}}, dir->File("t.bin")).ok());
+  ASSERT_TRUE(WriteRecords({{1, "hello world"}}, dir->File("t.bin")).ok());
   std::filesystem::resize_file(dir->File("t.bin"), 14);  // cut into value
-  auto read = ReadAllRecords(dir->File("t.bin"));
+  auto read = ReadRecords(dir->File("t.bin"));
   EXPECT_FALSE(read.ok());
 }
 
@@ -122,7 +123,7 @@ TEST(JobTest, CountsKeysAcrossMappersAndReducers) {
   ASSERT_TRUE(dir.ok());
   std::vector<Record> input;
   for (uint64_t i = 0; i < 1000; ++i) input.push_back({i, ""});
-  ASSERT_TRUE(WriteAllRecords(input, dir->File("in.bin")).ok());
+  ASSERT_TRUE(WriteRecords(input, dir->File("in.bin")).ok());
 
   JobConfig config;
   config.num_mappers = 3;
@@ -145,7 +146,7 @@ TEST(JobTest, CountsKeysAcrossMappersAndReducers) {
   uint64_t total = 0;
   int groups = 0;
   for (const std::string& path : *outputs) {
-    auto records = ReadAllRecords(path);
+    auto records = ReadRecords(path);
     ASSERT_TRUE(records.ok());
     for (const Record& r : *records) {
       total += *ParseUint64(r.value);
@@ -161,7 +162,7 @@ TEST(JobTest, SmallSortBufferForcesMultipleSpills) {
   ASSERT_TRUE(dir.ok());
   std::vector<Record> input;
   for (uint64_t i = 0; i < 2000; ++i) input.push_back({i, std::string(100, 'v')});
-  ASSERT_TRUE(WriteAllRecords(input, dir->File("in.bin")).ok());
+  ASSERT_TRUE(WriteRecords(input, dir->File("in.bin")).ok());
 
   JobConfig config;
   config.num_mappers = 1;
@@ -179,7 +180,7 @@ TEST(JobTest, SmallSortBufferForcesMultipleSpills) {
   ASSERT_TRUE(outputs.ok());
   EXPECT_GT(stats.spill_files, 4u);
   // Merged output is still correct.
-  auto records = ReadAllRecords((*outputs)[0]);
+  auto records = ReadRecords((*outputs)[0]);
   ASSERT_TRUE(records.ok());
   uint64_t total = 0;
   for (const Record& r : *records) total += *ParseUint64(r.value);
@@ -191,8 +192,8 @@ TEST(JobTest, MapTaskSpillsEveryRunIntoOneFile) {
   ASSERT_TRUE(dir.ok());
   std::vector<Record> input;
   for (uint64_t i = 0; i < 2000; ++i) input.push_back({i, std::string(100, 'v')});
-  ASSERT_TRUE(WriteAllRecords(input, dir->File("in-0.bin")).ok());
-  ASSERT_TRUE(WriteAllRecords(input, dir->File("in-1.bin")).ok());
+  ASSERT_TRUE(WriteRecords(input, dir->File("in-0.bin")).ok());
+  ASSERT_TRUE(WriteRecords(input, dir->File("in-1.bin")).ok());
 
   // Map-stage checkpointing keeps the spills under the output directory,
   // and a crashed reduce task keeps them there after the job fails.
@@ -230,7 +231,7 @@ TEST(JobTest, CombinerShrinksSpills) {
   ASSERT_TRUE(dir.ok());
   std::vector<Record> input;
   for (uint64_t i = 0; i < 5000; ++i) input.push_back({i, ""});
-  ASSERT_TRUE(WriteAllRecords(input, dir->File("in.bin")).ok());
+  ASSERT_TRUE(WriteRecords(input, dir->File("in.bin")).ok());
 
   auto run = [&](bool with_combiner) -> uint64_t {
     JobConfig config;

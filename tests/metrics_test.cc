@@ -43,31 +43,6 @@ TEST(MetricsTest, CounterGaugeHistogramBasics) {
   EXPECT_DOUBLE_EQ(snap.Mean(), 2.0);
 }
 
-TEST(MetricsTest, HistogramMergeFoldsObservations) {
-  Histogram a;
-  a.Add(1, 2);
-  a.Add(10);
-  Histogram b;
-  b.Add(1);
-  b.Add(5, 3);
-
-  HistogramMetric metric;
-  metric.MergeFrom(a);
-  metric.MergeFrom(b);
-  Histogram merged = metric.Snapshot();
-  EXPECT_EQ(merged.total_count(), 7u);
-  EXPECT_EQ(merged.CountOf(1), 3u);
-  EXPECT_EQ(merged.CountOf(5), 3u);
-  EXPECT_EQ(merged.CountOf(10), 1u);
-  // Merge is equivalent to replaying the Add calls: summary stats match.
-  Histogram replay;
-  replay.Add(1, 3);
-  replay.Add(5, 3);
-  replay.Add(10);
-  EXPECT_DOUBLE_EQ(merged.Mean(), replay.Mean());
-  EXPECT_DOUBLE_EQ(merged.Variance(), replay.Variance());
-}
-
 TEST(MetricsTest, SnapshotNameCollisionCounterWins) {
   // Reusing one name across types is a caller bug, but the snapshot must
   // stay deterministic: counter wins over gauge wins over histogram.
@@ -129,7 +104,7 @@ TEST(MetricsTest, GoldenJsonl) {
 TEST(MetricsTest, JsonlRoundTrip) {
   Registry registry;
   registry.GetCounter("pregel.messages_sent")->Add(12345);
-  registry.GetCounter("graphdb.wal.appends")->Add(7);
+  registry.GetCounter("dataflow.datasets_materialized")->Add(7);
   registry.GetGauge("harness.cpu_utilization")->Set(1.75);
   HistogramMetric* h = registry.GetHistogram("mapreduce.spill_bytes");
   h->Observe(0);

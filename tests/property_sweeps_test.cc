@@ -18,6 +18,7 @@
 #include "mapreduce/record.h"
 #include "pregel/algorithms.h"
 #include "ref/algorithms.h"
+#include "record_files.h"
 
 namespace gly {
 namespace {
@@ -112,7 +113,9 @@ TEST_P(ColumnCodecSweep, RoundTripsAndBoundsFootprint) {
   Rng rng(7);
   for (int i = 0; i < 50 && n > 0; ++i) {
     uint64_t row = rng.NextBounded(n);
-    EXPECT_EQ(col.Get(row), values[row]);
+    std::vector<uint32_t> block;
+    const uint64_t start = col.DecodeBlockContaining(row, &block);
+    EXPECT_EQ(block[row - start], values[row]);
   }
   // Footprint bound: never worse than plain + directory slack.
   EXPECT_LE(col.compressed_bytes(), col.raw_bytes() + 64 * (n / 2048 + 1));
@@ -181,7 +184,7 @@ TEST_P(MapReduceConfigSweep, OutputInvariantUnderConfiguration) {
   for (uint64_t i = 0; i < 500; ++i) {
     input.push_back({i, std::string(rng.NextBounded(20), 'x')});
   }
-  ASSERT_TRUE(mapreduce::WriteAllRecords(input, dir->File("in.bin")).ok());
+  ASSERT_TRUE(mapreduce::WriteRecords(input, dir->File("in.bin")).ok());
 
   mapreduce::JobConfig config;
   config.num_mappers = mappers;
@@ -199,7 +202,7 @@ TEST_P(MapReduceConfigSweep, OutputInvariantUnderConfiguration) {
 
   std::vector<mapreduce::Record> all;
   for (const auto& path : *outputs) {
-    auto records = mapreduce::ReadAllRecords(path);
+    auto records = mapreduce::ReadRecords(path);
     ASSERT_TRUE(records.ok());
     all.insert(all.end(), records->begin(), records->end());
   }
