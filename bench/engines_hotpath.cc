@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   Stopwatch import_watch;
   auto store = graphdb::GraphStore::Open(store_config);
   store.status().Check();
-  (*store)->BulkImport(g.ToEdgeList()).Check();
+  (*store)->BulkImport(g).Check();
   const double import_s = import_watch.ElapsedSeconds();
   double import_unattributed = import_s;
   for (AlgorithmKind kind : kinds) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point. Six stages:
 #
-#   1. tier-1      — plain build, full test suite (the gate every PR must
-#                    hold). The `chaos` label is split out into stage 6 so
-#                    its wall-clock cost is attributed to the chaos stage.
+#   1. tier-1      — plain build with warnings as errors (GLY_WERROR),
+#                    full test suite (the gate every PR must hold). The
+#                    `chaos` label is split out into stage 6 so its
+#                    wall-clock cost is attributed to the chaos stage.
 #                    Then a longest-function guard: code_quality_report's
 #                    maxfn column must stay at or below 150 code lines in
 #                    every module row, and all 11 modules of src/ must be
@@ -141,8 +142,9 @@ ENGINE_BENCH_SCALE="${ENGINE_BENCH_SCALE:-14}"
 ETL_BENCH_SCALE=18
 ETL_THREADS="${ETL_THREADS:-4}"
 
-echo "==> [1/6] tier-1: configure + build (${TIER1_DIR})"
-cmake -B "${TIER1_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+echo "==> [1/6] tier-1: configure + build (${TIER1_DIR}, GLY_WERROR=ON)"
+cmake -B "${TIER1_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DGLY_WERROR=ON
 cmake --build "${TIER1_DIR}" -j "${JOBS}"
 
 echo "==> [1/6] tier-1: full test suite (chaos split into stage 6)"

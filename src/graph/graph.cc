@@ -273,10 +273,9 @@ Result<Graph> GraphBuilder::Undirected(const EdgeList& edges,
   GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
   DedupRows(&g.out_offsets_, &g.out_targets_, options.pool, options.cancel);
   GLY_RETURN_NOT_OK(CheckCancel(options.cancel));
+  // The deduped mirrored adjacency is symmetric, so it serves as the in-CSR
+  // too.
   g.num_edges_ = g.out_targets_.size() / 2;
-  // The deduped mirrored adjacency is symmetric: the in-CSR is the out-CSR.
-  g.in_offsets_ = g.out_offsets_;
-  g.in_targets_ = g.out_targets_;
   return g;
 }
 
@@ -312,7 +311,9 @@ Status Graph::Validate() const {
   if (out_offsets_.front() != 0 || out_offsets_.back() != out_targets_.size()) {
     return Status::Internal("out offsets do not cover targets");
   }
-  if (in_offsets_.front() != 0 || in_offsets_.back() != in_targets_.size()) {
+  if (!undirected_ &&
+      (in_offsets_.size() != out_offsets_.size() || in_offsets_.front() != 0 ||
+       in_offsets_.back() != in_targets_.size())) {
     return Status::Internal("in offsets do not cover targets");
   }
   const VertexId n = num_vertices();
@@ -330,11 +331,11 @@ Status Graph::Validate() const {
     }
   }
   // out and in must describe the same multiset of edges.
-  if (out_targets_.size() != in_targets_.size()) {
+  if (!undirected_ && out_targets_.size() != in_targets_.size()) {
     return Status::Internal("in/out entry count mismatch");
   }
   if (undirected_) {
-    // Every (v,w) must have a mirror (w,v).
+    // The one adjacency is both sides: every (v,w) must have a mirror (w,v).
     for (VertexId v = 0; v < n; ++v) {
       for (VertexId w : OutNeighbors(v)) {
         if (!HasEdge(w, v)) {
@@ -396,10 +397,7 @@ ReorderedGraph Graph::ReorderByDegree(ThreadPool* pool) const {
     ForRange(pool, n, kRowGrain, fill_rows);
   };
   relabel_side(out_offsets_, out_targets_, &g.out_offsets_, &g.out_targets_);
-  if (undirected_) {
-    g.in_offsets_ = g.out_offsets_;
-    g.in_targets_ = g.out_targets_;
-  } else {
+  if (!undirected_) {
     relabel_side(in_offsets_, in_targets_, &g.in_offsets_, &g.in_targets_);
   }
   return out;

@@ -2,7 +2,8 @@
 //
 // This is the shared in-memory graph representation. Directed graphs carry
 // both out- and in-adjacency; undirected graphs mirror every edge so that
-// `OutNeighbors` returns the full neighborhood.
+// `OutNeighbors` returns the full neighborhood, and hold that one adjacency
+// only: `InNeighbors` and `InDegree` read it too.
 
 #pragma once
 
@@ -54,6 +55,7 @@ class Graph {
   }
 
   std::span<const VertexId> InNeighbors(VertexId v) const {
+    if (undirected_) return OutNeighbors(v);
     return {in_targets_.data() + in_offsets_[v],
             in_targets_.data() + in_offsets_[v + 1]};
   }
@@ -62,6 +64,7 @@ class Graph {
     return out_offsets_[v + 1] - out_offsets_[v];
   }
   uint64_t InDegree(VertexId v) const {
+    if (undirected_) return OutDegree(v);
     return in_offsets_[v + 1] - in_offsets_[v];
   }
 
@@ -73,7 +76,8 @@ class Graph {
   /// Binary search for edge (src, dst) in the out-adjacency. O(log deg).
   bool HasEdge(VertexId src, VertexId dst) const;
 
-  /// Estimated resident bytes of the CSR arrays.
+  /// Resident bytes of the CSR arrays the graph holds (one side for an
+  /// undirected graph, two for a directed one).
   uint64_t MemoryBytes() const;
 
   /// Converts back to an edge list (one entry per logical edge).
@@ -100,8 +104,8 @@ class Graph {
   uint64_t num_edges_ = 0;
   std::vector<EdgeIndex> out_offsets_;  // size num_vertices + 1
   std::vector<VertexId> out_targets_;
-  std::vector<EdgeIndex> in_offsets_;
-  std::vector<VertexId> in_targets_;
+  std::vector<EdgeIndex> in_offsets_;  // empty when undirected
+  std::vector<VertexId> in_targets_;   // empty when undirected
 };
 
 /// See Graph::ReorderByDegree.

@@ -1,13 +1,16 @@
 #include "graphdb/page_cache.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <limits>
+#include <tuple>
 
 #include "common/fault_injection.h"
 #include "common/macros.h"
@@ -17,6 +20,8 @@ namespace gly::graphdb {
 namespace {
 
 constexpr size_t kWordsPerPage = kPageSize / sizeof(uint64_t);
+// The most pages one pwritev writes back.
+constexpr size_t kMaxRunPages = IOV_MAX;
 
 size_t ShardCountFor(size_t capacity_pages, uint32_t requested) {
   size_t count = requested == 0 ? std::min<size_t>(8, capacity_pages)
@@ -27,15 +32,14 @@ size_t ShardCountFor(size_t capacity_pages, uint32_t requested) {
   return std::clamp<size_t>(count, 1, capacity_pages);
 }
 
-// Reads one page at `at` into `buf`; bytes beyond EOF read as zeros.
-Status ReadPage(int fd, const std::string& path, off_t at, void* buf) {
+// Reads one page at `at` into `buf`; bytes beyond EOF read as zeros. False
+// (with errno set) if the pread failed.
+bool ReadPage(int fd, off_t at, void* buf) {
   const ssize_t n = ::pread(fd, buf, kPageSize, at);
-  if (n < 0) {
-    return Status::IOError("pread(" + path + "): " + std::strerror(errno));
-  }
+  if (n < 0) return false;
   std::memset(static_cast<char*>(buf) + n, 0,
               kPageSize - static_cast<size_t>(n));
-  return Status::OK();
+  return true;
 }
 
 // A key's first index position. The shard was picked from the low bits of
@@ -158,6 +162,18 @@ Result<uint32_t> PageCache::OpenFile(const std::string& path) {
   return static_cast<uint32_t>(fds_.size() - 1);
 }
 
+int PageCache::FdOf(uint32_t file_id) const {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  return fds_[file_id];
+}
+
+Status PageCache::FileError(const char* call, uint32_t file_id,
+                            int err) const {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  return Status::IOError(std::string(call) + "(" + paths_[file_id] +
+                         "): " + std::strerror(err));
+}
+
 std::unique_lock<std::mutex> PageCache::LockShard(const Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
@@ -248,27 +264,21 @@ Result<PageCache::Frame*> PageCache::GetFrame(Shard& shard, uint32_t file_id,
 }
 
 Status PageCache::FillFrame(Frame& frame, uint32_t file_id, uint64_t page_no) {
-  int fd;
-  std::string path;
-  {
-    std::lock_guard<std::mutex> files_lock(files_mu_);
-    fd = fds_[file_id];
-    path = paths_[file_id];
-  }
-  const off_t at = static_cast<off_t>(page_no * kPageSize);
-  if (frame.words == nullptr) {
-    // No reader has seen this frame, so the page is read straight into it.
+  // No reader has seen a fresh frame, so the page is read straight into it.
+  // A lock-free reader may still be copying an evicted page out of a used
+  // one: stage the new page and store it word by word inside the write
+  // section.
+  const bool fresh = frame.words == nullptr;
+  if (fresh) {
     frame.words = std::make_unique_for_overwrite<uint64_t[]>(kWordsPerPage);
-    GLY_RETURN_NOT_OK(ReadPage(fd, path, at, frame.words.get()));
-    frame.BeginWrite();
-  } else {
-    // A lock-free reader may still be copying the evicted page: stage the
-    // new one and store it word by word inside the write section.
-    alignas(uint64_t) char staged[kPageSize];
-    GLY_RETURN_NOT_OK(ReadPage(fd, path, at, staged));
-    frame.BeginWrite();
-    frame.StoreBytes(0, staged, kPageSize);
   }
+  alignas(uint64_t) char staged[kPageSize];
+  if (!ReadPage(FdOf(file_id), static_cast<off_t>(page_no * kPageSize),
+                fresh ? static_cast<void*>(frame.words.get()) : staged)) {
+    return FileError("pread", file_id, errno);
+  }
+  frame.BeginWrite();
+  if (!fresh) frame.StoreBytes(0, staged, kPageSize);
   frame.SetKey(file_id + 1, page_no);
   frame.EndWrite();
   return Status::OK();
@@ -311,21 +321,39 @@ Status PageCache::WritebackFrame(Frame& frame, PageCacheStats* stats) {
   GLY_FAULT_POINT("graphdb.pagecache.writeback");
   const uint32_t file_id = frame.file.load(std::memory_order_relaxed) - 1;
   const uint64_t page_no = frame.page_no.load(std::memory_order_relaxed);
-  int fd;
-  std::string path;
-  {
-    std::lock_guard<std::mutex> files_lock(files_mu_);
-    fd = fds_[file_id];
-    path = paths_[file_id];
-  }
-  ssize_t n = ::pwrite(fd, frame.words.get(), kPageSize,
-                       static_cast<off_t>(page_no * kPageSize));
+  const ssize_t n = ::pwrite(FdOf(file_id), frame.words.get(), kPageSize,
+                             static_cast<off_t>(page_no * kPageSize));
   if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError("pwrite(" + path + "): " + std::strerror(errno));
+    return FileError("pwrite", file_id, errno);
   }
   frame.dirty = false;
   ++stats->writebacks;
   return Status::OK();
+}
+
+Status PageCache::WritebackRun(const DirtyPage* run, size_t count) {
+  size_t ready = 0;
+  Status fault = Status::OK();
+  while (ready < count &&
+         (fault = fault::CheckPoint("graphdb.pagecache.writeback")).ok()) {
+    ++ready;
+  }
+  std::vector<iovec> iov(ready);
+  for (size_t i = 0; i < ready; ++i) {
+    iov[i] = {run[i].frame->words.get(), kPageSize};
+  }
+  const uint32_t file_id = run[0].key.file_id;
+  const ssize_t n =
+      ::pwritev(FdOf(file_id), iov.data(), static_cast<int>(ready),
+                static_cast<off_t>(run[0].key.page_no * kPageSize));
+  if (n != static_cast<ssize_t>(ready * kPageSize)) {
+    return FileError("pwritev", file_id, errno);
+  }
+  for (size_t i = 0; i < ready; ++i) {
+    run[i].frame->dirty = false;
+    ++run[i].shard->stats.writebacks;
+  }
+  return fault;
 }
 
 Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
@@ -335,7 +363,23 @@ Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
 
 Status PageCache::Write(uint32_t file_id, uint64_t offset, const void* data,
                         size_t len) {
-  return Cursor(*this).Write(file_id, offset, data, len);
+  const char* src = static_cast<const char*>(data);
+  while (len > 0) {
+    const PageKey key{file_id, offset / kPageSize};
+    const size_t in_page = static_cast<size_t>(offset % kPageSize);
+    const size_t chunk = std::min(len, kPageSize - in_page);
+    Shard& shard = ShardFor(key);
+    std::unique_lock<std::mutex> lock = LockShard(shard);
+    GLY_ASSIGN_OR_RETURN(Frame* frame, GetFrame(shard, file_id, key.page_no));
+    frame->BeginWrite();
+    frame->StoreBytes(in_page, src, chunk);
+    frame->EndWrite();
+    frame->dirty = true;
+    src += chunk;
+    offset += chunk;
+    len -= chunk;
+  }
+  return Status::OK();
 }
 
 PageCache::Cursor::~Cursor() {
@@ -343,35 +387,6 @@ PageCache::Cursor::~Cursor() {
     cache_->lock_free_hits_.fetch_add(lock_free_hits_,
                                       std::memory_order_relaxed);
   }
-}
-
-void PageCache::Cursor::Release() {
-  if (lock_.owns_lock()) lock_.unlock();
-  shard_ = nullptr;
-}
-
-Status PageCache::Cursor::Seek(uint32_t file_id, uint64_t page_no) {
-  const PageKey key{file_id, page_no};
-  if (lock_.owns_lock() && frame_ != nullptr && frame_->Holds(key)) {
-    // The held frame cannot have been evicted (we hold its shard), and its
-    // second-chance bit is still set from the access that faulted it in.
-    ++shard_->stats.hits;
-    return Status::OK();
-  }
-  frame_ = nullptr;
-  Shard& shard = cache_->ShardFor(key);
-  if (shard_ != &shard) {
-    Release();  // never hold two shard locks
-    lock_ = LockShard(shard);
-    shard_ = &shard;
-  }
-  Result<Frame*> frame = cache_->GetFrame(shard, file_id, page_no);
-  if (!frame.ok()) {
-    Release();
-    return frame.status();
-  }
-  frame_ = *frame;
-  return Status::OK();
 }
 
 Status PageCache::Cursor::ReadInPage(const PageKey& key, size_t in_page,
@@ -405,7 +420,6 @@ Status PageCache::Cursor::ReadInPage(const PageKey& key, size_t in_page,
 
 Status PageCache::Cursor::Read(uint32_t file_id, uint64_t offset, void* out,
                                size_t len) {
-  Release();  // a read holds no lock
   char* dst = static_cast<char*>(out);
   while (len > 0) {
     const size_t in_page = static_cast<size_t>(offset % kPageSize);
@@ -419,32 +433,37 @@ Status PageCache::Cursor::Read(uint32_t file_id, uint64_t offset, void* out,
   return Status::OK();
 }
 
-Status PageCache::Cursor::Write(uint32_t file_id, uint64_t offset,
-                                const void* data, size_t len) {
-  const char* src = static_cast<const char*>(data);
-  while (len > 0) {
-    const size_t in_page = static_cast<size_t>(offset % kPageSize);
-    const size_t chunk = std::min(len, kPageSize - in_page);
-    GLY_RETURN_NOT_OK(Seek(file_id, offset / kPageSize));
-    frame_->BeginWrite();
-    frame_->StoreBytes(in_page, src, chunk);
-    frame_->EndWrite();
-    frame_->dirty = true;
-    src += chunk;
-    offset += chunk;
-    len -= chunk;
-  }
-  return Status::OK();
-}
-
 Status PageCache::Flush() {
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lock = LockShard(shard);
-    for (size_t slot = 0; slot < shard.never_used; ++slot) {
-      Frame& frame = shard.frames[slot];
-      if (frame.file.load(std::memory_order_relaxed) != 0 && frame.dirty) {
-        GLY_RETURN_NOT_OK(WritebackFrame(frame, &shard.stats));
+  {
+    // Every other path holds at most one shard lock, so taking them all in
+    // index order cannot deadlock.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    for (const Shard& shard : shards_) locks.push_back(LockShard(shard));
+    std::vector<DirtyPage> dirty;
+    for (Shard& shard : shards_) {
+      for (size_t slot = 0; slot < shard.never_used; ++slot) {
+        Frame& frame = shard.frames[slot];
+        const uint32_t file = frame.file.load(std::memory_order_relaxed);
+        if (file != 0 && frame.dirty) {
+          dirty.push_back(
+              {{file - 1, frame.page_no.load(std::memory_order_relaxed)},
+               &frame, &shard});
+        }
       }
+    }
+    std::sort(dirty.begin(), dirty.end(),
+              [](const DirtyPage& a, const DirtyPage& b) {
+                return std::tie(a.key.file_id, a.key.page_no) <
+                       std::tie(b.key.file_id, b.key.page_no);
+              });
+    for (size_t begin = 0, end; begin < dirty.size(); begin = end) {
+      end = begin + 1;
+      while (end < dirty.size() && end - begin < kMaxRunPages &&
+             dirty[end].key.file_id == dirty[begin].key.file_id &&
+             dirty[end].key.page_no == dirty[end - 1].key.page_no + 1) {
+        ++end;
+      }
+      GLY_RETURN_NOT_OK(WritebackRun(&dirty[begin], end - begin));
     }
   }
   std::lock_guard<std::mutex> lock(files_mu_);

@@ -15,11 +15,16 @@
 // seqlock). The shard's mutex is taken only for misses, eviction, writes
 // and Flush(), and for a read whose optimistic copy failed; a try_lock miss
 // is counted in `shard_contention` (surfaced as
-// `graphdb.pagecache.shard_contention`). Flush() writes back every dirty
-// page and fsyncs every file; only the store's bulk import dirties pages.
+// `graphdb.pagecache.shard_contention`). No path holds one shard's lock
+// while it takes another's, except Flush(), which takes them all in index
+// order.
 //
-// Every access goes through a PageCache::Cursor (Read and Write are
-// one-shot cursors) and counts exactly one hit or one miss.
+// Only the store's bulk import dirties pages, one Write per page. Flush()
+// writes the dirty pages back in (file, page) order, each run of
+// consecutive pages with one pwritev, and fsyncs every file.
+//
+// Every page a Read, Write or PageCache::Cursor touches counts exactly one
+// hit or one miss.
 
 #pragma once
 
@@ -74,11 +79,17 @@ class PageCache {
   /// cache. Reads beyond EOF yield zero bytes (fresh pages).
   Status Read(uint32_t file_id, uint64_t offset, void* out, size_t len);
 
-  /// Writes `len` bytes at `offset` through the cache (marks pages dirty).
+  /// Writes `len` bytes at `offset` through the cache and marks the pages
+  /// dirty. Each page is one step: lock its shard, fault the page in, store
+  /// the bytes inside a write section, unlock. A failed step returns with
+  /// no lock held.
   Status Write(uint32_t file_id, uint64_t offset, const void* data,
                size_t len);
 
-  /// Writes all dirty pages back and fsyncs the files.
+  /// Writes every dirty page back in (file, page) order, each run of
+  /// consecutive pages with one pwritev of up to IOV_MAX pages, then fsyncs
+  /// every file. Holds every shard's lock while it writes. A failed run
+  /// leaves its pages dirty for the next Flush.
   Status Flush();
 
   /// Aggregated snapshot across shards (locks each shard briefly). A live
@@ -162,6 +173,22 @@ class PageCache {
   Status EvictClock(Shard& shard, size_t* slot_out);
   Status WritebackFrame(Frame& frame, PageCacheStats* stats);
 
+  /// A dirty frame Flush() writes back, with the shard whose stats count it.
+  struct DirtyPage {
+    PageKey key;
+    Frame* frame;
+    Shard* shard;
+  };
+  /// Writes `count` dirty pages, consecutive pages of one file, with one
+  /// pwritev. The writeback fault point runs once per page; a fault on a
+  /// page writes the pages before it and returns the fault.
+  Status WritebackRun(const DirtyPage* run, size_t count);
+
+  int FdOf(uint32_t file_id) const;
+  /// The IOError of a failed `call` on `file_id`; the file's path is
+  /// copied only here, for the message.
+  Status FileError(const char* call, uint32_t file_id, int err) const;
+
   size_t capacity_pages_;
   std::vector<Shard> shards_;
   mutable std::mutex files_mu_;
@@ -171,7 +198,7 @@ class PageCache {
   std::atomic<uint64_t> lock_free_hits_{0};
 };
 
-/// A page cursor, the way Neo4j's storage engine walks records.
+/// A read cursor, the way Neo4j's storage engine walks records.
 ///
 /// A read copies from the resident frame without a lock: the cursor
 /// remembers the frame it read last, so a walk that stays on a page skips
@@ -179,20 +206,10 @@ class PageCache {
 /// changed during the copy, the read takes the shard lock and looks the
 /// page up as a one-shot Read does (hit/miss and clock accounting,
 /// eviction, the `graphdb.pagecache.read` fault point), then lets the lock
-/// go. So every access counts exactly one hit or one miss, and a read
-/// leaves the cursor holding no lock.
-///
-/// A write holds its page — the shard lock and frame — until the cursor
-/// moves to another shard, reads, or is destroyed, so consecutive writes to
-/// a page cost one lookup. An access that fails leaves the cursor holding
-/// nothing.
-///
-/// The one rule a cursor adds binds only write cursors: while a cursor
-/// holds a page (holds_page()), its thread makes no other call into the
-/// same PageCache — no Read, Write, Flush, stats() or second cursor —
-/// because a call that needs the held shard would deadlock. Cursors on
-/// different threads may share a cache. A cursor is used by one thread at
-/// a time and must not outlive its cache.
+/// go. So every access counts exactly one hit or one miss, and a cursor
+/// never holds a lock between calls. Cursors on different threads may share
+/// a cache. A cursor is used by one thread at a time and must not outlive
+/// its cache.
 class PageCache::Cursor {
  public:
   explicit Cursor(PageCache& cache) : cache_(&cache) {}
@@ -205,27 +222,13 @@ class PageCache::Cursor {
   /// beyond EOF yield zero bytes.
   Status Read(uint32_t file_id, uint64_t offset, void* out, size_t len);
 
-  /// Writes `len` bytes at `offset` (marks the pages dirty), holding the
-  /// last page touched.
-  Status Write(uint32_t file_id, uint64_t offset, const void* data,
-               size_t len);
-
-  /// True while the cursor holds a page for writing, and so its shard's
-  /// lock.
-  bool holds_page() const { return lock_.owns_lock(); }
-
  private:
   /// Copies one page's bytes: lock-free if it can, else under the lock.
   Status ReadInPage(const PageKey& key, size_t in_page, char* dst,
                     size_t len);
-  /// Locks (file_id, page_no)'s shard and positions the cursor on it.
-  Status Seek(uint32_t file_id, uint64_t page_no);
-  void Release();
 
   PageCache* cache_;
-  std::unique_lock<std::mutex> lock_;  // the held shard's lock, if any
-  Shard* shard_ = nullptr;             // the shard lock_ guards
-  Frame* frame_ = nullptr;  // the held page, or else the page read last
+  Frame* frame_ = nullptr;       // the page read last
   uint64_t lock_free_hits_ = 0;  // not yet added to the cache's count
 };
 

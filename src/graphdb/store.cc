@@ -1,6 +1,8 @@
 #include "graphdb/store.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <span>
 
 #include "common/macros.h"
 #include "common/perf_counters.h"
@@ -70,60 +72,72 @@ Status GraphStore::SaveCounts() {
   return cache_->Write(meta_file_, 0, &meta, sizeof(meta));
 }
 
-Status GraphStore::BulkImport(const EdgeList& edges,
-                              const CancelToken* cancel) {
+Status GraphStore::BulkImport(const Graph& graph, const CancelToken* cancel) {
   if (node_count_ != 0 || rel_count_ != 0) {
     return Status::InvalidArgument("BulkImport requires an empty store");
   }
   trace::TraceSpan import_span("graphdb.bulk_import", "graphdb");
   perf::SpanCounters import_counters(&import_span);
-  import_span.SetAttribute("edges", edges.num_edges());
-  // Like neo4j-admin import: records go straight to the store files, which
-  // are flushed and fsynced at the end.
+  import_span.SetAttribute("edges", graph.num_edges());
+  // Like neo4j-admin import: records go straight to the store files, one
+  // page per write, and are flushed and fsynced at the end.
   constexpr size_t kCancelBatch = 4096;
-  // Chain heads are looked up this many edges ahead of use: a destination's
+  constexpr size_t kRelsPerPage = kPageSize / kRelRecordSize;
+  constexpr size_t kNodesPerPage = kPageSize / kNodeRecordSize;
+  static_assert(kCancelBatch % kNodesPerPage == 0);
+  // Chain heads are looked up this many targets ahead of use: a target's
   // head is a random access into `nodes`.
   constexpr size_t kPrefetchDistance = 16;
-  const VertexId n = edges.num_vertices();
-  const size_t m = edges.num_edges();
+  const VertexId n = graph.num_vertices();
   std::vector<NodeRecord> nodes(n);
-  {
-    // Records are written in id order, so one cursor fills each page with
-    // a single lookup. It is released before SaveCounts/Checkpoint call
-    // back into the cache.
-    PageCache::Cursor cursor(*cache_);
-    for (size_t i = 0; i < m; ++i) {
-      if (i % kCancelBatch == 0) {
+  // The relationship records of the page that ends before `rel_id`.
+  std::vector<RelRecord> page;
+  page.reserve(kRelsPerPage);
+  uint64_t rel_id = 0;
+  auto write_page = [&] {
+    const Status written =
+        cache_->Write(rels_file_, (rel_id - page.size()) * kRelRecordSize,
+                      page.data(), page.size() * kRelRecordSize);
+    page.clear();
+    return written;
+  };
+  for (VertexId v = 0; v < n; ++v) {
+    std::span<const VertexId> row = graph.OutNeighbors(v);
+    if (graph.undirected()) {
+      // Each mirrored pair once, from its lower endpoint.
+      row = row.subspan(static_cast<size_t>(
+          std::lower_bound(row.begin(), row.end(), v) - row.begin()));
+    }
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (rel_id % kCancelBatch == 0) {
         GLY_RETURN_NOT_OK(CheckCancel(cancel));
         if (cancel != nullptr) cancel->Heartbeat();
       }
-      if (i + kPrefetchDistance < m) {
-        __builtin_prefetch(&nodes[edges.edges()[i + kPrefetchDistance].dst]);
+      if (i + kPrefetchDistance < row.size()) {
+        __builtin_prefetch(&nodes[row[i + kPrefetchDistance]]);
       }
-      const Edge& e = edges.edges()[i];
-      uint64_t rel_id = i;
-      RelRecord rel;
-      rel.src = e.src;
-      rel.dst = e.dst;
-      rel.in_use = 1;
-      rel.src_next = nodes[e.src].first_rel;
-      nodes[e.src].first_rel = rel_id;
-      if (e.dst != e.src) {
-        rel.dst_next = nodes[e.dst].first_rel;
-        nodes[e.dst].first_rel = rel_id;
-      }
-      GLY_RETURN_NOT_OK(cursor.Write(rels_file_, rel_id * kRelRecordSize,
-                                     &rel, sizeof(rel)));
-    }
-    for (VertexId v = 0; v < n; ++v) {
-      if (v % kCancelBatch == 0) GLY_RETURN_NOT_OK(CheckCancel(cancel));
-      GLY_RETURN_NOT_OK(cursor.Write(nodes_file_,
-                                     uint64_t{v} * kNodeRecordSize, &nodes[v],
-                                     sizeof(NodeRecord)));
+      // A self-loop is on the src chain only.
+      const VertexId w = row[i];
+      page.push_back({.src = v,
+                      .dst = w,
+                      .src_next = nodes[v].first_rel,
+                      .dst_next = w != v ? nodes[w].first_rel : kNilRecord,
+                      .in_use = 1});
+      nodes[v].first_rel = rel_id;
+      nodes[w].first_rel = rel_id;
+      ++rel_id;
+      if (page.size() == kRelsPerPage) GLY_RETURN_NOT_OK(write_page());
     }
   }
+  if (!page.empty()) GLY_RETURN_NOT_OK(write_page());
+  for (VertexId v = 0; v < n; v += kNodesPerPage) {
+    if (v % kCancelBatch == 0) GLY_RETURN_NOT_OK(CheckCancel(cancel));
+    const size_t count = std::min<size_t>(kNodesPerPage, n - v);
+    GLY_RETURN_NOT_OK(cache_->Write(nodes_file_, uint64_t{v} * kNodeRecordSize,
+                                    &nodes[v], count * kNodeRecordSize));
+  }
   node_count_ = n;
-  rel_count_ = m;
+  rel_count_ = rel_id;
   if (cancel != nullptr) cancel->Heartbeat();
   GLY_RETURN_NOT_OK(SaveCounts());
   return Checkpoint();

@@ -18,11 +18,12 @@
 // algorithms then only read. The store has no write transactions, so it
 // keeps no write-ahead log.
 //
-// All access goes through the PageCache. The two record-streaming paths —
-// BulkImport writing records in id order and CollectNeighbors walking a
-// chain — go through one PageCache::Cursor, so consecutive records on a
-// page cost one cache lookup, and chain walks read resident pages without
-// a lock.
+// All access goes through the PageCache. BulkImport reads the CSR rows
+// directly (no edge-list copy) and stages records one page at a time, so
+// each 8 KiB page costs one PageCache::Write; CollectNeighbors walks a
+// chain through one PageCache::Cursor, so consecutive records on a page
+// cost one cache lookup, and chain walks read resident pages without a
+// lock.
 
 #pragma once
 
@@ -33,7 +34,7 @@
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "graph/edge_list.h"
+#include "graph/graph.h"
 #include "graphdb/page_cache.h"
 
 namespace gly::graphdb {
@@ -58,12 +59,14 @@ class GraphStore {
   /// Opens (creating if empty) a store and reads its counts.
   static Result<std::unique_ptr<GraphStore>> Open(const StoreConfig& config);
 
-  /// Bulk-imports an edge list into an empty store (the Graphalytics
-  /// "dataset loading method"). Nodes are [0, num_vertices). Each input
-  /// edge becomes one relationship record. `cancel` (optional) is polled
-  /// every few thousand records; a cancelled import returns the token's
+  /// Bulk-imports `graph` into an empty store (the Graphalytics "dataset
+  /// loading method"). Nodes are [0, num_vertices). Each logical edge
+  /// becomes one relationship record, in row order: rows ascending, each
+  /// row's targets ascending, and on an undirected graph only the entries
+  /// with target >= row (Graph::ToEdgeList's order). `cancel` (optional) is
+  /// polled every 4096 records; a cancelled import returns the token's
   /// Status and leaves the store un-checkpointed (discard it).
-  Status BulkImport(const EdgeList& edges, const CancelToken* cancel = nullptr);
+  Status BulkImport(const Graph& graph, const CancelToken* cancel = nullptr);
 
   uint64_t node_count() const { return node_count_; }
   uint64_t relationship_count() const { return rel_count_; }

@@ -282,7 +282,7 @@ class Neo4jLikePlatform final : public Platform {
                              std::to_string(load_counter_++);
     store_config.page_cache_bytes = page_cache_bytes_;
     GLY_ASSIGN_OR_RETURN(store_, graphdb::GraphStore::Open(store_config));
-    GLY_RETURN_NOT_OK(store_->BulkImport(graph.ToEdgeList(), load_cancel_));
+    GLY_RETURN_NOT_OK(store_->BulkImport(graph, load_cancel_));
     undirected_ = graph.undirected();
     return Status::OK();
   }

@@ -31,9 +31,14 @@ Graph RandomUndirected(VertexId n, size_t m, uint64_t seed) {
   return GraphBuilder::Undirected(edges).ValueOrDie();
 }
 
-// A fresh store under `dir`, bulk-imported from `edges`.
+// The directed graph of `edges`, as the store imports it.
+Graph Directed(const EdgeList& edges) {
+  return GraphBuilder::Directed(edges).ValueOrDie();
+}
+
+// A fresh store under `dir`, bulk-imported from `graph`.
 std::unique_ptr<GraphStore> ImportedStore(
-    const TempDir& dir, const EdgeList& edges,
+    const TempDir& dir, const Graph& graph,
     uint64_t page_cache_bytes = StoreConfig{}.page_cache_bytes) {
   StoreConfig config;
   config.directory = dir.File("store");
@@ -41,7 +46,7 @@ std::unique_ptr<GraphStore> ImportedStore(
   auto store = GraphStore::Open(config);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   if (!store.ok()) return nullptr;
-  Status imported = (*store)->BulkImport(edges);
+  Status imported = (*store)->BulkImport(graph);
   EXPECT_TRUE(imported.ok()) << imported.ToString();
   return std::move(*store);
 }
@@ -222,7 +227,7 @@ TEST(GraphStoreTest, BulkImportAndNeighbors) {
   edges.Add(0, 1);
   edges.Add(0, 2);
   edges.Add(1, 2);
-  auto store = ImportedStore(*dir, edges);
+  auto store = ImportedStore(*dir, Directed(edges));
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->node_count(), 3u);
   EXPECT_EQ(store->relationship_count(), 3u);
@@ -242,7 +247,7 @@ TEST(GraphStoreTest, ReopenReadsBackImportedStore) {
   ASSERT_TRUE(dir.ok());
   Graph g = RandomUndirected(400, 1600, 42);
   {
-    auto store = ImportedStore(*dir, g.ToEdgeList());
+    auto store = ImportedStore(*dir, g);
     ASSERT_NE(store, nullptr);
   }
   StoreConfig config;
@@ -250,13 +255,13 @@ TEST(GraphStoreTest, ReopenReadsBackImportedStore) {
   auto store = GraphStore::Open(config);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ((*store)->node_count(), g.num_vertices());
-  EXPECT_EQ((*store)->relationship_count(), g.ToEdgeList().num_edges());
+  EXPECT_EQ((*store)->relationship_count(), g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_EQ(SortedNeighbors(**store, v, Direction::kBoth), CsrNeighbors(g, v))
         << "vertex " << v;
   }
   // The loaded counts mark the store as imported.
-  EXPECT_TRUE((*store)->BulkImport(g.ToEdgeList()).IsInvalidArgument());
+  EXPECT_TRUE((*store)->BulkImport(g).IsInvalidArgument());
 }
 
 TEST(GraphStoreTest, WorksWithTinyPageCache) {
@@ -264,7 +269,7 @@ TEST(GraphStoreTest, WorksWithTinyPageCache) {
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
   Graph g = RandomUndirected(500, 2000, 41);
-  auto store = ImportedStore(*dir, g.ToEdgeList(), 4 * kPageSize);
+  auto store = ImportedStore(*dir, g, 4 * kPageSize);
   ASSERT_NE(store, nullptr);
   // Spot-check neighborhoods against the CSR graph.
   for (VertexId v = 0; v < 500; v += 37) {
@@ -283,7 +288,7 @@ TEST(TraversalTest, BfsOrderDepths) {
   edges.Add(0, 1);
   edges.Add(1, 2);
   edges.Add(2, 3);
-  auto store = ImportedStore(*dir, edges);
+  auto store = ImportedStore(*dir, Directed(edges));
   ASSERT_NE(store, nullptr);
   std::vector<uint32_t> depth(4, 99);
   TraversalStats stats;
@@ -313,7 +318,7 @@ TEST(TraversalTest, CancelStopsTheWalkWithinOnePollBatch) {
   ASSERT_TRUE(dir.ok());
   EdgeList edges(kNodes);
   for (VertexId v = 0; v + 1 < kNodes; ++v) edges.Add(v, v + 1);
-  auto store = ImportedStore(*dir, edges);
+  auto store = ImportedStore(*dir, Directed(edges));
   ASSERT_NE(store, nullptr);
   CancelToken token;
   uint64_t visits = 0;
@@ -338,7 +343,7 @@ TEST(TraversalTest, RejectsBadSeed) {
   ASSERT_TRUE(dir.ok());
   EdgeList edges;
   edges.Add(0, 1);
-  auto store = ImportedStore(*dir, edges);
+  auto store = ImportedStore(*dir, Directed(edges));
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(Traverse(store.get(), 5, Direction::kBoth,
                        [](VertexId, uint32_t) {})
@@ -352,7 +357,7 @@ Result<AlgorithmOutput> RunOnImportedStore(const TempDir& dir, const Graph& g,
                                            AlgorithmKind kind,
                                            const AlgorithmParams& params,
                                            uint64_t memory_budget_bytes = 0) {
-  auto store = ImportedStore(dir, g.ToEdgeList());
+  auto store = ImportedStore(dir, g);
   if (store == nullptr) return Status::Internal("import failed");
   return RunAlgorithmOnStore(store.get(), g.undirected(), memory_budget_bytes,
                              kind, params);

@@ -8,8 +8,8 @@
 //   $ trace_analyze report/trace/trace.json                 # human summary
 //   $ trace_analyze report/trace/trace.json --json          # profile.json
 //   $ trace_analyze report/trace/trace.json --out profile.json
-//   $ trace_analyze report/trace/trace-giraph-g500-BFS.json \
-//       --root harness.cell --top-k 5
+//   $ trace_analyze report/trace/trace-giraph-g500-BFS.json --root harness.cell
+//   $ trace_analyze report/trace/trace.json --top-k 5
 //
 // This is the offline twin of what a `--profile` run computes inline: the
 // same AnalyzeTrace pass, applicable to any trace.json you still have even
