@@ -78,8 +78,7 @@ Result<AlgorithmOutput> RunBfs(Context* ctx, const Graph& graph,
               unexplored_ds,
               [&graph, &traversed, dist, depth](VertexId v) {
                 std::vector<VertexId> won;
-                auto parents = graph.undirected() ? graph.OutNeighbors(v)
-                                                  : graph.InNeighbors(v);
+                auto parents = graph.InNeighbors(v);
                 uint64_t probes = 0;
                 for (VertexId u : parents) {
                   ++probes;

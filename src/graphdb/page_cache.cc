@@ -5,12 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <climits>
 #include <cstring>
 #include <limits>
-#include <tuple>
 
 #include "common/fault_injection.h"
 #include "common/macros.h"
@@ -301,10 +301,11 @@ Status PageCache::EvictClock(Shard& shard, size_t* slot_out) {
       frame.referenced.store(false, std::memory_order_relaxed);
       continue;
     }
-    if (frame.dirty) {
-      GLY_RETURN_NOT_OK(WritebackFrame(frame, &shard.stats));
-    }
     const PageKey key{file - 1, frame.page_no.load(std::memory_order_relaxed)};
+    if (frame.dirty) {
+      const DirtyPage victim{key, &frame, &shard};
+      GLY_RETURN_NOT_OK(Writeback(&victim, 1));
+    }
     frame.BeginWrite();
     frame.SetKey(0, 0);
     frame.EndWrite();
@@ -317,28 +318,17 @@ Status PageCache::EvictClock(Shard& shard, size_t* slot_out) {
   return Status::Internal("page cache clock sweep found no victim");
 }
 
-Status PageCache::WritebackFrame(Frame& frame, PageCacheStats* stats) {
-  GLY_FAULT_POINT("graphdb.pagecache.writeback");
-  const uint32_t file_id = frame.file.load(std::memory_order_relaxed) - 1;
-  const uint64_t page_no = frame.page_no.load(std::memory_order_relaxed);
-  const ssize_t n = ::pwrite(FdOf(file_id), frame.words.get(), kPageSize,
-                             static_cast<off_t>(page_no * kPageSize));
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return FileError("pwrite", file_id, errno);
-  }
-  frame.dirty = false;
-  ++stats->writebacks;
-  return Status::OK();
-}
-
-Status PageCache::WritebackRun(const DirtyPage* run, size_t count) {
-  size_t ready = 0;
+Status PageCache::Writeback(const DirtyPage* run, size_t count) {
+  size_t ready = count;
   Status fault = Status::OK();
-  while (ready < count &&
-         (fault = fault::CheckPoint("graphdb.pagecache.writeback")).ok()) {
-    ++ready;
+#if !defined(GLY_DISABLE_FAULT_POINTS)
+  for (ready = 0; ready < count; ++ready) {
+    fault = fault::CheckPoint("graphdb.pagecache.writeback");
+    if (!fault.ok()) break;
   }
-  std::vector<iovec> iov(ready);
+  if (ready == 0) return fault;
+#endif
+  std::array<iovec, kMaxRunPages> iov;
   for (size_t i = 0; i < ready; ++i) {
     iov[i] = {run[i].frame->words.get(), kPageSize};
   }
@@ -453,8 +443,7 @@ Status PageCache::Flush() {
     }
     std::sort(dirty.begin(), dirty.end(),
               [](const DirtyPage& a, const DirtyPage& b) {
-                return std::tie(a.key.file_id, a.key.page_no) <
-                       std::tie(b.key.file_id, b.key.page_no);
+                return a.key < b.key;
               });
     for (size_t begin = 0, end; begin < dirty.size(); begin = end) {
       end = begin + 1;
@@ -463,7 +452,7 @@ Status PageCache::Flush() {
              dirty[end].key.page_no == dirty[end - 1].key.page_no + 1) {
         ++end;
       }
-      GLY_RETURN_NOT_OK(WritebackRun(&dirty[begin], end - begin));
+      GLY_RETURN_NOT_OK(Writeback(&dirty[begin], end - begin));
     }
   }
   std::lock_guard<std::mutex> lock(files_mu_);

@@ -21,7 +21,8 @@
 //
 // Only the store's bulk import dirties pages, one Write per page. Flush()
 // writes the dirty pages back in (file, page) order, each run of
-// consecutive pages with one pwritev, and fsyncs every file.
+// consecutive pages with one pwritev, and fsyncs every file; an eviction
+// writes its dirty victim back the same way, as a one-page run.
 //
 // Every page a Read, Write or PageCache::Cursor touches counts exactly one
 // hit or one miss.
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -102,6 +104,7 @@ class PageCache {
   struct PageKey {
     uint32_t file_id;
     uint64_t page_no;
+    auto operator<=>(const PageKey&) const = default;  // file order
   };
   struct PageKeyHash {
     size_t operator()(const PageKey& k) const {
@@ -171,18 +174,19 @@ class PageCache {
   /// entry points to, and makes it that page's frame.
   Status FillFrame(Frame& frame, uint32_t file_id, uint64_t page_no);
   Status EvictClock(Shard& shard, size_t* slot_out);
-  Status WritebackFrame(Frame& frame, PageCacheStats* stats);
 
-  /// A dirty frame Flush() writes back, with the shard whose stats count it.
+  /// A dirty frame to write back, with the shard whose stats count it.
   struct DirtyPage {
     PageKey key;
     Frame* frame;
     Shard* shard;
   };
-  /// Writes `count` dirty pages, consecutive pages of one file, with one
-  /// pwritev. The writeback fault point runs once per page; a fault on a
-  /// page writes the pages before it and returns the fault.
-  Status WritebackRun(const DirtyPage* run, size_t count);
+  /// The one write-back path: writes `count` (at most IOV_MAX) dirty
+  /// pages, consecutive pages of one file, with one pwritev. Flush() passes
+  /// each run of its sorted dirty pages, an eviction its one victim. The
+  /// writeback fault point runs once per page; a fault on a page writes the
+  /// pages before it and returns the fault.
+  Status Writeback(const DirtyPage* run, size_t count);
 
   int FdOf(uint32_t file_id) const;
   /// The IOError of a failed `call` on `file_id`; the file's path is

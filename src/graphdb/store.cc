@@ -86,7 +86,10 @@ Status GraphStore::BulkImport(const Graph& graph, const CancelToken* cancel) {
   constexpr size_t kNodesPerPage = kPageSize / kNodeRecordSize;
   static_assert(kCancelBatch % kNodesPerPage == 0);
   // Chain heads are looked up this many targets ahead of use: a target's
-  // head is a random access into `nodes`.
+  // head is a random access into `nodes`. The look-ahead stays inside a
+  // row: on the SNB person graph it still reaches a third of the records,
+  // those of the long rows, and cuts the record loop by about a fifth;
+  // looking ahead across rows measured no faster (DESIGN.md §13).
   constexpr size_t kPrefetchDistance = 16;
   const VertexId n = graph.num_vertices();
   std::vector<NodeRecord> nodes(n);

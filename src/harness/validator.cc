@@ -171,8 +171,7 @@ Status CertifyBfs(const Graph& graph, VertexId source,
       }
     }
     if (v == source) continue;
-    auto parents =
-        graph.undirected() ? graph.OutNeighbors(v) : graph.InNeighbors(v);
+    auto parents = graph.InNeighbors(v);
     if (std::none_of(parents.begin(), parents.end(),
                      [&](VertexId u) { return dist[u] == d - 1; })) {
       return Status::ValidationFailed(StringPrintf(

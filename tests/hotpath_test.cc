@@ -624,11 +624,16 @@ constexpr GraphdbRow kGraphdbGolden[] = {
      {1u, 23u, 0u, 23u}, {78u, 23u, 0u, 23u}},
 };
 
+// The bytes of a whole file.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 // CRC32C of a whole file.
 uint32_t FileCrc(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
+  const std::string bytes = FileBytes(path);
   return Crc32c(bytes.data(), bytes.size());
 }
 
@@ -977,12 +982,16 @@ TEST(PageCacheHotpath, FailedFlushRunLeavesLaterPagesDirty) {
   // is still dirty when the import's flush writes them back: nodes.db's
   // run, then rels.db's, then meta.db's. The writeback fault point fails
   // once, on its 13th page, the 11th of the rels.db run: the 12 pages
-  // before it are written and counted, the rest stay dirty.
+  // before it are written and counted, the rest stay dirty. The files on
+  // disk show the order: nodes.db whole, rels.db's first 10 pages, no
+  // meta.db page (a flush in shard order would leave gaps and other
+  // sizes).
   const Graph g = TestGraph();
   auto dir = TempDir::Create("gly-hotpath-cursor");
   ASSERT_TRUE(dir.ok());
   graphdb::StoreConfig config;
   config.directory = dir->path() + "/store";
+  const std::string at = config.directory + "/";
   {
     auto store = graphdb::GraphStore::Open(config);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -999,11 +1008,19 @@ TEST(PageCacheHotpath, FailedFlushRunLeavesLaterPagesDirty) {
     EXPECT_EQ(plan.HitCount("graphdb.pagecache.writeback"), 13u);
     EXPECT_EQ(plan.TriggeredCount("graphdb.pagecache.writeback"), 1u);
     EXPECT_EQ((*store)->cache_stats().writebacks, 12u);
+    EXPECT_EQ(FileBytes(at + "nodes.db").size(), 2 * graphdb::kPageSize);
+    const std::string rels_head = FileBytes(at + "rels.db");
+    EXPECT_EQ(rels_head.size(), 10 * graphdb::kPageSize);
+    EXPECT_EQ(FileBytes(at + "meta.db").size(), 0u);
     // The second flush writes the 11 pages left and fsyncs.
     MustFinish("Checkpoint after a failed flush run", [&] {
       EXPECT_TRUE((*store)->Checkpoint().ok());
     });
     EXPECT_EQ((*store)->cache_stats().writebacks, 23u);
+    const std::string rels = FileBytes(at + "rels.db");
+    EXPECT_EQ(rels.size(), 20 * graphdb::kPageSize);
+    EXPECT_EQ(rels.compare(0, rels_head.size(), rels_head), 0);
+    EXPECT_EQ(FileBytes(at + "meta.db").size(), graphdb::kPageSize);
   }
   auto reopened = graphdb::GraphStore::Open(config);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
