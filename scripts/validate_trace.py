@@ -12,9 +12,7 @@ kind "gly.trace".
 
 Files ending in .jsonl are checked as metrics exports: a schema header
 line {"schema_version": 1, "kind": "gly.metrics"} followed by one metric
-object per line, each a counter ("value"), gauge ("value"), or histogram
-(count/min/max/mean/p50/p95/p99/items, where items is a list of
-[value, count] pairs summing to count).
+object per line, each a counter or a gauge with a numeric "value".
 
 JSON files whose top level declares kind "gly.profile" are checked as
 profile.json documents (DESIGN.md §14): schema_version 1, numeric
@@ -227,20 +225,6 @@ def validate_metrics(path):
                                        or metric["value"] < 0):
                 fail(path, f"line {i}: counter {name!r} must be a "
                            f"non-negative integer")
-        elif mtype == "histogram":
-            for key in ("count", "min", "max", "mean", "p50", "p95", "p99",
-                        "items"):
-                if key not in metric:
-                    fail(path, f"line {i}: histogram {name!r} missing "
-                               f"{key!r}")
-            items = metric["items"]
-            if not isinstance(items, list) or any(
-                    not (isinstance(p, list) and len(p) == 2) for p in items):
-                fail(path, f"line {i}: histogram {name!r} items must be "
-                           f"[value, count] pairs")
-            if sum(count for _, count in items) != metric["count"]:
-                fail(path, f"line {i}: histogram {name!r} item counts do "
-                           f"not sum to count")
         else:
             fail(path, f"line {i}: unknown metric type {mtype!r}")
     print(f"validate_trace: {path}: ok — {len(names)} metrics")

@@ -98,23 +98,6 @@ Result<bool> Config::GetBool(const std::string& key) const {
   return Status::InvalidArgument("cannot parse bool: '" + s + "'");
 }
 
-std::string Config::GetStringOr(const std::string& key, std::string def) const {
-  auto r = GetString(key);
-  return r.ok() ? r.ValueOrDie() : std::move(def);
-}
-uint64_t Config::GetUintOr(const std::string& key, uint64_t def) const {
-  auto r = GetUint(key);
-  return r.ok() ? r.ValueOrDie() : def;
-}
-double Config::GetDoubleOr(const std::string& key, double def) const {
-  auto r = GetDouble(key);
-  return r.ok() ? r.ValueOrDie() : def;
-}
-bool Config::GetBoolOr(const std::string& key, bool def) const {
-  auto r = GetBool(key);
-  return r.ok() ? r.ValueOrDie() : def;
-}
-
 std::vector<std::string> Config::KeysWithPrefix(const std::string& prefix) const {
   std::vector<std::string> out;
   for (auto it = values_.lower_bound(prefix); it != values_.end(); ++it) {
@@ -142,24 +125,6 @@ std::string Config::ToString() const {
     out += '\n';
   }
   return out;
-}
-
-Status ReadSetDouble(const Config& config, const std::string& key,
-                     double* value, const std::string& scope) {
-  if (!config.Has(key)) return Status::OK();
-  Result<double> parsed = config.GetDouble(key);
-  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
-  *value = *parsed;
-  return Status::OK();
-}
-
-Status ReadSetBool(const Config& config, const std::string& key, bool* value,
-                   const std::string& scope) {
-  if (!config.Has(key)) return Status::OK();
-  Result<bool> parsed = config.GetBool(key);
-  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
-  *value = *parsed;
-  return Status::OK();
 }
 
 }  // namespace gly

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,13 +41,6 @@ class Config {
   Result<double> GetDouble(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;
 
-  /// Getters with defaults; never fail (a malformed value also yields the
-  /// default).
-  std::string GetStringOr(const std::string& key, std::string def) const;
-  uint64_t GetUintOr(const std::string& key, uint64_t def) const;
-  double GetDoubleOr(const std::string& key, double def) const;
-  bool GetBoolOr(const std::string& key, bool def) const;
-
   /// All keys with the given prefix, in sorted order.
   std::vector<std::string> KeysWithPrefix(const std::string& prefix) const;
 
@@ -63,31 +55,5 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
-
-/// Reads an optional unsigned key into `*value`: an unset key leaves
-/// `*value` as it is, but a set one must parse and fit in T, or the
-/// InvalidArgument names `scope` + `key`. `scope` is the prefix a Scoped
-/// config dropped ("graphx."), so the error names the key as written.
-template <typename T>
-Status ReadSetUint(const Config& config, const std::string& key, T* value,
-                   const std::string& scope = "") {
-  if (!config.Has(key)) return Status::OK();
-  Result<uint64_t> parsed = config.GetUint(key);
-  if (!parsed.ok()) return parsed.status().WithPrefix(scope + key);
-  if (*parsed > std::numeric_limits<T>::max()) {
-    return Status::InvalidArgument(scope + key + ": " +
-                                   std::to_string(*parsed) +
-                                   " is out of range");
-  }
-  *value = static_cast<T>(*parsed);
-  return Status::OK();
-}
-
-/// ReadSetUint's twins for a double and a bool key: an unset key leaves
-/// `*value` as it is, a set one must parse.
-Status ReadSetDouble(const Config& config, const std::string& key,
-                     double* value, const std::string& scope = "");
-Status ReadSetBool(const Config& config, const std::string& key, bool* value,
-                   const std::string& scope = "");
 
 }  // namespace gly

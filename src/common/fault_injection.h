@@ -11,8 +11,7 @@
 //
 // Engines mark instrumentation sites with GLY_FAULT_POINT("engine.site")
 // (error-returning sites) or GLY_FAULT_DROP("engine.site") (message-loss
-// query sites). With no plan installed a site is one relaxed atomic load;
-// compiling with GLY_DISABLE_FAULT_POINTS removes the sites entirely.
+// query sites). With no plan installed a site is one relaxed atomic load.
 //
 // Activation is process-global and scoped:
 //
@@ -172,15 +171,6 @@ inline bool ShouldDrop(const char* site) {
 
 }  // namespace gly::fault
 
-#if defined(GLY_DISABLE_FAULT_POINTS)
-
-#define GLY_FAULT_POINT(site) \
-  do {                        \
-  } while (false)
-#define GLY_FAULT_DROP(site) false
-
-#else
-
 /// Marks an error-returning fault site: if the active plan injects a fault
 /// here, the enclosing function returns the injected Status (works in
 /// functions returning Status or Result<T>).
@@ -195,5 +185,3 @@ inline bool ShouldDrop(const char* site) {
 /// Marks a message-loss fault site: evaluates to true when the active plan
 /// drops the message at this site.
 #define GLY_FAULT_DROP(site) ::gly::fault::ShouldDrop(site)
-
-#endif  // GLY_DISABLE_FAULT_POINTS

@@ -22,11 +22,6 @@ class Histogram {
   /// Mean of all observations (0 when empty).
   double Mean() const;
 
-  /// p in [0, 1]; returns the smallest value v such that at least p of the
-  /// mass lies at values <= v. 0 when empty.
-  uint64_t Percentile(double p) const;
-
-  uint64_t Min() const;
   uint64_t Max() const;
 
   /// All (value, count) pairs in increasing value order.

@@ -31,26 +31,9 @@ Gauge* Registry::GetGauge(std::string_view name) {
   return it->second.get();
 }
 
-HistogramMetric* Registry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<HistogramMetric>())
-             .first;
-  }
-  return it->second.get();
-}
-
 std::map<std::string, MetricValue> Registry::Snapshot() const {
   std::map<std::string, MetricValue> out;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, histogram] : histograms_) {
-    MetricValue v;
-    v.type = MetricValue::Type::kHistogram;
-    v.histogram = histogram->Snapshot();
-    out[name] = std::move(v);
-  }
   for (const auto& [name, gauge] : gauges_) {
     MetricValue v;
     v.type = MetricValue::Type::kGauge;
@@ -82,36 +65,6 @@ std::string Registry::ToJsonl() const {
         out += "\"type\":\"gauge\",\"value\":";
         out += StringPrintf("%.9g", v.gauge);
         break;
-      case MetricValue::Type::kHistogram: {
-        const Histogram& h = v.histogram;
-        out += "\"type\":\"histogram\",\"count\":";
-        out += std::to_string(h.total_count());
-        out += ",\"min\":";
-        out += std::to_string(h.Min());
-        out += ",\"max\":";
-        out += std::to_string(h.Max());
-        out += ",\"mean\":";
-        out += StringPrintf("%.9g", h.Mean());
-        out += ",\"p50\":";
-        out += std::to_string(h.Percentile(0.5));
-        out += ",\"p95\":";
-        out += std::to_string(h.Percentile(0.95));
-        out += ",\"p99\":";
-        out += std::to_string(h.Percentile(0.99));
-        out += ",\"items\":[";
-        bool first = true;
-        for (const auto& [value, count] : h.Items()) {
-          if (!first) out += ',';
-          first = false;
-          out += '[';
-          out += std::to_string(value);
-          out += ',';
-          out += std::to_string(count);
-          out += ']';
-        }
-        out += ']';
-        break;
-      }
     }
     out += "}\n";
   }
@@ -120,8 +73,7 @@ std::string Registry::ToJsonl() const {
 
 namespace {
 
-// One metric line of metrics.jsonl, added to *out. Histograms are rebuilt
-// from their exact `items` pairs; the summary fields are derived.
+// One metric line of metrics.jsonl, added to *out.
 Status DecodeMetricLine(const json::Value& line, uint64_t schema_version,
                         std::map<std::string, MetricValue>* out) {
   GLY_ASSIGN_OR_RETURN(std::string name, line.Get<std::string>("name"));
@@ -133,19 +85,6 @@ Status DecodeMetricLine(const json::Value& line, uint64_t schema_version,
   } else if (type == "gauge") {
     v.type = MetricValue::Type::kGauge;
     GLY_ASSIGN_OR_RETURN(v.gauge, line.Get<double>("value"));
-  } else if (type == "histogram") {
-    v.type = MetricValue::Type::kHistogram;
-    GLY_ASSIGN_OR_RETURN(const json::Value::Array* items,
-                         line.GetArray("items"));
-    for (const json::Value& item : *items) {
-      const json::Value::Array* pair = item.array();
-      if (pair == nullptr || pair->size() != 2) {
-        return Status::InvalidArgument("malformed histogram pair: " + name);
-      }
-      GLY_ASSIGN_OR_RETURN(uint64_t value, (*pair)[0].As<uint64_t>());
-      GLY_ASSIGN_OR_RETURN(uint64_t count, (*pair)[1].As<uint64_t>());
-      v.histogram.Add(value, count);
-    }
   } else if (schema_version <= 1) {
     // Version 1 has a closed type set, so an unknown type there is
     // corruption; newer versions may add types this reader skips.

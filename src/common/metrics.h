@@ -1,12 +1,12 @@
 // Process-wide metrics registry — the counting half of the observability
 // layer (trace.h holds the timeline half). Engines increment named
-// counters (`pregel.messages_sent`), set gauges, and observe histogram
-// samples; the harness snapshots the registry per run and exports it as
-// schema-versioned `metrics.jsonl` (v1, like bench_util.h's bench JSON).
+// counters (`pregel.messages_sent`) and set gauges; the harness snapshots
+// the registry per run and exports it as schema-versioned `metrics.jsonl`
+// (v1, like bench_util.h's bench JSON).
 //
 // Hot-path cost: a Counter::Add is one relaxed atomic fetch_add on a
 // pointer obtained once; with no registry installed the inline helpers
-// (AddCounter/SetGauge/Observe) are a single relaxed atomic load.
+// (AddCounter/SetGauge) are a single relaxed atomic load.
 // Activation follows the same scoped-global pattern as trace.h and
 // fault_injection.h: install with ScopedRegistry, and instrumented code
 // needs no plumbing.
@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/result.h"
 
 namespace gly::metrics {
@@ -52,31 +51,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Histogram of non-negative integer observations (mutex-guarded; use for
-/// per-event samples, not per-element hot loops).
-class HistogramMetric {
- public:
-  void Observe(uint64_t value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    histogram_.Add(value);
-  }
-  Histogram Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return histogram_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  Histogram histogram_;
-};
-
 /// One metric in a registry snapshot.
 struct MetricValue {
-  enum class Type { kCounter, kGauge, kHistogram };
+  enum class Type { kCounter, kGauge };
   Type type = Type::kCounter;
   uint64_t counter = 0;
   double gauge = 0.0;
-  Histogram histogram;
 };
 
 /// Named metric registry. Get* return stable pointers (the registry owns
@@ -90,10 +70,9 @@ class Registry {
 
   /// Create-on-first-use lookups. Names are expected to be unique across
   /// metric types; reusing one name for two types makes the snapshot keep
-  /// only one of them (counter wins over gauge wins over histogram).
+  /// only one of them (the counter).
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  HistogramMetric* GetHistogram(std::string_view name);
 
   /// Current values of every metric, keyed by name (sorted — map).
   std::map<std::string, MetricValue> Snapshot() const;
@@ -118,8 +97,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
-      histograms_;
 };
 
 namespace internal {
@@ -155,11 +132,6 @@ inline void AddCounter(std::string_view name, uint64_t delta = 1) {
 /// Sets gauge `name` on the active registry; no-op when none installed.
 inline void SetGauge(std::string_view name, double value) {
   if (Registry* r = ActiveRegistry()) r->GetGauge(name)->Set(value);
-}
-
-/// Observes `value` into histogram `name`; no-op when none installed.
-inline void Observe(std::string_view name, uint64_t value) {
-  if (Registry* r = ActiveRegistry()) r->GetHistogram(name)->Observe(value);
 }
 
 }  // namespace gly::metrics

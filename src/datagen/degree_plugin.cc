@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "common/config.h"
 #include "common/macros.h"
@@ -165,9 +166,29 @@ Result<std::unique_ptr<DegreePlugin>> MakeDegreePlugin(
     }
     GLY_ASSIGN_OR_RETURN(args, Config::Parse(text));
   }
+  // The arguments each family takes; every one must parse (zeta's `max` as
+  // an unsigned integer, the others as numbers), or the error names the spec
+  // and the argument.
+  static const std::map<std::string, std::vector<std::string>> kArgs = {
+      {"zeta", {"alpha", "max"}}, {"geometric", {"p"}},
+      {"weibull", {"shape", "scale"}}, {"poisson", {"lambda"}},
+      {"facebook", {"mean"}}};
+  const auto family = kArgs.find(kind);
+  if (family == kArgs.end()) {
+    return Status::InvalidArgument("unknown degree plugin: '" + kind + "'");
+  }
+  const std::string context = "degree spec '" + spec + "': ";
+  for (const std::string& name : args.KeysWithPrefix("")) {
+    if (std::count(family->second.begin(), family->second.end(), name) == 0) {
+      return Status::InvalidArgument(context + "unknown argument '" + name + "'");
+    }
+    Status parsed = name == "max" ? args.GetUint(name).status()
+                                  : args.GetDouble(name).status();
+    GLY_RETURN_NOT_OK(parsed.WithPrefix(context + name));
+  }
   if (kind == "zeta") {
     GLY_ASSIGN_OR_RETURN(double alpha, args.GetDouble("alpha"));
-    uint64_t max = args.GetUintOr("max", 10000);
+    const uint64_t max = args.Has("max") ? *args.GetUint("max") : 10000;
     if (alpha <= 1.0) {
       return Status::InvalidArgument("zeta plugin requires alpha > 1");
     }
@@ -195,11 +216,8 @@ Result<std::unique_ptr<DegreePlugin>> MakeDegreePlugin(
     }
     return {std::make_unique<PoissonDegreePlugin>(lambda)};
   }
-  if (kind == "facebook") {
-    double mean = args.GetDoubleOr("mean", 30.0);
-    return {std::make_unique<FacebookDegreePlugin>(mean)};
-  }
-  return Status::InvalidArgument("unknown degree plugin: '" + kind + "'");
+  const double mean = args.Has("mean") ? *args.GetDouble("mean") : 30.0;
+  return {std::make_unique<FacebookDegreePlugin>(mean)};
 }
 
 }  // namespace gly::datagen

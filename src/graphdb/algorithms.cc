@@ -359,6 +359,9 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
 
   const CancelToken* cancel = params.cancel;
   GLY_RETURN_NOT_OK(CheckCancel(cancel));
+  // The store's counters run from when it was opened; this run's are the
+  // difference.
+  const PageCacheStats before = store->cache_stats();
   Result<AlgorithmOutput> result = Status::Internal("unreached");
   switch (kind) {
     case AlgorithmKind::kBfs:
@@ -387,7 +390,11 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
   if (!result.ok()) return result.status();
   DbRunStats stats;
   stats.relationships_expanded = result->traversed_edges;
-  stats.cache = store->cache_stats();
+  const PageCacheStats after = store->cache_stats();
+  stats.cache = {after.hits - before.hits, after.misses - before.misses,
+                 after.evictions - before.evictions,
+                 after.writebacks - before.writebacks,
+                 after.shard_contention - before.shard_contention};
   metrics::SetGauge("graphdb.pagecache.shard_contention",
                     static_cast<double>(stats.cache.shard_contention));
   if (stats_out != nullptr) *stats_out = stats;

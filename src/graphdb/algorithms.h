@@ -24,7 +24,7 @@ namespace gly::graphdb {
 /// Per-run statistics.
 struct DbRunStats {
   uint64_t relationships_expanded = 0;
-  PageCacheStats cache;
+  PageCacheStats cache;  ///< this run's page-cache traffic only
 };
 
 /// Runs `kind` on a bulk-imported store (the import cost is ETL, which the

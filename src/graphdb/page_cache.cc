@@ -319,15 +319,13 @@ Status PageCache::EvictClock(Shard& shard, size_t* slot_out) {
 }
 
 Status PageCache::Writeback(const DirtyPage* run, size_t count) {
-  size_t ready = count;
+  size_t ready = 0;
   Status fault = Status::OK();
-#if !defined(GLY_DISABLE_FAULT_POINTS)
-  for (ready = 0; ready < count; ++ready) {
+  for (; ready < count; ++ready) {
     fault = fault::CheckPoint("graphdb.pagecache.writeback");
     if (!fault.ok()) break;
   }
   if (ready == 0) return fault;
-#endif
   std::array<iovec, kMaxRunPages> iov;
   for (size_t i = 0; i < ready; ++i) {
     iov[i] = {run[i].frame->words.get(), kPageSize};

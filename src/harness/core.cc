@@ -392,6 +392,9 @@ class BenchmarkRun {
   // mid-matrix leaves a valid journal behind.
   Status OpenJournal() {
     if (spec_.journal_path.empty()) return Status::OK();
+    std::error_code ec;
+    std::filesystem::create_directories(
+        std::filesystem::path(spec_.journal_path).parent_path(), ec);
     if (spec_.resume) {
       SealTornJournalTail(spec_.journal_path);
       journal_cells_ = LoadJournal(spec_.journal_path);

@@ -1,6 +1,6 @@
 // Platform adapters binding the four substrates to the harness interface.
 
-#include <limits>
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -12,6 +12,7 @@
 #include "graph/io.h"
 #include "graphdb/algorithms.h"
 #include "harness/platform.h"
+#include "harness/run_config.h"
 #include "mapreduce/graph_jobs.h"
 #include "pregel/algorithms.h"
 
@@ -19,71 +20,7 @@ namespace gly::harness {
 
 namespace {
 
-// Shared config plumbing.
-struct CommonOptions {
-  std::string scope;  ///< "<platform>.", the prefix errors name keys with
-  uint64_t memory_budget_bytes = 0;
-  uint32_t workers = 8;
-  uint32_t threads = 0;
-};
-
-// A set `<scope>key` in MiB, as bytes; a size whose `<< 20` overflows is
-// out of range.
-Status ReadSetMib(const Config& config, const std::string& key,
-                  uint64_t* bytes, const std::string& scope) {
-  uint64_t mib = *bytes >> 20;
-  GLY_RETURN_NOT_OK(ReadSetUint(config, key, &mib, scope));
-  if (mib > std::numeric_limits<uint64_t>::max() >> 20) {
-    return Status::InvalidArgument(StringPrintf(
-        "%s%s: %llu MiB is out of range", scope.c_str(), key.c_str(),
-        (unsigned long long)mib));
-  }
-  *bytes = mib << 20;
-  return Status::OK();
-}
-
-// Every platform key is read this way: an unset key keeps its default, but
-// a set one must parse and fit. A silent fallback would turn
-// `graphx.memory_budget_mb = 1MB` into a run with no budget, and erase
-// Figure 4's GraphX failures.
-Result<CommonOptions> ReadCommon(const std::string& name,
-                                 const Config& config) {
-  CommonOptions opts;
-  opts.scope = name + ".";
-  GLY_RETURN_NOT_OK(ReadSetMib(config, "memory_budget_mb",
-                               &opts.memory_budget_bytes, opts.scope));
-  GLY_RETURN_NOT_OK(
-      ReadSetUint(config, "workers", &opts.workers, opts.scope));
-  GLY_RETURN_NOT_OK(
-      ReadSetUint(config, "threads", &opts.threads, opts.scope));
-  return opts;
-}
-
 // ----------------------------------------------------------------- Giraph
-
-Result<pregel::EngineConfig> ReadGiraph(const CommonOptions& opts,
-                                        const Config& config) {
-  const std::string& scope = opts.scope;
-  pregel::EngineConfig engine;
-  engine.num_workers = opts.workers;
-  engine.num_threads = opts.threads;
-  engine.memory_budget_bytes = opts.memory_budget_bytes;
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "network_mib_per_s",
-                                  &engine.network_mib_per_s, scope));
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "barrier_latency_s",
-                                  &engine.barrier_latency_s, scope));
-  GLY_RETURN_NOT_OK(ReadSetUint(config, "checkpoint_interval",
-                                &engine.checkpoint.interval, scope));
-  GLY_RETURN_NOT_OK(ReadSetUint(config, "checkpoint_max_recoveries",
-                                &engine.checkpoint.max_recoveries, scope));
-  engine.checkpoint.directory = config.GetStringOr("checkpoint_dir", "");
-  // Traversal-kernel knob: 0 disables the dense-frontier fast path (the
-  // pre-optimization engine that fig4's bfs_pregel_classic record
-  // measures).
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "dense_frontier_threshold",
-                                  &engine.dense_frontier_threshold, scope));
-  return engine;
-}
 
 class GiraphLikePlatform final : public Platform {
  public:
@@ -139,22 +76,6 @@ class GiraphLikePlatform final : public Platform {
 
 // ----------------------------------------------------------------- GraphX
 
-Result<dataflow::ContextConfig> ReadGraphX(const CommonOptions& opts,
-                                           const Config& config) {
-  const std::string& scope = opts.scope;
-  dataflow::ContextConfig context;
-  context.num_partitions = opts.workers;
-  context.num_threads = opts.threads;
-  context.memory_budget_bytes = opts.memory_budget_bytes;
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "object_overhead_factor",
-                                  &context.object_overhead_factor, scope));
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "shuffle_mib_per_s",
-                                  &context.shuffle_mib_per_s, scope));
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "materialize_mib_per_s",
-                                  &context.materialize_mib_per_s, scope));
-  return context;
-}
-
 class GraphXLikePlatform final : public Platform {
  public:
   explicit GraphXLikePlatform(const dataflow::ContextConfig& context)
@@ -192,23 +113,6 @@ class GraphXLikePlatform final : public Platform {
 };
 
 // -------------------------------------------------------------- MapReduce
-
-Result<mapreduce::PlatformConfig> ReadMapReduce(const CommonOptions& opts,
-                                                const Config& config) {
-  const std::string& scope = opts.scope;
-  mapreduce::PlatformConfig platform;
-  platform.job.num_mappers = opts.workers;
-  platform.job.num_reducers = opts.workers;
-  GLY_RETURN_NOT_OK(ReadSetMib(config, "sort_buffer_mb",
-                               &platform.job.sort_buffer_bytes, scope));
-  GLY_RETURN_NOT_OK(ReadSetDouble(config, "job_startup_s",
-                                  &platform.job.job_startup_s, scope));
-  GLY_RETURN_NOT_OK(ReadSetBool(config, "checkpointing",
-                                &platform.job.checkpoint_map_stage, scope));
-  GLY_RETURN_NOT_OK(ReadSetUint(config, "max_iterations",
-                                &platform.max_iterations, scope));
-  return platform;
-}
 
 class MapReducePlatform final : public Platform {
  public:
@@ -268,13 +172,13 @@ class MapReducePlatform final : public Platform {
 class Neo4jLikePlatform final : public Platform {
  public:
   // The page cache is the memory budget, or 256 MiB without one.
-  Neo4jLikePlatform(const CommonOptions& opts, TempDir scratch)
+  Neo4jLikePlatform(uint64_t memory_budget_bytes, uint32_t threads,
+                    TempDir scratch)
       : scratch_(std::move(scratch)),
-        memory_budget_bytes_(opts.memory_budget_bytes),
-        page_cache_bytes_(opts.memory_budget_bytes != 0
-                              ? opts.memory_budget_bytes
-                              : uint64_t{256} << 20),
-        threads_(opts.threads) {}
+        memory_budget_bytes_(memory_budget_bytes),
+        page_cache_bytes_(memory_budget_bytes != 0 ? memory_budget_bytes
+                                                   : uint64_t{256} << 20),
+        threads_(threads) {}
 
   Status LoadGraph(const Graph& graph, const std::string& graph_name) override {
     graphdb::StoreConfig store_config;
@@ -332,8 +236,8 @@ class Neo4jLikePlatform final : public Platform {
 
 class ReferencePlatform final : public Platform {
  public:
-  explicit ReferencePlatform(const CommonOptions& opts)
-      : memory_budget_bytes_(opts.memory_budget_bytes) {}
+  explicit ReferencePlatform(uint64_t memory_budget_bytes)
+      : memory_budget_bytes_(memory_budget_bytes) {}
 
   Status LoadGraph(const Graph& graph, const std::string&) override {
     graph_ = &graph;
@@ -367,11 +271,36 @@ std::vector<std::string> RegisteredPlatforms() {
 
 Result<std::unique_ptr<Platform>> MakePlatform(const std::string& name,
                                                const Config& config) {
-  GLY_ASSIGN_OR_RETURN(CommonOptions opts, ReadCommon(name, config));
-  std::string lower = ToLower(name);
+  const std::vector<std::string> known = RegisteredPlatforms();
+  const std::string lower = ToLower(name);
+  if (std::count(known.begin(), known.end(), lower) == 0) {
+    return Status::NotFound("unknown platform: '" + name + "'");
+  }
+  // Every key is declared and well-formed (ConfigSchema), or the platform
+  // is not built: a silent fallback would turn `graphx.memory_budget_mb =
+  // 1MB` into a run with no budget, and erase Figure 4's GraphX failures.
+  const ConfigReader in(config, lower + ".");
+  GLY_RETURN_NOT_OK(in.Check());
+  uint64_t memory_budget_bytes = 0;
+  uint32_t workers = 0;
+  uint32_t threads = 0;
+  GLY_RETURN_NOT_OK(in.Get("memory_budget_mb", &memory_budget_bytes));
+  GLY_RETURN_NOT_OK(in.Get("workers", &workers));
+  GLY_RETURN_NOT_OK(in.Get("threads", &threads));
   if (lower == "giraph") {
-    GLY_ASSIGN_OR_RETURN(pregel::EngineConfig engine,
-                         ReadGiraph(opts, config));
+    pregel::EngineConfig engine;
+    engine.num_workers = workers;
+    engine.num_threads = threads;
+    engine.memory_budget_bytes = memory_budget_bytes;
+    GLY_RETURN_NOT_OK(in.Get("network_mib_per_s", &engine.network_mib_per_s));
+    GLY_RETURN_NOT_OK(in.Get("barrier_latency_s", &engine.barrier_latency_s));
+    // 0 disables the dense-frontier fast path (the pre-optimization engine
+    // that fig4's bfs_pregel_classic record measures).
+    GLY_RETURN_NOT_OK(in.Get("dense_frontier_threshold",
+                             &engine.dense_frontier_threshold));
+    GLY_RETURN_NOT_OK(
+        in.Get("checkpoint_interval", &engine.checkpoint.interval));
+    GLY_RETURN_NOT_OK(in.Get("checkpoint_dir", &engine.checkpoint.directory));
     std::optional<TempDir> ckpt_dir;
     if (engine.checkpoint.interval > 0 &&
         engine.checkpoint.directory.empty()) {
@@ -382,25 +311,32 @@ Result<std::unique_ptr<Platform>> MakePlatform(const std::string& name,
                                                  std::move(ckpt_dir))};
   }
   if (lower == "graphx") {
-    GLY_ASSIGN_OR_RETURN(dataflow::ContextConfig context,
-                         ReadGraphX(opts, config));
+    dataflow::ContextConfig context;
+    context.num_partitions = workers;
+    context.num_threads = threads;
+    context.memory_budget_bytes = memory_budget_bytes;
+    GLY_RETURN_NOT_OK(in.Get("shuffle_mib_per_s", &context.shuffle_mib_per_s));
+    GLY_RETURN_NOT_OK(
+        in.Get("materialize_mib_per_s", &context.materialize_mib_per_s));
     return {std::make_unique<GraphXLikePlatform>(context)};
   }
   if (lower == "mapreduce") {
-    GLY_ASSIGN_OR_RETURN(mapreduce::PlatformConfig platform,
-                         ReadMapReduce(opts, config));
+    mapreduce::PlatformConfig platform;
+    platform.job.num_mappers = workers;
+    platform.job.num_reducers = workers;
+    GLY_RETURN_NOT_OK(in.Get("job_startup_s", &platform.job.job_startup_s));
+    GLY_RETURN_NOT_OK(
+        in.Get("checkpointing", &platform.job.checkpoint_map_stage));
     GLY_ASSIGN_OR_RETURN(TempDir scratch, TempDir::Create("gly-mr"));
     return {std::make_unique<MapReducePlatform>(platform,
                                                 std::move(scratch))};
   }
   if (lower == "neo4j") {
     GLY_ASSIGN_OR_RETURN(TempDir scratch, TempDir::Create("gly-neo4j"));
-    return {std::make_unique<Neo4jLikePlatform>(opts, std::move(scratch))};
+    return {std::make_unique<Neo4jLikePlatform>(memory_budget_bytes, threads,
+                                                std::move(scratch))};
   }
-  if (lower == "reference") {
-    return {std::make_unique<ReferencePlatform>(opts)};
-  }
-  return Status::NotFound("unknown platform: '" + name + "'");
+  return {std::make_unique<ReferencePlatform>(memory_budget_bytes)};
 }
 
 }  // namespace gly::harness

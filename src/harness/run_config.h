@@ -5,72 +5,70 @@
 // benchmark report is available in the local file system."
 //
 // RunFromConfig is that workflow as a library call (the
-// tools/graphalytics_run CLI is a thin wrapper). Properties dialect:
-//
-//   # datasets
-//   graphs = snb, g500
-//   graph.snb.source = datagen            # datagen | rmat | file
-//   graph.snb.persons = 10000
-//   graph.snb.degree_spec = facebook:mean=18
-//   graph.snb.seed = 42
-//   graph.snb.bfs_source = 0
-//   graph.g500.source = rmat
-//   graph.g500.scale = 12
-//   graph.g500.edge_factor = 16
-//   # graph.mine.source = file
-//   # graph.mine.path = /data/mine.e      # .e text or .bin binary
-//
-//   # platforms (any registered name; keys pass through to the adapter;
-//   # a set memory_budget_mb, workers or threads must parse, or
-//   # RunFromConfig returns InvalidArgument naming it)
-//   platforms = giraph, neo4j
-//   giraph.workers = 8
-//   neo4j.memory_budget_mb = 256
-//
-//   # workload ("all" or a subset)
-//   algorithms = bfs, conn, stats
-//   cd.max_iterations = 10
-//   evo.new_vertices = 32
-//
-//   # ETL (see DESIGN.md §8, "ETL performance")
-//   etl.threads = 8                   # parallel parse + CSR build (0 = all
-//                                     # hardware threads, 1 = no pool)
-//   graph.reorder = degree            # degree | none: relabel hubs-first;
-//   graph.snb.reorder = none          # per-graph override. Outputs and
-//                                     # validation stay in original ids;
-//                                     # CD/EVO cells are refused (recorded).
-//
-//   # outputs
-//   report.dir = graphalytics-report
-//   validate = true
-//   monitor = true
-//
-//   # robustness (see DESIGN.md, "Recovery model" and §11); a set
-//   # supervision key (these five and the two harness.* keys below) must
-//   # parse, or RunFromConfig returns InvalidArgument naming it
-//   timeout_s = 60                    # per-cell wall clock (0 = none)
-//   stall_timeout_s = 10              # cancel when the progress heartbeat
-//                                     # stops advancing (0 = off)
-//   cancel_grace_s = 5                # join window for a cancelled attempt
-//   max_attempts = 3                  # bounded retry of transient failures
-//   giraph.checkpoint_interval = 4    # Pregel checkpoint every N supersteps
-//   mapreduce.checkpointing = true    # persist map-stage manifests
-//   resume = true                     # reuse finished cells from the journal
-//   journal = run/journal.jsonl       # default: <report.dir>/journal.jsonl
-//
-//   # concurrent scheduling (see DESIGN.md §12)
-//   harness.jobs = 4                  # max cells in flight (1 = serial)
-//   harness.memory_budget_mb = 2048   # admission budget for concurrent
-//                                     # graph loads (0 = no limit)
+// tools/graphalytics_run CLI is a thin wrapper). Every key a properties
+// file may set is one row of ConfigSchema(); README.md's "Configuration
+// keys" table lists each with its type, default and meaning, and
+// `graphalytics_run --example` prints a starter file.
 
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/config.h"
 #include "harness/core.h"
 
 namespace gly::harness {
+
+/// The type of a configuration value. Unsigned values must fit their width;
+/// a MiB value must also fit in bytes.
+enum class KeyType { kString, kList, kEnum, kUint32, kUint64, kDouble, kBool, kMib };
+
+/// One declared configuration key. In `name`, a `*` after `graph.` stands
+/// for a dataset name, and a leading `*` for a registered platform.
+struct KeySpec {
+  std::string_view name;
+  KeyType type;
+  /// The default as written in a file, or nullptr when the code that
+  /// consumes the value holds it.
+  const char* def;
+  /// kEnum: the allowed values, "a | b".
+  std::string_view values;
+};
+
+/// Every key a run configuration may set.
+std::span<const KeySpec> ConfigSchema();
+
+/// Reads one scope of a configuration through ConfigSchema(). `scope` holds
+/// the keys with `prefix` dropped: "" for a whole run configuration,
+/// "giraph." for what `Config::Scoped("giraph")` returned; the reader keeps
+/// a reference to it, so it must outlive the reader. Errors name keys as
+/// written, prefix included.
+class ConfigReader {
+ public:
+  ConfigReader(const Config& scope, std::string prefix)
+      : scope_(scope), prefix_(std::move(prefix)) {}
+
+  /// InvalidArgument unless every key is declared and its value parses as
+  /// its row's type. An unknown key's error names the nearest declared key
+  /// when it is at most two edits away.
+  Status Check() const;
+
+  /// Sets `*value` from `key`, or from its row's default when `key` is
+  /// unset; with neither, leaves `*value` as it is. T is std::string (a
+  /// string or enum row; an enum value reads in lower case),
+  /// std::vector<std::string> (a list: its non-empty trimmed items), bool,
+  /// double, uint32_t (a uint32 row) or uint64_t (a uint64 or MiB row; MiB
+  /// reads as bytes).
+  template <typename T>
+  Status Get(std::string_view key, T* value) const;
+
+ private:
+  const Config& scope_;
+  std::string prefix_;
+};
 
 /// Outcome of a config-driven run.
 struct ConfigRunOutput {
@@ -80,7 +78,8 @@ struct ConfigRunOutput {
   SchedulerStats scheduler;    ///< cell-scheduler summary (see RunSpec::jobs)
 };
 
-/// Executes the workflow described by `config`. Writes report.txt,
+/// Executes the workflow described by `config`. Every key is checked
+/// against ConfigSchema() before anything runs. Writes report.txt,
 /// results.csv, and appends results.jsonl under `report.dir` when set.
 /// `stop` (optional) is a harness-level stop token: arm it — e.g. from a
 /// SIGINT handler; CancelToken::Cancel(reason) is async-signal-safe — and

@@ -222,9 +222,13 @@ int64_t MinPayload(const std::vector<Message>& messages) {
   return best;
 }
 
+// The most jobs a BFS or CONN chain runs before it stops, converged or not:
+// a safety valve against a chain that never converges.
+constexpr uint32_t kMaxIterations = 1000;
+
 // Vertices discovered in the previous iteration (state == iter - 1) send
 // dist + 1; a vertex takes the smallest distance offered.
-VertexProgram BfsProgram(const BfsParams& params, uint32_t max_iterations) {
+VertexProgram BfsProgram(const BfsParams& params) {
   VertexProgram p;
   p.init = [source = params.source](VertexId v) {
     GraphRecord rec;
@@ -243,13 +247,13 @@ VertexProgram BfsProgram(const BfsParams& params, uint32_t max_iterations) {
     return true;
   };
   p.fold = Fold::kMin;
-  p.iterations = max_iterations;
+  p.iterations = kMaxIterations;
   p.until_no_update = true;
   return p;
 }
 
 // Min-label propagation: a vertex whose label changed sends it on.
-VertexProgram ConnProgram(uint32_t max_iterations) {
+VertexProgram ConnProgram() {
   VertexProgram p;
   p.init = [](VertexId v) {
     GraphRecord rec;
@@ -270,7 +274,7 @@ VertexProgram ConnProgram(uint32_t max_iterations) {
     return rec->changed == 1;
   };
   p.fold = Fold::kMin;
-  p.iterations = max_iterations;
+  p.iterations = kMaxIterations;
   p.until_no_update = true;
   return p;
 }
@@ -661,9 +665,9 @@ Result<AlgorithmOutput> Driver::Run(AlgorithmKind kind,
                                     const AlgorithmParams& params) {
   switch (kind) {
     case AlgorithmKind::kBfs:
-      return RunVertexValues(BfsProgram(params.bfs, config_.max_iterations));
+      return RunVertexValues(BfsProgram(params.bfs));
     case AlgorithmKind::kConn:
-      return RunVertexValues(ConnProgram(config_.max_iterations));
+      return RunVertexValues(ConnProgram());
     case AlgorithmKind::kCd:
       return RunVertexValues(CdProgram(params.cd));
     case AlgorithmKind::kPr:

@@ -35,7 +35,6 @@ namespace gly::mapreduce {
 struct PlatformConfig {
   JobConfig job;          ///< mappers/reducers/sort buffer/scratch
   std::string work_dir;   ///< iteration state directory (required)
-  uint32_t max_iterations = 1000;  ///< driver safety valve
 };
 
 /// Aggregate statistics across a whole algorithm run (all chained jobs).

@@ -129,8 +129,6 @@ TEST(CheckpointTest, CorruptionIsRejected) {
   EXPECT_FALSE(CheckpointReader::Load(path).ok());
 }
 
-#ifndef GLY_DISABLE_FAULT_POINTS
-
 TEST(CheckpointTest, CrashDuringWriteKeepsPreviousCheckpoint) {
   auto dir = TempDir::Create("gly-ckpt-test");
   ASSERT_TRUE(dir.ok());
@@ -168,8 +166,6 @@ TEST(CheckpointTest, CrashDuringWriteKeepsPreviousCheckpoint) {
   ASSERT_TRUE(dec2.GetU32(&gen));
   EXPECT_EQ(gen, 2u);
 }
-
-#endif  // GLY_DISABLE_FAULT_POINTS
 
 TEST(CheckpointTest, RemoveCheckpointClearsStagedTemp) {
   auto dir = TempDir::Create("gly-ckpt-test");

@@ -41,6 +41,20 @@ TEST(DegreePluginTest, FactoryRejectsBadSpecs) {
   EXPECT_FALSE(MakeDegreePlugin("geometric:p=1.5").ok());
   EXPECT_FALSE(MakeDegreePlugin("poisson:lambda=-2").ok());
   EXPECT_FALSE(MakeDegreePlugin("zeta").ok());             // missing param
+  // Unknown argument names and malformed values name the spec and the
+  // argument instead of falling back to the family's default.
+  const std::pair<const char*, const char*> bad[] = {
+      {"facebook:mean=abc", "mean"},     {"facebook:maen=20", "maen"},
+      {"zeta:alpha=1.7,max=1O", "max"},  {"zeta:alpha=1.7,mx=5", "mx"},
+      {"geometric:p=0.1,q=2", "q"},      {"weibull:shape=0.8,scale=2x", "scale"},
+      {"poisson:lambda=ten", "lambda"},
+  };
+  for (const auto& [spec, arg] : bad) {
+    Status status = MakeDegreePlugin(spec).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << spec << ": " << status.ToString();
+    EXPECT_NE(status.message().find(spec), std::string::npos) << status.ToString();
+    EXPECT_NE(status.message().find(arg), std::string::npos) << status.ToString();
+  }
 }
 
 TEST(DegreePluginTest, SampledMeansMatchDeclaredMeans) {

@@ -155,7 +155,6 @@ TEST(ScopedFaultPlanTest, InstallsAndRestores) {
   EXPECT_EQ(inner.TriggeredCount("site"), 0u);
 }
 
-#ifndef GLY_DISABLE_FAULT_POINTS
 TEST(ScopedFaultPlanTest, MacroFormsConsultTheActivePlan) {
   FaultPlan plan(3);
   plan.Add({.site = "macro.point", .kind = FaultKind::kIOError});
@@ -170,7 +169,6 @@ TEST(ScopedFaultPlanTest, MacroFormsConsultTheActivePlan) {
   EXPECT_TRUE(GLY_FAULT_DROP("macro.drop"));
   EXPECT_FALSE(GLY_FAULT_DROP("macro.point"));
 }
-#endif  // GLY_DISABLE_FAULT_POINTS
 
 // -------------------------------------------------------------- accounting
 

@@ -411,5 +411,28 @@ TEST(GraphDbAlgorithmsTest, DirectedBfs) {
       harness::ValidateOutput(g, AlgorithmKind::kBfs, params, *out).ok());
 }
 
+// A run reports its own page-cache traffic: neither the import nor an
+// earlier run on the same store is in it.
+TEST(GraphDbAlgorithmsTest, CacheStatsCountOneRun) {
+  Graph g = RandomUndirected(2000, 8000, 46);
+  auto dir = TempDir::Create("gly-db");
+  ASSERT_TRUE(dir.ok());
+  auto store = ImportedStore(*dir, g);
+  ASSERT_NE(store, nullptr);
+  AlgorithmParams params;
+  params.bfs.source = 0;
+  DbRunStats first;
+  DbRunStats second;
+  ASSERT_TRUE(RunAlgorithmOnStore(store.get(), g.undirected(), 0,
+                                  AlgorithmKind::kBfs, params, &first)
+                  .ok());
+  ASSERT_TRUE(RunAlgorithmOnStore(store.get(), g.undirected(), 0,
+                                  AlgorithmKind::kBfs, params, &second)
+                  .ok());
+  EXPECT_GT(first.cache.hits + first.cache.misses, 0u);
+  EXPECT_EQ(second.cache.hits + second.cache.misses,
+            first.cache.hits + first.cache.misses);
+}
+
 }  // namespace
 }  // namespace gly::graphdb

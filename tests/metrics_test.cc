@@ -1,8 +1,7 @@
-// Tests for the metrics registry (common/metrics.h): counter/gauge/
-// histogram semantics, the schema-versioned metrics.jsonl round-trip
-// (serialize -> parse -> compare, mirroring the report's ResultFromJson
-// round-trip), histogram merge correctness, and a concurrent-increment
-// stress case for the TSan stage.
+// Tests for the metrics registry (common/metrics.h): counter and gauge
+// semantics, the schema-versioned metrics.jsonl round-trip (serialize ->
+// parse -> compare, mirroring the report's ResultFromJson round-trip), and
+// a concurrent-increment stress case for the TSan stage.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,7 @@ namespace {
 
 // ---------------------------------------------------------- basic metrics
 
-TEST(MetricsTest, CounterGaugeHistogramBasics) {
+TEST(MetricsTest, CounterGaugeBasics) {
   Registry registry;
   Counter* c = registry.GetCounter("pregel.messages_sent");
   c->Add();
@@ -31,23 +30,12 @@ TEST(MetricsTest, CounterGaugeHistogramBasics) {
   g->Set(1.5);
   g->Set(2.5);  // last write wins
   EXPECT_EQ(g->Value(), 2.5);
-
-  HistogramMetric* h = registry.GetHistogram("etl.chunk_edges");
-  h->Observe(1);
-  h->Observe(1);
-  h->Observe(4);
-  Histogram snap = h->Snapshot();
-  EXPECT_EQ(snap.total_count(), 3u);
-  EXPECT_EQ(snap.Min(), 1u);
-  EXPECT_EQ(snap.Max(), 4u);
-  EXPECT_DOUBLE_EQ(snap.Mean(), 2.0);
 }
 
 TEST(MetricsTest, SnapshotNameCollisionCounterWins) {
   // Reusing one name across types is a caller bug, but the snapshot must
-  // stay deterministic: counter wins over gauge wins over histogram.
+  // stay deterministic: the counter wins over the gauge.
   Registry registry;
-  registry.GetHistogram("x")->Observe(1);
   registry.GetGauge("x")->Set(7.0);
   registry.GetCounter("x")->Add(3);
   auto snapshot = registry.Snapshot();
@@ -61,8 +49,7 @@ TEST(MetricsTest, SnapshotNameCollisionCounterWins) {
 TEST(MetricsTest, InlineHelpersAreNoOpsWithoutRegistry) {
   ASSERT_EQ(ActiveRegistry(), nullptr);
   AddCounter("nobody.listening");
-  SetGauge("nobody.listening", 1.0);
-  Observe("nobody.listening", 1);  // must not crash
+  SetGauge("nobody.listening", 1.0);  // must not crash
 }
 
 TEST(MetricsTest, ScopedRegistryRoutesInlineHelpers) {
@@ -72,14 +59,12 @@ TEST(MetricsTest, ScopedRegistryRoutesInlineHelpers) {
     AddCounter("harness.cells");
     AddCounter("harness.cells", 2);
     SetGauge("harness.load_s", 0.25);
-    Observe("etl.chunk_edges", 9);
   }
   EXPECT_EQ(ActiveRegistry(), nullptr);
   AddCounter("harness.cells", 100);  // after scope: dropped
   auto snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.at("harness.cells").counter, 3u);
   EXPECT_EQ(snapshot.at("harness.load_s").gauge, 0.25);
-  EXPECT_EQ(snapshot.at("etl.chunk_edges").histogram.total_count(), 1u);
 }
 
 // -------------------------------------------------------- jsonl round-trip
@@ -88,17 +73,10 @@ TEST(MetricsTest, GoldenJsonl) {
   Registry registry;
   registry.GetCounter("a.count")->Add(3);
   registry.GetGauge("b.gauge")->Set(2.5);
-  HistogramMetric* h = registry.GetHistogram("c.hist");
-  h->Observe(1);
-  h->Observe(1);
-  h->Observe(4);
   EXPECT_EQ(registry.ToJsonl(),
             "{\"schema_version\":1,\"kind\":\"gly.metrics\"}\n"
             "{\"name\":\"a.count\",\"type\":\"counter\",\"value\":3}\n"
-            "{\"name\":\"b.gauge\",\"type\":\"gauge\",\"value\":2.5}\n"
-            "{\"name\":\"c.hist\",\"type\":\"histogram\",\"count\":3,"
-            "\"min\":1,\"max\":4,\"mean\":2,\"p50\":1,\"p95\":1,\"p99\":1,"
-            "\"items\":[[1,2],[4,1]]}\n");
+            "{\"name\":\"b.gauge\",\"type\":\"gauge\",\"value\":2.5}\n");
 }
 
 TEST(MetricsTest, JsonlRoundTrip) {
@@ -106,11 +84,6 @@ TEST(MetricsTest, JsonlRoundTrip) {
   registry.GetCounter("pregel.messages_sent")->Add(12345);
   registry.GetCounter("dataflow.datasets_materialized")->Add(7);
   registry.GetGauge("harness.cpu_utilization")->Set(1.75);
-  HistogramMetric* h = registry.GetHistogram("mapreduce.spill_bytes");
-  h->Observe(0);
-  h->Observe(4096);
-  h->Observe(4096);
-  h->Observe(65536);
 
   auto parsed = Registry::FromJsonl(registry.ToJsonl());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -122,9 +95,6 @@ TEST(MetricsTest, JsonlRoundTrip) {
     EXPECT_EQ(got.type, want.type) << name;
     EXPECT_EQ(got.counter, want.counter) << name;
     EXPECT_EQ(got.gauge, want.gauge) << name;
-    EXPECT_EQ(got.histogram.Items(), want.histogram.Items()) << name;
-    EXPECT_EQ(got.histogram.total_count(), want.histogram.total_count())
-        << name;
   }
 }
 
@@ -164,11 +134,6 @@ TEST(MetricsTest, FromJsonlRejectsBadDocuments) {
   EXPECT_FALSE(
       Registry::FromJsonl("{\"schema_version\":1,\"kind\":\"gly.metrics\"}\n"
                           "{\"name\":\"a\",\"type\":\"meter\",\"value\":1}\n")
-          .ok());
-  // Histogram without items.
-  EXPECT_FALSE(
-      Registry::FromJsonl("{\"schema_version\":1,\"kind\":\"gly.metrics\"}\n"
-                          "{\"name\":\"a\",\"type\":\"histogram\"}\n")
           .ok());
   // Header alone is a valid, empty document.
   auto empty =
@@ -247,7 +212,6 @@ TEST(MetricsTest, ConcurrentIncrementsAreExact) {
       threads.emplace_back([] {
         for (int i = 0; i < kIncrementsPerThread; ++i) {
           AddCounter("stress.count");
-          Observe("stress.hist", static_cast<uint64_t>(i % 4));
         }
       });
     }
@@ -255,8 +219,6 @@ TEST(MetricsTest, ConcurrentIncrementsAreExact) {
   }
   auto snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.at("stress.count").counter,
-            static_cast<uint64_t>(kThreads * kIncrementsPerThread));
-  EXPECT_EQ(snapshot.at("stress.hist").histogram.total_count(),
             static_cast<uint64_t>(kThreads * kIncrementsPerThread));
 }
 

@@ -164,8 +164,6 @@ TEST(ObservabilityTest, SuperstepSpanCountMatchesReportedSupersteps) {
 
 // ------------------------------------------- fault + retry stays valid
 
-#ifndef GLY_DISABLE_FAULT_POINTS
-
 TEST(ObservabilityTest, InjectedFaultAndRetryKeepTraceValid) {
   auto dir = TempDir::Create("gly-obs");
   ASSERT_TRUE(dir.ok());
@@ -225,8 +223,6 @@ TEST(ObservabilityTest, InjectedFaultAndRetryKeepTraceValid) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->at("harness.retries").counter, 1u);
 }
-
-#endif  // GLY_DISABLE_FAULT_POINTS
 
 // ------------------------------------------------ config-level plumbing
 

@@ -37,15 +37,6 @@
 namespace gly::harness {
 namespace {
 
-#ifdef GLY_DISABLE_FAULT_POINTS
-
-TEST(RobustnessTest, FaultPointsCompiledOut) {
-  GTEST_SKIP() << "built with GLY_FAULT_POINTS=OFF; engine fault sites are "
-                  "no-ops, so the robustness scenarios cannot run";
-}
-
-#else
-
 Graph RandomUndirected(VertexId n, size_t m, uint64_t seed) {
   EdgeList edges(n);
   Rng rng(seed);
@@ -773,8 +764,6 @@ TEST(RobustnessTest, FullMatrixUnderFaultsCompletesEveryCellThenRunsClean) {
         << r.validation.ToString();
   }
 }
-
-#endif  // GLY_DISABLE_FAULT_POINTS
 
 // ------------------------------------------- artifact readers, untrusted
 

@@ -4,9 +4,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 
+#include "common/string_util.h"
 #include "common/temp_dir.h"
 #include "graph/io.h"
+#include "graph/graph.h"
 #include "harness/run_config.h"
 
 namespace gly::harness {
@@ -95,7 +99,7 @@ TEST(RunConfigTest, RejectsBadConfigs) {
 
   Config bad_platform = BaseConfig();
   bad_platform.Set("platforms", "flink");
-  EXPECT_TRUE(RunFromConfig(bad_platform).status().IsNotFound());
+  EXPECT_TRUE(RunFromConfig(bad_platform).status().IsInvalidArgument());
 
   Config missing_file = BaseConfig();
   missing_file.Set("graph.tiny.source", "file");
@@ -206,25 +210,8 @@ TEST(RunConfigTest, BfsSourceMustBeAVertexOfTheGraph) {
   EXPECT_TRUE(out->results[0].validation.ok());
 }
 
-// A set supervision key must parse: a fallback to the default would run
-// `timeout_s = 0.005s` with no deadline at all.
+// Supervision keys that parse run: a 5 ms deadline on two scheduler slots.
 TEST(RunConfigTest, SupervisionKeysMustParse) {
-  const std::pair<const char*, const char*> bad[] = {
-      {"timeout_s", "0.005s"},       {"stall_timeout_s", "1m"},
-      {"cancel_grace_s", "five"},    {"max_attempts", "-1"},
-      {"retry_backoff_s", ""},       {"harness.jobs", "four"},
-      {"harness.memory_budget_mb", "1.5"},
-      {"max_attempts", "4294967296"},
-  };
-  for (const auto& [key, value] : bad) {
-    Config config = BaseConfig();
-    config.Set(key, value);
-    Status status = RunFromConfig(config).status();
-    EXPECT_TRUE(status.IsInvalidArgument())
-        << key << " = " << value << ": " << status.ToString();
-    EXPECT_NE(status.message().find(key), std::string::npos)
-        << status.ToString();
-  }
   Config config = BaseConfig();
   config.Set("timeout_s", "0.005");
   config.Set("harness.jobs", "2");
@@ -233,30 +220,10 @@ TEST(RunConfigTest, SupervisionKeysMustParse) {
   EXPECT_EQ(out->results.size(), 2u);
 }
 
-// The common platform keys: an unset key keeps its default, but a set one
-// must parse and fit, or the open phase's platform probe fails the run and
-// names the scoped key. A silent fallback ran `graphx.memory_budget_mb =
-// 1MB` with no budget at all.
+// The common platform keys reach the adapter: a 1 MiB budget fails GraphX
+// CD on R-MAT 10, while the unset keys of the reference platform keep their
+// defaults.
 TEST(RunConfigTest, PlatformKeysMustParse) {
-  const std::pair<const char*, const char*> bad[] = {
-      {"graphx.memory_budget_mb", "1MB"},
-      {"graphx.memory_budget_mb", "17592186044416"},  // 2^44 MiB
-      {"graphx.workers", "4294967296"},
-      {"graphx.threads", "two"},
-      {"reference.workers", "-1"},
-  };
-  for (const auto& [key, value] : bad) {
-    Config config = BaseConfig();
-    config.Set("platforms", "reference, graphx");
-    config.Set(key, value);
-    Status status = RunFromConfig(config).status();
-    EXPECT_TRUE(status.IsInvalidArgument())
-        << key << " = " << value << ": " << status.ToString();
-    EXPECT_NE(status.message().find(key), std::string::npos)
-        << status.ToString();
-  }
-  // A budget that parses is enforced: 1 MiB fails GraphX CD on R-MAT 10,
-  // while the unset keys of the reference platform keep their defaults.
   Config config = *Config::Parse(
       "graphs = r\n"
       "graph.r.source = rmat\n"
@@ -279,59 +246,6 @@ TEST(RunConfigTest, PlatformKeysMustParse) {
   }
 }
 
-TEST(RunConfigTest, PlatformTuningKeysMustParse) {
-  // Each platform-specific key, malformed or out of range: the run fails
-  // before any cell starts and names the key as written.
-  const std::pair<const char*, const char*> bad[] = {
-      {"giraph.network_mib_per_s", "fast"},
-      {"giraph.barrier_latency_s", "1ms"},
-      {"giraph.checkpoint_interval", "4294967296"},  // 2^32
-      {"giraph.checkpoint_max_recoveries", "three"},
-      {"giraph.dense_frontier_threshold", "5%"},
-      {"graphx.object_overhead_factor", "0.5x"},
-      {"graphx.shuffle_mib_per_s", "1e"},
-      {"graphx.materialize_mib_per_s", "-"},
-      {"mapreduce.sort_buffer_mb", "8MB"},
-      {"mapreduce.sort_buffer_mb", "17592186044416"},  // 2^44: << 20 wraps
-      {"mapreduce.job_startup_s", "0.1s"},
-      {"mapreduce.max_iterations", "-5"},
-      {"mapreduce.checkpointing", "maybe"},
-  };
-  for (const auto& [key, value] : bad) {
-    Config config = BaseConfig();
-    config.Set("platforms", "reference, giraph, graphx, mapreduce");
-    config.Set(key, value);
-    Status status = RunFromConfig(config).status();
-    EXPECT_TRUE(status.IsInvalidArgument())
-        << key << " = " << value << ": " << status.ToString();
-    EXPECT_NE(status.message().find(key), std::string::npos)
-        << status.ToString();
-  }
-  // A factor that parses is the one used: at 0.5 GraphX CD fits a 1 MiB
-  // budget on R-MAT 10 (at the default 2.0 it does not, as
-  // PlatformKeysMustParse shows).
-  Config config = *Config::Parse(
-      "graphs = r\n"
-      "graph.r.source = rmat\n"
-      "graph.r.scale = 10\n"
-      "platforms = graphx, mapreduce\n"
-      "algorithms = cd\n"
-      "graphx.memory_budget_mb = 1\n"
-      "graphx.object_overhead_factor = 0.5\n"
-      "graphx.workers = 2\n"
-      "graphx.threads = 1\n"
-      "mapreduce.sort_buffer_mb = 1\n"
-      "mapreduce.checkpointing = off\n"
-      "monitor = false\n");
-  auto out = RunFromConfig(config);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->results.size(), 2u);
-  for (const auto& r : out->results) {
-    EXPECT_TRUE(r.status.ok()) << r.platform << ": " << r.status.ToString();
-    EXPECT_TRUE(r.validation.ok()) << r.platform;
-  }
-}
-
 TEST(RunConfigTest, BfsSourcePerGraph) {
   Config config = BaseConfig();
   config.SetInt("graph.tiny.bfs_source", 42);
@@ -341,6 +255,153 @@ TEST(RunConfigTest, BfsSourcePerGraph) {
   // Validation passing implies the harness really used source 42 (the
   // validator recomputes with the same params).
   EXPECT_TRUE(out->results[0].validation.ok());
+}
+
+// The only dataset is a missing file, so a run whose keys all pass the
+// schema fails on that file; any other failure came before ETL.
+Config MissingFileConfig() {
+  return *Config::Parse(
+      "graphs = g\n"
+      "graph.g.source = file\n"
+      "graph.g.path = /no/such/file.e\n"
+      "platforms = reference\n"
+      "algorithms = bfs\n"
+      "monitor = false\n");
+}
+
+// Every schema row with its `*` bound: a dataset `*` to `other`, which
+// `graphs` does not list, and a platform `*` to each registered platform.
+std::vector<std::pair<std::string, const KeySpec*>> SchemaKeys() {
+  std::vector<std::pair<std::string, const KeySpec*>> keys;
+  for (const KeySpec& row : ConfigSchema()) {
+    std::string name(row.name);
+    const size_t star = name.find('*');
+    if (star == std::string::npos) {
+      keys.emplace_back(name, &row);
+    } else if (star == 0) {
+      for (const std::string& platform : RegisteredPlatforms()) {
+        keys.emplace_back(platform + name.substr(1), &row);
+      }
+    } else {
+      keys.emplace_back(name.replace(star, 1, "other"), &row);
+    }
+  }
+  return keys;
+}
+
+// Each key takes a valid value, and fails the run before any graph is built
+// with a malformed or out-of-range value (where its type has one) or a
+// one-letter misspelling, naming the key as written; a misspelling also
+// names the key it is nearest to.
+TEST(RunConfigTest, SchemaRejectsMalformedAndMisspelledKeys) {
+  auto dir = TempDir::Create("gly-runcfg");
+  ASSERT_TRUE(dir.ok());
+  const std::vector<std::pair<std::string, const KeySpec*>> keys = SchemaKeys();
+  ASSERT_EQ(keys.size(), 66u);  // 54 rows; 3 of them for each of 5 platforms
+  for (const auto& [key, row] : keys) {
+    std::string valid;
+    std::vector<std::string> bad;
+    switch (row->type) {
+      case KeyType::kString:
+        valid = dir->File("x");
+        break;
+      case KeyType::kList:
+        // Items are trimmed, and names match in any case.
+        valid = key == "graphs"      ? "g"
+                : key == "platforms" ? " Reference, giraph"
+                                     : "BFS, conn ";
+        if (key != "graphs") bad = {"bogus"};
+        break;
+      case KeyType::kEnum:
+        valid = std::string(Trim(Split(row->values, '|')[0]));
+        bad = {"bogus"};
+        break;
+      case KeyType::kUint32:
+        valid = "1";
+        bad = {"1O", "4294967296"};
+        break;
+      case KeyType::kUint64:
+        valid = "1";
+        bad = {"-3", "18446744073709551616"};
+        break;
+      case KeyType::kDouble:
+        valid = "0.5";
+        bad = {"2ms"};
+        break;
+      case KeyType::kBool:
+        valid = "false";
+        bad = {"maybe"};
+        break;
+      case KeyType::kMib:
+        valid = "1";
+        bad = {"1MB", "17592186044416"};  // 2^44 MiB: << 20 wraps
+        break;
+    }
+    Config config = MissingFileConfig();
+    config.Set(key, valid);
+    Status status = RunFromConfig(config).status();
+    EXPECT_NE(status.message().find("/no/such/file"), std::string::npos)
+        << key << " = " << valid << ": " << status.ToString();
+    for (const std::string& value : bad) {
+      config.Set(key, value);
+      status = RunFromConfig(config).status();
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << key << " = " << value << ": " << status.ToString();
+      EXPECT_NE(status.message().find(key + ": "), std::string::npos)
+          << key << " = " << value << ": " << status.ToString();
+    }
+    const std::string misspelled = key.substr(0, key.size() - 1);
+    config = MissingFileConfig();
+    config.Set(misspelled, valid);
+    status = RunFromConfig(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << misspelled << ": " << status.ToString();
+    EXPECT_NE(status.message().find(misspelled + ": unknown key (did you mean " +
+                                    key + "?)"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// RunBenchmark callers that build RunSpec::platform_config themselves get
+// the same check when the platforms are opened.
+TEST(RunConfigTest, PlatformConfigKeysAreCheckedAtOpen) {
+  EdgeList edges;
+  edges.Add(0, 1);
+  Graph graph = GraphBuilder::Undirected(edges).ValueOrDie();
+  RunSpec spec;
+  spec.platforms = {"reference", "giraph"};
+  spec.platform_config.SetInt("giraph.wokers", 3);
+  spec.datasets.push_back({"g", &graph, {}});
+  spec.algorithms = {AlgorithmKind::kBfs};
+  spec.monitor = false;
+  Status status = RunBenchmark(spec).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find(
+                "giraph.wokers: unknown key (did you mean giraph.workers?)"),
+            std::string::npos)
+      << status.ToString();
+}
+
+// README.md's key table documents exactly the schema's keys.
+TEST(RunConfigTest, ReadmeKeyTableMatchesSchema) {
+  std::ifstream in(GLY_TESTS_DIR "/../README.md");
+  ASSERT_TRUE(in) << "cannot read README.md";
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string readme = text.str();
+  const size_t begin = readme.find("\n## Configuration keys\n");
+  ASSERT_NE(begin, std::string::npos);
+  const size_t end = readme.find("\n## ", begin + 1);
+  std::set<std::string> documented;
+  std::istringstream section(readme.substr(begin, end - begin));
+  for (std::string line; std::getline(section, line);) {
+    if (line.starts_with("| `")) {
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  std::set<std::string> declared;
+  for (const KeySpec& spec : ConfigSchema()) declared.emplace(spec.name);
+  EXPECT_EQ(documented, declared);
 }
 
 }  // namespace

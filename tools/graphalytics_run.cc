@@ -18,7 +18,7 @@
 // gated on `harness.memory_budget_mb`, and the journal stays equivalent to
 // a serial run's. Equal to setting `harness.jobs = N` in the config.
 //
-// See harness/run_config.h for the full properties dialect.
+// README.md's "Configuration keys" table lists every key.
 
 #include <csignal>
 #include <cstdio>
@@ -77,15 +77,19 @@ monitor = true
 # folded stacks are written per cell. Artifacts: profile.json (critical
 # path, worker utilization, top self-time) + profile.folded next to
 # trace.json. Also reachable as --profile [mode] on the command line.
-# profile.mode = off         # off | counters | sampler | full
-# profile.interval_us = 2000 # sampling period for sampler/full
+# profile.mode: off | counters | sampler | full
+# profile.mode = off
+# profile.interval_us: sampling period for sampler/full
+# profile.interval_us = 2000
 
 # ETL (see DESIGN.md, "ETL performance"): parallel parse + CSR build, and
 # optional degree-descending relabeling for traversal locality. Outputs and
 # validation always speak original vertex ids; CD/EVO cells are refused on
 # reordered graphs (recorded failures) because their dynamics are id-seeded.
-etl.threads = 1            # 1 = no pool, 0 = all hardware threads
-graph.reorder = none       # degree | none (per-graph: graph.<name>.reorder)
+# etl.threads: 1 = no pool, 0 = all hardware threads
+etl.threads = 1
+# graph.reorder: degree | none (per-graph: graph.<name>.reorder)
+graph.reorder = none
 
 # Robustness: per-cell wall-clock timeout (0 = none), bounded retry with
 # exponential backoff. A timed-out or crashed cell is recorded as a
@@ -96,15 +100,16 @@ graph.reorder = none       # degree | none (per-graph: graph.<name>.reorder)
 # livelock even without a wall-clock timeout. Ctrl-C cancels the in-flight
 # cell the same way and journals what finished.
 timeout_s = 0
-stall_timeout_s = 0          # 0 = stall watchdog off
+# stall_timeout_s = 0 turns the stall watchdog off
+stall_timeout_s = 0
 cancel_grace_s = 5
 max_attempts = 1
 retry_backoff_s = 0.5
 
 # Recovery (see DESIGN.md, "Recovery model"):
-#  - giraph.checkpoint_interval = 4   # Pregel checkpoint every 4 supersteps
-#  - mapreduce.checkpointing = true   # persist map-stage spill manifests
-#  - resume = true                    # or pass --resume on the command line
+#  - giraph.checkpoint_interval = 4: Pregel checkpoint every 4 supersteps
+#  - mapreduce.checkpointing = true: persist map-stage spill manifests
+#  - resume = true, or pass --resume on the command line
 # Per-cell completion is journaled to <report.dir>/journal.jsonl (override
 # with `journal = path`); with resume, finished cells are not re-executed.
 
